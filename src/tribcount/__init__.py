@@ -3,6 +3,9 @@
 Closed forms for the distinct counts, logarithmic-time evaluation of the
 repeated counts at arbitrary positions, and a brute-force oracle that
 cross-checks all of it at desk scale.
+
+The oracle names are resolved on first use (PEP 562), so that importing the
+package for counting never loads numpy.
 """
 
 from .closed_forms import (
@@ -48,16 +51,32 @@ from .fast_count import (
     sum_b_gamma,
     sum_d_gamma,
 )
-from .oracle import (
-    OccurrenceRecord,
-    RepetitionSummary,
-    assert_no_fourth_powers,
-    gap_coding,
-    gap_pattern,
-    kernel_of,
-    occurrences,
-    scan_repetitions,
-)
+
+_ORACLE_NAMES = frozenset({
+    "oracle",
+    "OccurrenceRecord",
+    "RepetitionSummary",
+    "assert_no_fourth_powers",
+    "gap_coding",
+    "gap_pattern",
+    "kernel_of",
+    "occurrences",
+    "scan_repetitions",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        # not ``from . import oracle``: that would look the name up here first
+        import importlib
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)
+
 
 __version__ = "0.1.0"
 

@@ -10,28 +10,36 @@ Exit codes: 0 success, 1 usage or range error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from dataclasses import dataclass
 
-from . import closed_forms, core_word, fast_count, oracle
+# Counting commands import only these; ``oracle`` (numpy) is imported by the
+# commands that scan, and ``json`` only for JSON output.
+from . import closed_forms, core_word, fast_count
 
-
-@dataclass(frozen=True)
-class OutputRow:
-    n: int
-    A: int
-    B: int
-    C: int
-    D: int
+ROW_CAP = 10**6  # most rows ``table`` or ``positions`` will print
 
 
-@dataclass
-class VerifyReport:
-    max_n: int
-    exhaustive: bool
-    passed: dict
-    first_divergence: dict
+class OutputRow(core_word.Record):
+    __slots__ = ("n", "A", "B", "C", "D")
+
+    def __init__(self, n: int, A: int, B: int, C: int, D: int):
+        self.n = n
+        self.A = A
+        self.B = B
+        self.C = C
+        self.D = D
+
+
+class VerifyReport(core_word.Record):
+    __slots__ = ("max_n", "exhaustive", "passed", "first_divergence")
+
+    def __init__(self, max_n: int, exhaustive: bool, passed: dict,
+                 first_divergence: dict):
+        self.max_n = max_n
+        self.exhaustive = exhaustive
+        self.passed = passed
+        self.first_divergence = first_divergence
 
     @property
     def ok(self) -> bool:
@@ -68,7 +76,7 @@ def cmd_table(args) -> int:
     if lo < 0 or lo > hi:
         print("error: need 0 <= --from <= --to", file=sys.stderr)
         return 1
-    if hi - lo > 10**6:
+    if hi - lo > ROW_CAP:
         print("error: table range limited to 10^6 rows", file=sys.stderr)
         return 1
     if hi > core_word.N_CAP:
@@ -80,12 +88,16 @@ def cmd_table(args) -> int:
             r = _row(n)
             print(f"{r.n},{r.A},{r.B},{r.C},{r.D}")
     else:
-        rows = [vars(_row(n)) for n in range(lo, hi + 1)]
+        import json
+        fields = OutputRow.__slots__
+        rows = [{f: getattr(r, f) for f in fields}
+                for r in map(_row, range(lo, hi + 1))]
         print(json.dumps(rows))
     return 0
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
     max_n = args.max
     cap = oracle.oracle_cap()
     if args.exhaustive and max_n > oracle.EXHAUSTIVE_CAP:
@@ -134,8 +146,9 @@ def cmd_verify(args) -> int:
 
 def cmd_positions(args) -> int:
     n = args.n
-    cap = oracle.oracle_cap()
+    cap = core_word.oracle_cap()
     if n <= cap:
+        from . import oracle
         summary = oracle.scan_repetitions(n)
         if args.repeated:
             recs = summary.squares if args.kind == "square" else summary.cubes
@@ -148,7 +161,14 @@ def cmd_positions(args) -> int:
               file=sys.stderr)
         return 1
     else:
-        ends = list(_indicator_positions(args.kind, n))
+        distinct = (closed_forms.distinct_squares if args.kind == "square"
+                    else closed_forms.distinct_cubes)
+        rows = distinct(n)
+        if rows > ROW_CAP:
+            print(f"error: {rows} {args.kind} positions up to n={n} exceed "
+                  f"the limit of 10^6 rows", file=sys.stderr)
+            return 1
+        ends = _indicator_positions(args.kind, n)  # streamed, not held
     for e in ends:
         print(e)
     return 0
@@ -239,7 +259,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  As the Python docs
+        # advise, point stdout at devnull so the flush at exit cannot fail
+        # again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

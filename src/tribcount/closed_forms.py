@@ -12,20 +12,27 @@ denominator and divided once with a remainder check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .core_word import (
+    N_CAP,
+    Record,
+    _as_int,
+    exact_div,
+    kernel_number,
+    trib_number as _t,
+)
 
-from .core_word import N_CAP, exact_div, kernel_number, trib_number as _t
 
-
-@dataclass(frozen=True)
-class SquareBoundaries:
+class SquareBoundaries(Record):
     """Breakpoints of the distinct-square count between consecutive
     doubled block lengths."""
-    m: int
-    alpha: int
-    beta: int
-    gamma: int
-    theta: int
+    __slots__ = ("m", "alpha", "beta", "gamma", "theta")
+
+    def __init__(self, m: int, alpha: int, beta: int, gamma: int, theta: int):
+        self.m = m
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
+        self.theta = theta
 
 
 def square_boundaries(m: int) -> SquareBoundaries:
@@ -40,13 +47,15 @@ def square_boundaries(m: int) -> SquareBoundaries:
     return SquareBoundaries(m, alpha, beta, gamma, theta)
 
 
-@dataclass(frozen=True)
-class CubeBoundaries:
+class CubeBoundaries(Record):
     """First and last position at which a new distinct cube of the m-th
     generation ends."""
-    m: int
-    alpha: int
-    beta: int
+    __slots__ = ("m", "alpha", "beta")
+
+    def __init__(self, m: int, alpha: int, beta: int):
+        self.m = m
+        self.alpha = alpha
+        self.beta = beta
 
 
 def cube_boundaries(m: int) -> CubeBoundaries:
@@ -69,6 +78,7 @@ def _square_order(n: int) -> int:
 
 def distinct_squares(n: int) -> int:
     """Number of distinct squares in the length-n prefix."""
+    n = n if type(n) is int else _as_int(n)
     if n < 0 or n > N_CAP:
         raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
     if n <= 7:
@@ -90,6 +100,7 @@ def distinct_squares(n: int) -> int:
 
 def a_indicator(n: int) -> int:
     """1 iff a square not seen before ends exactly at position n."""
+    n = n if type(n) is int else _as_int(n)
     if n < 1:
         raise ValueError("positions start at 1")
     if n < 14:
@@ -140,6 +151,7 @@ def _cube_order(n: int) -> int:
 
 def distinct_cubes(n: int) -> int:
     """Number of distinct cubes in the length-n prefix."""
+    n = n if type(n) is int else _as_int(n)
     if n < 0 or n > N_CAP:
         raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
     if n <= 57:
@@ -152,6 +164,7 @@ def distinct_cubes(n: int) -> int:
 
 def c_indicator(n: int) -> int:
     """1 iff a cube not seen before ends exactly at position n."""
+    n = n if type(n) is int else _as_int(n)
     if n < 1:
         raise ValueError("positions start at 1")
     if n <= 57:

@@ -9,6 +9,9 @@ the word except for ``prefix``, which is capped.
 
 from __future__ import annotations
 
+import operator
+import os
+
 ALPHABET = ("a", "b", "c")
 
 # Ceiling for position/length arguments of the closed-form evaluators.
@@ -17,11 +20,62 @@ N_CAP = 10**18
 # Ceiling for explicit prefix materialization (oracle territory).
 MATERIALIZE_CAP = 10**7
 
+# Default ceiling of the brute-force oracle.  Defined here rather than in
+# ``oracle`` so that reading it does not import numpy.
+ORACLE_CAP_DEFAULT = 5000
+
+
+def oracle_cap() -> int:
+    """Scan ceiling; TRIB_ORACLE_CAP overrides the default of 5000."""
+    env = os.environ.get("TRIB_ORACLE_CAP")
+    if env:
+        cap = int(env)
+        if cap < 1:
+            raise ValueError("TRIB_ORACLE_CAP must be positive")
+        return cap
+    return ORACLE_CAP_DEFAULT
+
 
 class ExactDivisionError(ArithmeticError):
     """An exact integer formula produced a remainder.  Internal error:
     every division in the closed forms is provably exact, so a nonzero
     remainder means a transcribed constant is wrong."""
+
+
+def _as_int(n) -> int:
+    """n as a plain int, through ``operator.index``; bools and non-integral
+    numbers (floats, ...) raise TypeError.  Every public counter applies
+    this once to an argument that is not exactly int (the type test is
+    inlined to keep the common case free of a call), so numpy integers
+    work and results are always int."""
+    if isinstance(n, bool):
+        raise TypeError("expected an integer, got bool")
+    return operator.index(n)
+
+
+class Record:
+    """Base of the small value records (segment bounds, table rows, ...):
+    the fields are the subclass's ``__slots__``, compared, hashed and shown
+    by value.  A lighter stand-in for a frozen dataclass that keeps
+    ``dataclasses`` off the counting paths; records are read-only by
+    convention, as some are cached and shared."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def exact_div(num: int, den: int) -> int:
@@ -106,6 +160,7 @@ def prefix(n: int, cap: int = MATERIALIZE_CAP) -> str:
 
 def letter_at(n: int) -> str:
     """The n-th letter, via greedy block decomposition in O(log n)."""
+    n = n if type(n) is int else _as_int(n)
     if n < 1 or n > N_CAP:
         raise ValueError(f"position {n} outside [1, {N_CAP}]")
     m = 2

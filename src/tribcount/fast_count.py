@@ -16,11 +16,12 @@ a mismatch reports the offending segment and aborts.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core_word import (
     N_CAP,
+    Record,
+    _as_int,
     exact_div,
     kernel_number as _k,
     position_kernel,
@@ -35,32 +36,38 @@ BASE_D_MAX = 325  # largest position covered by the explicit cube table
 # segments
 
 
-@dataclass(frozen=True)
-class SquareGamma:
+class SquareGamma(Record):
     """One square segment: inclusive position bounds plus the cuts where
     the child segment changes and the threshold of the unit-increment
     block (its first position for j in {1, 2}, one past its last for
     j = 3, where the increments sit at the head)."""
-    j: int
-    m: int
-    lo: int
-    hi: int
-    cut1: int
-    cut2: int
-    eta: int
+    __slots__ = ("j", "m", "lo", "hi", "cut1", "cut2", "eta")
+
+    def __init__(self, j: int, m: int, lo: int, hi: int, cut1: int,
+                 cut2: int, eta: int):
+        self.j = j
+        self.m = m
+        self.lo = lo
+        self.hi = hi
+        self.cut1 = cut1
+        self.cut2 = cut2
+        self.eta = eta
 
 
-@dataclass(frozen=True)
-class CubeGamma:
+class CubeGamma(Record):
     """One cube segment: bounds, child cuts, and the unit-increment block
     [eta1, eta2) which ends exactly at the first child cut."""
-    m: int
-    lo: int
-    hi: int
-    cut1: int
-    cut2: int
-    eta1: int
-    eta2: int
+    __slots__ = ("m", "lo", "hi", "cut1", "cut2", "eta1", "eta2")
+
+    def __init__(self, m: int, lo: int, hi: int, cut1: int, cut2: int,
+                 eta1: int, eta2: int):
+        self.m = m
+        self.lo = lo
+        self.hi = hi
+        self.cut1 = cut1
+        self.cut2 = cut2
+        self.eta1 = eta1
+        self.eta2 = eta2
 
 
 @lru_cache(maxsize=None)
@@ -375,6 +382,7 @@ def d_cum_at_gamma_max(m: int) -> int:
 
 def b_at(n: int) -> int:
     """Number of square occurrences ending exactly at position n."""
+    n = n if type(n) is int else _as_int(n)
     if n < 1 or n > N_CAP:
         raise ValueError(f"position {n} outside [1, {N_CAP}]")
     extra = 0
@@ -391,6 +399,7 @@ def b_at(n: int) -> int:
 
 def d_at(n: int) -> int:
     """Number of cube occurrences ending exactly at position n."""
+    n = n if type(n) is int else _as_int(n)
     if n < 1 or n > N_CAP:
         raise ValueError(f"position {n} outside [1, {N_CAP}]")
     extra = 0
@@ -450,6 +459,7 @@ def _sum_cube_from_seg_min(m: int, n: int) -> int:
 
 def algorithm_B(n: int) -> int:
     """Number of repeated squares in the length-n prefix, O(log n)."""
+    n = n if type(n) is int else _as_int(n)
     if n < 0 or n > N_CAP:
         raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
     if n <= BASE_B_MAX:
@@ -467,6 +477,7 @@ def algorithm_B(n: int) -> int:
 
 def algorithm_D(n: int) -> int:
     """Number of repeated cubes in the length-n prefix, O(log n)."""
+    n = n if type(n) is int else _as_int(n)
     if n < 0 or n > N_CAP:
         raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
     if n <= BASE_D_MAX:

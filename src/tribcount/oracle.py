@@ -9,27 +9,14 @@ exhaustive mode drops the restriction (and is what validates it).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import find_repetitions
-from .core_word import kernel_number, kernel_word, prefix, trib_number
+from .core_word import kernel_number, kernel_word, oracle_cap, prefix, trib_number
 
-ORACLE_CAP_DEFAULT = 5000
 EXHAUSTIVE_CAP = 600
-
-
-def oracle_cap() -> int:
-    """Scan ceiling; TRIB_ORACLE_CAP overrides the default of 5000."""
-    env = os.environ.get("TRIB_ORACLE_CAP")
-    if env:
-        cap = int(env)
-        if cap < 1:
-            raise ValueError("TRIB_ORACLE_CAP must be positive")
-        return cap
-    return ORACLE_CAP_DEFAULT
 
 
 @dataclass(frozen=True)

@@ -184,3 +184,30 @@ def test_subprocess_entry():
         [sys.executable, "-m", "tribcount.cli", "count", "--stat", "C"],
         capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+def test_positions_row_cap(capsys):
+    # past the oracle cap positions are streamed, up to 10^6 of them
+    code, out, err = run(capsys, "positions", "--kind", "square", "--n",
+                         str(10**18))
+    assert code == 1 and out == "" and "10^6 rows" in err
+    n = 2_000_000
+    assert closed_forms.distinct_cubes(n) < cli.ROW_CAP < closed_forms.distinct_squares(n)
+    code, _, err = run(capsys, "positions", "--kind", "square", "--n", str(n))
+    assert code == 1 and "10^6 rows" in err
+    code, out, _ = run(capsys, "positions", "--kind", "cube", "--n", str(n))
+    assert code == 0
+    assert len(out.split()) == closed_forms.distinct_cubes(n)
+
+
+def test_closed_stdout_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tribcount.cli", "positions", "--kind", "square",
+         "--n", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "8\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""

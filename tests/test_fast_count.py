@@ -20,6 +20,14 @@ def test_segment_tiling():
     invariant_checks.check_segment_tiling(40)
 
 
+
+def test_segment_records_compare_by_value():
+    g = fc.square_gamma(2, 12)
+    same = fc.SquareGamma(g.j, g.m, g.lo, g.hi, g.cut1, g.cut2, g.eta)
+    assert g == same and hash(g) == hash(same)
+    assert g != fc.square_gamma(1, 12) and g != fc.cube_gamma(12)
+    assert repr(g).startswith("SquareGamma(j=2, m=12, lo=")
+
 def test_segment_thresholds_construct():
     # ordering violations raise inside the constructors
     for m in range(4, 41):
