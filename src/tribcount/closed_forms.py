@@ -3,8 +3,11 @@
 ``distinct_squares``/``distinct_cubes`` evaluate piecewise formulas keyed on
 which boundary interval the prefix length falls in; the indicator functions
 tell whether a new distinct repetition ends at a given position.  The
-``*_at_t`` variants are the specialized values at prefix lengths equal to
-block lengths, including the repeated-square/cube counts there.
+breakpoints of every order are tabulated, and checked, on first use, so an
+evaluation is one ``bisect`` for the order, a few comparisons and one
+closed form read off the block lengths.  The ``*_at_t`` variants are the
+specialized values at prefix lengths equal to block lengths, including the
+repeated-square/cube counts there.
 
 All arithmetic is exact: fractional coefficients are cleared to a common
 denominator and divided once with a remainder check.
@@ -12,12 +15,16 @@ denominator and divided once with a remainder check.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .core_word import (
+    _K,
+    _OFF,
+    _T,
     N_CAP,
     Record,
     _as_int,
     exact_div,
-    kernel_number,
     trib_number as _t,
 )
 
@@ -35,18 +42,6 @@ class SquareBoundaries(Record):
         self.theta = theta
 
 
-def square_boundaries(m: int) -> SquareBoundaries:
-    if m < 4:
-        raise ValueError("square boundaries need order >= 4")
-    alpha = 2 * _t(m - 1)
-    beta = _t(m) + 2 * _t(m - 3) - 1
-    gamma = 2 * _t(m) - _t(m - 1)
-    theta = exact_div(3 * _t(m) + _t(m - 2) - 3, 2)
-    if not alpha < beta < gamma < theta < 2 * _t(m):
-        raise AssertionError(f"square boundary ordering broken at m={m}")
-    return SquareBoundaries(m, alpha, beta, gamma, theta)
-
-
 class CubeBoundaries(Record):
     """First and last position at which a new distinct cube of the m-th
     generation ends."""
@@ -58,22 +53,44 @@ class CubeBoundaries(Record):
         self.beta = beta
 
 
-def cube_boundaries(m: int) -> CubeBoundaries:
-    if m < 7:
-        raise ValueError("cube boundaries need order >= 7")
-    alpha = _t(m - 1) + 2 * _t(m - 4)
-    beta = exact_div(3 * _t(m - 1) - _t(m - 3) - 3, 2)
-    if not alpha <= beta < _t(m) + 2 * _t(m - 3):
-        raise AssertionError(f"cube boundary ordering broken at m={m}")
-    return CubeBoundaries(m, alpha, beta)
+_SQUARE_TABLE = None  # (ends, bounds), once built
 
 
-def _square_order(n: int) -> int:
-    """The m with 2*t_{m-1} <= n < 2*t_m, for n >= 14 (then m >= 4)."""
-    m = 4
-    while 2 * _t(m) <= n:
+def _square_table():
+    """Build, on first use, the per-order table of the distinct-square
+    count for every order m >= 4 up to the one holding N_CAP: ``ends``, the
+    right ends 2 t_m of the prefix-length ranges [2 t_{m-1}, 2 t_m), for
+    ``bisect``, and ``bounds``, the breakpoints (beta, gamma, theta) of the
+    count on each range.  Every order's breakpoints are checked for
+    ordering.  Callers reach the table as
+    ``_SQUARE_TABLE or _square_table()``."""
+    global _SQUARE_TABLE
+    ends, bounds, m = [], [], 3
+    while not ends or ends[-1] <= N_CAP:  # every order up to the cap
         m += 1
-    return m
+        o = m + _OFF  # t_i is _T[i + _OFF]
+        t0, t1, t2, t3 = _T[o], _T[o - 1], _T[o - 2], _T[o - 3]
+        beta = t0 + 2 * t3 - 1
+        gamma = 2 * t0 - t1
+        theta = exact_div(3 * t0 + t2 - 3, 2)
+        if not 2 * t1 < beta < gamma < theta < 2 * t0:
+            raise AssertionError(f"square boundary ordering broken at m={m}")
+        ends.append(2 * t0)
+        bounds.append((beta, gamma, theta))
+    _SQUARE_TABLE = tuple(ends), tuple(bounds)
+    return _SQUARE_TABLE
+
+
+def square_boundaries(m: int) -> SquareBoundaries:
+    """Breakpoints of the distinct-square count on [2 t_{m-1}, 2 t_m)."""
+    if m < 4:
+        raise ValueError("square boundaries need order >= 4")
+    bounds = (_SQUARE_TABLE or _square_table())[1]
+    if m - 4 >= len(bounds):
+        raise ValueError(f"square boundaries stop at order "
+                         f"{3 + len(bounds)}, which holds {N_CAP}")
+    beta, gamma, theta = bounds[m - 4]
+    return SquareBoundaries(m, 2 * _t(m - 1), beta, gamma, theta)
 
 
 def distinct_squares(n: int) -> int:
@@ -87,29 +104,32 @@ def distinct_squares(n: int) -> int:
         return 1
     if n <= 13:
         return 2
-    m = _square_order(n)
-    bd = square_boundaries(m)
-    if n < bd.beta:
-        return n - exact_div(_t(m) + _t(m - 3) + m + 3, 2)
-    if n < bd.gamma:
-        return exact_div(_t(m - 1) + _t(m - 2) + 4 * _t(m - 3) - m - 5, 2)
-    if n < bd.theta:
-        return n - exact_div(_t(m - 1) + 3 * _t(m - 2) + m + 3, 2)
-    return exact_div(2 * _t(m - 1) + _t(m - 2) + 3 * _t(m - 3) - m - 6, 2)
+    ends, bounds = _SQUARE_TABLE or _square_table()
+    i = bisect_right(ends, n)
+    beta, gamma, theta = bounds[i]
+    m = 4 + i
+    o = m + _OFF
+    t1, t2, t3 = _T[o - 1], _T[o - 2], _T[o - 3]
+    if n < beta:
+        return n - exact_div(_T[o] + t3 + m + 3, 2)
+    if n < gamma:
+        return exact_div(t1 + t2 + 4 * t3 - m - 5, 2)
+    if n < theta:
+        return n - exact_div(t1 + 3 * t2 + m + 3, 2)
+    return exact_div(2 * t1 + t2 + 3 * t3 - m - 6, 2)
 
 
 def a_indicator(n: int) -> int:
     """1 iff a square not seen before ends exactly at position n."""
     n = n if type(n) is int else _as_int(n)
-    if n < 1:
-        raise ValueError("positions start at 1")
+    if n < 1 or n > N_CAP:
+        raise ValueError(f"position {n} outside [1, {N_CAP}]")
     if n < 14:
         return 1 if n in (8, 10) else 0
-    m = _square_order(n)
-    bd = square_boundaries(m)
-    if bd.alpha <= n <= bd.beta or bd.gamma <= n <= bd.theta:
-        return 1
-    return 0
+    # n >= alpha = 2 t_{m-1} holds on the whole range of order m
+    ends, bounds = _SQUARE_TABLE or _square_table()
+    beta, gamma, theta = bounds[bisect_right(ends, n)]
+    return 1 if n <= beta or gamma <= n <= theta else 0
 
 
 def distinct_squares_at_t(m: int) -> int:
@@ -141,12 +161,42 @@ def glen_distinct_squares_at_t(m: int) -> int:
     return total + _glen_d(h - 4) + _glen_d(h - 5) + 1
 
 
-def _cube_order(n: int) -> int:
-    """The m with t_{m-1} + 2 t_{m-4} <= n < t_m + 2 t_{m-3}, n >= 58."""
-    m = 7
-    while _t(m) + 2 * _t(m - 3) <= n:
+_CUBE_TABLE = None  # (ends, betas), once built
+
+
+def _cube_table():
+    """The cube counterpart of ``_square_table``, for orders m >= 7: the
+    ranges are [t_{m-1} + 2 t_{m-4}, t_m + 2 t_{m-3}) and the breakpoint
+    beta of each is the last position at which a new cube of the order
+    ends.  Every order's breakpoints are checked for ordering, and beta
+    against t_{m-1} + k_{m+1} - 2."""
+    global _CUBE_TABLE
+    ends, betas, m = [], [], 6
+    while not ends or ends[-1] <= N_CAP:
         m += 1
-    return m
+        o = m + _OFF
+        t0, t1, t2, t3, t4 = _T[o], _T[o - 1], _T[o - 2], _T[o - 3], _T[o - 4]
+        beta = exact_div(3 * t1 - t3 - 3, 2)
+        if not t1 + 2 * t4 <= beta < t0 + 2 * t3:
+            raise AssertionError(f"cube boundary ordering broken at m={m}")
+        if beta != t1 + _K[m + 1] - 2:
+            raise AssertionError(f"last new cube misplaced at m={m}")
+        ends.append(t0 + 2 * t3)
+        betas.append(beta)
+    _CUBE_TABLE = tuple(ends), tuple(betas)
+    return _CUBE_TABLE
+
+
+def cube_boundaries(m: int) -> CubeBoundaries:
+    """First and last position at which a new distinct cube of order m
+    ends."""
+    if m < 7:
+        raise ValueError("cube boundaries need order >= 7")
+    betas = (_CUBE_TABLE or _cube_table())[1]
+    if m - 7 >= len(betas):
+        raise ValueError(f"cube boundaries stop at order "
+                         f"{6 + len(betas)}, which holds {N_CAP}")
+    return CubeBoundaries(m, _t(m - 1) + 2 * _t(m - 4), betas[m - 7])
 
 
 def distinct_cubes(n: int) -> int:
@@ -156,21 +206,25 @@ def distinct_cubes(n: int) -> int:
         raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
     if n <= 57:
         return 0
-    m = _cube_order(n)
-    if n <= exact_div(3 * _t(m - 1) - _t(m - 3) - 3, 2):
-        return n - exact_div(4 * _t(m - 1) - _t(m - 2) - 3 * _t(m - 3) + m - 6, 2)
-    return exact_div(_t(m - 5) + _t(m - 6) - m + 3, 2)
+    ends, betas = _CUBE_TABLE or _cube_table()
+    i = bisect_right(ends, n)
+    m = 7 + i
+    o = m + _OFF
+    if n <= betas[i]:
+        t1, t2, t3 = _T[o - 1], _T[o - 2], _T[o - 3]
+        return n - exact_div(4 * t1 - t2 - 3 * t3 + m - 6, 2)
+    return exact_div(_T[o - 5] + _T[o - 6] - m + 3, 2)
 
 
 def c_indicator(n: int) -> int:
     """1 iff a cube not seen before ends exactly at position n."""
     n = n if type(n) is int else _as_int(n)
-    if n < 1:
-        raise ValueError("positions start at 1")
+    if n < 1 or n > N_CAP:
+        raise ValueError(f"position {n} outside [1, {N_CAP}]")
     if n <= 57:
         return 0
-    m = _cube_order(n)
-    return 1 if n <= _t(m - 1) + kernel_number(m + 1) - 2 else 0
+    ends, betas = _CUBE_TABLE or _cube_table()
+    return 1 if n <= betas[bisect_right(ends, n)] else 0
 
 
 def distinct_cubes_at_t(m: int) -> int:

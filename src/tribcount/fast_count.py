@@ -4,21 +4,27 @@ Positions from 8 on are tiled by square segments (three per order) and from
 52 on by cube segments (one per order).  Per-position counts obey a
 self-similar recursion: a segment is a copy of three lower-order segments
 shifted by the previous block length, plus a block of unit increments.
-Single-point queries descend that recursion in O(order) time; cumulative
-queries combine closed-form segment sums with a partial-sum recursion of the
-same depth.
+Each tiling is held as flat tables, one tuple per segment field, and both
+single-point and cumulative queries walk down the copy recursion in a loop
+of O(order) steps.
 
-Every closed-form segment sum is checked once, lazily, against direct
-summation of materialized low-order segments before the fast path uses it;
-a mismatch reports the offending segment and aborts.
+The tables are built on first use and published only once they pass the
+self-check: the closed-form segment sums of the low orders against direct
+summation of materialized segments, and the tiling, chaining and copy
+identities at every order.  A mismatch reports the offending segment and
+aborts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 
 from .core_word import (
+    _K,
+    _OFF,
+    _T,
     N_CAP,
     Record,
     _as_int,
@@ -28,12 +34,9 @@ from .core_word import (
     trib_number as _t,
 )
 
-BASE_B_MAX = 51   # largest position covered by the explicit square table
-BASE_D_MAX = 325  # largest position covered by the explicit cube table
-
 
 # ---------------------------------------------------------------------------
-# segments
+# segment records (views on the tables)
 
 
 class SquareGamma(Record):
@@ -70,88 +73,6 @@ class CubeGamma(Record):
         self.eta2 = eta2
 
 
-@lru_cache(maxsize=None)
-def square_gamma(j: int, m: int) -> SquareGamma:
-    if j not in (1, 2, 3):
-        raise ValueError("square segments come in kinds 1, 2, 3")
-    if m < 4:
-        raise ValueError("square segments start at order 4")
-    t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
-    if j == 1:
-        lo = exact_div(t0 + 2 * t1 - t2 - 1, 2)
-        hi = exact_div(t0 + 2 * t1 + t2 - 3, 2)
-        eta = lo + t2 - _k(m) + 1
-    elif j == 2:
-        lo = exact_div(-t0 + 4 * t1 + t2 - 1, 2)
-        hi = exact_div(t0 + 2 * t1 - t2 - 3, 2)
-        eta = lo + _t(m - 3) - _k(m) + 1
-    else:
-        lo = exact_div(t0 + t2 - 1, 2)
-        hi = exact_div(-t0 + 4 * t1 + t2 - 3, 2)
-        eta = lo + _t(m - 4) - _k(m - 3) + 1
-    # child cuts exist once the copy recursion does (child order >= 4)
-    if m - j >= 4:
-        cut1 = lo + _t(m - j - 4)
-        cut2 = cut1 + _t(m - j - 3)
-        ok = (cut1 < eta <= cut2) if j == 2 else (cut2 < eta <= hi)
-        if not ok:
-            raise AssertionError(f"threshold ordering broken in ({j}, {m})")
-    else:
-        cut1 = cut2 = lo
-    return SquareGamma(j, m, lo, hi, cut1, cut2, eta)
-
-
-@lru_cache(maxsize=None)
-def cube_gamma(m: int) -> CubeGamma:
-    if m < 7:
-        raise ValueError("cube segments start at order 7")
-    lo = exact_div(_t(m) + _t(m - 2) - 1, 2)
-    hi = exact_div(_t(m + 1) + _t(m - 1) - 3, 2)
-    cut1 = lo + _t(m - 4)
-    cut2 = cut1 + _t(m - 3)
-    eta1 = lo + exact_div(-_t(m - 2) + 5 * _t(m - 4) + 1, 2)
-    eta2 = eta1 + exact_div(_t(m - 2) - 3 * _t(m - 4) - 1, 2)
-    if not (lo < eta1 < eta2 == cut1 < cut2 <= hi + 1):
-        raise AssertionError(f"threshold ordering broken in cube segment {m}")
-    return CubeGamma(m, lo, hi, cut1, cut2, eta1, eta2)
-
-
-def _build_locators():
-    sq, cu = [], []
-    m = 4
-    while True:
-        try:
-            lo = exact_div(_t(m) + _t(m - 2) - 1, 2)
-        except ValueError:
-            break
-        if lo > 4 * N_CAP:
-            break
-        sq.append(lo)
-        if m >= 7:
-            cu.append(lo)
-        m += 1
-    return sq, cu
-
-
-_SQ_LO, _CU_LO = _build_locators()
-
-
-def _locate_square(n: int) -> tuple[int, int]:
-    """(j, m) of the square segment containing position n >= 8."""
-    m = 4 + bisect_right(_SQ_LO, n) - 1
-    g2 = square_gamma(2, m)
-    if n < g2.lo:
-        return 3, m
-    if n <= g2.hi:
-        return 2, m
-    return 1, m
-
-
-def _locate_cube(n: int) -> int:
-    """Order m of the cube segment containing position n >= 52."""
-    return 7 + bisect_right(_CU_LO, n) - 1
-
-
 # ---------------------------------------------------------------------------
 # materialized segment vectors (base data and test/validation route)
 
@@ -184,13 +105,11 @@ def square_segment_vector(j: int, m: int) -> tuple[int, ...]:
     cm = m - j
     body = (square_segment_vector(3, cm) + square_segment_vector(2, cm)
             + square_segment_vector(1, cm))
-    if j == 3:
+    if j == 3:  # unit increments at the head
         ones = _t(m - 4) - _k(m - 3) + 1
-        inc = (1,) * ones + (0,) * (len(body) - ones)
-    else:
-        ones = _k(m) - 1
-        inc = (0,) * (len(body) - ones) + (1,) * ones
-    return tuple(x + y for x, y in zip(body, inc))
+        return tuple(x + 1 for x in body[:ones]) + body[ones:]
+    cut = len(body) - _k(m) + 1  # k_m - 1 unit increments at the tail
+    return body[:cut] + tuple(x + 1 for x in body[cut:])
 
 
 @lru_cache(maxsize=None)
@@ -203,56 +122,149 @@ def cube_segment_vector(m: int) -> tuple[int, ...]:
         raise ValueError(f"cube segment {m} has no recursive expansion")
     body = (cube_segment_vector(m - 3) + cube_segment_vector(m - 2)
             + cube_segment_vector(m - 1))
-    zeros = exact_div(-_t(m - 2) + 5 * _t(m - 4) + 1, 2)
-    ones = exact_div(_t(m - 2) - 3 * _t(m - 4) - 1, 2)
-    inc = (0,) * zeros + (1,) * ones + (0,) * (len(body) - zeros - ones)
-    return tuple(x + y for x, y in zip(body, inc))
+    a = exact_div(-_t(m - 2) + 5 * _t(m - 4) + 1, 2)
+    b = a + exact_div(_t(m - 2) - 3 * _t(m - 4) - 1, 2)
+    return body[:a] + tuple(x + 1 for x in body[a:b]) + body[b:]
 
 
-def _build_base_tables():
-    b = [0] * (BASE_B_MAX + 1)
-    for m in (4, 5, 6):
-        for j in (3, 2, 1):
-            g = square_gamma(j, m)
-            for i, v in enumerate(square_segment_vector(j, m)):
-                b[g.lo + i] = v
-    d = [0] * (BASE_D_MAX + 1)
-    for m in (7, 8, 9):
-        g = cube_gamma(m)
-        for i, v in enumerate(cube_segment_vector(m)):
-            d[g.lo + i] = v
-    bc = [0] * (BASE_B_MAX + 1)
-    dc = [0] * (BASE_D_MAX + 1)
-    for i in range(1, BASE_B_MAX + 1):
-        bc[i] = bc[i - 1] + b[i]
-    for i in range(1, BASE_D_MAX + 1):
-        dc[i] = dc[i - 1] + d[i]
-    return tuple(b), tuple(bc), tuple(d), tuple(dc)
+def _base_tables(start, vectors):
+    """Per-position counts and their prefix sums up to the end of the given
+    consecutive segments, the first of which starts at ``start`` (nothing
+    ends before it)."""
+    per = [0] * start
+    for vec in vectors:
+        per.extend(vec)
+    return tuple(per), tuple(accumulate(per))
 
 
-_B_SMALL, _B_CUM, _D_SMALL, _D_CUM = _build_base_tables()
+SQUARE_START = 8  # first position of the square tiling
+CUBE_START = 52   # first position of the cube tiling
+
+# the square segments of orders 4-6 and the cube segments of orders 7-9
+_B_SMALL, _B_CUM = _base_tables(SQUARE_START, [
+    square_segment_vector(j, m) for m in (4, 5, 6) for j in (3, 2, 1)])
+_D_SMALL, _D_CUM = _base_tables(CUBE_START, [
+    cube_segment_vector(m) for m in (7, 8, 9)])
+
+# last positions of the explicit tables: 51 and 325
+BASE_B_MAX = len(_B_SMALL) - 1
+BASE_D_MAX = len(_D_SMALL) - 1
 
 
 # ---------------------------------------------------------------------------
-# closed-form segment sums, self-checked before first fast-path use
+# segment tables, built and self-checked on first use
 
 
-@lru_cache(maxsize=None)
-def _sum_b(j: int, m: int) -> int:
-    t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
-    if j == 1:
-        num = (2 * m * (4 * t0 - 9 * t1 + 10 * t2)
-               + (19 * t0 + 36 * t1 - 169 * t2) - 11)
-    elif j == 2:
-        num = (2 * m * (10 * t0 - 6 * t1 - 19 * t2)
-               + (-189 * t0 + 156 * t1 + 331 * t2) - 11)
-    else:
-        num = (2 * m * (-19 * t0 + 29 * t1 + 13 * t2)
-               + (237 * t0 - 358 * t1 - 157 * t2) + 33)
-    return exact_div(num, 44)
+class _Segments:
+    """One tiling as flat tables, one tuple per field, indexed by segment
+    number in tiling order: square segment (j, m) is 3(m - 4) + 3 - j,
+    cube segment m is m - 7.
+
+    Segment s covers [lo, hi] and carries its unit increments at
+    [inc_lo, inc_hi] (empty when inc_hi < inc_lo).  Shifted down by
+    ``shift``, the previous block length, a position n of the segment lands
+    in child segment ``first + (n >= cut1) + (n >= cut2)``; ``first`` is -1
+    where the copy recursion has no children.  ``sums`` and ``cums`` are the
+    closed-form segment total and the cumulative count at hi.  ``delta`` is
+    the count over [lo - shift, lo), which the copy leaves out, so that the
+    cumulative count at n is the one at n - shift plus ``delta`` plus the
+    unit increments at or before n.  ``base`` and ``base_cum`` are the
+    explicit per-position table and its prefix sums, where descents stop."""
+
+    __slots__ = ("lo", "hi", "cut1", "cut2", "first", "shift", "inc_lo",
+                 "inc_hi", "sums", "cums", "delta", "base", "base_cum",
+                 "label")
+
+    def __init__(self, rows, base, base_cum, label):
+        (self.lo, self.hi, self.cut1, self.cut2, self.first, self.shift,
+         self.inc_lo, self.inc_hi, self.sums, self.cums) = zip(*rows)
+        pre = [c - s for c, s in zip(self.cums, self.sums)]
+        self.delta = tuple(pre[s] - pre[c] if c >= 0 else 0
+                           for s, c in enumerate(self.first))
+        self.base = base
+        self.base_cum = base_cum
+        self.label = label
 
 
-@lru_cache(maxsize=None)
+def _square_label(s: int) -> str:
+    return f"square segment (j={3 - s % 3}, m={4 + s // 3})"
+
+
+def _cube_label(s: int) -> str:
+    return f"cube segment m={7 + s}"
+
+
+def _square_rows(m: int) -> list:
+    """Table rows of square segments (3, m), (2, m) and (1, m), by direct
+    arithmetic on the block lengths; a row is lo, hi, cut1, cut2, first,
+    shift, inc_lo, inc_hi, sum, cum."""
+    o = m + _OFF  # t_i is _T[i + _OFF]
+    t0, t1, t2 = _T[o], _T[o - 1], _T[o - 2]
+    # per kind: j, lo, hi, eta - lo, and the numerators over 44 of the
+    # segment total and of the cumulative count at hi
+    kinds = (
+        (3, exact_div(t0 + t2 - 1, 2), exact_div(-t0 + 4 * t1 + t2 - 3, 2),
+         _T[o - 4] - _K[m - 3] + 1,
+         (2 * m * (-19 * t0 + 29 * t1 + 13 * t2)
+          + (237 * t0 - 358 * t1 - 157 * t2) + 33),
+         (m * (-25 * t0 + 48 * t1 + 31 * t2)
+          + (173 * t0 - 294 * t1 - 213 * t2) + 11 * (m + 11))),
+        (2, exact_div(-t0 + 4 * t1 + t2 - 1, 2),
+         exact_div(t0 + 2 * t1 - t2 - 3, 2), _T[o - 3] - _K[m] + 1,
+         (2 * m * (10 * t0 - 6 * t1 - 19 * t2)
+          + (-189 * t0 + 156 * t1 + 331 * t2) - 11),
+         (m * (-5 * t0 + 36 * t1 - 7 * t2)
+          + 2 * (-8 * t0 - 69 * t1 + 59 * t2) + 11 * (m + 10))),
+        (1, exact_div(t0 + 2 * t1 - t2 - 1, 2),
+         exact_div(t0 + 2 * t1 + t2 - 3, 2), t2 - _K[m] + 1,
+         (2 * m * (4 * t0 - 9 * t1 + 10 * t2)
+          + (19 * t0 + 36 * t1 - 169 * t2) - 11),
+         (m * (3 * t0 + 18 * t1 + 13 * t2)
+          + (3 * t0 - 102 * t1 - 51 * t2) + 11 * (m + 9))),
+    )
+    rows = []
+    for j, lo, hi, eta_off, total, cum in kinds:
+        eta = lo + eta_off
+        cm = m - j  # order of the three child segments
+        # child cuts exist once the copy recursion does (child order >= 4)
+        if cm >= 4:
+            cut1 = lo + _T[cm - 4 + _OFF]
+            cut2 = cut1 + _T[cm - 3 + _OFF]
+            ok = (cut1 < eta <= cut2) if j == 2 else (cut2 < eta <= hi)
+            if not ok:
+                raise AssertionError(
+                    f"threshold ordering broken in ({j}, {m})")
+            first = 3 * (cm - 4)
+        else:
+            cut1 = cut2 = lo
+            first = -1
+        # the unit increments are the head [lo, eta) for j = 3, else [eta, hi]
+        inc_lo, inc_hi = (lo, eta - 1) if j == 3 else (eta, hi)
+        rows.append((lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi,
+                     exact_div(total, 44), exact_div(cum, 44)))
+    return rows
+
+
+def _cube_row(m: int) -> tuple:
+    """Table row of cube segment m (see ``_square_rows``)."""
+    o = m + _OFF
+    t0, t1, t2, t3, t4 = _T[o], _T[o - 1], _T[o - 2], _T[o - 3], _T[o - 4]
+    lo = exact_div(t0 + t2 - 1, 2)
+    hi = exact_div(_T[o + 1] + t1 - 3, 2)
+    cut1 = lo + t4
+    cut2 = cut1 + t3
+    eta1 = lo + exact_div(-t2 + 5 * t4 + 1, 2)
+    eta2 = eta1 + exact_div(t2 - 3 * t4 - 1, 2)
+    if not (lo < eta1 < eta2 == cut1 < cut2 <= hi + 1):
+        raise AssertionError(f"threshold ordering broken in cube segment {m}")
+    total = exact_div(2 * m * (7 * t0 - 13 * t1 + t2)
+                      + (-41 * t0 + 74 * t1 - 7 * t2) + 11, 44)
+    cum = exact_div(m * (9 * t0 - 12 * t1 - 5 * t2)
+                    + 12 * (-2 * t0 + 2 * t1 + t2) + 11 * m, 44)
+    first = m - 10 if m >= 10 else -1  # children m-3, m-2, m-1 from order 10
+    return lo, hi, cut1, cut2, first, t1, eta1, eta2 - 1, total, cum
+
+
 def _phi(m: int) -> int:
     t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
     num = (2 * m * (-5 * t0 + 14 * t1 + 4 * t2)
@@ -260,120 +272,220 @@ def _phi(m: int) -> int:
     return exact_div(num, 44)
 
 
-@lru_cache(maxsize=None)
-def _cum_b_max(j: int, m: int) -> int:
-    t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
-    if j == 3:
-        num = (m * (-25 * t0 + 48 * t1 + 31 * t2)
-               + (173 * t0 - 294 * t1 - 213 * t2) + 11 * (m + 11))
-    elif j == 2:
-        num = (m * (-5 * t0 + 36 * t1 - 7 * t2)
-               + 2 * (-8 * t0 - 69 * t1 + 59 * t2) + 11 * (m + 10))
-    else:
-        num = (m * (3 * t0 + 18 * t1 + 13 * t2)
-               + (3 * t0 - 102 * t1 - 51 * t2) + 11 * (m + 9))
-    return exact_div(num, 44)
-
-
-@lru_cache(maxsize=None)
-def _sum_d(m: int) -> int:
-    t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
-    num = (2 * m * (7 * t0 - 13 * t1 + t2)
-           + (-41 * t0 + 74 * t1 - 7 * t2) + 11)
-    return exact_div(num, 44)
-
-
-@lru_cache(maxsize=None)
-def _cum_d_max(m: int) -> int:
-    t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
-    num = (m * (9 * t0 - 12 * t1 - 5 * t2)
-           + 12 * (-2 * t0 + 2 * t1 + t2) + 11 * m)
-    return exact_div(num, 44)
-
-
-_validated = False
-
-
-def _ensure_validated():
-    global _validated
-    if _validated:
-        return
+def _check_direct(seg: _Segments, vectors) -> None:
+    """Closed-form sums and cumulative counts of the first segments against
+    direct summation of their materialized vectors."""
     running = 0
-    for m in range(4, 11):
-        for j in (3, 2, 1):
-            vec = square_segment_vector(j, m)
-            direct = sum(vec)
-            if _sum_b(j, m) != direct:
-                raise RuntimeError(
-                    f"segment sum formula disagrees with direct summation "
-                    f"at square segment (j={j}, m={m}): "
-                    f"{_sum_b(j, m)} != {direct}")
-            running += direct
-            if _cum_b_max(j, m) != running:
-                raise RuntimeError(
-                    f"cumulative formula disagrees at square segment "
-                    f"(j={j}, m={m}): {_cum_b_max(j, m)} != {running}")
-        if _phi(m) != sum(_sum_b(j, m) for j in (1, 2, 3)):
-            raise RuntimeError(f"segment total formula disagrees at m={m}")
-    running = 0
-    for m in range(7, 12):
-        direct = sum(cube_segment_vector(m))
-        if _sum_d(m) != direct:
+    for s, vec in enumerate(vectors):
+        direct = sum(vec)
+        if seg.sums[s] != direct:
             raise RuntimeError(
                 f"segment sum formula disagrees with direct summation "
-                f"at cube segment m={m}: {_sum_d(m)} != {direct}")
+                f"at {seg.label(s)}: {seg.sums[s]} != {direct}")
         running += direct
-        if _cum_d_max(m) != running:
+        if seg.cums[s] != running:
             raise RuntimeError(
-                f"cumulative formula disagrees at cube segment m={m}: "
-                f"{_cum_d_max(m)} != {running}")
-    _validated = True
+                f"cumulative formula disagrees at {seg.label(s)}: "
+                f"{seg.cums[s]} != {running}")
 
 
-def sum_b_gamma(j: int, m: int) -> int:
-    """Total square-end count over one square segment."""
+def _check_segments(seg: _Segments, start: int) -> None:
+    """Raise RuntimeError, naming the segment, unless the tables tile the
+    positions from ``start`` on without gap or overlap, the base table ends
+    on a segment boundary, each cumulative count is the previous one plus
+    the segment total, and every segment past the base table is the shifted
+    copy of its three children that the descents walk."""
+    lo, hi = seg.lo, seg.hi
+    top = len(seg.base) - 1
+    if top not in hi:
+        raise RuntimeError(f"the base table ends at {top}, inside a segment")
+    prev_hi, prev_cum = start - 1, seg.base_cum[start - 1]
+    for s, (l, h, c1, c2, c, d, total, cum) in enumerate(zip(
+            lo, hi, seg.cut1, seg.cut2, seg.first, seg.shift, seg.sums,
+            seg.cums)):
+        if l != prev_hi + 1:
+            raise RuntimeError(
+                f"tiling broken at {seg.label(s)}: it starts at {l}, "
+                f"not {prev_hi + 1}")
+        if cum != prev_cum + total:
+            raise RuntimeError(
+                f"cumulative chaining broken at {seg.label(s)}: "
+                f"{cum} != {prev_cum} + {total}")
+        if h > top and (c < 0 or (lo[c], lo[c + 1], lo[c + 2], hi[c + 2])
+                        != (l - d, c1 - d, c2 - d, h - d)):
+            raise RuntimeError(
+                f"child segments do not line up with the cuts of "
+                f"{seg.label(s)}")
+        prev_hi, prev_cum = h, cum
+
+
+_SQUARES = None  # the square tables, once built and checked
+_CUBES = None    # the cube tables, once built and checked
+
+
+def _square_segments() -> _Segments:
+    """Build the square tables for every order up to the one that reaches
+    N_CAP, and publish them once the self-check passes.  Callers reach the
+    tables as ``_SQUARES or _square_segments()``."""
+    global _SQUARES
+    rows, m = [], 3
+    while not rows or rows[-1][1] < N_CAP:
+        m += 1
+        rows += _square_rows(m)
+    seg = _Segments(rows, _B_SMALL, _B_CUM, _square_label)
+    _check_direct(seg, [square_segment_vector(j, m)
+                        for m in range(4, 11) for j in (3, 2, 1)])
+    for m in range(4, 11):
+        if _phi(m) != sum(seg.sums[3 * (m - 4):3 * (m - 3)]):
+            raise RuntimeError(f"segment total formula disagrees at m={m}")
+    _check_segments(seg, SQUARE_START)
+    _SQUARES = seg
+    return seg
+
+
+def _cube_segments() -> _Segments:
+    """The cube counterpart of ``_square_segments``."""
+    global _CUBES
+    rows, m = [], 6
+    while not rows or rows[-1][1] < N_CAP:
+        m += 1
+        rows.append(_cube_row(m))
+    seg = _Segments(rows, _D_SMALL, _D_CUM, _cube_label)
+    _check_direct(seg, [cube_segment_vector(m) for m in range(7, 12)])
+    _check_segments(seg, CUBE_START)
+    _CUBES = seg
+    return seg
+
+
+# ---------------------------------------------------------------------------
+# views on the tables
+
+
+def _square_entry(j: int, m: int) -> tuple[_Segments, int]:
+    """The square tables and the index of segment (j, m) in them."""
     if j not in (1, 2, 3):
         raise ValueError("square segments come in kinds 1, 2, 3")
     if m < 4:
         raise ValueError("square segments start at order 4")
-    _ensure_validated()
-    return _sum_b(j, m)
+    seg = _SQUARES or _square_segments()
+    s = 3 * (m - 4) + 3 - j
+    if s >= len(seg.lo):
+        raise ValueError(f"square segments stop at order "
+                         f"{3 + len(seg.lo) // 3}, which reaches {N_CAP}")
+    return seg, s
+
+
+def _cube_entry(m: int) -> tuple[_Segments, int]:
+    """The cube tables and the index of segment m in them."""
+    if m < 7:
+        raise ValueError("cube segments start at order 7")
+    seg = _CUBES or _cube_segments()
+    s = m - 7
+    if s >= len(seg.lo):
+        raise ValueError(f"cube segments stop at order "
+                         f"{6 + len(seg.lo)}, which reaches {N_CAP}")
+    return seg, s
+
+
+def square_gamma(j: int, m: int) -> SquareGamma:
+    """Bounds, child cuts and increment threshold of square segment (j, m)."""
+    seg, s = _square_entry(j, m)
+    eta = seg.inc_hi[s] + 1 if j == 3 else seg.inc_lo[s]
+    return SquareGamma(j, m, seg.lo[s], seg.hi[s], seg.cut1[s], seg.cut2[s],
+                       eta)
+
+
+def cube_gamma(m: int) -> CubeGamma:
+    """Bounds, child cuts and unit-increment block of cube segment m."""
+    seg, s = _cube_entry(m)
+    return CubeGamma(m, seg.lo[s], seg.hi[s], seg.cut1[s], seg.cut2[s],
+                     seg.inc_lo[s], seg.inc_hi[s] + 1)
+
+
+def sum_b_gamma(j: int, m: int) -> int:
+    """Total square-end count over one square segment."""
+    seg, s = _square_entry(j, m)
+    return seg.sums[s]
 
 
 def phi(m: int) -> int:
     """Total square-end count over the three order-m segments combined."""
     if m < 4:
         raise ValueError("square segments start at order 4")
-    _ensure_validated()
+    if _SQUARES is None:  # _phi is checked with the square tables
+        _square_segments()
     return _phi(m)
 
 
 def b_cum_at_gamma_max(j: int, m: int) -> int:
     """Cumulative repeated-square count at the right endpoint of a square
     segment."""
-    if j not in (1, 2, 3):
-        raise ValueError("square segments come in kinds 1, 2, 3")
-    if m < 4:
-        raise ValueError("square segments start at order 4")
-    _ensure_validated()
-    return _cum_b_max(j, m)
+    seg, s = _square_entry(j, m)
+    return seg.cums[s]
 
 
 def sum_d_gamma(m: int) -> int:
     """Total cube-end count over one cube segment."""
-    if m < 7:
-        raise ValueError("cube segments start at order 7")
-    _ensure_validated()
-    return _sum_d(m)
+    seg, s = _cube_entry(m)
+    return seg.sums[s]
 
 
 def d_cum_at_gamma_max(m: int) -> int:
     """Cumulative repeated-cube count at the right endpoint of a cube
     segment."""
-    if m < 7:
-        raise ValueError("cube segments start at order 7")
-    _ensure_validated()
-    return _cum_d_max(m)
+    seg, s = _cube_entry(m)
+    return seg.cums[s]
+
+
+# ---------------------------------------------------------------------------
+# descents
+
+
+def _point(seg: _Segments, n: int) -> int:
+    """Count ending exactly at n, for n past the base table: the unit
+    increments met on the way down the copy recursion plus the base entry
+    reached."""
+    lo, hi, cut1, cut2, first, shift = (seg.lo, seg.hi, seg.cut1, seg.cut2,
+                                        seg.first, seg.shift)
+    inc_lo, inc_hi, base = seg.inc_lo, seg.inc_hi, seg.base
+    top = len(base) - 1
+    s = bisect_right(lo, n) - 1
+    extra = 0
+    while n > top:
+        assert lo[s] <= n <= hi[s], (seg.label(s), n)
+        if inc_lo[s] <= n <= inc_hi[s]:
+            extra += 1
+        c = first[s]
+        if n >= cut1[s]:
+            c += 2 if n >= cut2[s] else 1
+        n -= shift[s]
+        s = c
+    return base[n] + extra
+
+
+def _cumulative(seg: _Segments, n: int) -> int:
+    """Count ending at or before n, for n past the base table (see
+    ``_Segments.delta``)."""
+    lo, hi, cut1, cut2, first, shift = (seg.lo, seg.hi, seg.cut1, seg.cut2,
+                                        seg.first, seg.shift)
+    inc_lo, inc_hi, delta, base_cum = (seg.inc_lo, seg.inc_hi, seg.delta,
+                                       seg.base_cum)
+    top = len(base_cum) - 1
+    s = bisect_right(lo, n) - 1
+    total = 0
+    while n > top:
+        assert lo[s] <= n <= hi[s], (seg.label(s), n)
+        a = inc_lo[s]
+        if n >= a:
+            b = inc_hi[s]
+            total += (n if n < b else b) - a + 1
+        total += delta[s]
+        c = first[s]
+        if n >= cut1[s]:
+            c += 2 if n >= cut2[s] else 1
+        n -= shift[s]
+        s = c
+    return total + base_cum[n]
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +497,9 @@ def b_at(n: int) -> int:
     n = n if type(n) is int else _as_int(n)
     if n < 1 or n > N_CAP:
         raise ValueError(f"position {n} outside [1, {N_CAP}]")
-    extra = 0
-    while n > BASE_B_MAX:
-        j, m = _locate_square(n)
-        g = square_gamma(j, m)
-        if j == 3:
-            extra += 1 if n < g.eta else 0
-        else:
-            extra += 1 if n >= g.eta else 0
-        n -= _t(m - 1)
-    return _B_SMALL[n] + extra
+    if n <= BASE_B_MAX:
+        return _B_SMALL[n]
+    return _point(_SQUARES or _square_segments(), n)
 
 
 def d_at(n: int) -> int:
@@ -402,59 +507,13 @@ def d_at(n: int) -> int:
     n = n if type(n) is int else _as_int(n)
     if n < 1 or n > N_CAP:
         raise ValueError(f"position {n} outside [1, {N_CAP}]")
-    extra = 0
-    while n > BASE_D_MAX:
-        m = _locate_cube(n)
-        g = cube_gamma(m)
-        if g.eta1 <= n < g.eta2:
-            extra += 1
-        n -= _t(m - 1)
-    return _D_SMALL[n] + extra
+    if n <= BASE_D_MAX:
+        return _D_SMALL[n]
+    return _point(_CUBES or _cube_segments(), n)
 
 
 # ---------------------------------------------------------------------------
 # cumulative counts
-
-
-def _sum_square_from_seg_min(j: int, m: int, n: int) -> int:
-    """Sum of per-position square counts from the segment's first position
-    through n, with n inside segment (j, m)."""
-    g = square_gamma(j, m)
-    assert g.lo <= n <= g.hi, (j, m, n)
-    if g.hi <= BASE_B_MAX:
-        return _B_CUM[n] - _B_CUM[g.lo - 1]
-    cm = m - j
-    shifted = n - _t(m - 1)
-    if j == 3:
-        inc = min(n, g.eta - 1) - g.lo + 1
-    else:
-        inc = max(0, n - g.eta + 1)
-    if n < g.cut1:
-        part = _sum_square_from_seg_min(3, cm, shifted)
-    elif n < g.cut2:
-        part = _sum_square_from_seg_min(2, cm, shifted) + _sum_b(3, cm)
-    else:
-        part = (_sum_square_from_seg_min(1, cm, shifted)
-                + _sum_b(3, cm) + _sum_b(2, cm))
-    return part + inc
-
-
-def _sum_cube_from_seg_min(m: int, n: int) -> int:
-    """Cube counterpart of ``_sum_square_from_seg_min``."""
-    g = cube_gamma(m)
-    assert g.lo <= n <= g.hi, (m, n)
-    if g.hi <= BASE_D_MAX:
-        return _D_CUM[n] - _D_CUM[g.lo - 1]
-    shifted = n - _t(m - 1)
-    inc = max(0, min(n, g.eta2 - 1) - g.eta1 + 1)
-    if n < g.cut1:
-        part = _sum_cube_from_seg_min(m - 3, shifted)
-    elif n < g.cut2:
-        part = _sum_cube_from_seg_min(m - 2, shifted) + _sum_d(m - 3)
-    else:
-        part = (_sum_cube_from_seg_min(m - 1, shifted)
-                + _sum_d(m - 3) + _sum_d(m - 2))
-    return part + inc
 
 
 def algorithm_B(n: int) -> int:
@@ -464,15 +523,7 @@ def algorithm_B(n: int) -> int:
         raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
     if n <= BASE_B_MAX:
         return _B_CUM[n]
-    _ensure_validated()
-    j, m = _locate_square(n)
-    if j == 3:
-        prev = (1, m - 1)
-    elif j == 2:
-        prev = (3, m)
-    else:
-        prev = (2, m)
-    return _cum_b_max(*prev) + _sum_square_from_seg_min(j, m, n)
+    return _cumulative(_SQUARES or _square_segments(), n)
 
 
 def algorithm_D(n: int) -> int:
@@ -482,9 +533,7 @@ def algorithm_D(n: int) -> int:
         raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
     if n <= BASE_D_MAX:
         return _D_CUM[n]
-    _ensure_validated()
-    m = _locate_cube(n)
-    return _cum_d_max(m - 1) + _sum_cube_from_seg_min(m, n)
+    return _cumulative(_CUBES or _cube_segments(), n)
 
 
 # ---------------------------------------------------------------------------

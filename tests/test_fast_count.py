@@ -232,3 +232,50 @@ def test_square_case_block_points():
 
 def test_graph_embedding(scan3000):
     invariant_checks.check_graph_embedding(scan3000, prefix(3000))
+
+
+ROW_FIELDS = ("lo", "hi", "cut1", "cut2", "first", "shift", "inc_lo",
+              "inc_hi", "sums", "cums")
+
+
+def _with_wrong_entry(seg, s, field):
+    cols = [list(getattr(seg, f)) for f in ROW_FIELDS]
+    cols[ROW_FIELDS.index(field)][s] += 1
+    return fc._Segments(list(zip(*cols)), seg.base, seg.base_cum, seg.label)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("lo", r"tiling broken at square segment \(j=2, m=30\)"),
+    ("cums", r"cumulative chaining broken at square segment \(j=2, m=30\)"),
+    ("sums", r"cumulative chaining broken at square segment \(j=2, m=30\)"),
+    ("cut1", r"child segments do not line up with the cuts of "
+             r"square segment \(j=2, m=30\)"),
+])
+def test_self_check_names_broken_square_segment(field, message):
+    seg = fc._square_segments()
+    broken = _with_wrong_entry(seg, 3 * (30 - 4) + 3 - 2, field)
+    with pytest.raises(RuntimeError, match=message):
+        fc._check_segments(broken, fc.SQUARE_START)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("lo", r"tiling broken at cube segment m=40"),
+    ("cums", r"cumulative chaining broken at cube segment m=40"),
+    ("shift", r"child segments do not line up with the cuts of "
+              r"cube segment m=40"),
+])
+def test_self_check_names_broken_cube_segment(field, message):
+    seg = fc._cube_segments()
+    broken = _with_wrong_entry(seg, 40 - 7, field)
+    with pytest.raises(RuntimeError, match=message):
+        fc._check_segments(broken, fc.CUBE_START)
+
+
+def test_segment_views_stop_at_the_cap():
+    # the tables hold every order up to the one whose segments reach 10^18
+    assert fc.square_gamma(1, 68).hi >= 10**18 > fc.square_gamma(1, 67).hi
+    assert fc.cube_gamma(68).hi >= 10**18 > fc.cube_gamma(67).hi
+    with pytest.raises(ValueError, match="stop at order 68"):
+        fc.square_gamma(3, 69)
+    with pytest.raises(ValueError, match="stop at order 68"):
+        fc.sum_d_gamma(69)

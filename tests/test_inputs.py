@@ -32,3 +32,22 @@ def test_numpy_integers_match_int(fn, n):
         assert type(got) is type(want)
     assert type(want) is (str if fn is cw.letter_at else int)
 
+
+
+POSITIONAL = [fc.b_at, fc.d_at, cf.a_indicator, cf.c_indicator, cw.letter_at]
+
+
+@pytest.mark.parametrize("fn", POSITIONAL, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [0, -1, 10**18 + 1, 10**19, 10**40])
+def test_positions_outside_range(fn, n):
+    message = rf"position {n} outside \[1, {10**18}\]"
+    with pytest.raises(ValueError, match=message):
+        fn(n)
+
+
+@pytest.mark.parametrize("fn", COUNTERS[:4], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [-1, 10**18 + 1, 10**40])
+def test_prefix_lengths_outside_range(fn, n):
+    message = rf"prefix length {n} outside \[0, {10**18}\]"
+    with pytest.raises(ValueError, match=message):
+        fn(n)
