@@ -4,78 +4,47 @@ Closed forms for the distinct counts, logarithmic-time evaluation of the
 repeated counts at arbitrary positions, and a brute-force oracle that
 cross-checks all of it at desk scale.
 
-The oracle names are resolved on first use (PEP 562), so that importing the
-package for counting never loads numpy.
+Every public name is resolved on first use (PEP 562): importing the package
+loads no counting module and no numpy, and a CLI process compiles only the
+module its command counts with.
 """
 
-from .closed_forms import (
-    a_indicator,
-    c_indicator,
-    cube_boundaries,
-    distinct_cubes,
-    distinct_cubes_at_t,
-    distinct_squares,
-    distinct_squares_at_t,
-    glen_distinct_squares_at_t,
-    repeated_cubes_at_t,
-    repeated_squares_at_t,
-    square_boundaries,
-)
-from .core_word import (
-    ALPHABET,
-    MATERIALIZE_CAP,
-    N_CAP,
-    ExactDivisionError,
-    exact_div,
-    kernel_number,
-    kernel_word,
-    last_letter,
-    letter_at,
-    letter_counts,
-    position_kernel,
-    position_letter,
-    prefix,
-    trib_number,
-)
-from .fast_count import (
-    algorithm_B,
-    algorithm_D,
-    b_at,
-    b_cum_at_gamma_max,
-    cube_gamma,
-    d_at,
-    d_cum_at_gamma_max,
-    phi,
-    square_case_block,
-    square_gamma,
-    sum_b_gamma,
-    sum_d_gamma,
-)
-
-_ORACLE_NAMES = frozenset({
-    "oracle",
-    "OccurrenceRecord",
-    "RepetitionSummary",
-    "assert_no_fourth_powers",
-    "gap_coding",
-    "gap_pattern",
-    "kernel_of",
-    "occurrences",
-    "scan_repetitions",
-})
+# public name -> defining module.  ``__getattr__`` (PEP 562) imports the
+# module on first access and caches the name here, so importing the package
+# compiles no counting module; a module's own name resolves to the module.
+_HOMES = {name: module for module, names in (
+    ("closed_forms", """closed_forms a_indicator c_indicator cube_boundaries
+        distinct_cubes distinct_cubes_at_t distinct_squares
+        distinct_squares_at_t glen_distinct_squares_at_t repeated_cubes_at_t
+        repeated_squares_at_t square_boundaries"""),
+    ("core_word", """core_word ALPHABET MATERIALIZE_CAP N_CAP
+        ExactDivisionError exact_div kernel_number kernel_word last_letter
+        letter_at letter_counts position_kernel position_letter prefix
+        trib_number"""),
+    ("fast_count", """fast_count algorithm_B algorithm_D b_at
+        b_cum_at_gamma_max cube_gamma d_at d_cum_at_gamma_max phi
+        square_case_block square_gamma sum_b_gamma sum_d_gamma"""),
+    ("oracle", """oracle OccurrenceRecord RepetitionSummary
+        assert_no_fourth_powers gap_coding gap_pattern kernel_of occurrences
+        scan_repetitions"""),
+) for name in names.split()}
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        # not ``from . import oracle``: that would look the name up here first
-        import importlib
-        oracle = importlib.import_module(".oracle", __name__)
-        return oracle if name == "oracle" else getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not ``from . import x``: that would look the name up here first
+    import importlib
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
 
 
 def __dir__():
-    return sorted(set(globals()) | _ORACLE_NAMES)
+    return sorted(set(globals()) | set(_HOMES))
 
 
 __version__ = "0.1.0"

@@ -5,17 +5,23 @@ Subcommands: count (one of the four counting functions at one n), table
 end-position lists), kernel (kernel word metadata).
 
 Exit codes: 0 success, 1 usage or range error, 2 verification failure.
+
+A process loads only what its command uses: ``count --stat A/C`` and
+``positions`` past the oracle cap import ``closed_forms``, ``count --stat
+B/D`` imports ``fast_count``, ``kernel`` neither, ``table`` and ``verify``
+both; ``oracle`` (numpy) is imported by the commands that scan, and ``json``
+only for JSON output.  The arguments are parsed from one table of commands
+(``_COMMANDS``) rather than by argparse, whose import alone costs more than
+evaluating a count.
 """
 
 from __future__ import annotations
 
-import argparse
+import importlib
 import os
 import sys
 
-# Counting commands import only these; ``oracle`` (numpy) is imported by the
-# commands that scan, and ``json`` only for JSON output.
-from . import closed_forms, core_word, fast_count
+from . import core_word
 
 ROW_CAP = 10**6  # most rows ``table`` or ``positions`` will print
 
@@ -46,33 +52,40 @@ class VerifyReport(core_word.Record):
         return all(self.passed.values())
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-_STATS = {
-    "A": closed_forms.distinct_squares,
-    "B": fast_count.algorithm_B,
-    "C": closed_forms.distinct_cubes,
-    "D": fast_count.algorithm_D,
+# stat letter -> counting function, filled by ``_stat`` on first use
+_STATS = {}
+_STAT_HOMES = {
+    "A": ("closed_forms", "distinct_squares"),
+    "B": ("fast_count", "algorithm_B"),
+    "C": ("closed_forms", "distinct_cubes"),
+    "D": ("fast_count", "algorithm_D"),
 }
 
 
-def _row(n: int) -> OutputRow:
-    return OutputRow(n, _STATS["A"](n), _STATS["B"](n),
-                     _STATS["C"](n), _STATS["D"](n))
+def _stat(name: str):
+    """The counting function of stat A, B, C or D; the first call imports
+    its module."""
+    fn = _STATS.get(name)
+    if fn is None:
+        module, attr = _STAT_HOMES[name]
+        fn = getattr(importlib.import_module(f"{__package__}.{module}"), attr)
+        _STATS[name] = fn
+    return fn
 
 
-def cmd_count(args) -> int:
-    print(_STATS[args.stat](args.n))
+def cmd_count(opts) -> int:
+    print(_stat(opts["stat"])(opts["n"]))
     return 0
 
 
-def cmd_table(args) -> int:
-    lo, hi = args.start, args.end
+def _rows(lo: int, hi: int):
+    a, b, c, d = map(_stat, "ABCD")
+    for n in range(lo, hi + 1):
+        yield OutputRow(n, a(n), b(n), c(n), d(n))
+
+
+def cmd_table(opts) -> int:
+    lo, hi = opts["start"], opts["end"]
     if lo < 0 or lo > hi:
         print("error: need 0 <= --from <= --to", file=sys.stderr)
         return 1
@@ -82,25 +95,26 @@ def cmd_table(args) -> int:
     if hi > core_word.N_CAP:
         print(f"error: --to exceeds cap {core_word.N_CAP}", file=sys.stderr)
         return 1
-    if args.format == "csv":
+    if opts["format"] == "csv":
         print("n,A,B,C,D")
-        for n in range(lo, hi + 1):
-            r = _row(n)
+        for r in _rows(lo, hi):
             print(f"{r.n},{r.A},{r.B},{r.C},{r.D}")
     else:
         import json
         fields = OutputRow.__slots__
-        rows = [{f: getattr(r, f) for f in fields}
-                for r in map(_row, range(lo, hi + 1))]
+        rows = [{f: getattr(r, f) for f in fields} for r in _rows(lo, hi)]
         print(json.dumps(rows))
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(opts) -> int:
+    max_n, exhaustive = opts["max"], opts["exhaustive"]
+    if max_n < 1:
+        print("error: --max must be at least 1", file=sys.stderr)
+        return 1
     from . import oracle
-    max_n = args.max
     cap = oracle.oracle_cap()
-    if args.exhaustive and max_n > oracle.EXHAUSTIVE_CAP:
+    if exhaustive and max_n > oracle.EXHAUSTIVE_CAP:
         print(f"error: exhaustive verification capped at {oracle.EXHAUSTIVE_CAP}",
               file=sys.stderr)
         return 1
@@ -108,10 +122,11 @@ def cmd_verify(args) -> int:
         print(f"error: verification capped at {cap} (set TRIB_ORACLE_CAP to raise)",
               file=sys.stderr)
         return 1
-    summary = oracle.scan_repetitions(max_n, exhaustive=args.exhaustive)
-    report = VerifyReport(max_n, args.exhaustive, {}, {})
+    summary = oracle.scan_repetitions(max_n, exhaustive=exhaustive)
+    report = VerifyReport(max_n, exhaustive, {}, {})
     oracle_cum = {"A": summary.a, "B": summary.b, "C": summary.c, "D": summary.d}
-    for name, fn in _STATS.items():
+    for name in "ABCD":
+        fn = _stat(name)
         acc = 0
         report.passed[name] = True
         for n in range(1, max_n + 1):
@@ -121,13 +136,13 @@ def cmd_verify(args) -> int:
                 report.passed[name] = False
                 report.first_divergence[name] = (n, acc, got)
                 break
-    for name in _STATS:
+    for name in "ABCD":
         if report.passed[name]:
             print(f"{name}: ok over [1, {max_n}]")
         else:
             n, want, got = report.first_divergence[name]
             print(f"{name}: FAIL at n={n}: oracle {want}, formula {got}")
-    if args.exhaustive:
+    if exhaustive:
         restricted = oracle.scan_repetitions(max_n)
         same = (restricted.b == summary.b and restricted.d == summary.d
                 and restricted.a == summary.a and restricted.c == summary.c)
@@ -144,31 +159,34 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 2
 
 
-def cmd_positions(args) -> int:
-    n = args.n
+def cmd_positions(opts) -> int:
+    n, kind = opts["n"], opts["kind"]
+    if n < 0:
+        print("error: --n must be at least 0", file=sys.stderr)
+        return 1
+    if n == 0:
+        return 0  # the empty prefix holds no repetitions
     cap = core_word.oracle_cap()
     if n <= cap:
         from . import oracle
         summary = oracle.scan_repetitions(n)
-        if args.repeated:
-            recs = summary.squares if args.kind == "square" else summary.cubes
+        if opts["repeated"]:
+            recs = summary.squares if kind == "square" else summary.cubes
             ends = [r.end_pos for r in recs]
         else:
-            vec = summary.a if args.kind == "square" else summary.c
+            vec = summary.a if kind == "square" else summary.c
             ends = [i for i in range(1, n + 1) if vec[i]]
-    elif args.repeated:
+    elif opts["repeated"]:
         print(f"error: repeated positions need n <= oracle cap {cap}",
               file=sys.stderr)
         return 1
     else:
-        distinct = (closed_forms.distinct_squares if args.kind == "square"
-                    else closed_forms.distinct_cubes)
-        rows = distinct(n)
+        rows = _stat("A" if kind == "square" else "C")(n)
         if rows > ROW_CAP:
-            print(f"error: {rows} {args.kind} positions up to n={n} exceed "
+            print(f"error: {rows} {kind} positions up to n={n} exceed "
                   f"the limit of 10^6 rows", file=sys.stderr)
             return 1
-        ends = _indicator_positions(args.kind, n)  # streamed, not held
+        ends = _indicator_positions(kind, n)  # streamed, not held
     for e in ends:
         print(e)
     return 0
@@ -176,6 +194,7 @@ def cmd_positions(args) -> int:
 
 def _indicator_positions(kind: str, n: int):
     # stream the new-distinct-end intervals instead of scanning every i
+    from . import closed_forms
     if kind == "square":
         for e in (8, 10):
             if e <= n:
@@ -199,8 +218,8 @@ def _indicator_positions(kind: str, n: int):
             m += 1
 
 
-def cmd_kernel(args) -> int:
-    m = args.m
+def cmd_kernel(opts) -> int:
+    m = opts["m"]
     if core_word.kernel_number(m) > 10**6:
         print("error: kernel word too long to materialize", file=sys.stderr)
         return 1
@@ -210,49 +229,193 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tribcount",
-                     description="Exact square/cube counts in Tribonacci prefixes")
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# argument parsing
+#
+# The grammar, and the messages and exit codes of the argparse parser it
+# replaces: ``--opt value`` or ``--opt=value``, unique prefixes of an option
+# (``--st B``), the last of repeated options wins, ``-h/--help`` on stdout
+# with exit 0, and on a usage error a ``usage:`` line and ``tribcount: error:``
+# on stderr with exit 1.  Help is not wrapped to the terminal width.
 
-    p = sub.add_parser("count", help="evaluate one counting function")
-    p.add_argument("--stat", required=True, choices=sorted(_STATS))
-    p.add_argument("--n", required=True, type=int)
-    p.set_defaults(fn=cmd_count)
+_PROG = "tribcount"
+_DESCRIPTION = "Exact square/cube counts in Tribonacci prefixes"
+_HELP = ("-h", "--help")
+_HELP_SPEC = ("-h/--help", None, None, False, "show this help message and exit")
 
-    p = sub.add_parser("table", help="emit a table of all four counts")
-    p.add_argument("--from", dest="start", required=True, type=int)
-    p.add_argument("--to", dest="end", required=True, type=int)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=cmd_table)
+# command -> (function, help, options); an option is (flag, dest, kind,
+# required, help), kind ``int``, a tuple of choices or None for a flag.  An
+# omitted flag is False, an omitted optional choice its first choice, and
+# any other omitted option None.
+_COMMANDS = {
+    "count": (cmd_count, "evaluate one counting function", (
+        ("--stat", "stat", ("A", "B", "C", "D"), True, None),
+        ("--n", "n", int, True, None),
+    )),
+    "table": (cmd_table, "emit a table of all four counts", (
+        ("--from", "start", int, True, None),
+        ("--to", "end", int, True, None),
+        ("--format", "format", ("csv", "json"), False, None),
+    )),
+    "verify": (cmd_verify, "compare formulas against the oracle", (
+        ("--max", "max", int, True, None),
+        ("--exhaustive", "exhaustive", None, False, None),
+    )),
+    "positions": (cmd_positions, "list repetition end positions", (
+        ("--kind", "kind", ("square", "cube"), True, None),
+        ("--n", "n", int, True, None),
+        ("--repeated", "repeated", None, False,
+         "every occurrence, not just first occurrences"),
+    )),
+    "kernel": (cmd_kernel, "show a kernel word and its first position", (
+        ("--m", "m", int, True, None),
+    )),
+}
 
-    p = sub.add_parser("verify", help="compare formulas against the oracle")
-    p.add_argument("--max", required=True, type=int)
-    p.add_argument("--exhaustive", action="store_true")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("positions", help="list repetition end positions")
-    p.add_argument("--kind", required=True, choices=("square", "cube"))
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--repeated", action="store_true",
-                   help="every occurrence, not just first occurrences")
-    p.set_defaults(fn=cmd_positions)
+class _UsageError(Exception):
+    """A command line that does not parse: (message, the subcommand whose
+    usage goes with it, or None for the top level)."""
 
-    p = sub.add_parser("kernel", help="show a kernel word and its first position")
-    p.add_argument("--m", required=True, type=int)
-    p.set_defaults(fn=cmd_kernel)
 
-    return parser
+def _match(arg: str, flags, command):
+    """What ``arg`` is among ``flags``: None for a value, otherwise the
+    pair (flag, value after ``=`` or None), with flag "" for an unknown
+    option.  A ``--`` prefix of more than one flag is an error."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    explicit = value if eq else None
+    if name in flags:
+        return name, explicit
+    if name.startswith("--") and name != "--":
+        hits = [f for f in flags if f.startswith(name)]
+        if len(hits) > 1:
+            raise _UsageError(f"ambiguous option: {arg} could match "
+                              f"{', '.join(hits)}", command)
+        if hits:
+            return hits[0], explicit
+    # as in argparse, negative numbers such as "-5" and "-.5" are values
+    return None if arg[1:].replace(".", "", 1).isdigit() else ("", None)
+
+
+def _invocation(flag: str, dest: str, kind) -> str:
+    if kind is None:
+        return flag
+    if kind is int:
+        return f"{flag} {dest.upper()}"
+    return f"{flag} {{{','.join(kind)}}}"
+
+
+def _usage(command: str | None = None) -> str:
+    if command is None:
+        return f"usage: {_PROG} [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = [f"usage: {_PROG} {command} [-h]"]
+    for flag, dest, kind, required, _ in _COMMANDS[command][2]:
+        words.append(_invocation(flag, dest, kind) if required
+                     else f"[{_invocation(flag, dest, kind)}]")
+    return " ".join(words)
+
+
+def _columns(rows, width: int) -> list:
+    # argparse's layout: help text from column ``width``
+    return [f"{' ' * indent}{name:<{width - indent - 2}}  {text}" if text
+            else " " * indent + name for indent, name, text in rows]
+
+
+def _help(command: str | None = None) -> str:
+    help_row = (2, "-h, --help", _HELP_SPEC[4])
+    if command is None:
+        commands = [(4, name, spec[1]) for name, spec in _COMMANDS.items()]
+        choices = (2, f"{{{','.join(_COMMANDS)}}}", None)
+        width = min(len(choices[1]) + 4, 24)
+        return "\n".join([_usage(), "", _DESCRIPTION, "",
+                          "positional arguments:",
+                          *_columns([choices] + commands, width), "",
+                          "options:", *_columns([help_row], width)])
+    rows = [help_row] + [(2, _invocation(flag, dest, kind), text)
+                         for flag, dest, kind, _, text in _COMMANDS[command][2]]
+    width = min(max(len(name) for _, name, _ in rows) + 4, 24)
+    return "\n".join([_usage(command), "", "options:", *_columns(rows, width)])
+
+
+def _parse(argv):
+    """(command, options) from the command line, or None once help has
+    been printed; raises ``_UsageError``."""
+    command, opts = None, {}
+    options = dict.fromkeys(_HELP, _HELP_SPEC)  # flag -> spec, as _COMMANDS
+    extras = []  # unknown options and stray values, reported last
+    args = iter(argv)
+    for arg in args:
+        flag, value = _match(arg, options, command) or (None, None)
+        if flag is None and command is None:
+            if arg not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise _UsageError(f"argument command: invalid choice: {arg!r} "
+                                  f"(choose from {choices})", None)
+            command = arg
+            for spec in _COMMANDS[command][2]:
+                _, dest, kind, required, _ = spec
+                options[spec[0]] = spec
+                opts[dest] = (False if kind is None else
+                              None if kind is int or required else kind[0])
+            continue
+        if not flag:
+            extras.append(arg)
+            continue
+        name, dest, kind, _, _ = options[flag]
+        if kind is None:
+            if value is not None:
+                raise _UsageError(f"argument {name}: ignored explicit "
+                                  f"argument {value!r}", command)
+            if dest is None:
+                print(_help(command))
+                return None
+            opts[dest] = True
+            continue
+        if value is None:
+            value = next(args, None)
+            if value is None or _match(value, options, command) is not None:
+                raise _UsageError(f"argument {flag}: expected one argument",
+                                  command)
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"argument {flag}: invalid int value: "
+                                  f"{value!r}", command) from None
+        elif value not in kind:
+            raise _UsageError(f"argument {flag}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, kind))})",
+                              command)
+        opts[dest] = value
+    if command is None:
+        raise _UsageError("the following arguments are required: command",
+                          None)
+    missing = [flag for flag, dest, _, required, _ in _COMMANDS[command][2]
+               if required and opts[dest] is None]
+    if missing:
+        raise _UsageError("the following arguments are required: "
+                          + ", ".join(missing), command)
+    if extras:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras), None)
+    return command, opts
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        message, command = exc.args
+        prog = _PROG if command is None else f"{_PROG} {command}"
+        print(_usage(command), file=sys.stderr)
+        print(f"{prog}: error: {message}", file=sys.stderr)
+        return 1
+    if parsed is None:
+        return 0
+    command, opts = parsed
     try:
-        return args.fn(args)
+        return _COMMANDS[command][0](opts)
     except (ValueError, core_word.ExactDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

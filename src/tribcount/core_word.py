@@ -44,10 +44,10 @@ class ExactDivisionError(ArithmeticError):
 
 def _as_int(n) -> int:
     """n as a plain int, through ``operator.index``; bools and non-integral
-    numbers (floats, ...) raise TypeError.  Every public counter applies
-    this once to an argument that is not exactly int (the type test is
-    inlined to keep the common case free of a call), so numpy integers
-    work and results are always int."""
+    numbers (floats, ...) raise TypeError.  Every public counter and
+    position helper applies this once to an argument that is not exactly
+    int (the type test is inlined to keep the common case free of a call),
+    so numpy integers work and results are always int."""
     if isinstance(n, bool):
         raise TypeError("expected an integer, got bool")
     return operator.index(n)
@@ -187,6 +187,7 @@ def letter_at(n: int) -> str:
 
 def letter_counts(n: int) -> tuple[int, int, int]:
     """Letter counts (a, b, c) of the length-n prefix, O(log n)."""
+    n = n if type(n) is int else _as_int(n)
     if n < 0 or n > N_CAP:
         raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
     na = nb = nc = 0
@@ -240,6 +241,7 @@ def position_letter(alpha: str, p: int) -> int:
     """End position of the p-th occurrence of a letter."""
     if alpha not in ALPHABET:
         raise ValueError(f"unknown letter {alpha!r}")
+    p = p if type(p) is int else _as_int(p)
     if p < 1 or p > N_CAP:
         raise ValueError(f"occurrence index {p} outside [1, {N_CAP}]")
     na, nb, _ = letter_counts(p - 1)
@@ -256,6 +258,8 @@ def position_letter(alpha: str, p: int) -> int:
 
 def position_kernel(m: int, p: int) -> int:
     """End position of the p-th occurrence of the m-th kernel word."""
+    m = m if type(m) is int else _as_int(m)
+    p = p if type(p) is int else _as_int(p)
     if m < 1:
         raise ValueError("kernel words start at order 1")
     if p < 1 or p > N_CAP:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tribcount import cli, closed_forms, fast_count
 from tribcount.core_word import trib_number
 
@@ -211,3 +213,53 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+GRAMMAR = [
+    # argv, exit code, stream that carries the output
+    (["--help"], 0, "help"),
+    (["count", "--help"], 0, "help"),
+    (["count", "--stat", "A", "--n=65"], 0, "answer"),
+    (["count", "--st", "A", "--n", "65"], 0, "answer"),
+    (["bogus"], 1, "usage"),
+    (["count", "--stat", "A", "--n", "65", "--bogus", "1"], 1, "usage"),
+    (["count", "--stat", "A"], 1, "usage"),
+    (["count", "--stat", "X", "--n", "65"], 1, "usage"),
+    (["count", "--stat", "A", "--n", "abc"], 1, "usage"),
+    (["table", "--from", "1", "--to", "2", "--format", "xml"], 1, "usage"),
+]
+
+
+@pytest.mark.parametrize("argv,code,kind", GRAMMAR,
+                         ids=[" ".join(case[0]) for case in GRAMMAR])
+def test_cli_grammar(capsys, argv, code, kind):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if kind == "answer":
+        assert out == "29\n" and err == ""
+    elif kind == "help":
+        assert out.startswith("usage: tribcount") and err == ""
+        assert "-h, --help" in out
+    else:
+        assert out == ""
+        usage, message = err.splitlines()
+        assert usage.startswith("usage: tribcount")
+        assert message.startswith("tribcount") and ": error: " in message
+
+
+def test_positions_empty_prefix(capsys):
+    for extra in ([], ["--repeated"]):
+        for kind in ("square", "cube"):
+            code, out, err = run(capsys, "positions", "--kind", kind, "--n", "0",
+                                 *extra)
+            assert (code, out, err) == (0, "", "")
+    assert run(capsys, "count", "--stat", "A", "--n", "0")[:2] == (0, "0\n")
+
+
+def test_option_ranges_named(capsys):
+    for n in ("-1", "-5"):
+        code, out, err = run(capsys, "positions", "--kind", "cube", "--n", n)
+        assert code == 1 and out == "" and "--n" in err
+    for m in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--max", m)
+        assert code == 1 and out == "" and "--max" in err

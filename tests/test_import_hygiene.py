@@ -1,4 +1,6 @@
-"""Counting paths load neither numpy, the oracle nor ``dataclasses``.
+"""Counting paths load neither numpy, the oracle nor ``dataclasses``, and a
+CLI process loads only the counting module its command uses, and no
+argparse.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.  Modules that the interpreter had loaded before
@@ -10,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -38,11 +42,11 @@ print(json.dumps(report))
 """
 
 
-def _run(script):
+def _run(script, *argv):
     env = {k: v for k, v in os.environ.items()
            if k not in ("TRIB_ORACLE_CAP", "TRIBCOUNT_BACKEND")}
     env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -77,3 +81,50 @@ print(buf.getvalue(), end="")
 print("numpy" in sys.modules)
 """)
     assert out.splitlines() == [f"{s}: ok over [1, 50]" for s in "ABCD"] + ["True"]
+
+
+WATCHED = ("argparse", "numpy", "tribcount.oracle", "tribcount.closed_forms",
+           "tribcount.fast_count")
+
+# ``python -m tribcount.cli ARGV`` through runpy, then the watched modules
+# loaded at exit
+CLI_SCRIPT = f"""
+import runpy, sys
+try:
+    runpy.run_module("tribcount.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *(m for m in {WATCHED!r} if m in sys.modules))
+"""
+
+CF, FC = "tribcount.closed_forms", "tribcount.fast_count"
+COMMANDS = [
+    (["count", "--stat", "A", "--n", "65"], [CF]),
+    (["count", "--stat", "C", "--n", str(10**18)], [CF]),
+    (["count", "--stat", "B", "--n", str(10**18)], [FC]),
+    (["count", "--stat", "D", "--n", "500"], [FC]),
+    (["kernel", "--m", "12"], []),
+    (["positions", "--kind", "cube", "--n", "6000"], [CF]),
+    (["positions", "--kind", "square", "--n", "65"],
+     ["numpy", "tribcount.oracle"]),
+    (["table", "--from", "1", "--to", "9"], [CF, FC]),
+    (["count", "--help"], []),
+    (["count", "--stat", "X", "--n", "5"], []),
+]
+
+
+@pytest.mark.parametrize("argv,loaded", COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in COMMANDS])
+def test_cli_loads_only_its_module(argv, loaded):
+    last = _run(CLI_SCRIPT, *argv).splitlines()[-1].split()
+    assert last[0] == ("1" if "X" in argv else "0")
+    assert sorted(last[1:]) == sorted(loaded)
+
+
+def test_bare_import_loads_no_counting_module():
+    out = _run(f"""
+import sys
+import tribcount
+print(*(m for m in {WATCHED!r} if m in sys.modules))
+""")
+    assert out.split() == []

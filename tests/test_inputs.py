@@ -51,3 +51,35 @@ def test_prefix_lengths_outside_range(fn, n):
     message = rf"prefix length {n} outside \[0, {10**18}\]"
     with pytest.raises(ValueError, match=message):
         fn(n)
+
+
+# the position helpers: (function, good arguments); each integer argument in
+# turn is replaced by a bad value or a numpy integer
+HELPERS = [(cw.letter_counts, (10,)), (cw.position_letter, ("a", 2)),
+           (cw.position_letter, ("c", 7)), (cw.position_kernel, (4, 2)),
+           (cw.position_kernel, (9, 5))]
+
+
+def _variants(args, value):
+    return [args[:i] + (value,) + args[i + 1:]
+            for i, a in enumerate(args) if type(a) is int]
+
+
+@pytest.mark.parametrize("fn,args", HELPERS, ids=lambda x: getattr(x, "__name__", repr(x)))
+@pytest.mark.parametrize("bad", [10.5, 2.5, 4.0, True, "3", None], ids=repr)
+def test_position_helpers_reject_non_integers(fn, args, bad):
+    for call in _variants(args, bad):
+        with pytest.raises(TypeError):
+            fn(*call)
+
+
+@pytest.mark.parametrize("fn,args", HELPERS, ids=lambda x: getattr(x, "__name__", repr(x)))
+def test_position_helpers_take_numpy_integers(fn, args):
+    want = fn(*args)
+    for i, a in enumerate(args):
+        if type(a) is not int:
+            continue
+        for np_a in (np.int64(a), np.uint64(a)):
+            got = fn(*args[:i], np_a, *args[i + 1:])
+            assert got == want
+            assert all(type(x) is int for x in (got if type(got) is tuple else (got,)))
