@@ -5,8 +5,8 @@ repeated counts at arbitrary positions, and a brute-force oracle that
 cross-checks all of it at desk scale.
 
 Every public name is resolved on first use (PEP 562): importing the package
-loads no counting module and no numpy, and a CLI process compiles only the
-module its command counts with.
+loads no counting module, and a CLI process compiles only the module its
+command counts with.
 """
 
 # public name -> defining module.  ``__getattr__`` (PEP 562) imports the

@@ -1,125 +1,48 @@
-"""Scan kernels behind the brute-force oracle.
+"""The repetition scan behind the brute-force oracle.
 
-Two interchangeable implementations of the repetition scan: a numba-jitted
-letter loop (default when numba imports) and a pure-numpy cumulative-sum
-version.  Set TRIBCOUNT_BACKEND=numpy or TRIBCOUNT_BACKEND=numba to force
-one; the benchmark script times both.
+For a root length L, byte j of ``word[L:] XOR word[:n - L]`` is zero iff
+``word[j] == word[j + L]``.  A power-fold repetition with root length L ends
+at 1-based position e iff the (power - 1) * L bytes before its last root,
+j = e - power * L .. e - L - 1, are all zero, so each maximal zero run
+[start, end) of at least that length gives the ends start + need + L through
+end + L.
 """
 
 from __future__ import annotations
 
-import os
+import re
 
-import numpy as np
-
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
+_NONZERO = re.compile(rb"[^\x00]")
 
 
-def _pick_default() -> str:
-    env = os.environ.get("TRIBCOUNT_BACKEND", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("TRIBCOUNT_BACKEND=numba but numba is not importable")
-        return "numba"
-    if env:
-        raise RuntimeError(f"unknown TRIBCOUNT_BACKEND {env!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-DEFAULT_BACKEND = _pick_default()
-
-
-def _scan_numpy(word: np.ndarray, root_lens: np.ndarray, power: int):
-    n = word.shape[0]
-    ends_parts = []
-    roots_parts = []
-    for L in root_lens:
-        L = int(L)
-        if power * L > n:
-            continue
-        # cum[i] = number of positions j < i with word[j] == word[j + L];
-        # a power-fold repetition of root length L ends at 1-based i iff
-        # the (power-1)*L positions before its last root all match.
-        eq = word[L:] == word[:-L]
-        cum = np.zeros(n - L + 1, dtype=np.int64)
-        np.cumsum(eq, out=cum[1:])
-        need = (power - 1) * L
-        idx = np.arange(power * L, n + 1, dtype=np.int64)
-        hit = cum[idx - L] - cum[idx - power * L] == need
-        e = idx[hit]
-        ends_parts.append(e)
-        roots_parts.append(np.full(e.shape[0], L, dtype=np.int64))
-    if not ends_parts:
-        return (np.empty(0, dtype=np.int64),) * 2
-    ends = np.concatenate(ends_parts)
-    roots = np.concatenate(roots_parts)
-    order = np.lexsort((roots, ends))
-    return ends[order], roots[order]
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _scan_loop(word, root_lens, power, out_ends, out_roots):  # pragma: no cover - jitted
-        n = word.shape[0]
-        cnt = 0
-        for li in range(root_lens.shape[0]):
-            L = root_lens[li]
-            if power * L > n:
-                continue
-            need = (power - 1) * L
-            run = 0
-            for j in range(n - L):
-                if word[j] == word[j + L]:
-                    run += 1
-                else:
-                    run = 0
-                if run >= need:
-                    out_ends[cnt] = j + L + 1
-                    out_roots[cnt] = L
-                    cnt += 1
-        return cnt
-
-
-def _scan_numba(word: np.ndarray, root_lens: np.ndarray, power: int):
-    n = word.shape[0]
-    bound = 0
-    for L in root_lens:
-        L = int(L)
-        if power * L <= n:
-            bound += n - power * L + 1
-    out_ends = np.empty(bound, dtype=np.int64)
-    out_roots = np.empty(bound, dtype=np.int64)
-    cnt = _scan_loop(word, root_lens, np.int64(power), out_ends, out_roots)
-    ends = out_ends[:cnt]
-    roots = out_roots[:cnt]
-    order = np.lexsort((roots, ends))
-    return ends[order].copy(), roots[order].copy()
-
-
-def find_repetitions(word: np.ndarray, root_lens, power: int, backend: str | None = None):
+def find_repetitions(word: bytes, root_lens, power: int):
     """End positions (1-based) and root lengths of every power-fold
     repetition in ``word`` whose root length is among ``root_lens``.
 
-    Returns two parallel int64 arrays sorted by (end, root length).
+    Returns two parallel lists of ints sorted by (end, root length).
     """
     if power < 2:
         raise ValueError("repetitions have power >= 2")
-    root_lens = np.asarray(sorted(set(int(x) for x in root_lens)), dtype=np.int64)
-    if np.any(root_lens < 1):
+    roots = sorted(set(int(x) for x in root_lens))
+    if roots and roots[0] < 1:
         raise ValueError("root lengths must be positive")
-    word = np.ascontiguousarray(word, dtype=np.uint8)
-    chosen = backend or DEFAULT_BACKEND
-    if chosen == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return _scan_numba(word, root_lens, power)
-    if chosen == "numpy":
-        return _scan_numpy(word, root_lens, power)
-    raise ValueError(f"unknown backend {chosen!r}")
+    n = len(word)
+    k = n + 1  # end * k + root sorts as the pair (end, root) does
+    keys = []
+    for L in roots:
+        if power * L > n:
+            break
+        need = (power - 1) * L
+        diff = (int.from_bytes(word[L:], "big")
+                ^ int.from_bytes(word[:n - L], "big")).to_bytes(n - L, "big")
+        # bytes.find and one precompiled pattern: a regex per length would
+        # be compiled afresh in every verify process
+        zeros = bytes(need)
+        start = diff.find(zeros)
+        while start >= 0:
+            nonzero = _NONZERO.search(diff, start + need)
+            end = nonzero.start() if nonzero else n - L
+            keys.extend(range((start + need + L) * k + L, (end + L + 1) * k + L, k))
+            start = diff.find(zeros, end)
+    keys.sort()
+    return [key // k for key in keys], [key % k for key in keys]

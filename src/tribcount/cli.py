@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 usage or range error, 2 verification failure.
 A process loads only what its command uses: ``count --stat A/C`` and
 ``positions`` past the oracle cap import ``closed_forms``, ``count --stat
 B/D`` imports ``fast_count``, ``kernel`` neither, ``table`` and ``verify``
-both; ``oracle`` (numpy) is imported by the commands that scan, and ``json``
+both; ``oracle`` is imported by the commands that scan, and ``json``
 only for JSON output.  The arguments are parsed from one table of commands
 (``_COMMANDS``) rather than by argparse, whose import alone costs more than
 evaluating a count.
@@ -149,9 +149,10 @@ def cmd_verify(opts) -> int:
         print(f"restricted root lengths: {'ok' if same else 'FAIL'}")
         no4 = oracle.assert_no_fourth_powers(max_n)
         print(f"fourth powers absent: {'ok' if no4 else 'FAIL'}")
+        word = core_word.prefix(max_n)
         prim = all(
-            oracle.is_primitive(core_word.prefix(max_n)[r.end_pos - r.power * r.root_len:
-                                                        r.end_pos - (r.power - 1) * r.root_len])
+            oracle.is_primitive(word[r.end_pos - r.power * r.root_len:
+                                     r.end_pos - (r.power - 1) * r.root_len])
             for recs in (summary.squares, summary.cubes) for r in recs)
         print(f"repetition roots primitive: {'ok' if prim else 'FAIL'}")
         if not (same and no4 and prim):

@@ -21,7 +21,7 @@ N_CAP = 10**18
 MATERIALIZE_CAP = 10**7
 
 # Default ceiling of the brute-force oracle.  Defined here rather than in
-# ``oracle`` so that reading it does not import numpy.
+# ``oracle`` so that reading it does not compile and load the oracle.
 ORACLE_CAP_DEFAULT = 5000
 
 
@@ -47,7 +47,7 @@ def _as_int(n) -> int:
     numbers (floats, ...) raise TypeError.  Every public counter and
     position helper applies this once to an argument that is not exactly
     int (the type test is inlined to keep the common case free of a call),
-    so numpy integers work and results are always int."""
+    so any integer type with ``__index__`` works and results are always int."""
     if isinstance(n, bool):
         raise TypeError("expected an integer, got bool")
     return operator.index(n)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._kernels import find_repetitions
 from .core_word import kernel_number, kernel_word, oracle_cap, prefix, trib_number
 
@@ -62,14 +60,13 @@ def _restricted_roots(n: int, power: int) -> list[int]:
     return roots
 
 
-def _collect(word_bytes: bytes, arr_word: np.ndarray, roots, power: int,
-             n: int, backend):
-    ends, root_lens = find_repetitions(arr_word, roots, power, backend=backend)
+def _collect(word_bytes: bytes, roots, power: int, n: int):
+    ends, root_lens = find_repetitions(word_bytes, roots, power)
     per_pos = [0] * (n + 1)
     new_at = [0] * (n + 1)
     seen = set()
     records = []
-    for e, L in zip(ends.tolist(), root_lens.tolist()):
+    for e, L in zip(ends, root_lens):
         per_pos[e] += 1
         key = word_bytes[e - power * L:e]
         fresh = key not in seen
@@ -83,8 +80,7 @@ def _collect(word_bytes: bytes, arr_word: np.ndarray, roots, power: int,
     return per_pos, new_at, len(seen), tuple(records)
 
 
-def scan_repetitions(n: int, exhaustive: bool = False,
-                     backend: str | None = None) -> RepetitionSummary:
+def scan_repetitions(n: int, exhaustive: bool = False) -> RepetitionSummary:
     """Enumerate all squares and cubes in the length-n prefix.
 
     ``exhaustive`` scans every root length instead of the restricted
@@ -96,17 +92,15 @@ def scan_repetitions(n: int, exhaustive: bool = False,
     if n > cap:
         mode = "exhaustive" if exhaustive else "oracle"
         raise ValueError(f"n={n} exceeds {mode} cap {cap}")
-    word = prefix(n)
-    word_bytes = word.encode("ascii")
-    arr = np.frombuffer(word_bytes, dtype=np.uint8)
+    word_bytes = prefix(n).encode("ascii")
     if exhaustive:
         sq_roots = range(1, n // 2 + 1)
         cu_roots = range(1, n // 3 + 1)
     else:
         sq_roots = _restricted_roots(n, 2)
         cu_roots = _restricted_roots(n, 3)
-    b, a, n_dist_sq, sq_records = _collect(word_bytes, arr, sq_roots, 2, n, backend)
-    d, c, n_dist_cu, cu_records = _collect(word_bytes, arr, cu_roots, 3, n, backend)
+    b, a, n_dist_sq, sq_records = _collect(word_bytes, sq_roots, 2, n)
+    d, c, n_dist_cu, cu_records = _collect(word_bytes, cu_roots, 3, n)
     return RepetitionSummary(
         n=n,
         distinct_squares=n_dist_sq,
@@ -217,9 +211,7 @@ def assert_no_fourth_powers(n: int) -> bool:
     """Exhaustively confirm the length-n prefix contains no fourth power."""
     if n < 1 or n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive check capped at {EXHAUSTIVE_CAP}")
-    word = prefix(n)
-    arr = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
     if n < 4:
         return True
-    ends, _ = find_repetitions(arr, range(1, n // 4 + 1), 4)
-    return ends.shape[0] == 0
+    ends, _ = find_repetitions(prefix(n).encode("ascii"), range(1, n // 4 + 1), 4)
+    return not ends

@@ -1,6 +1,6 @@
-"""Counting paths load neither numpy, the oracle nor ``dataclasses``, and a
-CLI process loads only the counting module its command uses, and no
-argparse.
+"""Counting paths load neither the oracle nor ``dataclasses``, no command
+loads numpy, and a CLI process loads only the counting module its command
+uses, and no argparse.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.  Modules that the interpreter had loaded before
@@ -44,7 +44,7 @@ print(json.dumps(report))
 
 def _run(script, *argv):
     env = {k: v for k, v in os.environ.items()
-           if k not in ("TRIB_ORACLE_CAP", "TRIBCOUNT_BACKEND")}
+           if k != "TRIB_ORACLE_CAP"}
     env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -80,7 +80,7 @@ assert code == 0, buf.getvalue()
 print(buf.getvalue(), end="")
 print("numpy" in sys.modules)
 """)
-    assert out.splitlines() == [f"{s}: ok over [1, 50]" for s in "ABCD"] + ["True"]
+    assert out.splitlines() == [f"{s}: ok over [1, 50]" for s in "ABCD"] + ["False"]
 
 
 WATCHED = ("argparse", "numpy", "tribcount.oracle", "tribcount.closed_forms",
@@ -105,8 +105,8 @@ COMMANDS = [
     (["count", "--stat", "D", "--n", "500"], [FC]),
     (["kernel", "--m", "12"], []),
     (["positions", "--kind", "cube", "--n", "6000"], [CF]),
-    (["positions", "--kind", "square", "--n", "65"],
-     ["numpy", "tribcount.oracle"]),
+    (["positions", "--kind", "square", "--n", "65"], ["tribcount.oracle"]),
+    (["verify", "--max", "50"], ["tribcount.oracle", CF, FC]),
     (["table", "--from", "1", "--to", "9"], [CF, FC]),
     (["count", "--help"], []),
     (["count", "--stat", "X", "--n", "5"], []),

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from tribcount import _kernels, closed_forms, fast_count, oracle
@@ -153,21 +152,26 @@ def test_kernel_of():
         oracle.kernel_of("ccc")
 
 
-def test_backends_agree():
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    a = oracle.scan_repetitions(1000, backend="numba")
-    b = oracle.scan_repetitions(1000, backend="numpy")
-    assert a == b
+def test_scan_matches_direct_comparison():
+    # a repetition ending at e depends only on the first e letters, so the
+    # reference for the length-n prefix is the length-300 one cut at n
+    full = prefix(300).encode()
+    for p in (2, 3, 4):
+        reference = [(e, L) for e in range(1, len(full) + 1)
+                     for L in range(1, e // p + 1)
+                     if full[e - p * L:e] == full[e - p * L:e - (p - 1) * L] * p]
+        for n in range(len(full) + 1):
+            ends, roots = _kernels.find_repetitions(full[:n], range(1, n + 1), p)
+            assert list(zip(ends, roots)) == [r for r in reference if r[0] <= n], (n, p)
 
 
-def test_kernel_primitives_agree():
-    word = np.frombuffer(prefix(500).encode(), dtype=np.uint8)
-    for power in (2, 3, 4):
-        e1, r1 = _kernels.find_repetitions(word, range(1, 120), power, backend="numpy")
-        if _kernels.HAVE_NUMBA:
-            e2, r2 = _kernels.find_repetitions(word, range(1, 120), power, backend="numba")
-            assert np.array_equal(e1, e2) and np.array_equal(r1, r2)
+def test_scan_inputs():
+    with pytest.raises(ValueError):
+        _kernels.find_repetitions(b"abaab", [1], 1)
+    with pytest.raises(ValueError):
+        _kernels.find_repetitions(b"abaab", [0, 1], 2)
+    assert _kernels.find_repetitions(b"", [1, 2], 2) == ([], [])
+    assert _kernels.find_repetitions(prefix(20).encode(), [7, 11], 3) == ([], [])
 
 
 def test_oracle_cap():
