@@ -24,9 +24,8 @@ _HOMES = {name: module for module, names in (
     ("fast_count", """fast_count algorithm_B algorithm_D b_at
         b_cum_at_gamma_max cube_gamma d_at d_cum_at_gamma_max phi
         square_case_block square_gamma sum_b_gamma sum_d_gamma"""),
-    ("oracle", """oracle OccurrenceRecord RepetitionSummary
-        assert_no_fourth_powers gap_coding gap_pattern kernel_of occurrences
-        scan_repetitions"""),
+    ("oracle", """oracle RepetitionSummary assert_no_fourth_powers
+        gap_coding gap_pattern kernel_of occurrences scan_repetitions"""),
 ) for name in names.split()}
 
 
@@ -51,7 +50,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHABET", "MATERIALIZE_CAP", "N_CAP", "ExactDivisionError",
-    "OccurrenceRecord", "RepetitionSummary",
+    "RepetitionSummary",
     "a_indicator", "algorithm_B", "algorithm_D", "assert_no_fourth_powers",
     "b_at", "b_cum_at_gamma_max", "c_indicator", "cube_boundaries",
     "cube_gamma", "d_at", "d_cum_at_gamma_max", "distinct_cubes",

@@ -26,32 +26,6 @@ from . import core_word
 ROW_CAP = 10**6  # most rows ``table`` or ``positions`` will print
 
 
-class OutputRow(core_word.Record):
-    __slots__ = ("n", "A", "B", "C", "D")
-
-    def __init__(self, n: int, A: int, B: int, C: int, D: int):
-        self.n = n
-        self.A = A
-        self.B = B
-        self.C = C
-        self.D = D
-
-
-class VerifyReport(core_word.Record):
-    __slots__ = ("max_n", "exhaustive", "passed", "first_divergence")
-
-    def __init__(self, max_n: int, exhaustive: bool, passed: dict,
-                 first_divergence: dict):
-        self.max_n = max_n
-        self.exhaustive = exhaustive
-        self.passed = passed
-        self.first_divergence = first_divergence
-
-    @property
-    def ok(self) -> bool:
-        return all(self.passed.values())
-
-
 # stat letter -> counting function, filled by ``_stat`` on first use
 _STATS = {}
 _STAT_HOMES = {
@@ -78,10 +52,13 @@ def cmd_count(opts) -> int:
     return 0
 
 
+_COLUMNS = ("n", "A", "B", "C", "D")  # one table row: n and the four counts
+
+
 def _rows(lo: int, hi: int):
     a, b, c, d = map(_stat, "ABCD")
     for n in range(lo, hi + 1):
-        yield OutputRow(n, a(n), b(n), c(n), d(n))
+        yield n, a(n), b(n), c(n), d(n)
 
 
 def cmd_table(opts) -> int:
@@ -89,21 +66,19 @@ def cmd_table(opts) -> int:
     if lo < 0 or lo > hi:
         print("error: need 0 <= --from <= --to", file=sys.stderr)
         return 1
-    if hi - lo > ROW_CAP:
+    if hi - lo + 1 > ROW_CAP:
         print("error: table range limited to 10^6 rows", file=sys.stderr)
         return 1
     if hi > core_word.N_CAP:
         print(f"error: --to exceeds cap {core_word.N_CAP}", file=sys.stderr)
         return 1
     if opts["format"] == "csv":
-        print("n,A,B,C,D")
-        for r in _rows(lo, hi):
-            print(f"{r.n},{r.A},{r.B},{r.C},{r.D}")
+        print(",".join(_COLUMNS))
+        for n, a, b, c, d in _rows(lo, hi):
+            print(f"{n},{a},{b},{c},{d}")
     else:
         import json
-        fields = OutputRow.__slots__
-        rows = [{f: getattr(r, f) for f in fields} for r in _rows(lo, hi)]
-        print(json.dumps(rows))
+        print(json.dumps([dict(zip(_COLUMNS, row)) for row in _rows(lo, hi)]))
     return 0
 
 
@@ -123,41 +98,34 @@ def cmd_verify(opts) -> int:
               file=sys.stderr)
         return 1
     summary = oracle.scan_repetitions(max_n, exhaustive=exhaustive)
-    report = VerifyReport(max_n, exhaustive, {}, {})
-    oracle_cum = {"A": summary.a, "B": summary.b, "C": summary.c, "D": summary.d}
-    for name in "ABCD":
+    ok = True
+    for name, vec in zip("ABCD", (summary.a, summary.b, summary.c, summary.d)):
         fn = _stat(name)
         acc = 0
-        report.passed[name] = True
+        line = f"{name}: ok over [1, {max_n}]"
         for n in range(1, max_n + 1):
-            acc += oracle_cum[name][n]
+            acc += vec[n]
             got = fn(n)
             if got != acc:
-                report.passed[name] = False
-                report.first_divergence[name] = (n, acc, got)
+                ok = False
+                line = f"{name}: FAIL at n={n}: oracle {acc}, formula {got}"
                 break
-    for name in "ABCD":
-        if report.passed[name]:
-            print(f"{name}: ok over [1, {max_n}]")
-        else:
-            n, want, got = report.first_divergence[name]
-            print(f"{name}: FAIL at n={n}: oracle {want}, formula {got}")
+        print(line)
     if exhaustive:
-        restricted = oracle.scan_repetitions(max_n)
-        same = (restricted.b == summary.b and restricted.d == summary.d
-                and restricted.a == summary.a and restricted.c == summary.c)
+        # the restricted root families must give the same occurrences
+        same = oracle.scan_repetitions(max_n) == summary
         print(f"restricted root lengths: {'ok' if same else 'FAIL'}")
         no4 = oracle.assert_no_fourth_powers(max_n)
         print(f"fourth powers absent: {'ok' if no4 else 'FAIL'}")
         word = core_word.prefix(max_n)
-        prim = all(
-            oracle.is_primitive(word[r.end_pos - r.power * r.root_len:
-                                     r.end_pos - (r.power - 1) * r.root_len])
-            for recs in (summary.squares, summary.cubes) for r in recs)
+        ends = summary.squares + summary.cubes
+        roots = summary.square_roots + summary.cube_roots
+        # the last root of the repetition ending at e
+        prim = all(oracle.is_primitive(word[e - L:e])
+                   for e, L in zip(ends, roots))
         print(f"repetition roots primitive: {'ok' if prim else 'FAIL'}")
-        if not (same and no4 and prim):
-            return 2
-    return 0 if report.ok else 2
+        ok = ok and same and no4 and prim
+    return 0 if ok else 2
 
 
 def cmd_positions(opts) -> int:
@@ -172,8 +140,7 @@ def cmd_positions(opts) -> int:
         from . import oracle
         summary = oracle.scan_repetitions(n)
         if opts["repeated"]:
-            recs = summary.squares if kind == "square" else summary.cubes
-            ends = [r.end_pos for r in recs]
+            ends = summary.squares if kind == "square" else summary.cubes
         else:
             vec = summary.a if kind == "square" else summary.c
             ends = [i for i in range(1, n + 1) if vec[i]]

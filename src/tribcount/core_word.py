@@ -28,12 +28,16 @@ ORACLE_CAP_DEFAULT = 5000
 def oracle_cap() -> int:
     """Scan ceiling; TRIB_ORACLE_CAP overrides the default of 5000."""
     env = os.environ.get("TRIB_ORACLE_CAP")
-    if env:
+    if not env:
+        return ORACLE_CAP_DEFAULT
+    try:
         cap = int(env)
-        if cap < 1:
-            raise ValueError("TRIB_ORACLE_CAP must be positive")
-        return cap
-    return ORACLE_CAP_DEFAULT
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"TRIB_ORACLE_CAP must be a positive integer, not {env!r}")
+    return cap
 
 
 class ExactDivisionError(ArithmeticError):
@@ -54,10 +58,10 @@ def _as_int(n) -> int:
 
 
 class Record:
-    """Base of the small value records (segment bounds, table rows, ...):
+    """Base of the small value records (segment bounds, scan summaries):
     the fields are the subclass's ``__slots__``, compared, hashed and shown
     by value.  A lighter stand-in for a frozen dataclass that keeps
-    ``dataclasses`` off the counting paths; records are read-only by
+    ``dataclasses`` out of the package; records are read-only by
     convention, as some are cached and shared."""
 
     __slots__ = ()

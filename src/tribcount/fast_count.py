@@ -410,10 +410,9 @@ def sum_b_gamma(j: int, m: int) -> int:
 
 def phi(m: int) -> int:
     """Total square-end count over the three order-m segments combined."""
-    if m < 4:
-        raise ValueError("square segments start at order 4")
-    if _SQUARES is None:  # _phi is checked with the square tables
-        _square_segments()
+    # range-checks m as the other views do, and builds the tables that
+    # _phi is checked with
+    _square_entry(1, m)
     return _phi(m)
 
 

@@ -5,39 +5,52 @@ direct block comparison, completely independent of the closed forms and the
 segment recursions it is used to validate.  The scan restricts candidate
 root lengths to the block-length families known to carry all repetitions;
 exhaustive mode drops the restriction (and is what validates it).
+
+``scan_repetitions`` returns its occurrences as columns, not one object per
+occurrence: the sorted end position of every square (cube) occurrence and,
+in a parallel list, its root length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._kernels import find_repetitions
-from .core_word import kernel_number, kernel_word, oracle_cap, prefix, trib_number
+from .core_word import (Record, kernel_number, kernel_word, oracle_cap, prefix,
+                        trib_number)
 
 EXHAUSTIVE_CAP = 600
 
 
-@dataclass(frozen=True)
-class OccurrenceRecord:
-    end_pos: int
-    root_len: int
-    power: int
-    is_new_distinct: bool
+class RepetitionSummary(Record):
+    """Every square and cube of the length-n prefix.
 
+    ``a``/``c`` (index i in 1..n, index 0 unused) are 1 where a square
+    (cube) not seen before ends at i, ``b``/``d`` count the square (cube)
+    occurrences ending at i.  ``squares`` holds the end position of every
+    square occurrence, ascending, and ``square_roots`` its root length in
+    the same order (ties on the end by ascending root); ``cubes`` and
+    ``cube_roots`` likewise.  All eight are tuples of ints.
+    """
 
-@dataclass(frozen=True)
-class RepetitionSummary:
-    n: int
-    distinct_squares: int
-    repeated_squares: int
-    distinct_cubes: int
-    repeated_cubes: int
-    a: tuple  # indicator of a new distinct square ending at i, index 0 unused
-    b: tuple  # square occurrences ending at i
-    c: tuple  # indicator of a new distinct cube ending at i
-    d: tuple  # cube occurrences ending at i
-    squares: tuple
-    cubes: tuple
+    __slots__ = ("n", "distinct_squares", "repeated_squares",
+                 "distinct_cubes", "repeated_cubes", "a", "b", "c", "d",
+                 "squares", "square_roots", "cubes", "cube_roots")
+
+    def __init__(self, n, distinct_squares, repeated_squares, distinct_cubes,
+                 repeated_cubes, a, b, c, d, squares, square_roots, cubes,
+                 cube_roots):
+        self.n = n
+        self.distinct_squares = distinct_squares
+        self.repeated_squares = repeated_squares
+        self.distinct_cubes = distinct_cubes
+        self.repeated_cubes = repeated_cubes
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+        self.squares = squares
+        self.square_roots = square_roots
+        self.cubes = cubes
+        self.cube_roots = cube_roots
 
 
 def _restricted_roots(n: int, power: int) -> list[int]:
@@ -61,23 +74,22 @@ def _restricted_roots(n: int, power: int) -> list[int]:
 
 
 def _collect(word_bytes: bytes, roots, power: int, n: int):
+    """Occurrences per end position, first occurrences per end position,
+    the number of distinct repetitions, and the end and root columns."""
     ends, root_lens = find_repetitions(word_bytes, roots, power)
     per_pos = [0] * (n + 1)
     new_at = [0] * (n + 1)
     seen = set()
-    records = []
     for e, L in zip(ends, root_lens):
         per_pos[e] += 1
         key = word_bytes[e - power * L:e]
-        fresh = key not in seen
-        if fresh:
+        if key not in seen:
             seen.add(key)
-            new_at[e] += 1
-            if new_at[e] > 1:
+            if new_at[e]:
                 raise AssertionError(
                     f"two new distinct repetitions end at {e}")
-        records.append(OccurrenceRecord(e, L, power, fresh))
-    return per_pos, new_at, len(seen), tuple(records)
+            new_at[e] = 1
+    return per_pos, new_at, len(seen), tuple(ends), tuple(root_lens)
 
 
 def scan_repetitions(n: int, exhaustive: bool = False) -> RepetitionSummary:
@@ -99,17 +111,12 @@ def scan_repetitions(n: int, exhaustive: bool = False) -> RepetitionSummary:
     else:
         sq_roots = _restricted_roots(n, 2)
         cu_roots = _restricted_roots(n, 3)
-    b, a, n_dist_sq, sq_records = _collect(word_bytes, sq_roots, 2, n)
-    d, c, n_dist_cu, cu_records = _collect(word_bytes, cu_roots, 3, n)
+    b, a, n_dist_sq, sq_ends, sq_lens = _collect(word_bytes, sq_roots, 2, n)
+    d, c, n_dist_cu, cu_ends, cu_lens = _collect(word_bytes, cu_roots, 3, n)
     return RepetitionSummary(
-        n=n,
-        distinct_squares=n_dist_sq,
-        repeated_squares=sum(b),
-        distinct_cubes=n_dist_cu,
-        repeated_cubes=sum(d),
-        a=tuple(a), b=tuple(b), c=tuple(c), d=tuple(d),
-        squares=sq_records, cubes=cu_records,
-    )
+        n, n_dist_sq, len(sq_ends), n_dist_cu, len(cu_ends),
+        tuple(a), tuple(b), tuple(c), tuple(d),
+        sq_ends, sq_lens, cu_ends, cu_lens)
 
 
 def occurrences(w: str, n: int) -> list[int]:

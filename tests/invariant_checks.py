@@ -88,9 +88,8 @@ def check_graph_embedding(summary, word):
     occurrences repeat the first occurrence's squares, once squares with
     higher-order kernels are filtered out."""
     by_end = {}
-    for r in summary.squares:
-        by_end.setdefault(r.end_pos, []).append(
-            word[r.end_pos - 2 * r.root_len:r.end_pos])
+    for e, L in zip(summary.squares, summary.square_roots):
+        by_end.setdefault(e, []).append(word[e - 2 * L:e])
     for j in (1, 2, 3):
         for m in range(4, 8):
             base = fast_count.square_case_block(j, m, 1)

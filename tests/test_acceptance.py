@@ -38,7 +38,7 @@ def test_criterion_2_position_lists():
     s365 = oracle.scan_repetitions(365)
     assert [i for i in range(1, 366) if s365.c[i]] == invariant_checks.CUBE_ENDS_365
     s500 = oracle.scan_repetitions(500)
-    assert [r.end_pos for r in s500.cubes] == invariant_checks.CUBE_ENDS_500_REPEATED
+    assert list(s500.cubes) == invariant_checks.CUBE_ENDS_500_REPEATED
     print("criterion 2 PASS: position lists verbatim")
 
 
@@ -62,15 +62,15 @@ def test_criterion_4_exhaustive_validation(scan600_restricted, scan600_exhaustiv
     singles = {t(m) for m in range(0, 15)}
     doubles = {t(m) + t(m - 1) for m in range(0, 15)}
     word = prefix(600)
-    for rec in x.squares:
-        assert rec.root_len in singles | doubles
-    for rec in x.cubes:
-        assert rec.root_len in singles
+    for L in x.square_roots:
+        assert L in singles | doubles
+    for L in x.cube_roots:
+        assert L in singles
     assert oracle.assert_no_fourth_powers(600)
-    for recs in (x.squares, x.cubes):
-        for rec in recs:
-            root = word[rec.end_pos - rec.power * rec.root_len:
-                        rec.end_pos - (rec.power - 1) * rec.root_len]
+    for p, ends, roots in ((2, x.squares, x.square_roots),
+                           (3, x.cubes, x.cube_roots)):
+        for e, L in zip(ends, roots):
+            root = word[e - p * L:e - (p - 1) * L]
             assert oracle.is_primitive(root)
     print("criterion 4 PASS: exhaustive scan at 600 clean")
 

@@ -81,6 +81,10 @@ def test_table_csv_round_trip(capsys):
 def test_table_bad_range(capsys):
     assert run(capsys, "table", "--from", "5", "--to", "4")[0] == 1
     assert run(capsys, "table", "--from", "0", "--to", str(2 * 10**6))[0] == 1
+    # 10^6 + 1 rows, one past the cap, refused before any row is printed
+    code, out, err = run(capsys, "table", "--from", "1", "--to", "1000001")
+    assert code == 1 and out == ""
+    assert "table range limited to 10^6 rows" in err
 
 
 def test_verify_passes(capsys):
@@ -152,6 +156,16 @@ def test_positions_repeated_beyond_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "positions", "--kind", "cube", "--n", "500",
                        "--repeated")
     assert code == 1 and "oracle cap" in err
+
+
+def test_malformed_oracle_cap(capsys, monkeypatch):
+    for value in ("abc", "0", "-5", "1.5"):
+        monkeypatch.setenv("TRIB_ORACLE_CAP", value)
+        for argv in (("verify", "--max", "10"),
+                     ("positions", "--kind", "square", "--n", "10")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", (value, argv)
+            assert "TRIB_ORACLE_CAP" in err and repr(value) in err, (value, err)
 
 
 def test_kernel_output(capsys):

@@ -149,6 +149,10 @@ def test_phi_recurrence():
     for m in range(7, 21):
         inc = exact_div(-3 * t(m) + 6 * t(m - 1) + t(m - 2) - 1, 2)
         assert fc.phi(m) == fc.phi(m - 1) + fc.phi(m - 2) + fc.phi(m - 3) + inc
+    # phi stops where the square segments it sums do
+    assert fc.phi(68) == sum(fc.sum_b_gamma(j, 68) for j in (1, 2, 3))
+    with pytest.raises(ValueError, match="stop at order 68"):
+        fc.phi(69)
 
 
 def test_segment_sum_recurrences():

@@ -1,6 +1,7 @@
-"""Counting paths load neither the oracle nor ``dataclasses``, no command
-loads numpy, and a CLI process loads only the counting module its command
-uses, and no argparse.
+"""Counting paths load neither the oracle nor ``dataclasses``; no command,
+not even one that scans with the oracle, loads numpy or ``dataclasses``; and
+a CLI process loads only the counting module its command uses, and no
+argparse.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.  Modules that the interpreter had loaded before
@@ -83,8 +84,8 @@ print("numpy" in sys.modules)
     assert out.splitlines() == [f"{s}: ok over [1, 50]" for s in "ABCD"] + ["False"]
 
 
-WATCHED = ("argparse", "numpy", "tribcount.oracle", "tribcount.closed_forms",
-           "tribcount.fast_count")
+WATCHED = ("argparse", "dataclasses", "numpy", "tribcount.oracle",
+           "tribcount.closed_forms", "tribcount.fast_count")
 
 # ``python -m tribcount.cli ARGV`` through runpy, then the watched modules
 # loaded at exit

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from tribcount import _kernels, closed_forms, fast_count, oracle
@@ -27,8 +29,7 @@ def test_distinct_cube_ends_365():
 
 def test_repeated_cube_ends_500():
     s = oracle.scan_repetitions(500)
-    ends = [r.end_pos for r in s.cubes]
-    assert ends == invariant_checks.CUBE_ENDS_500_REPEATED
+    assert list(s.cubes) == invariant_checks.CUBE_ENDS_500_REPEATED
     assert s.repeated_cubes == 29
 
 
@@ -46,17 +47,20 @@ def test_restricted_equals_exhaustive(scan600_restricted, scan600_exhaustive):
     assert r.c == x.c
     assert r.d == x.d
     assert r.squares == x.squares
+    assert r.square_roots == x.square_roots
     assert r.cubes == x.cubes
+    assert r.cube_roots == x.cube_roots
 
 
 def test_repetition_lengths_restricted(scan600_exhaustive):
     from tribcount.core_word import trib_number
     singles = {trib_number(m) for m in range(0, 15)}
     doubles = {trib_number(m) + trib_number(m - 1) for m in range(0, 15)}
-    for r in scan600_exhaustive.squares:
-        assert r.root_len in singles | doubles, r
-    for r in scan600_exhaustive.cubes:
-        assert r.root_len in singles, r
+    x = scan600_exhaustive
+    for e, L in zip(x.squares, x.square_roots):
+        assert L in singles | doubles, (e, L)
+    for e, L in zip(x.cubes, x.cube_roots):
+        assert L in singles, (e, L)
 
 
 def test_no_fourth_powers():
@@ -67,13 +71,19 @@ def test_no_fourth_powers():
         oracle.assert_no_fourth_powers(601)
 
 
+def _occurrences(s):
+    """(power, end, root length) of every occurrence in a scan summary."""
+    for power, ends, roots in ((2, s.squares, s.square_roots),
+                               (3, s.cubes, s.cube_roots)):
+        for e, L in zip(ends, roots):
+            yield power, e, L
+
+
 def test_roots_primitive(scan600_exhaustive):
     word = prefix(600)
-    for recs in (scan600_exhaustive.squares, scan600_exhaustive.cubes):
-        for r in recs:
-            root = word[r.end_pos - r.power * r.root_len:
-                        r.end_pos - (r.power - 1) * r.root_len]
-            assert oracle.is_primitive(root), r
+    for p, e, L in _occurrences(scan600_exhaustive):
+        root = word[e - p * L:e - (p - 1) * L]
+        assert oracle.is_primitive(root), (p, e, L)
 
 
 def test_is_primitive():
@@ -84,25 +94,34 @@ def test_is_primitive():
 
 
 def test_records_are_real_repetitions():
-    # re-verify a sample of occurrence records by direct slicing, without
-    # going through the scan kernels
+    # re-verify a sample of occurrences by direct slicing, without going
+    # through the scan kernels
     s = oracle.scan_repetitions(400)
     word = prefix(400)
-    for recs in (s.squares, s.cubes):
-        for r in recs:
-            root = word[r.end_pos - r.power * r.root_len:
-                        r.end_pos - (r.power - 1) * r.root_len]
-            assert word[r.end_pos - r.power * r.root_len:r.end_pos] == root * r.power
+    for p, e, L in _occurrences(s):
+        root = word[e - p * L:e - (p - 1) * L]
+        assert word[e - p * L:e] == root * p
 
 
 def test_square_halves_are_consecutive_occurrences():
     s = oracle.scan_repetitions(300)
     word = prefix(300)
-    for r in s.squares:
-        root = word[r.end_pos - 2 * r.root_len:r.end_pos - r.root_len]
+    for e, L in zip(s.squares, s.square_roots):
+        root = word[e - 2 * L:e - L]
         ends = oracle.occurrences(root, 300)
-        i = ends.index(r.end_pos - r.root_len)
-        assert ends[i + 1] == r.end_pos, r
+        i = ends.index(e - L)
+        assert ends[i + 1] == e, (e, L)
+
+
+def test_occurrence_columns(scan3000):
+    # one end per occurrence, so the ends tally to the per-position counts
+    s = scan3000
+    assert Counter(s.squares) == {i: v for i, v in enumerate(s.b) if v}
+    assert Counter(s.cubes) == {i: v for i, v in enumerate(s.d) if v}
+    for ends, roots in ((s.squares, s.square_roots), (s.cubes, s.cube_roots)):
+        assert len(ends) == len(roots)
+        pairs = list(zip(ends, roots))
+        assert all(p < q for p, q in zip(pairs, pairs[1:]))
 
 
 def test_indicators_match_formulas(scan3000):
