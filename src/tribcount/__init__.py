@@ -13,19 +13,14 @@ command counts with.
 # module on first access and caches the name here, so importing the package
 # compiles no counting module; a module's own name resolves to the module.
 _HOMES = {name: module for module, names in (
-    ("closed_forms", """closed_forms a_indicator c_indicator cube_boundaries
-        distinct_cubes distinct_cubes_at_t distinct_squares
-        distinct_squares_at_t glen_distinct_squares_at_t repeated_cubes_at_t
-        repeated_squares_at_t square_boundaries"""),
-    ("core_word", """core_word ALPHABET MATERIALIZE_CAP N_CAP
-        ExactDivisionError exact_div kernel_number kernel_word last_letter
-        letter_at letter_counts position_kernel position_letter prefix
-        trib_number"""),
-    ("fast_count", """fast_count algorithm_B algorithm_D b_at
-        b_cum_at_gamma_max cube_gamma d_at d_cum_at_gamma_max phi
-        square_case_block square_gamma sum_b_gamma sum_d_gamma"""),
-    ("oracle", """oracle RepetitionSummary assert_no_fourth_powers
-        gap_coding gap_pattern kernel_of occurrences scan_repetitions"""),
+    ("closed_forms", """closed_forms a_indicator c_indicator distinct_cubes
+        distinct_cubes_at_t distinct_squares distinct_squares_at_t
+        repeated_cubes_at_t repeated_squares_at_t"""),
+    ("core_word", """core_word MATERIALIZE_CAP N_CAP ExactDivisionError
+        kernel_number kernel_word letter_at letter_counts position_kernel
+        position_letter prefix trib_number"""),
+    ("fast_count", "fast_count algorithm_B algorithm_D b_at d_at"),
+    ("oracle", "oracle RepetitionSummary scan_repetitions"),
 ) for name in names.split()}
 
 
@@ -49,17 +44,11 @@ def __dir__():
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHABET", "MATERIALIZE_CAP", "N_CAP", "ExactDivisionError",
-    "RepetitionSummary",
-    "a_indicator", "algorithm_B", "algorithm_D", "assert_no_fourth_powers",
-    "b_at", "b_cum_at_gamma_max", "c_indicator", "cube_boundaries",
-    "cube_gamma", "d_at", "d_cum_at_gamma_max", "distinct_cubes",
-    "distinct_cubes_at_t", "distinct_squares", "distinct_squares_at_t",
-    "exact_div", "gap_coding", "gap_pattern", "glen_distinct_squares_at_t",
-    "kernel_number", "kernel_of", "kernel_word", "last_letter", "letter_at",
-    "letter_counts", "occurrences", "phi", "position_kernel",
-    "position_letter", "prefix", "repeated_cubes_at_t",
-    "repeated_squares_at_t", "scan_repetitions", "square_boundaries",
-    "square_case_block", "square_gamma", "sum_b_gamma", "sum_d_gamma",
+    "MATERIALIZE_CAP", "N_CAP", "ExactDivisionError", "RepetitionSummary",
+    "a_indicator", "algorithm_B", "algorithm_D", "b_at", "c_indicator",
+    "d_at", "distinct_cubes", "distinct_cubes_at_t", "distinct_squares",
+    "distinct_squares_at_t", "kernel_number", "kernel_word", "letter_at",
+    "letter_counts", "position_kernel", "position_letter", "prefix",
+    "repeated_cubes_at_t", "repeated_squares_at_t", "scan_repetitions",
     "trib_number",
 ]

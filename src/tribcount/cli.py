@@ -7,12 +7,12 @@ end-position lists), kernel (kernel word metadata).
 Exit codes: 0 success, 1 usage or range error, 2 verification failure.
 
 A process loads only what its command uses: ``count --stat A/C`` and
-``positions`` past the oracle cap import ``closed_forms``, ``count --stat
-B/D`` imports ``fast_count``, ``kernel`` neither, ``table`` and ``verify``
-both; ``oracle`` is imported by the commands that scan, and ``json``
-only for JSON output.  The arguments are parsed from one table of commands
-(``_COMMANDS``) rather than by argparse, whose import alone costs more than
-evaluating a count.
+``positions`` import ``closed_forms``, ``count --stat B/D`` and ``positions
+--repeated`` import ``fast_count``, ``kernel`` neither, ``table`` and
+``verify`` both; only ``verify`` imports the brute-force ``oracle``, and
+``json`` is imported only for JSON output.  The arguments are parsed from
+one table of commands (``_COMMANDS``) rather than by argparse, whose import
+alone costs more than evaluating a count.
 """
 
 from __future__ import annotations
@@ -133,28 +133,20 @@ def cmd_positions(opts) -> int:
     if n < 0:
         print("error: --n must be at least 0", file=sys.stderr)
         return 1
-    if n == 0:
-        return 0  # the empty prefix holds no repetitions
-    cap = core_word.oracle_cap()
-    if n <= cap:
-        from . import oracle
-        summary = oracle.scan_repetitions(n)
-        if opts["repeated"]:
-            ends = summary.squares if kind == "square" else summary.cubes
-        else:
-            vec = summary.a if kind == "square" else summary.c
-            ends = [i for i in range(1, n + 1) if vec[i]]
-    elif opts["repeated"]:
-        print(f"error: repeated positions need n <= oracle cap {cap}",
-              file=sys.stderr)
+    repeated = opts["repeated"]
+    stat = ("BD" if repeated else "AC")[kind == "cube"]
+    rows = _stat(stat)(n)
+    if rows > ROW_CAP:
+        print(f"error: {rows} {kind} positions up to n={n} exceed "
+              f"the limit of 10^6 rows", file=sys.stderr)
         return 1
+    # streamed, not held: each end once, or once per occurrence ending there
+    if repeated:
+        from . import fast_count
+        at = fast_count.b_at if kind == "square" else fast_count.d_at
+        ends = (e for e in range(1, n + 1) for _ in range(at(e)))
     else:
-        rows = _stat("A" if kind == "square" else "C")(n)
-        if rows > ROW_CAP:
-            print(f"error: {rows} {kind} positions up to n={n} exceed "
-                  f"the limit of 10^6 rows", file=sys.stderr)
-            return 1
-        ends = _indicator_positions(kind, n)  # streamed, not held
+        ends = _indicator_positions(kind, n)
     for e in ends:
         print(e)
     return 0

@@ -10,7 +10,6 @@ the word except for ``prefix``, which is capped.
 from __future__ import annotations
 
 import operator
-import os
 
 ALPHABET = ("a", "b", "c")
 
@@ -19,26 +18,6 @@ N_CAP = 10**18
 
 # Ceiling for explicit prefix materialization (oracle territory).
 MATERIALIZE_CAP = 10**7
-
-# Default ceiling of the brute-force oracle.  Defined here rather than in
-# ``oracle`` so that reading it does not compile and load the oracle.
-ORACLE_CAP_DEFAULT = 5000
-
-
-def oracle_cap() -> int:
-    """Scan ceiling; TRIB_ORACLE_CAP overrides the default of 5000."""
-    env = os.environ.get("TRIB_ORACLE_CAP")
-    if not env:
-        return ORACLE_CAP_DEFAULT
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(
-            f"TRIB_ORACLE_CAP must be a positive integer, not {env!r}")
-    return cap
-
 
 class ExactDivisionError(ArithmeticError):
     """An exact integer formula produced a remainder.  Internal error:
@@ -145,14 +124,15 @@ def kernel_number(m: int) -> int:
 _PREFIX = "abacaba"  # grown on demand, only ever extended
 
 
-def prefix(n: int, cap: int = MATERIALIZE_CAP) -> str:
-    """The first n letters as a plain string.  Capped; use the block
-    decomposition queries for anything large."""
+def prefix(n: int) -> str:
+    """The first n letters as a plain string, n <= ``MATERIALIZE_CAP``; use
+    the block decomposition queries for anything large."""
     global _PREFIX
     if n < 0:
         raise ValueError("prefix length must be >= 0")
-    if n > cap:
-        raise ValueError(f"prefix length {n} exceeds materialization cap {cap}")
+    if n > MATERIALIZE_CAP:
+        raise ValueError(f"prefix length {n} exceeds materialization cap "
+                         f"{MATERIALIZE_CAP}")
     if len(_PREFIX) < n:
         s2, s1 = "ab", "abac"  # blocks two and one below the current one
         cur = "abacaba"

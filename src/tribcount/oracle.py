@@ -13,11 +13,28 @@ in a parallel list, its root length.
 
 from __future__ import annotations
 
-from ._kernels import find_repetitions
-from .core_word import (Record, kernel_number, kernel_word, oracle_cap, prefix,
-                        trib_number)
+import os
 
+from ._kernels import find_repetitions
+from .core_word import Record, kernel_number, kernel_word, prefix, trib_number
+
+ORACLE_CAP_DEFAULT = 5000
 EXHAUSTIVE_CAP = 600
+
+
+def oracle_cap() -> int:
+    """Scan ceiling; TRIB_ORACLE_CAP overrides the default of 5000."""
+    env = os.environ.get("TRIB_ORACLE_CAP")
+    if not env:
+        return ORACLE_CAP_DEFAULT
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"TRIB_ORACLE_CAP must be a positive integer, not {env!r}")
+    return cap
 
 
 class RepetitionSummary(Record):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tribcount import cli, closed_forms, fast_count
+from tribcount import cli, closed_forms, fast_count, oracle
 from tribcount.core_word import trib_number
 
 import invariant_checks
@@ -141,31 +141,50 @@ def test_positions_repeated_cube_500(capsys):
 
 
 def test_positions_indicator_mode(capsys, monkeypatch):
-    # force the interval generator and compare with the oracle-mode list
-    monkeypatch.setenv("TRIB_ORACLE_CAP", "50")
-    code, out, _ = run(capsys, "positions", "--kind", "square", "--n", "65")
-    assert code == 0
-    assert [int(x) for x in out.split()] == invariant_checks.SQUARE_ENDS_65
-    code, out, _ = run(capsys, "positions", "--kind", "cube", "--n", "365")
-    assert code == 0
-    assert [int(x) for x in out.split()] == invariant_checks.CUBE_ENDS_365
+    # positions answer from the formulas: the oracle cap, even a malformed
+    # one, changes nothing
+    for value in ("50", "abc", "0", "-5", "1.5"):
+        monkeypatch.setenv("TRIB_ORACLE_CAP", value)
+        code, out, _ = run(capsys, "positions", "--kind", "square", "--n", "65")
+        assert code == 0, value
+        assert [int(x) for x in out.split()] == invariant_checks.SQUARE_ENDS_65
+        code, out, _ = run(capsys, "positions", "--kind", "cube", "--n", "365")
+        assert code == 0, value
+        assert [int(x) for x in out.split()] == invariant_checks.CUBE_ENDS_365
 
 
 def test_positions_repeated_beyond_cap(capsys, monkeypatch):
     monkeypatch.setenv("TRIB_ORACLE_CAP", "50")
-    code, _, err = run(capsys, "positions", "--kind", "cube", "--n", "500",
+    code, out, _ = run(capsys, "positions", "--kind", "cube", "--n", "500",
                        "--repeated")
-    assert code == 1 and "oracle cap" in err
+    assert code == 0
+    assert [int(x) for x in out.split()] == invariant_checks.CUBE_ENDS_500_REPEATED
+
+
+def test_positions_match_oracle_past_default_cap(capsys, monkeypatch):
+    n = 20_000
+    monkeypatch.delenv("TRIB_ORACLE_CAP", raising=False)
+    printed = {}
+    for kind in ("square", "cube"):
+        for extra in ((), ("--repeated",)):
+            code, out, _ = run(capsys, "positions", "--kind", kind, "--n",
+                               str(n), *extra)
+            assert code == 0, (kind, extra)
+            printed[kind, bool(extra)] = [int(x) for x in out.split()]
+    monkeypatch.setenv("TRIB_ORACLE_CAP", str(n))
+    summary = oracle.scan_repetitions(n)
+    for kind, ends, vec in (("square", summary.squares, summary.a),
+                            ("cube", summary.cubes, summary.c)):
+        assert printed[kind, True] == list(ends), kind
+        assert printed[kind, False] == [i for i in range(1, n + 1) if vec[i]], kind
 
 
 def test_malformed_oracle_cap(capsys, monkeypatch):
     for value in ("abc", "0", "-5", "1.5"):
         monkeypatch.setenv("TRIB_ORACLE_CAP", value)
-        for argv in (("verify", "--max", "10"),
-                     ("positions", "--kind", "square", "--n", "10")):
-            code, out, err = run(capsys, *argv)
-            assert code == 1 and out == "", (value, argv)
-            assert "TRIB_ORACLE_CAP" in err and repr(value) in err, (value, err)
+        code, out, err = run(capsys, "verify", "--max", "10")
+        assert code == 1 and out == "", value
+        assert "TRIB_ORACLE_CAP" in err and repr(value) in err, (value, err)
 
 
 def test_kernel_output(capsys):
@@ -203,9 +222,14 @@ def test_subprocess_entry():
 
 
 def test_positions_row_cap(capsys):
-    # past the oracle cap positions are streamed, up to 10^6 of them
+    # positions are streamed, up to 10^6 of them
     code, out, err = run(capsys, "positions", "--kind", "square", "--n",
                          str(10**18))
+    assert code == 1 and out == "" and "10^6 rows" in err
+    # B(203290) is exactly 10^6, so one more position is refused
+    assert fast_count.algorithm_B(203_290) == cli.ROW_CAP
+    code, out, err = run(capsys, "positions", "--kind", "square", "--n",
+                         "203291", "--repeated")
     assert code == 1 and out == "" and "10^6 rows" in err
     n = 2_000_000
     assert closed_forms.distinct_cubes(n) < cli.ROW_CAP < closed_forms.distinct_squares(n)

@@ -74,7 +74,7 @@ def test_prefix_values():
 
 def test_prefix_cap():
     with pytest.raises(ValueError):
-        cw.prefix(100, cap=50)
+        cw.prefix(cw.MATERIALIZE_CAP + 1)
     with pytest.raises(ValueError):
         cw.prefix(-1)
 

