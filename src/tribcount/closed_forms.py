@@ -21,9 +21,10 @@ from .core_word import (
     _K,
     _OFF,
     _T,
+    MAX_ORDER,
     N_CAP,
     Record,
-    _as_int,
+    _arg,
     exact_div,
     trib_number as _t,
 )
@@ -34,23 +35,11 @@ class SquareBoundaries(Record):
     doubled block lengths."""
     __slots__ = ("m", "alpha", "beta", "gamma", "theta")
 
-    def __init__(self, m: int, alpha: int, beta: int, gamma: int, theta: int):
-        self.m = m
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-        self.theta = theta
-
 
 class CubeBoundaries(Record):
     """First and last position at which a new distinct cube of the m-th
     generation ends."""
     __slots__ = ("m", "alpha", "beta")
-
-    def __init__(self, m: int, alpha: int, beta: int):
-        self.m = m
-        self.alpha = alpha
-        self.beta = beta
 
 
 _SQUARE_TABLE = None  # (ends, bounds), once built
@@ -83,21 +72,17 @@ def _square_table():
 
 def square_boundaries(m: int) -> SquareBoundaries:
     """Breakpoints of the distinct-square count on [2 t_{m-1}, 2 t_m)."""
-    if m < 4:
-        raise ValueError("square boundaries need order >= 4")
     bounds = (_SQUARE_TABLE or _square_table())[1]
-    if m - 4 >= len(bounds):
-        raise ValueError(f"square boundaries stop at order "
-                         f"{3 + len(bounds)}, which holds {N_CAP}")
+    # the last order is the one that holds N_CAP
+    m = _arg(m, 4, 3 + len(bounds), "square boundary order")
     beta, gamma, theta = bounds[m - 4]
     return SquareBoundaries(m, 2 * _t(m - 1), beta, gamma, theta)
 
 
 def distinct_squares(n: int) -> int:
     """Number of distinct squares in the length-n prefix."""
-    n = n if type(n) is int else _as_int(n)
-    if n < 0 or n > N_CAP:
-        raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
+    if type(n) is not int or n < 0 or n > N_CAP:
+        n = _arg(n, 0, N_CAP, "prefix length")
     if n <= 7:
         return 0
     if n <= 9:
@@ -121,9 +106,8 @@ def distinct_squares(n: int) -> int:
 
 def a_indicator(n: int) -> int:
     """1 iff a square not seen before ends exactly at position n."""
-    n = n if type(n) is int else _as_int(n)
-    if n < 1 or n > N_CAP:
-        raise ValueError(f"position {n} outside [1, {N_CAP}]")
+    if type(n) is not int or n < 1 or n > N_CAP:
+        n = _arg(n, 1, N_CAP, "position")
     if n < 14:
         return 1 if n in (8, 10) else 0
     # n >= alpha = 2 t_{m-1} holds on the whole range of order m
@@ -134,8 +118,7 @@ def a_indicator(n: int) -> int:
 
 def distinct_squares_at_t(m: int) -> int:
     """Distinct squares in the prefix of length t_m."""
-    if m < 0:
-        raise ValueError("block order must be >= 0")
+    m = _arg(m, 0, MAX_ORDER, "block order")
     if m <= 2:
         return 0
     return exact_div(2 * _t(m - 2) + _t(m - 3) + 3 * _t(m - 4) - m - 5, 2)
@@ -154,9 +137,7 @@ def _glen_d(i: int) -> int:
 def glen_distinct_squares_at_t(m: int) -> int:
     """Glen's cumulative-sum expression for the same count; independent
     route used as a cross-check of ``distinct_squares_at_t``."""
-    if m < 3:
-        raise ValueError("defined for order >= 3")
-    h = m - 1
+    h = _arg(m, 3, MAX_ORDER, "block order") - 1
     total = sum(_glen_d(i) + 1 for i in range(0, h - 1))
     return total + _glen_d(h - 4) + _glen_d(h - 5) + 1
 
@@ -190,20 +171,15 @@ def _cube_table():
 def cube_boundaries(m: int) -> CubeBoundaries:
     """First and last position at which a new distinct cube of order m
     ends."""
-    if m < 7:
-        raise ValueError("cube boundaries need order >= 7")
     betas = (_CUBE_TABLE or _cube_table())[1]
-    if m - 7 >= len(betas):
-        raise ValueError(f"cube boundaries stop at order "
-                         f"{6 + len(betas)}, which holds {N_CAP}")
+    m = _arg(m, 7, 6 + len(betas), "cube boundary order")
     return CubeBoundaries(m, _t(m - 1) + 2 * _t(m - 4), betas[m - 7])
 
 
 def distinct_cubes(n: int) -> int:
     """Number of distinct cubes in the length-n prefix."""
-    n = n if type(n) is int else _as_int(n)
-    if n < 0 or n > N_CAP:
-        raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
+    if type(n) is not int or n < 0 or n > N_CAP:
+        n = _arg(n, 0, N_CAP, "prefix length")
     if n <= 57:
         return 0
     ends, betas = _CUBE_TABLE or _cube_table()
@@ -218,9 +194,8 @@ def distinct_cubes(n: int) -> int:
 
 def c_indicator(n: int) -> int:
     """1 iff a cube not seen before ends exactly at position n."""
-    n = n if type(n) is int else _as_int(n)
-    if n < 1 or n > N_CAP:
-        raise ValueError(f"position {n} outside [1, {N_CAP}]")
+    if type(n) is not int or n < 1 or n > N_CAP:
+        n = _arg(n, 1, N_CAP, "position")
     if n <= 57:
         return 0
     ends, betas = _CUBE_TABLE or _cube_table()
@@ -229,8 +204,7 @@ def c_indicator(n: int) -> int:
 
 def distinct_cubes_at_t(m: int) -> int:
     """Distinct cubes in the prefix of length t_m."""
-    if m < 0:
-        raise ValueError("block order must be >= 0")
+    m = _arg(m, 0, MAX_ORDER, "block order")
     if m <= 6:
         return 0
     return exact_div(_t(m - 5) + _t(m - 6) - m + 3, 2)
@@ -238,8 +212,7 @@ def distinct_cubes_at_t(m: int) -> int:
 
 def repeated_squares_at_t(m: int) -> int:
     """Repeated-square count (all occurrences) at prefix length t_m."""
-    if m < 3:
-        raise ValueError("defined for order >= 3")
+    m = _arg(m, 3, MAX_ORDER, "block order")
     t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
     num = (2 * m * (9 * t0 - t1 - 5 * t2)
            + (-81 * t0 + 26 * t1 + 13 * t2)
@@ -250,8 +223,7 @@ def repeated_squares_at_t(m: int) -> int:
 def repeated_cubes_at_t(m: int) -> int:
     """Repeated-cube count at prefix length t_m, with the residue-class
     correction terms."""
-    if m < 3:
-        raise ValueError("defined for order >= 3")
+    m = _arg(m, 3, MAX_ORDER, "block order")
     t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
     if m % 3 == 0:
         corr = -33

@@ -25,25 +25,38 @@ class ExactDivisionError(ArithmeticError):
     remainder means a transcribed constant is wrong."""
 
 
-def _as_int(n) -> int:
-    """n as a plain int, through ``operator.index``; bools and non-integral
-    numbers (floats, ...) raise TypeError.  Every public counter and
-    position helper applies this once to an argument that is not exactly
-    int (the type test is inlined to keep the common case free of a call),
-    so any integer type with ``__index__`` works and results are always int."""
-    if isinstance(n, bool):
-        raise TypeError("expected an integer, got bool")
-    return operator.index(n)
+def _arg(value, lo: int, hi: int, what: str) -> int:
+    """The one check of every public integer argument: ``value`` as a plain
+    int in [lo, hi].  Any integer type with ``__index__`` (numpy integers
+    included) is accepted; bools and non-integral numbers (floats, strings,
+    ...) raise TypeError, and values outside the range ValueError naming
+    ``what``.  The hot counters inline the test for a plain int in range,
+    so their common case makes no call."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{what} must be an integer, not "
+                        f"{type(value).__name__}")
+    n = operator.index(value)
+    if n < lo or n > hi:
+        raise ValueError(f"{what} {n} outside [{lo}, {hi}]")
+    return n
 
 
 class Record:
     """Base of the small value records (segment bounds, scan summaries):
     the fields are the subclass's ``__slots__``, compared, hashed and shown
-    by value.  A lighter stand-in for a frozen dataclass that keeps
-    ``dataclasses`` out of the package; records are read-only by
-    convention, as some are cached and shared."""
+    by value, and set positionally in slot order by the constructor.  A
+    lighter stand-in for a frozen dataclass that keeps ``dataclasses`` out
+    of the package; records are read-only by convention, as some are cached
+    and shared."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes "
+                            f"{len(self.__slots__)} values, not {len(values)}")
+        for field, value in zip(self.__slots__, values):
+            setattr(self, field, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
@@ -92,30 +105,22 @@ MAX_ORDER = len(_T) - 1 - _OFF
 
 def trib_number(m: int) -> int:
     """Length t_m of the m-th block, m >= -2."""
-    if m < -2 or m > MAX_ORDER:
-        raise ValueError(f"block order {m} outside [-2, {MAX_ORDER}]")
-    return _T[m + _OFF]
+    return _T[_arg(m, -2, MAX_ORDER, "block order") + _OFF]
 
 
 def block_letter_counts(m: int) -> tuple[int, int, int]:
     """(a, b, c) letter counts of the m-th block."""
-    if m < -2 or m > MAX_ORDER:
-        raise ValueError(f"block order {m} outside [-2, {MAX_ORDER}]")
-    return _BLOCK_COUNTS[m + _OFF]
+    return _BLOCK_COUNTS[_arg(m, -2, MAX_ORDER, "block order") + _OFF]
 
 
 def last_letter(m: int) -> str:
     """Last letter of the m-th block, m >= -1; cycles a, b, c with m mod 3."""
-    if m < -1:
-        raise ValueError("no last letter below order -1")
-    return ALPHABET[m % 3]
+    return ALPHABET[_arg(m, -1, MAX_ORDER, "block order") % 3]
 
 
 def kernel_number(m: int) -> int:
     """Kernel word length k_m, m >= 0."""
-    if m < 0 or m > MAX_ORDER:
-        raise ValueError(f"kernel order {m} outside [0, {MAX_ORDER}]")
-    return _K[m]
+    return _K[_arg(m, 0, MAX_ORDER, "kernel order")]
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +133,7 @@ def prefix(n: int) -> str:
     """The first n letters as a plain string, n <= ``MATERIALIZE_CAP``; use
     the block decomposition queries for anything large."""
     global _PREFIX
-    if n < 0:
-        raise ValueError("prefix length must be >= 0")
-    if n > MATERIALIZE_CAP:
-        raise ValueError(f"prefix length {n} exceeds materialization cap "
-                         f"{MATERIALIZE_CAP}")
+    n = _arg(n, 0, MATERIALIZE_CAP, "prefix length")
     if len(_PREFIX) < n:
         s2, s1 = "ab", "abac"  # blocks two and one below the current one
         cur = "abacaba"
@@ -144,9 +145,8 @@ def prefix(n: int) -> str:
 
 def letter_at(n: int) -> str:
     """The n-th letter, via greedy block decomposition in O(log n)."""
-    n = n if type(n) is int else _as_int(n)
-    if n < 1 or n > N_CAP:
-        raise ValueError(f"position {n} outside [1, {N_CAP}]")
+    if type(n) is not int or n < 1 or n > N_CAP:
+        n = _arg(n, 1, N_CAP, "position")
     m = 2
     while _T[m + _OFF] < n:
         m += 1
@@ -171,9 +171,7 @@ def letter_at(n: int) -> str:
 
 def letter_counts(n: int) -> tuple[int, int, int]:
     """Letter counts (a, b, c) of the length-n prefix, O(log n)."""
-    n = n if type(n) is int else _as_int(n)
-    if n < 0 or n > N_CAP:
-        raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
+    n = _arg(n, 0, N_CAP, "prefix length")
     na = nb = nc = 0
     m = 2
     while _T[m + _OFF] < n:
@@ -208,26 +206,25 @@ def letter_counts(n: int) -> tuple[int, int, int]:
     return (na, nb, nc)
 
 
+# highest order whose kernel word fits under MATERIALIZE_CAP
+_KERNEL_WORD_MAX = max(m for m in range(len(_K))
+                       if _K[m] - 1 <= MATERIALIZE_CAP)
+
+
 def kernel_word(m: int) -> str:
     """The m-th kernel word.  K_1=a, K_2=b, K_3=c, then the last letter of
     block m-1 followed by the length-(k_m - 1) prefix."""
-    if m < 1:
-        raise ValueError("kernel words start at order 1")
+    m = _arg(m, 1, _KERNEL_WORD_MAX, "kernel order")
     if m <= 3:
         return ALPHABET[m - 1]
-    k = kernel_number(m)
-    if k - 1 > MATERIALIZE_CAP:
-        raise ValueError(f"kernel word of order {m} too long to materialize")
-    return last_letter(m - 1) + prefix(k - 1)
+    return last_letter(m - 1) + prefix(_K[m] - 1)
 
 
 def position_letter(alpha: str, p: int) -> int:
     """End position of the p-th occurrence of a letter."""
     if alpha not in ALPHABET:
         raise ValueError(f"unknown letter {alpha!r}")
-    p = p if type(p) is int else _as_int(p)
-    if p < 1 or p > N_CAP:
-        raise ValueError(f"occurrence index {p} outside [1, {N_CAP}]")
+    p = _arg(p, 1, N_CAP, "occurrence index")
     na, nb, _ = letter_counts(p - 1)
     if alpha == "a":
         pos = p + na + nb
@@ -242,17 +239,12 @@ def position_letter(alpha: str, p: int) -> int:
 
 def position_kernel(m: int, p: int) -> int:
     """End position of the p-th occurrence of the m-th kernel word."""
-    m = m if type(m) is int else _as_int(m)
-    p = p if type(p) is int else _as_int(p)
-    if m < 1:
-        raise ValueError("kernel words start at order 1")
-    if p < 1 or p > N_CAP:
-        raise ValueError(f"occurrence index {p} outside [1, {N_CAP}]")
+    m = _arg(m, 1, MAX_ORDER, "kernel order")
+    p = _arg(p, 1, N_CAP, "occurrence index")
     na, nb, _ = letter_counts(p - 1)
-    pos = (p * trib_number(m - 1)
-           + na * (trib_number(m - 2) + trib_number(m - 3))
-           + nb * trib_number(m - 2)
-           + kernel_number(m) - 1)
+    o = m + _OFF  # t_i is _T[i + _OFF]
+    pos = (p * _T[o - 1] + na * (_T[o - 2] + _T[o - 3]) + nb * _T[o - 2]
+           + _K[m] - 1)
     if pos > N_CAP:
         raise ValueError(f"position of kernel {m} occurrence {p} exceeds cap")
     return pos

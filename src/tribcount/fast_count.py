@@ -25,9 +25,11 @@ from .core_word import (
     _K,
     _OFF,
     _T,
+    MATERIALIZE_CAP,
+    MAX_ORDER,
     N_CAP,
     Record,
-    _as_int,
+    _arg,
     exact_div,
     kernel_number as _k,
     position_kernel,
@@ -46,31 +48,11 @@ class SquareGamma(Record):
     j = 3, where the increments sit at the head)."""
     __slots__ = ("j", "m", "lo", "hi", "cut1", "cut2", "eta")
 
-    def __init__(self, j: int, m: int, lo: int, hi: int, cut1: int,
-                 cut2: int, eta: int):
-        self.j = j
-        self.m = m
-        self.lo = lo
-        self.hi = hi
-        self.cut1 = cut1
-        self.cut2 = cut2
-        self.eta = eta
-
 
 class CubeGamma(Record):
     """One cube segment: bounds, child cuts, and the unit-increment block
     [eta1, eta2) which ends exactly at the first child cut."""
     __slots__ = ("m", "lo", "hi", "cut1", "cut2", "eta1", "eta2")
-
-    def __init__(self, m: int, lo: int, hi: int, cut1: int, cut2: int,
-                 eta1: int, eta2: int):
-        self.m = m
-        self.lo = lo
-        self.hi = hi
-        self.cut1 = cut1
-        self.cut2 = cut2
-        self.eta1 = eta1
-        self.eta2 = eta2
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +75,31 @@ _D_EXPLICIT = {
 }
 
 
-@lru_cache(maxsize=None)
+# Highest orders whose segment vectors stay within MATERIALIZE_CAP entries:
+# square segment (1, m), the longest of its order, spans t_{m-2} positions
+# and cube segment m spans t_{m-1}.
+_SQUARE_VECTOR_MAX = 2 + max(i for i in range(MAX_ORDER + 1)
+                             if _T[i + _OFF] <= MATERIALIZE_CAP)
+_CUBE_VECTOR_MAX = _SQUARE_VECTOR_MAX - 1
+
+
 def square_segment_vector(j: int, m: int) -> tuple[int, ...]:
     """Per-position square-end counts across one segment, materialized by
-    the copy-and-increment recursion.  Grows like t_m; for tests and the
+    the copy-and-increment recursion.  Grows like t_m, so the order stops
+    where the vector would pass MATERIALIZE_CAP entries; for tests and the
     closed-form self-check, not the fast path."""
+    j = _arg(j, 1, 3, "square segment kind")
+    return _square_vector(j, _arg(m, 4, _SQUARE_VECTOR_MAX,
+                                  "square segment order"))
+
+
+@lru_cache(maxsize=None)
+def _square_vector(j: int, m: int) -> tuple[int, ...]:
     if (j, m) in _B_EXPLICIT:
         return _B_EXPLICIT[(j, m)]
-    if m - j < 4:
-        raise ValueError(f"segment ({j}, {m}) has no recursive expansion")
-    cm = m - j
-    body = (square_segment_vector(3, cm) + square_segment_vector(2, cm)
-            + square_segment_vector(1, cm))
+    cm = m - j  # >= 4 outside the explicit table
+    body = (_square_vector(3, cm) + _square_vector(2, cm)
+            + _square_vector(1, cm))
     if j == 3:  # unit increments at the head
         ones = _t(m - 4) - _k(m - 3) + 1
         return tuple(x + 1 for x in body[:ones]) + body[ones:]
@@ -112,16 +107,17 @@ def square_segment_vector(j: int, m: int) -> tuple[int, ...]:
     return body[:cut] + tuple(x + 1 for x in body[cut:])
 
 
-@lru_cache(maxsize=None)
 def cube_segment_vector(m: int) -> tuple[int, ...]:
     """Per-position cube-end counts across one segment (see
     ``square_segment_vector``)."""
+    return _cube_vector(_arg(m, 7, _CUBE_VECTOR_MAX, "cube segment order"))
+
+
+@lru_cache(maxsize=None)
+def _cube_vector(m: int) -> tuple[int, ...]:
     if m in _D_EXPLICIT:
         return _D_EXPLICIT[m]
-    if m < 10:
-        raise ValueError(f"cube segment {m} has no recursive expansion")
-    body = (cube_segment_vector(m - 3) + cube_segment_vector(m - 2)
-            + cube_segment_vector(m - 1))
+    body = _cube_vector(m - 3) + _cube_vector(m - 2) + _cube_vector(m - 1)
     a = exact_div(-_t(m - 2) + 5 * _t(m - 4) + 1, 2)
     b = a + exact_div(_t(m - 2) - 3 * _t(m - 4) - 1, 2)
     return body[:a] + tuple(x + 1 for x in body[a:b]) + body[b:]
@@ -362,43 +358,34 @@ def _cube_segments() -> _Segments:
 
 
 def _square_entry(j: int, m: int) -> tuple[_Segments, int]:
-    """The square tables and the index of segment (j, m) in them."""
-    if j not in (1, 2, 3):
-        raise ValueError("square segments come in kinds 1, 2, 3")
-    if m < 4:
-        raise ValueError("square segments start at order 4")
+    """The square tables and the index of segment (j, m) in them, up to the
+    order whose segments reach N_CAP."""
     seg = _SQUARES or _square_segments()
-    s = 3 * (m - 4) + 3 - j
-    if s >= len(seg.lo):
-        raise ValueError(f"square segments stop at order "
-                         f"{3 + len(seg.lo) // 3}, which reaches {N_CAP}")
-    return seg, s
+    j = _arg(j, 1, 3, "square segment kind")
+    m = _arg(m, 4, 3 + len(seg.lo) // 3, "square segment order")
+    return seg, 3 * (m - 4) + 3 - j
 
 
 def _cube_entry(m: int) -> tuple[_Segments, int]:
-    """The cube tables and the index of segment m in them."""
-    if m < 7:
-        raise ValueError("cube segments start at order 7")
+    """The cube tables and the index of segment m in them (see
+    ``_square_entry``)."""
     seg = _CUBES or _cube_segments()
-    s = m - 7
-    if s >= len(seg.lo):
-        raise ValueError(f"cube segments stop at order "
-                         f"{6 + len(seg.lo)}, which reaches {N_CAP}")
-    return seg, s
+    return seg, _arg(m, 7, 6 + len(seg.lo), "cube segment order") - 7
 
 
 def square_gamma(j: int, m: int) -> SquareGamma:
     """Bounds, child cuts and increment threshold of square segment (j, m)."""
     seg, s = _square_entry(j, m)
+    j = 3 - s % 3
     eta = seg.inc_hi[s] + 1 if j == 3 else seg.inc_lo[s]
-    return SquareGamma(j, m, seg.lo[s], seg.hi[s], seg.cut1[s], seg.cut2[s],
-                       eta)
+    return SquareGamma(j, 4 + s // 3, seg.lo[s], seg.hi[s], seg.cut1[s],
+                       seg.cut2[s], eta)
 
 
 def cube_gamma(m: int) -> CubeGamma:
     """Bounds, child cuts and unit-increment block of cube segment m."""
     seg, s = _cube_entry(m)
-    return CubeGamma(m, seg.lo[s], seg.hi[s], seg.cut1[s], seg.cut2[s],
+    return CubeGamma(7 + s, seg.lo[s], seg.hi[s], seg.cut1[s], seg.cut2[s],
                      seg.inc_lo[s], seg.inc_hi[s] + 1)
 
 
@@ -411,9 +398,9 @@ def sum_b_gamma(j: int, m: int) -> int:
 def phi(m: int) -> int:
     """Total square-end count over the three order-m segments combined."""
     # range-checks m as the other views do, and builds the tables that
-    # _phi is checked with
-    _square_entry(1, m)
-    return _phi(m)
+    # _phi is checked with; segment (1, m) has index 3 (m - 4) + 2
+    s = _square_entry(1, m)[1]
+    return _phi(4 + s // 3)
 
 
 def b_cum_at_gamma_max(j: int, m: int) -> int:
@@ -493,9 +480,8 @@ def _cumulative(seg: _Segments, n: int) -> int:
 
 def b_at(n: int) -> int:
     """Number of square occurrences ending exactly at position n."""
-    n = n if type(n) is int else _as_int(n)
-    if n < 1 or n > N_CAP:
-        raise ValueError(f"position {n} outside [1, {N_CAP}]")
+    if type(n) is not int or n < 1 or n > N_CAP:
+        n = _arg(n, 1, N_CAP, "position")
     if n <= BASE_B_MAX:
         return _B_SMALL[n]
     return _point(_SQUARES or _square_segments(), n)
@@ -503,9 +489,8 @@ def b_at(n: int) -> int:
 
 def d_at(n: int) -> int:
     """Number of cube occurrences ending exactly at position n."""
-    n = n if type(n) is int else _as_int(n)
-    if n < 1 or n > N_CAP:
-        raise ValueError(f"position {n} outside [1, {N_CAP}]")
+    if type(n) is not int or n < 1 or n > N_CAP:
+        n = _arg(n, 1, N_CAP, "position")
     if n <= BASE_D_MAX:
         return _D_SMALL[n]
     return _point(_CUBES or _cube_segments(), n)
@@ -517,9 +502,8 @@ def d_at(n: int) -> int:
 
 def algorithm_B(n: int) -> int:
     """Number of repeated squares in the length-n prefix, O(log n)."""
-    n = n if type(n) is int else _as_int(n)
-    if n < 0 or n > N_CAP:
-        raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
+    if type(n) is not int or n < 0 or n > N_CAP:
+        n = _arg(n, 0, N_CAP, "prefix length")
     if n <= BASE_B_MAX:
         return _B_CUM[n]
     return _cumulative(_SQUARES or _square_segments(), n)
@@ -527,9 +511,8 @@ def algorithm_B(n: int) -> int:
 
 def algorithm_D(n: int) -> int:
     """Number of repeated cubes in the length-n prefix, O(log n)."""
-    n = n if type(n) is int else _as_int(n)
-    if n < 0 or n > N_CAP:
-        raise ValueError(f"prefix length {n} outside [0, {N_CAP}]")
+    if type(n) is not int or n < 0 or n > N_CAP:
+        n = _arg(n, 0, N_CAP, "prefix length")
     if n <= BASE_D_MAX:
         return _D_CUM[n]
     return _cumulative(_CUBES or _cube_segments(), n)
@@ -544,10 +527,8 @@ def square_case_block(j: int, m: int, p: int) -> range:
     order m, around the p-th occurrence of that kernel word.  These are the
     positions the unit increments of segment (j, m) sit at, shifted to
     occurrence p."""
-    if j not in (1, 2, 3):
-        raise ValueError("square cases come in kinds 1, 2, 3")
-    if m < 4:
-        raise ValueError("square cases start at order 4")
+    j = _arg(j, 1, 3, "square segment kind")
+    m = _arg(m, 4, MAX_ORDER, "kernel order")
     pos = position_kernel(m, p)
     t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
     if j == 1:

@@ -16,14 +16,26 @@ from __future__ import annotations
 import os
 
 from ._kernels import find_repetitions
-from .core_word import Record, kernel_number, kernel_word, prefix, trib_number
+from .core_word import (
+    Record,
+    _arg,
+    kernel_number,
+    kernel_word,
+    prefix,
+    trib_number,
+)
 
 ORACLE_CAP_DEFAULT = 5000
 EXHAUSTIVE_CAP = 600
+# Highest TRIB_ORACLE_CAP accepted.  A scan keeps one ``bytes`` slice per
+# distinct factor, so its memory grows quadratically: peak RSS ~1.5 GB at
+# n = 10^5 and ~7.7 GB at 3 * 10^5.
+_ORACLE_CAP_CEILING = 100_000
 
 
 def oracle_cap() -> int:
-    """Scan ceiling; TRIB_ORACLE_CAP overrides the default of 5000."""
+    """Scan ceiling; TRIB_ORACLE_CAP overrides the default of 5000, up to
+    100 000."""
     env = os.environ.get("TRIB_ORACLE_CAP")
     if not env:
         return ORACLE_CAP_DEFAULT
@@ -31,9 +43,9 @@ def oracle_cap() -> int:
         cap = int(env)
     except ValueError:
         cap = 0
-    if cap < 1:
-        raise ValueError(
-            f"TRIB_ORACLE_CAP must be a positive integer, not {env!r}")
+    if not 1 <= cap <= _ORACLE_CAP_CEILING:
+        raise ValueError(f"TRIB_ORACLE_CAP must be an integer in "
+                         f"[1, {_ORACLE_CAP_CEILING}], not {env!r}")
     return cap
 
 
@@ -51,23 +63,6 @@ class RepetitionSummary(Record):
     __slots__ = ("n", "distinct_squares", "repeated_squares",
                  "distinct_cubes", "repeated_cubes", "a", "b", "c", "d",
                  "squares", "square_roots", "cubes", "cube_roots")
-
-    def __init__(self, n, distinct_squares, repeated_squares, distinct_cubes,
-                 repeated_cubes, a, b, c, d, squares, square_roots, cubes,
-                 cube_roots):
-        self.n = n
-        self.distinct_squares = distinct_squares
-        self.repeated_squares = repeated_squares
-        self.distinct_cubes = distinct_cubes
-        self.repeated_cubes = repeated_cubes
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
-        self.squares = squares
-        self.square_roots = square_roots
-        self.cubes = cubes
-        self.cube_roots = cube_roots
 
 
 def _restricted_roots(n: int, power: int) -> list[int]:
@@ -115,12 +110,10 @@ def scan_repetitions(n: int, exhaustive: bool = False) -> RepetitionSummary:
     ``exhaustive`` scans every root length instead of the restricted
     families and is capped at 600.
     """
-    if n < 1:
-        raise ValueError("scan needs n >= 1")
-    cap = EXHAUSTIVE_CAP if exhaustive else oracle_cap()
-    if n > cap:
-        mode = "exhaustive" if exhaustive else "oracle"
-        raise ValueError(f"n={n} exceeds {mode} cap {cap}")
+    if exhaustive:
+        n = _arg(n, 1, EXHAUSTIVE_CAP, "exhaustive scan length")
+    else:
+        n = _arg(n, 1, oracle_cap(), "oracle scan length")
     word_bytes = prefix(n).encode("ascii")
     if exhaustive:
         sq_roots = range(1, n // 2 + 1)
@@ -141,9 +134,7 @@ def occurrences(w: str, n: int) -> list[int]:
     prefix, ascending (overlaps included)."""
     if not w:
         raise ValueError("empty factor")
-    if n > oracle_cap():
-        raise ValueError(f"n={n} exceeds oracle cap {oracle_cap()}")
-    hay = prefix(n)
+    hay = prefix(_arg(n, 0, oracle_cap(), "oracle scan length"))
     out = []
     start = 0
     while True:
@@ -233,8 +224,7 @@ def is_primitive(w: str) -> bool:
 
 def assert_no_fourth_powers(n: int) -> bool:
     """Exhaustively confirm the length-n prefix contains no fourth power."""
-    if n < 1 or n > EXHAUSTIVE_CAP:
-        raise ValueError(f"exhaustive check capped at {EXHAUSTIVE_CAP}")
+    n = _arg(n, 1, EXHAUSTIVE_CAP, "exhaustive scan length")
     if n < 4:
         return True
     ends, _ = find_repetitions(prefix(n).encode("ascii"), range(1, n // 4 + 1), 4)

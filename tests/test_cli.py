@@ -180,7 +180,7 @@ def test_positions_match_oracle_past_default_cap(capsys, monkeypatch):
 
 
 def test_malformed_oracle_cap(capsys, monkeypatch):
-    for value in ("abc", "0", "-5", "1.5"):
+    for value in ("abc", "0", "-5", "1.5", "100001"):
         monkeypatch.setenv("TRIB_ORACLE_CAP", value)
         code, out, err = run(capsys, "verify", "--max", "10")
         assert code == 1 and out == "", value

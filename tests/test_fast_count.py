@@ -27,6 +27,8 @@ def test_segment_records_compare_by_value():
     assert g == same and hash(g) == hash(same)
     assert g != fc.square_gamma(1, 12) and g != fc.cube_gamma(12)
     assert repr(g).startswith("SquareGamma(j=2, m=12, lo=")
+    with pytest.raises(TypeError, match="takes 7 values, not 6"):
+        fc.SquareGamma(g.j, g.m, g.lo, g.hi, g.cut1, g.cut2)
 
 def test_segment_thresholds_construct():
     # ordering violations raise inside the constructors
@@ -151,7 +153,7 @@ def test_phi_recurrence():
         assert fc.phi(m) == fc.phi(m - 1) + fc.phi(m - 2) + fc.phi(m - 3) + inc
     # phi stops where the square segments it sums do
     assert fc.phi(68) == sum(fc.sum_b_gamma(j, 68) for j in (1, 2, 3))
-    with pytest.raises(ValueError, match="stop at order 68"):
+    with pytest.raises(ValueError, match=r"order 69 outside \[4, 68\]"):
         fc.phi(69)
 
 
@@ -279,7 +281,7 @@ def test_segment_views_stop_at_the_cap():
     # the tables hold every order up to the one whose segments reach 10^18
     assert fc.square_gamma(1, 68).hi >= 10**18 > fc.square_gamma(1, 67).hi
     assert fc.cube_gamma(68).hi >= 10**18 > fc.cube_gamma(67).hi
-    with pytest.raises(ValueError, match="stop at order 68"):
+    with pytest.raises(ValueError, match=r"order 69 outside \[4, 68\]"):
         fc.square_gamma(3, 69)
-    with pytest.raises(ValueError, match="stop at order 68"):
+    with pytest.raises(ValueError, match=r"order 69 outside \[7, 68\]"):
         fc.sum_d_gamma(69)
