@@ -180,9 +180,6 @@ def _indicator_positions(kind: str, n: int):
 
 def cmd_kernel(opts) -> int:
     m = opts["m"]
-    if core_word.kernel_number(m) > 10**6:
-        print("error: kernel word too long to materialize", file=sys.stderr)
-        return 1
     word = core_word.kernel_word(m)
     print(f"m={m} word={word} length={core_word.kernel_number(m)} "
           f"first_end={core_word.position_kernel(m, 1)}")

@@ -4,22 +4,23 @@ Positions from 8 on are tiled by square segments (three per order) and from
 52 on by cube segments (one per order).  Per-position counts obey a
 self-similar recursion: a segment is a copy of three lower-order segments
 shifted by the previous block length, plus a block of unit increments.
-Each tiling is held as flat tables, one tuple per segment field, and both
-single-point and cumulative queries walk down the copy recursion in a loop
-of O(order) steps.
+Each tiling is held as one row tuple per segment, and both single-point
+and cumulative queries walk down the copy recursion in a loop of O(order)
+steps, one row per step.
+The walk stops at the floor: the per-position counts of the square orders
+4-13 and the cube orders 7-13, which both end at position 3735.
 
 The tables are built on first use and published only once they pass the
-self-check: the closed-form segment sums of the low orders against direct
-summation of materialized segments, and the tiling, chaining and copy
-identities at every order.  A mismatch reports the offending segment and
-aborts.
+self-check: the closed-form segment sums of the floor orders against direct
+summation of the materialized segments the floor is made of, and the
+tiling, chaining and copy identities at every order.  A mismatch reports
+the offending segment and aborts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count, islice
 
 from .core_word import (
     _K,
@@ -82,24 +83,29 @@ _SQUARE_VECTOR_MAX = 2 + max(i for i in range(MAX_ORDER + 1)
                              if _T[i + _OFF] <= MATERIALIZE_CAP)
 _CUBE_VECTOR_MAX = _SQUARE_VECTOR_MAX - 1
 
-
-def square_segment_vector(j: int, m: int) -> tuple[int, ...]:
-    """Per-position square-end counts across one segment, materialized by
-    the copy-and-increment recursion.  Grows like t_m, so the order stops
-    where the vector would pass MATERIALIZE_CAP entries; for tests and the
-    closed-form self-check, not the fast path."""
-    j = _arg(j, 1, 3, "square segment kind")
-    return _square_vector(j, _arg(m, 4, _SQUARE_VECTOR_MAX,
-                                  "square segment order"))
+# Highest orders of the floor, the per-position table where descents stop:
+# both tilings end there at position 3735, within the default oracle cap.
+_SQUARE_FLOOR_ORDER = 13
+_CUBE_FLOOR_ORDER = 13
 
 
-@lru_cache(maxsize=None)
-def _square_vector(j: int, m: int) -> tuple[int, ...]:
-    if (j, m) in _B_EXPLICIT:
-        return _B_EXPLICIT[(j, m)]
-    cm = m - j  # >= 4 outside the explicit table
-    body = (_square_vector(3, cm) + _square_vector(2, cm)
-            + _square_vector(1, cm))
+def _square_orders():
+    """Square segment vectors order by order from 4 on: yields the triple
+    of vectors (3, m), (2, m), (1, m) of each order m, holding only the
+    last three orders, which the next order is copied from."""
+    last = {}
+    for m in count(4):
+        last[m] = tuple(_B_EXPLICIT.get((j, m))
+                        or _square_copy(j, m, *last[m - j])
+                        for j in (3, 2, 1))
+        last.pop(m - 3, None)
+        yield last[m]
+
+
+def _square_copy(j: int, m: int, v3, v2, v1) -> tuple[int, ...]:
+    """Square segment vector (j, m) from those of its children (3, m - j),
+    (2, m - j) and (1, m - j)."""
+    body = v3 + v2 + v1
     if j == 3:  # unit increments at the head
         ones = _t(m - 4) - _k(m - 3) + 1
         return tuple(x + 1 for x in body[:ones]) + body[ones:]
@@ -107,20 +113,43 @@ def _square_vector(j: int, m: int) -> tuple[int, ...]:
     return body[:cut] + tuple(x + 1 for x in body[cut:])
 
 
-def cube_segment_vector(m: int) -> tuple[int, ...]:
-    """Per-position cube-end counts across one segment (see
-    ``square_segment_vector``)."""
-    return _cube_vector(_arg(m, 7, _CUBE_VECTOR_MAX, "cube segment order"))
+def square_segment_vector(j: int, m: int) -> tuple[int, ...]:
+    """Per-position square-end counts across one segment, materialized by
+    the copy-and-increment recursion.  Grows like t_m, so the order stops
+    where the vector would pass MATERIALIZE_CAP entries; for tests and the
+    closed-form self-check, not the fast path.  Nothing stays cached."""
+    j = _arg(j, 1, 3, "square segment kind")
+    m = _arg(m, 4, _SQUARE_VECTOR_MAX, "square segment order")
+    if (j, m) in _B_EXPLICIT:
+        return _B_EXPLICIT[(j, m)]
+    # copied from the children's order alone: the other two segments of
+    # order m are never built
+    return _square_copy(j, m, *next(islice(_square_orders(), m - j - 4, None)))
 
 
-@lru_cache(maxsize=None)
-def _cube_vector(m: int) -> tuple[int, ...]:
-    if m in _D_EXPLICIT:
-        return _D_EXPLICIT[m]
-    body = _cube_vector(m - 3) + _cube_vector(m - 2) + _cube_vector(m - 1)
+def _cube_orders():
+    """Cube segment vectors order by order from 7 on (see
+    ``_square_orders``)."""
+    last = ()
+    for m in count(7):
+        vec = _D_EXPLICIT.get(m) or _cube_copy(m, *last)
+        last = last[-2:] + (vec,)
+        yield vec
+
+
+def _cube_copy(m: int, v3, v2, v1) -> tuple[int, ...]:
+    """Cube segment vector m from those of orders m - 3, m - 2, m - 1."""
+    body = v3 + v2 + v1
     a = exact_div(-_t(m - 2) + 5 * _t(m - 4) + 1, 2)
     b = a + exact_div(_t(m - 2) - 3 * _t(m - 4) - 1, 2)
     return body[:a] + tuple(x + 1 for x in body[a:b]) + body[b:]
+
+
+def cube_segment_vector(m: int) -> tuple[int, ...]:
+    """Per-position cube-end counts across one segment (see
+    ``square_segment_vector``)."""
+    m = _arg(m, 7, _CUBE_VECTOR_MAX, "cube segment order")
+    return next(islice(_cube_orders(), m - 7, None))
 
 
 def _base_tables(start, vectors):
@@ -136,11 +165,11 @@ def _base_tables(start, vectors):
 SQUARE_START = 8  # first position of the square tiling
 CUBE_START = 52   # first position of the cube tiling
 
-# the square segments of orders 4-6 and the cube segments of orders 7-9
+# the square segments of orders 4-6 and the cube segments of orders 7-9:
+# the import-time tables that answer n <= 51 and n <= 325
 _B_SMALL, _B_CUM = _base_tables(SQUARE_START, [
-    square_segment_vector(j, m) for m in (4, 5, 6) for j in (3, 2, 1)])
-_D_SMALL, _D_CUM = _base_tables(CUBE_START, [
-    cube_segment_vector(m) for m in (7, 8, 9)])
+    vec for vecs in islice(_square_orders(), 3) for vec in vecs])
+_D_SMALL, _D_CUM = _base_tables(CUBE_START, islice(_cube_orders(), 3))
 
 # last positions of the explicit tables: 51 and 325
 BASE_B_MAX = len(_B_SMALL) - 1
@@ -152,9 +181,8 @@ BASE_D_MAX = len(_D_SMALL) - 1
 
 
 class _Segments:
-    """One tiling as flat tables, one tuple per field, indexed by segment
-    number in tiling order: square segment (j, m) is 3(m - 4) + 3 - j,
-    cube segment m is m - 7.
+    """One tiling as flat tables, indexed by segment number in tiling order:
+    square segment (j, m) is 3(m - 4) + 3 - j, cube segment m is m - 7.
 
     Segment s covers [lo, hi] and carries its unit increments at
     [inc_lo, inc_hi] (empty when inc_hi < inc_lo).  Shifted down by
@@ -164,19 +192,27 @@ class _Segments:
     closed-form segment total and the cumulative count at hi.  ``delta`` is
     the count over [lo - shift, lo), which the copy leaves out, so that the
     cumulative count at n is the one at n - shift plus ``delta`` plus the
-    unit increments at or before n.  ``base`` and ``base_cum`` are the
-    explicit per-position table and its prefix sums, where descents stop."""
+    unit increments at or before n.
 
-    __slots__ = ("lo", "hi", "cut1", "cut2", "first", "shift", "inc_lo",
-                 "inc_hi", "sums", "cums", "delta", "base", "base_cum",
-                 "label")
+    ``rows`` holds one tuple per segment, (lo, hi, cut1, cut2, first,
+    shift, inc_lo, inc_hi, delta), which the descents, the self-check and
+    the views read.  ``lo`` is also kept as its own tuple for ``bisect``;
+    ``sums`` and ``cums`` are tuples over the segments.  ``base`` and
+    ``base_cum`` are the floor: the per-position counts and their prefix
+    sums up to the end of the floor orders, where descents stop."""
+
+    __slots__ = ("lo", "sums", "cums", "rows", "base", "base_cum", "label")
 
     def __init__(self, rows, base, base_cum, label):
-        (self.lo, self.hi, self.cut1, self.cut2, self.first, self.shift,
-         self.inc_lo, self.inc_hi, self.sums, self.cums) = zip(*rows)
-        pre = [c - s for c, s in zip(self.cums, self.sums)]
-        self.delta = tuple(pre[s] - pre[c] if c >= 0 else 0
-                           for s, c in enumerate(self.first))
+        self.lo = tuple(row[0] for row in rows)
+        self.sums = tuple(row[8] for row in rows)
+        self.cums = tuple(row[9] for row in rows)
+        pre = [c - t for c, t in zip(self.cums, self.sums)]
+        self.rows = tuple(
+            (lo, hi, cut1, cut2, first, shift, inc_lo, inc_hi,
+             pre[s] - pre[first] if first >= 0 else 0)
+            for s, (lo, hi, cut1, cut2, first, shift, inc_lo, inc_hi, _, _)
+            in enumerate(rows))
         self.base = base
         self.base_cum = base_cum
         self.label = label
@@ -287,18 +323,18 @@ def _check_direct(seg: _Segments, vectors) -> None:
 
 def _check_segments(seg: _Segments, start: int) -> None:
     """Raise RuntimeError, naming the segment, unless the tables tile the
-    positions from ``start`` on without gap or overlap, the base table ends
-    on a segment boundary, each cumulative count is the previous one plus
-    the segment total, and every segment past the base table is the shifted
-    copy of its three children that the descents walk."""
-    lo, hi = seg.lo, seg.hi
+    positions from ``start`` on without gap or overlap, the floor ends on a
+    segment boundary, each cumulative count is the previous one plus the
+    segment total, every segment with children totals its three children
+    plus the unit increments inside it, and every segment past the floor is
+    the shifted copy of its three children that the descents walk."""
+    rows, sums = seg.rows, seg.sums
     top = len(seg.base) - 1
-    if top not in hi:
+    if not any(row[1] == top for row in rows):
         raise RuntimeError(f"the base table ends at {top}, inside a segment")
     prev_hi, prev_cum = start - 1, seg.base_cum[start - 1]
-    for s, (l, h, c1, c2, c, d, total, cum) in enumerate(zip(
-            lo, hi, seg.cut1, seg.cut2, seg.first, seg.shift, seg.sums,
-            seg.cums)):
+    for s, ((l, h, c1, c2, c, d, a, b, _), total, cum) in enumerate(zip(
+            rows, sums, seg.cums)):
         if l != prev_hi + 1:
             raise RuntimeError(
                 f"tiling broken at {seg.label(s)}: it starts at {l}, "
@@ -307,7 +343,13 @@ def _check_segments(seg: _Segments, start: int) -> None:
             raise RuntimeError(
                 f"cumulative chaining broken at {seg.label(s)}: "
                 f"{cum} != {prev_cum} + {total}")
-        if h > top and (c < 0 or (lo[c], lo[c + 1], lo[c + 2], hi[c + 2])
+        if c >= 0 and not (l <= a and b <= h and total == sums[c]
+                           + sums[c + 1] + sums[c + 2] + max(0, b - a + 1)):
+            raise RuntimeError(
+                f"unit increments of {seg.label(s)} do not complete the "
+                f"copy of its children")
+        if h > top and (c < 0 or (rows[c][0], rows[c + 1][0], rows[c + 2][0],
+                                  rows[c + 2][1])
                         != (l - d, c1 - d, c2 - d, h - d)):
             raise RuntimeError(
                 f"child segments do not line up with the cuts of "
@@ -321,17 +363,21 @@ _CUBES = None    # the cube tables, once built and checked
 
 def _square_segments() -> _Segments:
     """Build the square tables for every order up to the one that reaches
-    N_CAP, and publish them once the self-check passes.  Callers reach the
-    tables as ``_SQUARES or _square_segments()``."""
+    N_CAP, with the floor from the vectors of orders 4 to 13, and publish
+    them once the self-check passes.  Callers reach the tables as
+    ``_SQUARES or _square_segments()``."""
     global _SQUARES
     rows, m = [], 3
     while not rows or rows[-1][1] < N_CAP:
         m += 1
         rows += _square_rows(m)
-    seg = _Segments(rows, _B_SMALL, _B_CUM, _square_label)
-    _check_direct(seg, [square_segment_vector(j, m)
-                        for m in range(4, 11) for j in (3, 2, 1)])
-    for m in range(4, 11):
+    orders = range(4, _SQUARE_FLOOR_ORDER + 1)
+    vectors = [vec for vecs in islice(_square_orders(), len(orders))
+               for vec in vecs]
+    seg = _Segments(rows, *_base_tables(SQUARE_START, vectors),
+                    _square_label)
+    _check_direct(seg, vectors)
+    for m in orders:
         if _phi(m) != sum(seg.sums[3 * (m - 4):3 * (m - 3)]):
             raise RuntimeError(f"segment total formula disagrees at m={m}")
     _check_segments(seg, SQUARE_START)
@@ -340,14 +386,16 @@ def _square_segments() -> _Segments:
 
 
 def _cube_segments() -> _Segments:
-    """The cube counterpart of ``_square_segments``."""
+    """The cube counterpart of ``_square_segments``, with the floor from
+    the vectors of orders 7 to 13."""
     global _CUBES
     rows, m = [], 6
     while not rows or rows[-1][1] < N_CAP:
         m += 1
         rows.append(_cube_row(m))
-    seg = _Segments(rows, _D_SMALL, _D_CUM, _cube_label)
-    _check_direct(seg, [cube_segment_vector(m) for m in range(7, 12)])
+    vectors = list(islice(_cube_orders(), _CUBE_FLOOR_ORDER - 6))
+    seg = _Segments(rows, *_base_tables(CUBE_START, vectors), _cube_label)
+    _check_direct(seg, vectors)
     _check_segments(seg, CUBE_START)
     _CUBES = seg
     return seg
@@ -376,17 +424,17 @@ def _cube_entry(m: int) -> tuple[_Segments, int]:
 def square_gamma(j: int, m: int) -> SquareGamma:
     """Bounds, child cuts and increment threshold of square segment (j, m)."""
     seg, s = _square_entry(j, m)
+    lo, hi, cut1, cut2, _, _, inc_lo, inc_hi, _ = seg.rows[s]
     j = 3 - s % 3
-    eta = seg.inc_hi[s] + 1 if j == 3 else seg.inc_lo[s]
-    return SquareGamma(j, 4 + s // 3, seg.lo[s], seg.hi[s], seg.cut1[s],
-                       seg.cut2[s], eta)
+    eta = inc_hi + 1 if j == 3 else inc_lo
+    return SquareGamma(j, 4 + s // 3, lo, hi, cut1, cut2, eta)
 
 
 def cube_gamma(m: int) -> CubeGamma:
     """Bounds, child cuts and unit-increment block of cube segment m."""
     seg, s = _cube_entry(m)
-    return CubeGamma(7 + s, seg.lo[s], seg.hi[s], seg.cut1[s], seg.cut2[s],
-                     seg.inc_lo[s], seg.inc_hi[s] + 1)
+    lo, hi, cut1, cut2, _, _, inc_lo, inc_hi, _ = seg.rows[s]
+    return CubeGamma(7 + s, lo, hi, cut1, cut2, inc_lo, inc_hi + 1)
 
 
 def sum_b_gamma(j: int, m: int) -> int:
@@ -428,48 +476,41 @@ def d_cum_at_gamma_max(m: int) -> int:
 
 
 def _point(seg: _Segments, n: int) -> int:
-    """Count ending exactly at n, for n past the base table: the unit
-    increments met on the way down the copy recursion plus the base entry
-    reached."""
-    lo, hi, cut1, cut2, first, shift = (seg.lo, seg.hi, seg.cut1, seg.cut2,
-                                        seg.first, seg.shift)
-    inc_lo, inc_hi, base = seg.inc_lo, seg.inc_hi, seg.base
+    """Count ending exactly at n, for n past the import-time table: the
+    unit increments met on the way down the copy recursion plus the floor
+    entry reached."""
+    rows, base = seg.rows, seg.base
     top = len(base) - 1
-    s = bisect_right(lo, n) - 1
+    s = bisect_right(seg.lo, n) - 1
     extra = 0
     while n > top:
-        assert lo[s] <= n <= hi[s], (seg.label(s), n)
-        if inc_lo[s] <= n <= inc_hi[s]:
+        lo, hi, cut1, cut2, c, shift, inc_lo, inc_hi, _ = rows[s]
+        assert lo <= n <= hi, (seg.label(s), n)
+        if inc_lo <= n <= inc_hi:
             extra += 1
-        c = first[s]
-        if n >= cut1[s]:
-            c += 2 if n >= cut2[s] else 1
-        n -= shift[s]
+        if n >= cut1:
+            c += 2 if n >= cut2 else 1
+        n -= shift
         s = c
     return base[n] + extra
 
 
 def _cumulative(seg: _Segments, n: int) -> int:
-    """Count ending at or before n, for n past the base table (see
-    ``_Segments.delta``)."""
-    lo, hi, cut1, cut2, first, shift = (seg.lo, seg.hi, seg.cut1, seg.cut2,
-                                        seg.first, seg.shift)
-    inc_lo, inc_hi, delta, base_cum = (seg.inc_lo, seg.inc_hi, seg.delta,
-                                       seg.base_cum)
+    """Count ending at or before n, for n past the import-time table (see
+    ``delta`` in ``_Segments``)."""
+    rows, base_cum = seg.rows, seg.base_cum
     top = len(base_cum) - 1
-    s = bisect_right(lo, n) - 1
+    s = bisect_right(seg.lo, n) - 1
     total = 0
     while n > top:
-        assert lo[s] <= n <= hi[s], (seg.label(s), n)
-        a = inc_lo[s]
-        if n >= a:
-            b = inc_hi[s]
-            total += (n if n < b else b) - a + 1
-        total += delta[s]
-        c = first[s]
-        if n >= cut1[s]:
-            c += 2 if n >= cut2[s] else 1
-        n -= shift[s]
+        lo, hi, cut1, cut2, c, shift, inc_lo, inc_hi, delta = rows[s]
+        assert lo <= n <= hi, (seg.label(s), n)
+        if n >= inc_lo:
+            total += (n if n < inc_hi else inc_hi) - inc_lo + 1
+        total += delta
+        if n >= cut1:
+            c += 2 if n >= cut2 else 1
+        n -= shift
         s = c
     return total + base_cum[n]
 

@@ -9,6 +9,11 @@ def scan3000():
 
 
 @pytest.fixture(scope="session")
+def scan5000():
+    return oracle.scan_repetitions(5000)
+
+
+@pytest.fixture(scope="session")
 def scan600_exhaustive():
     return oracle.scan_repetitions(600, exhaustive=True)
 

@@ -86,7 +86,8 @@ def test_criterion_5_cross_formula_consistency():
 
 
 def test_criterion_6_structural_recursion(scan3000):
-    for m in range(4, 13):
+    # orders 14-16 lie above the descents' floor, which ends with order 13
+    for m in range(4, 17):
         for j in (1, 2, 3):
             g = fc.square_gamma(j, m)
             vec = fc.square_segment_vector(j, m)
@@ -96,7 +97,7 @@ def test_criterion_6_structural_recursion(scan3000):
                 if g.lo + i <= 3000:
                     assert v == scan3000.b[g.lo + i]
         assert fc.phi(m) == sum(fc.sum_b_gamma(j, m) for j in (1, 2, 3))
-    for m in range(7, 14):
+    for m in range(7, 17):
         g = fc.cube_gamma(m)
         vec = fc.cube_segment_vector(m)
         assert fc.sum_d_gamma(m) == sum(vec)
@@ -105,12 +106,12 @@ def test_criterion_6_structural_recursion(scan3000):
             if g.lo + i <= 3000:
                 assert v == scan3000.d[g.lo + i]
     running = 0
-    for m in range(4, 13):
+    for m in range(4, 17):
         for j in (3, 2, 1):
             running += sum(fc.square_segment_vector(j, m))
             assert fc.b_cum_at_gamma_max(j, m) == running
     running = 0
-    for m in range(7, 14):
+    for m in range(7, 17):
         running += sum(fc.cube_segment_vector(m))
         assert fc.d_cum_at_gamma_max(m) == running
     print("criterion 6 PASS: recursions, point counts and sums agree")

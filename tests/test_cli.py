@@ -201,6 +201,16 @@ def test_kernel_bad_order(capsys):
     assert run(capsys, "kernel", "--m", "0")[0] == 1
 
 
+def test_kernel_limit_is_the_library_bound(capsys):
+    # the CLI prints every kernel word the library materialises
+    code, out, _ = run(capsys, "kernel", "--m", "28")
+    assert code == 0
+    assert " length=3045154 first_end=" in out
+    code, out, err = run(capsys, "kernel", "--m", "30")
+    assert code == 1 and out == ""
+    assert "kernel order 30 outside [1, 29]" in err
+
+
 def test_count_at_block_lengths(capsys):
     for m in (5, 10, 20, 25):
         code, out, _ = run(capsys, "count", "--stat", "B", "--n", str(trib_number(m)))

@@ -1,3 +1,7 @@
+import hashlib
+import tracemalloc
+from itertools import accumulate
+
 import pytest
 
 from tribcount import fast_count as fc
@@ -62,8 +66,10 @@ def test_d_at_values():
     assert fc.d_at(365) == 1
 
 
+# orders 14-16 lie above the floor, so their entries are reached by
+# descents of one to three row steps
 def test_square_vectors_match_single_point():
-    for m in range(4, 13):
+    for m in range(4, 17):
         for j in (1, 2, 3):
             g = fc.square_gamma(j, m)
             vec = fc.square_segment_vector(j, m)
@@ -72,7 +78,7 @@ def test_square_vectors_match_single_point():
 
 
 def test_cube_vectors_match_single_point():
-    for m in range(7, 14):
+    for m in range(7, 17):
         g = fc.cube_gamma(m)
         vec = fc.cube_segment_vector(m)
         assert len(vec) == g.hi - g.lo + 1
@@ -119,17 +125,23 @@ def test_segment_sums_match_direct():
 
 
 def test_cumulative_at_segment_ends():
+    # and at every position: the running sums of the vectors
     running = 0
-    for m in range(4, 13):
+    for m in range(4, 17):
         for j in (3, 2, 1):
-            running += sum(fc.square_segment_vector(j, m))
+            g = fc.square_gamma(j, m)
+            cum = list(accumulate(fc.square_segment_vector(j, m),
+                                  initial=running))[1:]
+            assert [fc.algorithm_B(i) for i in range(g.lo, g.hi + 1)] == cum
+            running = cum[-1]
             assert fc.b_cum_at_gamma_max(j, m) == running
-            assert fc.algorithm_B(fc.square_gamma(j, m).hi) == running
     running = 0
-    for m in range(7, 14):
-        running += sum(fc.cube_segment_vector(m))
+    for m in range(7, 17):
+        g = fc.cube_gamma(m)
+        cum = list(accumulate(fc.cube_segment_vector(m), initial=running))[1:]
+        assert [fc.algorithm_D(i) for i in range(g.lo, g.hi + 1)] == cum
+        running = cum[-1]
         assert fc.d_cum_at_gamma_max(m) == running
-        assert fc.algorithm_D(fc.cube_gamma(m).hi) == running
 
 
 def test_b_cum_values():
@@ -245,9 +257,10 @@ ROW_FIELDS = ("lo", "hi", "cut1", "cut2", "first", "shift", "inc_lo",
 
 
 def _with_wrong_entry(seg, s, field):
-    cols = [list(getattr(seg, f)) for f in ROW_FIELDS]
-    cols[ROW_FIELDS.index(field)][s] += 1
-    return fc._Segments(list(zip(*cols)), seg.base, seg.base_cum, seg.label)
+    rows = [list(row[:8]) + [total, cum]
+            for row, total, cum in zip(seg.rows, seg.sums, seg.cums)]
+    rows[s][ROW_FIELDS.index(field)] += 1
+    return fc._Segments(rows, seg.base, seg.base_cum, seg.label)
 
 
 @pytest.mark.parametrize("field, message", [
@@ -256,6 +269,10 @@ def _with_wrong_entry(seg, s, field):
     ("sums", r"cumulative chaining broken at square segment \(j=2, m=30\)"),
     ("cut1", r"child segments do not line up with the cuts of "
              r"square segment \(j=2, m=30\)"),
+    ("inc_lo", r"unit increments of square segment \(j=2, m=30\) do not "
+               r"complete the copy of its children"),
+    ("inc_hi", r"unit increments of square segment \(j=2, m=30\) do not "
+               r"complete the copy of its children"),
 ])
 def test_self_check_names_broken_square_segment(field, message):
     seg = fc._square_segments()
@@ -269,6 +286,10 @@ def test_self_check_names_broken_square_segment(field, message):
     ("cums", r"cumulative chaining broken at cube segment m=40"),
     ("shift", r"child segments do not line up with the cuts of "
               r"cube segment m=40"),
+    ("inc_lo", r"unit increments of cube segment m=40 do not complete the "
+               r"copy of its children"),
+    ("inc_hi", r"unit increments of cube segment m=40 do not complete the "
+               r"copy of its children"),
 ])
 def test_self_check_names_broken_cube_segment(field, message):
     seg = fc._cube_segments()
@@ -285,3 +306,52 @@ def test_segment_views_stop_at_the_cap():
         fc.square_gamma(3, 69)
     with pytest.raises(ValueError, match=r"order 69 outside \[7, 68\]"):
         fc.sum_d_gamma(69)
+
+
+FLOOR_TOP = 3735  # last position of square order 13 and of cube order 13
+
+
+def test_floors_extend_the_import_time_tables():
+    for seg, small, cum in ((fc._square_segments(), fc._B_SMALL, fc._B_CUM),
+                            (fc._cube_segments(), fc._D_SMALL, fc._D_CUM)):
+        assert seg.base[:len(small)] == small
+        assert seg.base_cum[:len(cum)] == cum
+        assert len(seg.base) == len(seg.base_cum) == FLOOR_TOP + 1
+        assert seg.base_cum == tuple(accumulate(seg.base))
+    assert fc.square_gamma(1, 13).hi == fc.cube_gamma(13).hi == FLOOR_TOP
+
+
+def test_floors_match_oracle(scan5000):
+    assert fc._square_segments().base == scan5000.b[:FLOOR_TOP + 1]
+    assert fc._cube_segments().base == scan5000.d[:FLOOR_TOP + 1]
+
+
+def test_counts_above_the_floor_match_oracle(scan5000):
+    # the first steps of the descents, from just below the floor's end
+    acc_b = list(accumulate(scan5000.b))
+    acc_d = list(accumulate(scan5000.d))
+    for n in range(3700, 5001):
+        assert fc.b_at(n) == scan5000.b[n], n
+        assert fc.d_at(n) == scan5000.d[n], n
+        assert fc.algorithm_B(n) == acc_b[n], n
+        assert fc.algorithm_D(n) == acc_d[n], n
+
+
+def test_vectors_above_the_floor_are_not_kept():
+    tracemalloc.start()
+    try:
+        square = fc.square_segment_vector(1, 22)
+        cube = fc.cube_segment_vector(21)
+        sums = sum(square), sum(cube)
+        digests = (hashlib.sha256(bytes(square)).hexdigest(),
+                   hashlib.sha256(bytes(cube)).hexdigest())
+        del square, cube
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+    assert sums == (fc.sum_b_gamma(1, 22), fc.sum_d_gamma(21))
+    # the vectors as the fully memoised recursion built them
+    assert digests == (
+        "3f01b10fbffe1a56a23fbb59b790558d9045fd16ae53e551d8fbf2706ecf4285",
+        "8fe29db0ac188ccc2dda703e0d0c213b6cf7b2967e1a6be0413123e79ccb075c")
