@@ -250,6 +250,21 @@ def test_positions_row_cap(capsys):
     assert len(out.split()) == closed_forms.distinct_cubes(n)
 
 
+def test_listings_across_write_chunks(capsys):
+    # more lines than one chunk: the bytes one print per line would write
+    n = 20_000
+    code, out, _ = run(capsys, "positions", "--kind", "square", "--n", str(n))
+    ends = [e for e in range(1, n + 1) if closed_forms.a_indicator(e)]
+    assert len(ends) > 2 * cli._CHUNK
+    assert code == 0 and out == "".join(f"{e}\n" for e in ends)
+    lo, hi = 10**15, 10**15 + cli._CHUNK
+    code, out, _ = run(capsys, "table", "--from", str(lo), "--to", str(hi))
+    assert code == 0 and out == "n,A,B,C,D\n" + "".join(
+        f"{n},{closed_forms.distinct_squares(n)},{fast_count.algorithm_B(n)},"
+        f"{closed_forms.distinct_cubes(n)},{fast_count.algorithm_D(n)}\n"
+        for n in range(lo, hi + 1))
+
+
 def test_closed_stdout_exits_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "tribcount.cli", "positions", "--kind", "square",

@@ -1,11 +1,15 @@
 import hashlib
+import re
 import tracemalloc
+from bisect import bisect_right
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tribcount import fast_count as fc
-from tribcount.core_word import exact_div, kernel_number as k, prefix, trib_number as t
+from tribcount.core_word import (N_CAP, exact_div, kernel_number as k, prefix,
+                                 trib_number as t)
 
 import invariant_checks
 
@@ -298,6 +302,122 @@ def test_self_check_names_broken_cube_segment(field, message):
         fc._check_segments(broken, fc.CUBE_START)
 
 
+FLOOR_TOP = 3735  # last position of square order 13 and of cube order 13
+
+
+def _every_piece(seg):
+    """(segment, piece) for every segment above the floor, building the
+    pieces of each."""
+    top = len(seg.base) - 1
+    for s, row in enumerate(seg.rows):
+        if row[1] > top:
+            for piece in fc._segment_pieces(seg, s)[1]:
+                yield s, piece
+
+
+PIECE_FIELDS = ("lo", "hi", "shift", "next", "a", "b")
+
+
+def _with_wrong_piece(seg, s, field):
+    starts, pieces = fc._segment_pieces(seg, s)
+    first = list(pieces[0])
+    first[PIECE_FIELDS.index(field)] += 1
+    return starts, (tuple(first),) + pieces[1:]
+
+
+@pytest.mark.parametrize("field, message", [
+    ("lo", r"piece starts of square segment \(j=2, m=30\) do not match"),
+    ("shift", r"a piece of square segment \(j=2, m=30\) does not shift by "
+              r"its steps"),
+    ("next", r"a piece of square segment \(j=2, m=30\) does not land inside "
+             r"the segment it names"),
+])
+def test_self_check_names_broken_square_piece(field, message):
+    seg = fc._square_segments()
+    s = 3 * (30 - 4) + 3 - 2
+    with pytest.raises(RuntimeError, match=message):
+        fc._check_pieces(seg, s, _with_wrong_piece(seg, s, field))
+
+
+@pytest.mark.parametrize("field, message", [
+    ("lo", r"piece starts of cube segment m=40 do not match"),
+    ("shift", r"a piece of cube segment m=40 does not shift by its steps"),
+    ("next", r"a piece of cube segment m=40 does not land inside the "
+             r"segment it names"),
+])
+def test_self_check_names_broken_cube_piece(field, message):
+    seg = fc._cube_segments()
+    with pytest.raises(RuntimeError, match=message):
+        fc._check_pieces(seg, 40 - 7, _with_wrong_piece(seg, 40 - 7, field))
+
+
+def test_self_check_of_pieces_names_the_break():
+    seg = fc._square_segments()
+    s = 3 * (30 - 4) + 3 - 2
+    starts, pieces = fc._segment_pieces(seg, s)
+    lo, hi, shift, nxt, a, b = pieces[0]
+    i = starts.index(seg.rows[s][2])  # the first piece of the second child
+    cases = [
+        # starts moved along with the piece: the tiling breaks
+        ((lo + 1,) + starts[1:], ((lo + 1, hi, shift, nxt, a, b),)
+         + pieces[1:], "do not tile it"),
+        # the last piece dropped
+        (starts[:-1], pieces[:-1], "do not tile it"),
+        # a jump that lands in the floor while claiming a segment
+        (starts, ((lo, hi, shift, -1, a, b),) + pieces[1:],
+         "does not land inside the floor"),
+        # a jump to a segment past the last one, or to one in the floor
+        (starts, ((lo, hi, shift, len(seg.rows), a, b),) + pieces[1:],
+         "names no segment above the floor"),
+        (starts, ((lo, hi, shift, 0, a, b),) + pieces[1:],
+         "names no segment above the floor"),
+        # two pieces merged across the first child cut
+        (starts[:i] + starts[i + 1:],
+         pieces[:i - 1] + (pieces[i - 1][:1] + pieces[i][1:],)
+         + pieces[i + 1:], "leaves the child it was composed from"),
+    ]
+    for bad_starts, bad_pieces, message in cases:
+        with pytest.raises(RuntimeError,
+                           match=re.escape(seg.label(s)) + ".* " + message):
+            fc._check_pieces(seg, s, (bad_starts, bad_pieces))
+
+
+def _reference_walk(seg, n):
+    """The copy recursion one step at a time over ``seg.rows``: the counts
+    ending at n and at or before n, for n past the import-time table."""
+    top = len(seg.base) - 1
+    s = bisect_right(seg.lo, n) - 1
+    point = cumulative = 0
+    while n > top:
+        lo, hi, cut1, cut2, c, shift, inc_lo, inc_hi, delta = seg.rows[s]
+        assert lo <= n <= hi
+        point += inc_lo <= n <= inc_hi
+        cumulative += delta + max(0, min(n, inc_hi) - inc_lo + 1)
+        s = c + (n >= cut1) + (n >= cut2)
+        n -= shift
+    return point + seg.base[n], cumulative + seg.base_cum[n]
+
+
+def _two_level_walk(seg, n):
+    return fc._point(seg, n), fc._cumulative(seg, n)
+
+
+@pytest.mark.parametrize("tiling", ["square", "cube"])
+def test_jumps_match_one_step_walk_at_every_piece_end(tiling):
+    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    for _, (lo, hi, _, _, _, _) in _every_piece(seg):
+        for n in (lo - 1, lo, hi, hi + 1):
+            if n <= N_CAP:
+                assert _two_level_walk(seg, n) == _reference_walk(seg, n), n
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(min_value=FLOOR_TOP + 1, max_value=N_CAP))
+def test_jumps_match_one_step_walk(n):
+    for seg in (fc._square_segments(), fc._cube_segments()):
+        assert _two_level_walk(seg, n) == _reference_walk(seg, n)
+
+
 def test_segment_views_stop_at_the_cap():
     # the tables hold every order up to the one whose segments reach 10^18
     assert fc.square_gamma(1, 68).hi >= 10**18 > fc.square_gamma(1, 67).hi
@@ -308,22 +428,20 @@ def test_segment_views_stop_at_the_cap():
         fc.sum_d_gamma(69)
 
 
-FLOOR_TOP = 3735  # last position of square order 13 and of cube order 13
-
-
 def test_floors_extend_the_import_time_tables():
     for seg, small, cum in ((fc._square_segments(), fc._B_SMALL, fc._B_CUM),
                             (fc._cube_segments(), fc._D_SMALL, fc._D_CUM)):
-        assert seg.base[:len(small)] == small
-        assert seg.base_cum[:len(cum)] == cum
+        assert tuple(seg.base[:len(small)]) == tuple(small)
+        assert tuple(seg.base_cum[:len(cum)]) == tuple(cum)
         assert len(seg.base) == len(seg.base_cum) == FLOOR_TOP + 1
-        assert seg.base_cum == tuple(accumulate(seg.base))
+        assert tuple(seg.base_cum) == tuple(accumulate(seg.base))
     assert fc.square_gamma(1, 13).hi == fc.cube_gamma(13).hi == FLOOR_TOP
 
 
 def test_floors_match_oracle(scan5000):
-    assert fc._square_segments().base == scan5000.b[:FLOOR_TOP + 1]
-    assert fc._cube_segments().base == scan5000.d[:FLOOR_TOP + 1]
+    floor = slice(FLOOR_TOP + 1)
+    assert tuple(fc._square_segments().base) == tuple(scan5000.b[floor])
+    assert tuple(fc._cube_segments().base) == tuple(scan5000.d[floor])
 
 
 def test_counts_above_the_floor_match_oracle(scan5000):
