@@ -9,10 +9,9 @@ Exit codes: 0 success, 1 usage or range error, 2 verification failure.
 A process loads only what its command uses: ``count --stat A/C`` and
 ``positions`` import ``closed_forms``, ``count --stat B/D`` and ``positions
 --repeated`` import ``fast_count``, ``kernel`` neither, ``table`` and
-``verify`` both; only ``verify`` imports the brute-force ``oracle``, and
-``json`` is imported only for JSON output.  The arguments are parsed from
-one table of commands (``_COMMANDS``) rather than by argparse, whose import
-alone costs more than evaluating a count.
+``verify`` both; only ``verify`` imports the brute-force ``oracle``.  The
+arguments are parsed from one table of commands (``_COMMANDS``) rather than
+by argparse, whose import alone costs more than evaluating a count.
 """
 
 from __future__ import annotations
@@ -28,12 +27,18 @@ ROW_CAP = 10**6  # most rows ``table`` or ``positions`` will print
 _CHUNK = 4096  # lines per write of a streamed listing
 
 
+def _chunks(items):
+    """Lists of up to _CHUNK consecutive items of ``items``."""
+    items = iter(items)
+    while chunk := list(islice(items, _CHUNK)):
+        yield chunk
+
+
 def _write_lines(lines) -> None:
     """Write each string of ``lines`` and a newline, as ``print`` would,
     in joined chunks of _CHUNK lines: streamed, and cheaper than one
     ``print`` per line."""
-    lines = iter(lines)
-    while chunk := list(islice(lines, _CHUNK)):
+    for chunk in _chunks(lines):
         sys.stdout.write("\n".join(chunk) + "\n")
 
 
@@ -64,6 +69,8 @@ def cmd_count(opts) -> int:
 
 
 _COLUMNS = ("n", "A", "B", "C", "D")  # one table row: n and the four counts
+# one row as ``json.dumps`` writes the dict of its columns
+_JSON_ROW = "{%s}" % ", ".join(f'"{c}": %d' for c in _COLUMNS)
 
 
 def _rows(lo: int, hi: int):
@@ -87,8 +94,13 @@ def cmd_table(opts) -> int:
         print(",".join(_COLUMNS))
         _write_lines(f"{n},{a},{b},{c},{d}" for n, a, b, c, d in _rows(lo, hi))
     else:
-        import json
-        print(json.dumps([dict(zip(_COLUMNS, row)) for row in _rows(lo, hi)]))
+        # streamed: the bytes of ``json.dumps`` of the list of row dicts
+        sys.stdout.write("[")
+        lead = ""
+        for chunk in _chunks(_JSON_ROW % row for row in _rows(lo, hi)):
+            sys.stdout.write(lead + ", ".join(chunk))
+            lead = ", "
+        sys.stdout.write("]\n")
     return 0
 
 
@@ -98,13 +110,12 @@ def cmd_verify(opts) -> int:
         print("error: --max must be at least 1", file=sys.stderr)
         return 1
     from . import oracle
-    cap = oracle.oracle_cap()
     if exhaustive and max_n > oracle.EXHAUSTIVE_CAP:
         print(f"error: exhaustive verification capped at {oracle.EXHAUSTIVE_CAP}",
               file=sys.stderr)
         return 1
-    if max_n > cap:
-        print(f"error: verification capped at {cap} (set TRIB_ORACLE_CAP to raise)",
+    if max_n > oracle.ORACLE_CAP:
+        print(f"error: verification capped at {oracle.ORACLE_CAP}",
               file=sys.stderr)
         return 1
     summary = oracle.scan_repetitions(max_n, exhaustive=exhaustive)

@@ -8,12 +8,15 @@ exhaustive mode drops the restriction (and is what validates it).
 
 ``scan_repetitions`` returns its occurrences as columns, not one object per
 occurrence: the sorted end position of every square (cube) occurrence and,
-in a parallel list, its root length.
+in a parallel list, its root length.  An occurrence is the first of its
+factor iff it is longer than the longest suffix of the prefix ending there
+that also ends earlier, which one suffix automaton of the prefix gives at
+every position in linear memory (``_longest_previous``).
 """
 
 from __future__ import annotations
 
-import os
+from array import array
 
 from ._kernels import find_repetitions
 from .core_word import (
@@ -25,28 +28,13 @@ from .core_word import (
     trib_number,
 )
 
-ORACLE_CAP_DEFAULT = 5000
-EXHAUSTIVE_CAP = 600
-# Highest TRIB_ORACLE_CAP accepted.  A scan keeps one ``bytes`` slice per
-# distinct factor, so its memory grows quadratically: peak RSS ~1.5 GB at
-# n = 10^5 and ~7.7 GB at 3 * 10^5.
-_ORACLE_CAP_CEILING = 100_000
-
-
-def oracle_cap() -> int:
-    """Scan ceiling; TRIB_ORACLE_CAP overrides the default of 5000, up to
-    100 000."""
-    env = os.environ.get("TRIB_ORACLE_CAP")
-    if not env:
-        return ORACLE_CAP_DEFAULT
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if not 1 <= cap <= _ORACLE_CAP_CEILING:
-        raise ValueError(f"TRIB_ORACLE_CAP must be an integer in "
-                         f"[1, {_ORACLE_CAP_CEILING}], not {env!r}")
-    return cap
+# Longest prefix the oracle scans.  Its memory is linear in n, so the
+# caller's own n bounds the cost: ``verify --max 100000`` takes about 1 s at
+# 62 MB peak RSS (2-vCPU Xeon VM, Python 3.11).
+ORACLE_CAP = 100_000
+# Longest prefix scanned over every root length, whose time grows
+# quadratically: ``verify --max 10000 --exhaustive`` takes 0.6-0.9 s at 20 MB.
+EXHAUSTIVE_CAP = 10_000
 
 
 class RepetitionSummary(Record):
@@ -85,35 +73,83 @@ def _restricted_roots(n: int, power: int) -> list[int]:
     return roots
 
 
-def _collect(word_bytes: bytes, roots, power: int, n: int):
+def _longest_previous(word: bytes) -> array:
+    """lp[e] for e in 1..len(word) (lp[0] is 0): the length of the longest
+    suffix of word[:e] that also ends at some position before e.  ``word``
+    is over abc.
+
+    Builds the suffix automaton of ``word`` online (Blumer et al., TCS
+    1985): once letter e has joined, the state of the whole prefix links to
+    the state of its longest suffix that ends earlier too, so lp[e] is that
+    state's length.  Transitions (one column per letter of abc), links and
+    lengths are flat ``array('i')`` columns over at most 2 * len(word) states.
+    """
+    size = 2 * len(word) + 1
+    trans = [array("i", [-1]) * size for _ in range(3)]
+    link = array("i", [-1]) * size
+    length = array("i", bytes(4 * size))
+    lp = array("i", bytes(4 * (len(word) + 1)))
+    last, states = 0, 1
+    for e, letter in enumerate(word, 1):
+        to = trans[letter - 97]
+        cur = states
+        states += 1
+        length[cur] = length[last] + 1
+        p = last
+        while p >= 0 and to[p] < 0:
+            to[p] = cur
+            p = link[p]
+        if p < 0:
+            link[cur] = 0
+        else:
+            q = to[p]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                # split q: the clone keeps q's transitions at p's length + 1
+                clone = states
+                states += 1
+                length[clone] = length[p] + 1
+                for col in trans:
+                    col[clone] = col[q]
+                link[clone] = link[q]
+                while p >= 0 and to[p] == q:
+                    to[p] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+        lp[e] = length[link[cur]]
+    return lp
+
+
+def _collect(word_bytes: bytes, roots, power: int, n: int, lp):
     """Occurrences per end position, first occurrences per end position,
-    the number of distinct repetitions, and the end and root columns."""
+    the number of distinct repetitions, and the end and root columns.
+    ``lp`` is ``_longest_previous(word_bytes)``."""
     ends, root_lens = find_repetitions(word_bytes, roots, power)
     per_pos = [0] * (n + 1)
     new_at = [0] * (n + 1)
-    seen = set()
     for e, L in zip(ends, root_lens):
         per_pos[e] += 1
-        key = word_bytes[e - power * L:e]
-        if key not in seen:
-            seen.add(key)
+        if power * L > lp[e]:
             if new_at[e]:
                 raise AssertionError(
                     f"two new distinct repetitions end at {e}")
             new_at[e] = 1
-    return per_pos, new_at, len(seen), tuple(ends), tuple(root_lens)
+    return per_pos, new_at, sum(new_at), tuple(ends), tuple(root_lens)
 
 
 def scan_repetitions(n: int, exhaustive: bool = False) -> RepetitionSummary:
     """Enumerate all squares and cubes in the length-n prefix.
 
     ``exhaustive`` scans every root length instead of the restricted
-    families and is capped at 600.
+    families and is capped at ``EXHAUSTIVE_CAP``; otherwise n is capped at
+    ``ORACLE_CAP``.
     """
     if exhaustive:
         n = _arg(n, 1, EXHAUSTIVE_CAP, "exhaustive scan length")
     else:
-        n = _arg(n, 1, oracle_cap(), "oracle scan length")
+        n = _arg(n, 1, ORACLE_CAP, "oracle scan length")
     word_bytes = prefix(n).encode("ascii")
     if exhaustive:
         sq_roots = range(1, n // 2 + 1)
@@ -121,12 +157,24 @@ def scan_repetitions(n: int, exhaustive: bool = False) -> RepetitionSummary:
     else:
         sq_roots = _restricted_roots(n, 2)
         cu_roots = _restricted_roots(n, 3)
-    b, a, n_dist_sq, sq_ends, sq_lens = _collect(word_bytes, sq_roots, 2, n)
-    d, c, n_dist_cu, cu_ends, cu_lens = _collect(word_bytes, cu_roots, 3, n)
+    lp = _longest_previous(word_bytes)
+    b, a, n_dist_sq, sq_ends, sq_lens = _collect(word_bytes, sq_roots, 2, n, lp)
+    d, c, n_dist_cu, cu_ends, cu_lens = _collect(word_bytes, cu_roots, 3, n, lp)
     return RepetitionSummary(
         n, n_dist_sq, len(sq_ends), n_dist_cu, len(cu_ends),
         tuple(a), tuple(b), tuple(c), tuple(d),
         sq_ends, sq_lens, cu_ends, cu_lens)
+
+
+def _starts(hay: str, needle: str) -> list[int]:
+    """0-based start of every occurrence of needle in hay, ascending
+    (overlaps included)."""
+    out = []
+    i = hay.find(needle)
+    while i >= 0:
+        out.append(i)
+        i = hay.find(needle, i + 1)
+    return out
 
 
 def occurrences(w: str, n: int) -> list[int]:
@@ -134,16 +182,8 @@ def occurrences(w: str, n: int) -> list[int]:
     prefix, ascending (overlaps included)."""
     if not w:
         raise ValueError("empty factor")
-    hay = prefix(_arg(n, 0, oracle_cap(), "oracle scan length"))
-    out = []
-    start = 0
-    while True:
-        i = hay.find(w, start)
-        if i < 0:
-            break
-        out.append(i + len(w))
-        start = i + 1
-    return out
+    hay = prefix(_arg(n, 0, ORACLE_CAP, "oracle scan length"))
+    return [i + len(w) for i in _starts(hay, w)]
 
 
 def _steps(w: str, n: int) -> list[str]:
@@ -183,17 +223,6 @@ def gap_coding(w: str, n: int) -> str:
     return "".join(out)
 
 
-def _count_overlapping(hay: str, needle: str) -> int:
-    cnt = 0
-    start = 0
-    while True:
-        i = hay.find(needle, start)
-        if i < 0:
-            return cnt
-        cnt += 1
-        start = i + 1
-
-
 def kernel_of(w: str) -> int:
     """Order of the maximal kernel word occurring in the factor w."""
     if not w:
@@ -209,7 +238,7 @@ def kernel_of(w: str) -> int:
         m += 1
     if best == 0:
         raise ValueError(f"no kernel word inside {w!r}")
-    if _count_overlapping(w, kernel_word(best)) != 1:
+    if len(_starts(w, kernel_word(best))) != 1:
         raise AssertionError(
             f"maximal kernel word of order {best} occurs more than once")
     return best

@@ -141,9 +141,8 @@ def test_criterion_7_performance():
     print(f"criterion 7 PASS: B {tb * 1e6:.0f} us/call, D {td * 1e6:.0f} us/call at n~1e15")
 
 
-def test_criterion_8_property_suites(scan3000, monkeypatch):
+def test_criterion_8_property_suites(scan3000):
     invariant_checks.check_letter_count_identities(10_000)
-    monkeypatch.setenv("TRIB_ORACLE_CAP", "100000")
     invariant_checks.check_kernel_gap_coding(8, 100_000)
     invariant_checks.check_segment_tiling(40)
     invariant_checks.check_graph_embedding(scan3000, prefix(3000))

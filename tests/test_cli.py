@@ -65,6 +65,26 @@ def test_table_json_row_24(capsys):
     assert json.loads(out) == [{"n": 24, "A": 7, "B": 9, "C": 0, "D": 0}]
 
 
+def _json_table(lo, hi):
+    rows = [{"n": n, "A": closed_forms.distinct_squares(n),
+             "B": fast_count.algorithm_B(n), "C": closed_forms.distinct_cubes(n),
+             "D": fast_count.algorithm_D(n)} for n in range(lo, hi + 1)]
+    return json.dumps(rows) + "\n"
+
+
+@pytest.mark.parametrize("lo,hi,chunk", [
+    (0, 0, 3), (0, 2, 3), (0, 3, 3), (0, 10, 3), (10**18 - 4, 10**18, 2),
+    (1, 2 * cli._CHUNK + 1, cli._CHUNK),
+])
+def test_table_json_streams_the_bytes_of_json_dumps(capsys, monkeypatch,
+                                                    lo, hi, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    code, out, _ = run(capsys, "table", "--from", str(lo), "--to", str(hi),
+                       "--format", "json")
+    assert code == 0
+    assert out == _json_table(lo, hi)
+
+
 def test_table_csv_round_trip(capsys):
     code, out, _ = run(capsys, "table", "--from", "1", "--to", "60")
     assert code == 0
@@ -103,8 +123,11 @@ def test_verify_exhaustive(capsys):
 
 
 def test_verify_cap(capsys):
-    assert run(capsys, "verify", "--max", "5001")[0] == 1
-    assert run(capsys, "verify", "--max", "601", "--exhaustive")[0] == 1
+    code, _, err = run(capsys, "verify", "--max", str(oracle.ORACLE_CAP + 1))
+    assert code == 1
+    assert f"verification capped at {oracle.ORACLE_CAP}" in err
+    assert run(capsys, "verify", "--max", str(oracle.EXHAUSTIVE_CAP + 1),
+               "--exhaustive")[0] == 1
 
 
 def test_verify_reports_divergence(capsys, monkeypatch):
@@ -140,30 +163,17 @@ def test_positions_repeated_cube_500(capsys):
     assert [int(x) for x in out.split()] == invariant_checks.CUBE_ENDS_500_REPEATED
 
 
-def test_positions_indicator_mode(capsys, monkeypatch):
-    # positions answer from the formulas: the oracle cap, even a malformed
-    # one, changes nothing
-    for value in ("50", "abc", "0", "-5", "1.5"):
-        monkeypatch.setenv("TRIB_ORACLE_CAP", value)
-        code, out, _ = run(capsys, "positions", "--kind", "square", "--n", "65")
-        assert code == 0, value
-        assert [int(x) for x in out.split()] == invariant_checks.SQUARE_ENDS_65
-        code, out, _ = run(capsys, "positions", "--kind", "cube", "--n", "365")
-        assert code == 0, value
-        assert [int(x) for x in out.split()] == invariant_checks.CUBE_ENDS_365
-
-
-def test_positions_repeated_beyond_cap(capsys, monkeypatch):
-    monkeypatch.setenv("TRIB_ORACLE_CAP", "50")
-    code, out, _ = run(capsys, "positions", "--kind", "cube", "--n", "500",
-                       "--repeated")
+def test_positions_indicator_mode(capsys):
+    code, out, _ = run(capsys, "positions", "--kind", "square", "--n", "65")
     assert code == 0
-    assert [int(x) for x in out.split()] == invariant_checks.CUBE_ENDS_500_REPEATED
+    assert [int(x) for x in out.split()] == invariant_checks.SQUARE_ENDS_65
+    code, out, _ = run(capsys, "positions", "--kind", "cube", "--n", "365")
+    assert code == 0
+    assert [int(x) for x in out.split()] == invariant_checks.CUBE_ENDS_365
 
 
-def test_positions_match_oracle_past_default_cap(capsys, monkeypatch):
+def test_positions_match_oracle(capsys):
     n = 20_000
-    monkeypatch.delenv("TRIB_ORACLE_CAP", raising=False)
     printed = {}
     for kind in ("square", "cube"):
         for extra in ((), ("--repeated",)):
@@ -171,20 +181,11 @@ def test_positions_match_oracle_past_default_cap(capsys, monkeypatch):
                                str(n), *extra)
             assert code == 0, (kind, extra)
             printed[kind, bool(extra)] = [int(x) for x in out.split()]
-    monkeypatch.setenv("TRIB_ORACLE_CAP", str(n))
     summary = oracle.scan_repetitions(n)
     for kind, ends, vec in (("square", summary.squares, summary.a),
                             ("cube", summary.cubes, summary.c)):
         assert printed[kind, True] == list(ends), kind
         assert printed[kind, False] == [i for i in range(1, n + 1) if vec[i]], kind
-
-
-def test_malformed_oracle_cap(capsys, monkeypatch):
-    for value in ("abc", "0", "-5", "1.5", "100001"):
-        monkeypatch.setenv("TRIB_ORACLE_CAP", value)
-        code, out, err = run(capsys, "verify", "--max", "10")
-        assert code == 1 and out == "", value
-        assert "TRIB_ORACLE_CAP" in err and repr(value) in err, (value, err)
 
 
 def test_kernel_output(capsys):

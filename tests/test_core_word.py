@@ -184,13 +184,11 @@ def test_position_kernel_matches_scan():
             assert cw.position_kernel(m, p) == end, (m, p)
 
 
-def test_kernel_gap_coding(monkeypatch):
-    monkeypatch.setenv("TRIB_ORACLE_CAP", "100000")
+def test_kernel_gap_coding():
     invariant_checks.check_kernel_gap_coding(8, 100_000)
 
 
-def test_kernel_gaps_take_three_values(monkeypatch):
-    monkeypatch.setenv("TRIB_ORACLE_CAP", "100000")
+def test_kernel_gaps_take_three_values():
     for m in range(1, 9):
         lengths = oracle.gap_pattern(cw.kernel_word(m), 100_000)
         assert len(set(lengths)) <= 3

@@ -44,9 +44,7 @@ print(json.dumps(report))
 
 
 def _run(script, *argv):
-    env = {k: v for k, v in os.environ.items()
-           if k != "TRIB_ORACLE_CAP"}
-    env["PYTHONPATH"] = str(SRC)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -162,11 +162,12 @@ def test_orders_outside_range_name_the_value(fn, args, value):
     (cf.cube_boundaries, (69,), "69 outside [7, 68]"),
     (fc.phi, (69,), "69 outside [4, 68]"),
     (fc.square_gamma, (4, 10), "kind 4 outside [1, 3]"),
-    (oracle.scan_repetitions, (5001,), "5001 outside [1, 5000]"),
-    (oracle.assert_no_fourth_powers, (601,), "601 outside [1, 600]"),
+    (oracle.scan_repetitions, (oracle.ORACLE_CAP + 1,),
+     f"{oracle.ORACLE_CAP + 1} outside [1, {oracle.ORACLE_CAP}]"),
+    (oracle.assert_no_fourth_powers, (oracle.EXHAUSTIVE_CAP + 1,),
+     f"{oracle.EXHAUSTIVE_CAP + 1} outside [1, {oracle.EXHAUSTIVE_CAP}]"),
 ], ids=_name)
-def test_order_ranges(fn, args, message, monkeypatch):
-    monkeypatch.delenv("TRIB_ORACLE_CAP", raising=False)
+def test_order_ranges(fn, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         fn(*args)
 

@@ -1,6 +1,8 @@
 from collections import Counter
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tribcount import _kernels, closed_forms, fast_count, oracle
 from tribcount.core_word import prefix
@@ -68,7 +70,7 @@ def test_no_fourth_powers():
     assert oracle.assert_no_fourth_powers(100)
     assert oracle.assert_no_fourth_powers(600)
     with pytest.raises(ValueError):
-        oracle.assert_no_fourth_powers(601)
+        oracle.assert_no_fourth_powers(oracle.EXHAUSTIVE_CAP + 1)
 
 
 def _occurrences(s):
@@ -184,6 +186,46 @@ def test_scan_matches_direct_comparison():
             assert list(zip(ends, roots)) == [r for r in reference if r[0] <= n], (n, p)
 
 
+def _longest_previous_reference(word: bytes) -> list[int]:
+    # the definition: the longest suffix of word[:e] that also ends before
+    # e.  A suffix that ends earlier has shorter ones that do too, so the
+    # length is found by bisection.
+    out = [0]
+    for e in range(1, len(word) + 1):
+        lo, hi = 0, e - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if word.find(word[e - mid:e], 0, e - 1) >= 0:
+                lo = mid
+            else:
+                hi = mid - 1
+        out.append(lo)
+    return out
+
+
+def test_longest_previous_on_the_prefix():
+    word = prefix(2000).encode()
+    assert list(oracle._longest_previous(word)) == _longest_previous_reference(word)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.text(alphabet="abc", max_size=80))
+def test_longest_previous_on_random_words(word):
+    word = word.encode()
+    assert list(oracle._longest_previous(word)) == _longest_previous_reference(word)
+
+
+def test_formulas_equal_running_sums_at_the_cap():
+    n = oracle.ORACLE_CAP
+    s = oracle.scan_repetitions(n)
+    for fn, column in ((closed_forms.distinct_squares, s.a),
+                       (fast_count.algorithm_B, s.b),
+                       (closed_forms.distinct_cubes, s.c),
+                       (fast_count.algorithm_D, s.d)):
+        sums = list(accumulate(column))
+        assert [fn(i) for i in range(n + 1)] == sums, fn.__name__
+
+
 def test_scan_inputs():
     with pytest.raises(ValueError):
         _kernels.find_repetitions(b"abaab", [1], 1)
@@ -193,18 +235,10 @@ def test_scan_inputs():
     assert _kernels.find_repetitions(prefix(20).encode(), [7, 11], 3) == ([], [])
 
 
-def test_oracle_cap():
+def test_scan_caps():
     with pytest.raises(ValueError):
-        oracle.scan_repetitions(oracle.oracle_cap() + 1)
+        oracle.scan_repetitions(oracle.ORACLE_CAP + 1)
     with pytest.raises(ValueError):
-        oracle.scan_repetitions(601, exhaustive=True)
+        oracle.scan_repetitions(oracle.EXHAUSTIVE_CAP + 1, exhaustive=True)
     with pytest.raises(ValueError):
         oracle.scan_repetitions(0)
-
-
-def test_oracle_cap_env(monkeypatch):
-    monkeypatch.setenv("TRIB_ORACLE_CAP", "100")
-    assert oracle.oracle_cap() == 100
-    with pytest.raises(ValueError):
-        oracle.scan_repetitions(101)
-    oracle.scan_repetitions(100)
