@@ -9,14 +9,18 @@ Exit codes: 0 success, 1 usage or range error, 2 verification failure.
 A process loads only what its command uses: ``count --stat A/C`` and
 ``positions`` import ``closed_forms``, ``count --stat B/D`` and ``positions
 --repeated`` import ``fast_count``, ``kernel`` neither, ``table`` and
-``verify`` both; only ``verify`` imports the brute-force ``oracle``.  The
+``verify`` both; only ``verify`` imports the brute-force ``oracle``.  A
+stat's counting function is looked up among the package's names, which
+import its module on first use.  The commands hold no counting rule of
+their own: ``positions`` streams ``closed_forms.square_ends`` /
+``cube_ends``, or ``b_at`` / ``d_at`` with ``--repeated``, and the options
+are range-checked by ``core_word._arg``, whose error names the option.  The
 arguments are parsed from one table of commands (``_COMMANDS``) rather than
 by argparse, whose import alone costs more than evaluating a count.
 """
 
 from __future__ import annotations
 
-import importlib
 import os
 import sys
 from itertools import islice
@@ -42,23 +46,19 @@ def _write_lines(lines) -> None:
         sys.stdout.write("\n".join(chunk) + "\n")
 
 
-# stat letter -> counting function, filled by ``_stat`` on first use
+# stat letter -> counting function, filled by ``_stat`` on first use from
+# the function's name in the package
 _STATS = {}
-_STAT_HOMES = {
-    "A": ("closed_forms", "distinct_squares"),
-    "B": ("fast_count", "algorithm_B"),
-    "C": ("closed_forms", "distinct_cubes"),
-    "D": ("fast_count", "algorithm_D"),
-}
+_STAT_NAMES = {"A": "distinct_squares", "B": "algorithm_B",
+               "C": "distinct_cubes", "D": "algorithm_D"}
 
 
 def _stat(name: str):
-    """The counting function of stat A, B, C or D; the first call imports
-    its module."""
+    """The counting function of stat A, B, C or D, looked up among the
+    package's names, which import its module on first use."""
     fn = _STATS.get(name)
     if fn is None:
-        module, attr = _STAT_HOMES[name]
-        fn = getattr(importlib.import_module(f"{__package__}.{module}"), attr)
+        fn = getattr(sys.modules[__package__], _STAT_NAMES[name])
         _STATS[name] = fn
     return fn
 
@@ -80,15 +80,10 @@ def _rows(lo: int, hi: int):
 
 
 def cmd_table(opts) -> int:
-    lo, hi = opts["start"], opts["end"]
-    if lo < 0 or lo > hi:
-        print("error: need 0 <= --from <= --to", file=sys.stderr)
-        return 1
+    lo = core_word._arg(opts["start"], 0, core_word.N_CAP, "--from")
+    hi = core_word._arg(opts["end"], lo, core_word.N_CAP, "--to")
     if hi - lo + 1 > ROW_CAP:
         print("error: table range limited to 10^6 rows", file=sys.stderr)
-        return 1
-    if hi > core_word.N_CAP:
-        print(f"error: --to exceeds cap {core_word.N_CAP}", file=sys.stderr)
         return 1
     if opts["format"] == "csv":
         print(",".join(_COLUMNS))
@@ -105,19 +100,10 @@ def cmd_table(opts) -> int:
 
 
 def cmd_verify(opts) -> int:
-    max_n, exhaustive = opts["max"], opts["exhaustive"]
-    if max_n < 1:
-        print("error: --max must be at least 1", file=sys.stderr)
-        return 1
     from . import oracle
-    if exhaustive and max_n > oracle.EXHAUSTIVE_CAP:
-        print(f"error: exhaustive verification capped at {oracle.EXHAUSTIVE_CAP}",
-              file=sys.stderr)
-        return 1
-    if max_n > oracle.ORACLE_CAP:
-        print(f"error: verification capped at {oracle.ORACLE_CAP}",
-              file=sys.stderr)
-        return 1
+    exhaustive = opts["exhaustive"]
+    max_n = core_word._arg(opts["max"], 1, oracle.EXHAUSTIVE_CAP if exhaustive
+                           else oracle.ORACLE_CAP, "--max")
     summary = oracle.scan_repetitions(max_n, exhaustive=exhaustive)
     ok = True
     for name, vec in zip("ABCD", (summary.a, summary.b, summary.c, summary.d)):
@@ -150,11 +136,8 @@ def cmd_verify(opts) -> int:
 
 
 def cmd_positions(opts) -> int:
-    n, kind = opts["n"], opts["kind"]
-    if n < 0:
-        print("error: --n must be at least 0", file=sys.stderr)
-        return 1
-    repeated = opts["repeated"]
+    kind, repeated = opts["kind"], opts["repeated"]
+    n = core_word._arg(opts["n"], 0, core_word.N_CAP, "--n")
     stat = ("BD" if repeated else "AC")[kind == "cube"]
     rows = _stat(stat)(n)
     if rows > ROW_CAP:
@@ -167,35 +150,11 @@ def cmd_positions(opts) -> int:
         at = fast_count.b_at if kind == "square" else fast_count.d_at
         ends = (e for e in range(1, n + 1) for _ in range(at(e)))
     else:
-        ends = _indicator_positions(kind, n)
+        from . import closed_forms
+        ends = (closed_forms.square_ends if kind == "square"
+                else closed_forms.cube_ends)(n)
     _write_lines(map(str, ends))
     return 0
-
-
-def _indicator_positions(kind: str, n: int):
-    # stream the new-distinct-end intervals instead of scanning every i
-    from . import closed_forms
-    if kind == "square":
-        for e in (8, 10):
-            if e <= n:
-                yield e
-        m = 4
-        while True:
-            bd = closed_forms.square_boundaries(m)
-            if bd.alpha > n:
-                return
-            yield from range(bd.alpha, min(bd.beta, n) + 1)
-            if bd.gamma <= n:
-                yield from range(bd.gamma, min(bd.theta, n) + 1)
-            m += 1
-    else:
-        m = 7
-        while True:
-            bd = closed_forms.cube_boundaries(m)
-            if bd.alpha > n:
-                return
-            yield from range(bd.alpha, min(bd.beta, n) + 1)
-            m += 1
 
 
 def cmd_kernel(opts) -> int:

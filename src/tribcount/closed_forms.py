@@ -2,7 +2,8 @@
 
 ``distinct_squares``/``distinct_cubes`` evaluate piecewise formulas keyed on
 which boundary interval the prefix length falls in; the indicator functions
-tell whether a new distinct repetition ends at a given position.  The
+tell whether a new distinct repetition ends at a given position, and
+``square_ends``/``cube_ends`` stream the positions where they are 1.  The
 breakpoints of every order are tabulated, and checked, on first use, so an
 evaluation is one ``bisect`` for the order, a few comparisons and one
 closed form read off the block lengths.  The ``*_at_t`` variants are the
@@ -16,6 +17,7 @@ denominator and divided once with a remainder check.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 
 from .core_word import (
     _K,
@@ -104,16 +106,36 @@ def distinct_squares(n: int) -> int:
     return exact_div(2 * t1 + t2 + 3 * t3 - m - 6, 2)
 
 
+# the positions below 14 = 2 t_3, where order 4 starts, at which a new
+# square ends
+_FIRST_SQUARE_ENDS = (8, 10)
+
+
 def a_indicator(n: int) -> int:
     """1 iff a square not seen before ends exactly at position n."""
     if type(n) is not int or n < 1 or n > N_CAP:
         n = _arg(n, 1, N_CAP, "position")
     if n < 14:
-        return 1 if n in (8, 10) else 0
+        return 1 if n in _FIRST_SQUARE_ENDS else 0
     # n >= alpha = 2 t_{m-1} holds on the whole range of order m
     ends, bounds = _SQUARE_TABLE or _square_table()
     beta, gamma, theta = bounds[bisect_right(ends, n)]
     return 1 if n <= beta or gamma <= n <= theta else 0
+
+
+def square_ends(n: int):
+    """The positions e <= n with ``a_indicator(e) == 1``, ascending, streamed
+    from the breakpoints: [alpha, beta] and [gamma, theta] of each order."""
+    n = _arg(n, 0, N_CAP, "prefix length")
+    ends, bounds = _SQUARE_TABLE or _square_table()
+    # order 4 + i covers [alpha, 2 t_{4+i}) with alpha = 2 t_{3+i}, the end
+    # of the order below (14 for order 4); the orders above n's start past n
+    orders = zip((14,) + ends, bounds[:bisect_right(ends, n) + 1])
+    return chain((e for e in _FIRST_SQUARE_ENDS if e <= n),
+                 chain.from_iterable(
+                     range(start, min(stop, n) + 1)
+                     for alpha, (beta, gamma, theta) in orders
+                     for start, stop in ((alpha, beta), (gamma, theta))))
 
 
 def distinct_squares_at_t(m: int) -> int:
@@ -200,6 +222,18 @@ def c_indicator(n: int) -> int:
         return 0
     ends, betas = _CUBE_TABLE or _cube_table()
     return 1 if n <= betas[bisect_right(ends, n)] else 0
+
+
+def cube_ends(n: int):
+    """The positions e <= n with ``c_indicator(e) == 1``, ascending, streamed
+    from the breakpoints: [alpha, beta] of each order."""
+    n = _arg(n, 0, N_CAP, "prefix length")
+    ends, betas = _CUBE_TABLE or _cube_table()
+    # order 7 + i covers [alpha, t_{7+i} + 2 t_{4+i}) with alpha the end of
+    # the order below (58 for order 7); the orders above n's start past n
+    orders = zip((58,) + ends, betas[:bisect_right(ends, n) + 1])
+    return chain.from_iterable(range(alpha, min(beta, n) + 1)
+                               for alpha, beta in orders)
 
 
 def distinct_cubes_at_t(m: int) -> int:

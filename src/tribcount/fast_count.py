@@ -10,10 +10,11 @@ recursion goes from a segment of order m to a child of order m - j, j in
 steps per jump: each segment above the floor is cut into pieces over which
 both steps are fixed, so a jump is one ``bisect`` over the segment's piece
 starts and one addition.  At n drawn log-uniformly from 10^3 to 10^18 a
-call takes about 8.5 jumps, where one step per iteration took 16.4, and
-about 2-5 microseconds warm (README, "Arithmetic and speed").
-The walk stops at the floor: the per-position counts of the square orders
-4-13 and the cube orders 7-13, which both end at position 3735.
+call takes about 8.5 jumps and about 2-5 microseconds warm (README,
+"Arithmetic and speed").  The walk stops at the floor, the one table of
+small positions: the per-position counts of the square orders 4-13 and the
+cube orders 7-13, which both end at position 3735, and their prefix sums.
+Every n up to 3735 is read from it with no jump.
 
 The rows are built on first use and published only once they pass the
 self-check: the closed-form segment sums of the floor orders against direct
@@ -23,8 +24,9 @@ segment are composed from the rows the first time a descent reaches it
 (2 039 square and 697 cube pieces in all, about 580 KB) and stored only
 once they pass their own check: they tile the segment and every jump lands
 inside the segment it names.  A first call in a fresh process, rows, floor
-and the pieces on its path included, takes about 2-3 ms at n = 10^18.  A
-mismatch reports the offending segment and aborts.
+and the pieces on its path included, takes about 2-3 ms at n = 10^18; one
+at n <= 3735, even at n <= 51, builds the rows and the floor alone, in about
+1-2 ms.  A mismatch reports the offending segment and aborts.
 """
 
 from __future__ import annotations
@@ -94,10 +96,9 @@ _SQUARE_VECTOR_MAX = 2 + max(i for i in range(MAX_ORDER + 1)
                              if _T[i + _OFF] <= MATERIALIZE_CAP)
 _CUBE_VECTOR_MAX = _SQUARE_VECTOR_MAX - 1
 
-# Highest orders of the floor, the per-position table where descents stop:
-# both tilings end there at position 3735, within the default oracle cap.
-_SQUARE_FLOOR_ORDER = 13
-_CUBE_FLOOR_ORDER = 13
+# Highest order of the floor, the per-position table where descents stop:
+# both tilings end there at position 3735, within the oracle's cap.
+_FLOOR_ORDER = 13
 
 
 def _square_orders():
@@ -163,28 +164,8 @@ def cube_segment_vector(m: int) -> tuple[int, ...]:
     return next(islice(_cube_orders(), m - 7, None))
 
 
-def _base_tables(start, vectors):
-    """Per-position counts (as ``bytes``) and their prefix sums (as 64-bit
-    ``array``) up to the end of the given consecutive segments, the first of
-    which starts at ``start`` (nothing ends before it)."""
-    per = [0] * start
-    for vec in vectors:
-        per.extend(vec)
-    return bytes(per), array("q", accumulate(per))
-
-
 SQUARE_START = 8  # first position of the square tiling
 CUBE_START = 52   # first position of the cube tiling
-
-# the square segments of orders 4-6 and the cube segments of orders 7-9:
-# the import-time tables that answer n <= 51 and n <= 325
-_B_SMALL, _B_CUM = _base_tables(SQUARE_START, [
-    vec for vecs in islice(_square_orders(), 3) for vec in vecs])
-_D_SMALL, _D_CUM = _base_tables(CUBE_START, islice(_cube_orders(), 3))
-
-# last positions of the explicit tables: 51 and 325
-BASE_B_MAX = len(_B_SMALL) - 1
-BASE_D_MAX = len(_D_SMALL) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +274,9 @@ def _square_rows(m: int) -> list:
     return rows
 
 
-def _cube_row(m: int) -> tuple:
-    """Table row of cube segment m (see ``_square_rows``)."""
+def _cube_rows(m: int) -> list:
+    """Table row of cube segment m, the one segment of its order (see
+    ``_square_rows``)."""
     o = m + _OFF
     t0, t1, t2, t3, t4 = _T[o], _T[o - 1], _T[o - 2], _T[o - 3], _T[o - 4]
     lo = exact_div(t0 + t2 - 1, 2)
@@ -310,7 +292,7 @@ def _cube_row(m: int) -> tuple:
     cum = exact_div(m * (9 * t0 - 12 * t1 - 5 * t2)
                     + 12 * (-2 * t0 + 2 * t1 + t2) + 11 * m, 44)
     first = m - 10 if m >= 10 else -1  # children m-3, m-2, m-1 from order 10
-    return lo, hi, cut1, cut2, first, t1, eta1, eta2 - 1, total, cum
+    return [(lo, hi, cut1, cut2, first, t1, eta1, eta2 - 1, total, cum)]
 
 
 def _phi(m: int) -> int:
@@ -469,48 +451,53 @@ def _check_pieces(seg: _Segments, s: int, entry) -> None:
         raise RuntimeError(f"pieces of {name} do not tile it")
 
 
+def _build_segments(rows_of, m: int, vectors, start: int, label) -> _Segments:
+    """One tiling's tables: the rows ``rows_of(m)`` of every order from m
+    up to the one whose segments reach N_CAP, and the floor from
+    ``vectors``, the consecutive segment vectors from position ``start``
+    (nothing ends before it) to the floor's end, as ``bytes`` and a 64-bit
+    ``array`` of prefix sums; both self-checked (``_check_direct``,
+    ``_check_segments``)."""
+    rows = []
+    while not rows or rows[-1][1] < N_CAP:
+        rows += rows_of(m)
+        m += 1
+    per = [0] * start + [x for vec in vectors for x in vec]
+    seg = _Segments(rows, bytes(per), array("q", accumulate(per)), label)
+    _check_direct(seg, vectors)
+    _check_segments(seg, start)
+    return seg
+
+
 _SQUARES = None  # the square tables, once built and checked
 _CUBES = None    # the cube tables, once built and checked
 
 
 def _square_segments() -> _Segments:
-    """Build the square tables for every order up to the one that reaches
-    N_CAP, with the floor from the vectors of orders 4 to 13, and publish
-    them once the self-check passes.  Callers reach the tables as
+    """Build the square tables, with the floor from the vectors of orders 4
+    to _FLOOR_ORDER, check the segment totals of the floor orders against
+    ``_phi`` too, and publish them.  Callers reach the tables as
     ``_SQUARES or _square_segments()``."""
     global _SQUARES
-    rows, m = [], 3
-    while not rows or rows[-1][1] < N_CAP:
-        m += 1
-        rows += _square_rows(m)
-    orders = range(4, _SQUARE_FLOOR_ORDER + 1)
-    vectors = [vec for vecs in islice(_square_orders(), len(orders))
+    vectors = [vec for vecs in islice(_square_orders(), _FLOOR_ORDER - 3)
                for vec in vecs]
-    seg = _Segments(rows, *_base_tables(SQUARE_START, vectors),
-                    _square_label)
-    _check_direct(seg, vectors)
-    for m in orders:
+    seg = _build_segments(_square_rows, 4, vectors, SQUARE_START,
+                          _square_label)
+    for m in range(4, _FLOOR_ORDER + 1):
         if _phi(m) != sum(seg.sums[3 * (m - 4):3 * (m - 3)]):
             raise RuntimeError(f"segment total formula disagrees at m={m}")
-    _check_segments(seg, SQUARE_START)
     _SQUARES = seg
     return seg
 
 
 def _cube_segments() -> _Segments:
     """The cube counterpart of ``_square_segments``, with the floor from
-    the vectors of orders 7 to 13."""
+    the vectors of orders 7 to _FLOOR_ORDER."""
     global _CUBES
-    rows, m = [], 6
-    while not rows or rows[-1][1] < N_CAP:
-        m += 1
-        rows.append(_cube_row(m))
-    vectors = list(islice(_cube_orders(), _CUBE_FLOOR_ORDER - 6))
-    seg = _Segments(rows, *_base_tables(CUBE_START, vectors), _cube_label)
-    _check_direct(seg, vectors)
-    _check_segments(seg, CUBE_START)
-    _CUBES = seg
-    return seg
+    _CUBES = _build_segments(
+        _cube_rows, 7, list(islice(_cube_orders(), _FLOOR_ORDER - 6)),
+        CUBE_START, _cube_label)
+    return _CUBES
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +575,9 @@ def d_cum_at_gamma_max(m: int) -> int:
 
 
 def _point(seg: _Segments, n: int) -> int:
-    """Count ending exactly at n, for n past the import-time table: the
-    unit increments met on the way down the copy recursion, two steps per
-    jump, plus the floor entry reached."""
+    """Count ending exactly at n: the unit increments met on the way down
+    the copy recursion, two steps per jump, plus the floor entry reached:
+    the entry of n itself for every n up to the floor's end."""
     pieces, base = seg.pieces, seg.base
     top = len(base) - 1
     s = bisect_right(seg.lo, n) - 1
@@ -606,9 +593,9 @@ def _point(seg: _Segments, n: int) -> int:
 
 
 def _cumulative(seg: _Segments, n: int) -> int:
-    """Count ending at or before n, for n past the import-time table: the
-    terms a * n + b of the pieces met on the way down plus the floor's
-    prefix sum reached (see ``_segment_pieces``)."""
+    """Count ending at or before n: the terms a * n + b of the pieces met
+    on the way down plus the floor's prefix sum reached (see ``_point`` and
+    ``_segment_pieces``)."""
     pieces, base_cum = seg.pieces, seg.base_cum
     top = len(base_cum) - 1
     s = bisect_right(seg.lo, n) - 1
@@ -631,8 +618,6 @@ def b_at(n: int) -> int:
     """Number of square occurrences ending exactly at position n."""
     if type(n) is not int or n < 1 or n > N_CAP:
         n = _arg(n, 1, N_CAP, "position")
-    if n <= BASE_B_MAX:
-        return _B_SMALL[n]
     return _point(_SQUARES or _square_segments(), n)
 
 
@@ -640,8 +625,6 @@ def d_at(n: int) -> int:
     """Number of cube occurrences ending exactly at position n."""
     if type(n) is not int or n < 1 or n > N_CAP:
         n = _arg(n, 1, N_CAP, "position")
-    if n <= BASE_D_MAX:
-        return _D_SMALL[n]
     return _point(_CUBES or _cube_segments(), n)
 
 
@@ -653,8 +636,6 @@ def algorithm_B(n: int) -> int:
     """Number of repeated squares in the length-n prefix, O(log n)."""
     if type(n) is not int or n < 0 or n > N_CAP:
         n = _arg(n, 0, N_CAP, "prefix length")
-    if n <= BASE_B_MAX:
-        return _B_CUM[n]
     return _cumulative(_SQUARES or _square_segments(), n)
 
 
@@ -662,8 +643,6 @@ def algorithm_D(n: int) -> int:
     """Number of repeated cubes in the length-n prefix, O(log n)."""
     if type(n) is not int or n < 0 or n > N_CAP:
         n = _arg(n, 0, N_CAP, "prefix length")
-    if n <= BASE_D_MAX:
-        return _D_CUM[n]
     return _cumulative(_CUBES or _cube_segments(), n)
 
 

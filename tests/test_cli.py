@@ -125,7 +125,8 @@ def test_verify_exhaustive(capsys):
 def test_verify_cap(capsys):
     code, _, err = run(capsys, "verify", "--max", str(oracle.ORACLE_CAP + 1))
     assert code == 1
-    assert f"verification capped at {oracle.ORACLE_CAP}" in err
+    assert err == (f"error: --max {oracle.ORACLE_CAP + 1} outside "
+                   f"[1, {oracle.ORACLE_CAP}]\n")
     assert run(capsys, "verify", "--max", str(oracle.EXHAUSTIVE_CAP + 1),
                "--exhaustive")[0] == 1
 

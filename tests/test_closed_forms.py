@@ -1,7 +1,10 @@
+from bisect import bisect_right
+
 import pytest
 
 from tribcount import closed_forms as cf
 from tribcount import fast_count as fc
+from tribcount import oracle
 from tribcount.core_word import trib_number as t
 
 
@@ -165,3 +168,24 @@ def test_oracle_agreement(scan3000):
         acc_c += scan3000.c[n]
         assert cf.distinct_squares(n) == acc_a
         assert cf.distinct_cubes(n) == acc_c
+
+
+def test_ends_match_oracle():
+    top = 100_000
+    scan = oracle.scan_repetitions(top)
+    a = [e for e in range(1, top + 1) if scan.a[e]]
+    c = [e for e in range(1, top + 1) if scan.c[e]]
+    # around the breakpoints of every order that starts below 10^5
+    points = {0, 7, 8, 13, 14, 57, 58}
+    m = 4
+    while (bd := cf.square_boundaries(m)).alpha <= top:
+        points |= {bd.alpha - 1, bd.alpha, bd.beta, bd.beta + 1,
+                   bd.gamma - 1, bd.gamma, bd.theta, bd.theta + 1}
+        m += 1
+    m = 7
+    while (bd := cf.cube_boundaries(m)).alpha <= top:
+        points |= {bd.alpha - 1, bd.alpha, bd.beta, bd.beta + 1}
+        m += 1
+    for n in sorted(p for p in points if p <= top):
+        assert list(cf.square_ends(n)) == a[:bisect_right(a, n)], n
+        assert list(cf.cube_ends(n)) == c[:bisect_right(c, n)], n

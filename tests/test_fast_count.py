@@ -1,8 +1,12 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,13 +19,30 @@ import invariant_checks
 
 
 def test_base_square_table_matches_enumeration():
-    assert list(fc._B_SMALL[1:]) == invariant_checks.B_SMALL_1_51
+    base = fc._square_segments().base
+    assert list(base[1:52]) == invariant_checks.B_SMALL_1_51
 
 
 def test_base_cube_table():
-    nonzero = {i: v for i, v in enumerate(fc._D_SMALL) if v}
+    base = fc._cube_segments().base
+    nonzero = {i: v for i, v in enumerate(base[:326]) if v}
     assert nonzero == {58: 1, 107: 1, 108: 1, 139: 1, 197: 1, 198: 1,
                        199: 1, 200: 1, 207: 1, 256: 1, 257: 1, 288: 1}
+
+
+@pytest.mark.parametrize("call", ["b_at(1)", "d_at(51)", "algorithm_B(0)",
+                                  "algorithm_D(7)"])
+def test_first_call_below_the_tilings(call):
+    # in a fresh process, before either table exists: positions below a
+    # tiling's start lie before its first segment and read the floor
+    script = ("from tribcount import fast_count as fc\n"
+              "assert fc._SQUARES is None and fc._CUBES is None\n"
+              f"print(fc.{call})\n"
+              "assert (fc._SQUARES or fc._CUBES) is not None")
+    env = dict(os.environ, PYTHONPATH=str(Path(fc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_segment_tiling():
@@ -384,7 +405,7 @@ def test_self_check_of_pieces_names_the_break():
 
 def _reference_walk(seg, n):
     """The copy recursion one step at a time over ``seg.rows``: the counts
-    ending at n and at or before n, for n past the import-time table."""
+    ending at n and at or before n, for n past the floor."""
     top = len(seg.base) - 1
     s = bisect_right(seg.lo, n) - 1
     point = cumulative = 0
@@ -428,11 +449,8 @@ def test_segment_views_stop_at_the_cap():
         fc.sum_d_gamma(69)
 
 
-def test_floors_extend_the_import_time_tables():
-    for seg, small, cum in ((fc._square_segments(), fc._B_SMALL, fc._B_CUM),
-                            (fc._cube_segments(), fc._D_SMALL, fc._D_CUM)):
-        assert tuple(seg.base[:len(small)]) == tuple(small)
-        assert tuple(seg.base_cum[:len(cum)]) == tuple(cum)
+def test_floors_end_together_with_their_prefix_sums():
+    for seg in (fc._square_segments(), fc._cube_segments()):
         assert len(seg.base) == len(seg.base_cum) == FLOOR_TOP + 1
         assert tuple(seg.base_cum) == tuple(accumulate(seg.base))
     assert fc.square_gamma(1, 13).hi == fc.cube_gamma(13).hi == FLOOR_TOP

@@ -18,9 +18,11 @@ from tribcount.core_word import Record
 COUNTERS = [cf.distinct_squares, cf.distinct_cubes, fc.algorithm_B,
             fc.algorithm_D, fc.b_at, fc.d_at, cf.a_indicator, cf.c_indicator]
 PUBLIC = COUNTERS + [cw.letter_at]
+# streams of positions, checked when called, not at their first item
+ENDS = [cf.square_ends, cf.cube_ends]
 
 
-@pytest.mark.parametrize("fn", PUBLIC, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("fn", PUBLIC + ENDS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("bad", [10.5, 5.0, 60.0, True, False, "10", None],
                          ids=repr)
 def test_rejects_non_integers(fn, bad):
@@ -51,7 +53,7 @@ def test_positions_outside_range(fn, n):
         fn(n)
 
 
-@pytest.mark.parametrize("fn", COUNTERS[:4], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("fn", COUNTERS[:4] + ENDS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("n", [-1, 10**18 + 1, 10**40])
 def test_prefix_lengths_outside_range(fn, n):
     message = rf"prefix length {n} outside \[0, {10**18}\]"
