@@ -13,8 +13,9 @@ A process loads only what its command uses: ``count --stat A/C`` and
 stat's counting function is looked up among the package's names, which
 import its module on first use.  The commands hold no counting rule of
 their own: ``positions`` streams ``closed_forms.square_ends`` /
-``cube_ends``, or ``b_at`` / ``d_at`` with ``--repeated``, and the options
-are range-checked by ``core_word._arg``, whose error names the option.  The
+``cube_ends``, or with ``--repeated`` the per-position counts that
+``fast_count`` copies along its segment rows, and the options are
+range-checked by ``core_word._arg``, whose error names the option.  The
 arguments are parsed from one table of commands (``_COMMANDS``) rather than
 by argparse, whose import alone costs more than evaluating a count.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice, repeat
 
 from . import core_word
 
@@ -144,11 +145,13 @@ def cmd_positions(opts) -> int:
         print(f"error: {rows} {kind} positions up to n={n} exceed "
               f"the limit of 10^6 rows", file=sys.stderr)
         return 1
-    # streamed, not held: each end once, or once per occurrence ending there
+    # streamed: each end once, or once per occurrence ending there, read
+    # from the counts at 0..n, n + 1 bytes (the row cap bounds n)
     if repeated:
         from . import fast_count
-        at = fast_count.b_at if kind == "square" else fast_count.d_at
-        ends = (e for e in range(1, n + 1) for _ in range(at(e)))
+        per = (fast_count._square_counts if kind == "square"
+               else fast_count._cube_counts)(n)
+        ends = chain.from_iterable(map(repeat, range(n + 1), per))
     else:
         from . import closed_forms
         ends = (closed_forms.square_ends if kind == "square"

@@ -16,24 +16,28 @@ small positions: the per-position counts of the square orders 4-13 and the
 cube orders 7-13, which both end at position 3735, and their prefix sums.
 Every n up to 3735 is read from it with no jump.
 
-The rows are built on first use and published only once they pass the
-self-check: the closed-form segment sums of the floor orders against direct
-summation of the materialized segments the floor is made of, and the
-tiling, chaining and copy identities at every order.  The pieces of a
-segment are composed from the rows the first time a descent reaches it
-(2 039 square and 697 cube pieces in all, about 580 KB) and stored only
-once they pass their own check: they tile the segment and every jump lands
-inside the segment it names.  A first call in a fresh process, rows, floor
-and the pieces on its path included, takes about 2-3 ms at n = 10^18; one
-at n <= 3735, even at n <= 51, builds the rows and the floor alone, in about
-1-2 ms.  A mismatch reports the offending segment and aborts.
+The rows are the one statement of the copy recursion: the floor, the
+segment vectors and ``positions --repeated`` are copied along them
+(``_counts``).  They are built on first use and published only once they
+pass the self-check: the tiling, chaining and copy identities at every
+order, every segment with children lined up with them, and, at every
+segment inside the floor, the closed-form cumulative count against the
+floor's prefix sum, which the copy built without the closed forms.  The
+pieces of a segment are composed from the rows the first time a descent
+reaches it (2 039 square and 697 cube pieces in all, about 580 KB) and
+stored only once they pass their own check: they tile the segment and
+every jump lands inside the segment it names.  A first call in a fresh
+process, rows, floor and the pieces on its path included, takes about 2-3
+ms at n = 10^18; one at n <= 3735, even at n <= 51, builds the rows and
+the floor alone, in about 1-2 ms.  A mismatch reports the offending
+segment and aborts.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, count, islice
+from itertools import accumulate
 
 from .core_word import (
     _K,
@@ -45,7 +49,6 @@ from .core_word import (
     Record,
     _arg,
     exact_div,
-    kernel_number as _k,
     position_kernel,
     trib_number as _t,
 )
@@ -70,7 +73,7 @@ class CubeGamma(Record):
 
 
 # ---------------------------------------------------------------------------
-# materialized segment vectors (base data and test/validation route)
+# the explicit low-order segments, the vector bounds and the floor order
 
 _B_EXPLICIT = {
     (3, 4): (1,),
@@ -99,70 +102,6 @@ _CUBE_VECTOR_MAX = _SQUARE_VECTOR_MAX - 1
 # Highest order of the floor, the per-position table where descents stop:
 # both tilings end there at position 3735, within the oracle's cap.
 _FLOOR_ORDER = 13
-
-
-def _square_orders():
-    """Square segment vectors order by order from 4 on: yields the triple
-    of vectors (3, m), (2, m), (1, m) of each order m, holding only the
-    last three orders, which the next order is copied from."""
-    last = {}
-    for m in count(4):
-        last[m] = tuple(_B_EXPLICIT.get((j, m))
-                        or _square_copy(j, m, *last[m - j])
-                        for j in (3, 2, 1))
-        last.pop(m - 3, None)
-        yield last[m]
-
-
-def _square_copy(j: int, m: int, v3, v2, v1) -> tuple[int, ...]:
-    """Square segment vector (j, m) from those of its children (3, m - j),
-    (2, m - j) and (1, m - j)."""
-    body = v3 + v2 + v1
-    if j == 3:  # unit increments at the head
-        ones = _t(m - 4) - _k(m - 3) + 1
-        return tuple(x + 1 for x in body[:ones]) + body[ones:]
-    cut = len(body) - _k(m) + 1  # k_m - 1 unit increments at the tail
-    return body[:cut] + tuple(x + 1 for x in body[cut:])
-
-
-def square_segment_vector(j: int, m: int) -> tuple[int, ...]:
-    """Per-position square-end counts across one segment, materialized by
-    the copy-and-increment recursion.  Grows like t_m, so the order stops
-    where the vector would pass MATERIALIZE_CAP entries; for tests and the
-    closed-form self-check, not the fast path.  Nothing stays cached."""
-    j = _arg(j, 1, 3, "square segment kind")
-    m = _arg(m, 4, _SQUARE_VECTOR_MAX, "square segment order")
-    if (j, m) in _B_EXPLICIT:
-        return _B_EXPLICIT[(j, m)]
-    # copied from the children's order alone: the other two segments of
-    # order m are never built
-    return _square_copy(j, m, *next(islice(_square_orders(), m - j - 4, None)))
-
-
-def _cube_orders():
-    """Cube segment vectors order by order from 7 on (see
-    ``_square_orders``)."""
-    last = ()
-    for m in count(7):
-        vec = _D_EXPLICIT.get(m) or _cube_copy(m, *last)
-        last = last[-2:] + (vec,)
-        yield vec
-
-
-def _cube_copy(m: int, v3, v2, v1) -> tuple[int, ...]:
-    """Cube segment vector m from those of orders m - 3, m - 2, m - 1."""
-    body = v3 + v2 + v1
-    a = exact_div(-_t(m - 2) + 5 * _t(m - 4) + 1, 2)
-    b = a + exact_div(_t(m - 2) - 3 * _t(m - 4) - 1, 2)
-    return body[:a] + tuple(x + 1 for x in body[a:b]) + body[b:]
-
-
-def cube_segment_vector(m: int) -> tuple[int, ...]:
-    """Per-position cube-end counts across one segment (see
-    ``square_segment_vector``)."""
-    m = _arg(m, 7, _CUBE_VECTOR_MAX, "cube segment order")
-    return next(islice(_cube_orders(), m - 7, None))
-
 
 SQUARE_START = 8  # first position of the square tiling
 CUBE_START = 52   # first position of the cube tiling
@@ -302,35 +241,19 @@ def _phi(m: int) -> int:
     return exact_div(num, 44)
 
 
-def _check_direct(seg: _Segments, vectors) -> None:
-    """Closed-form sums and cumulative counts of the first segments against
-    direct summation of their materialized vectors."""
-    running = 0
-    for s, vec in enumerate(vectors):
-        direct = sum(vec)
-        if seg.sums[s] != direct:
-            raise RuntimeError(
-                f"segment sum formula disagrees with direct summation "
-                f"at {seg.label(s)}: {seg.sums[s]} != {direct}")
-        running += direct
-        if seg.cums[s] != running:
-            raise RuntimeError(
-                f"cumulative formula disagrees at {seg.label(s)}: "
-                f"{seg.cums[s]} != {running}")
-
-
 def _check_segments(seg: _Segments, start: int) -> None:
     """Raise RuntimeError, naming the segment, unless the tables tile the
     positions from ``start`` on without gap or overlap, the floor ends on a
     segment boundary, each cumulative count is the previous one plus the
-    segment total, every segment with children totals its three children
-    plus the unit increments inside it, and every segment past the floor is
-    the shifted copy of its three children that the descents walk."""
-    rows, sums = seg.rows, seg.sums
+    segment total and, inside the floor, the floor's prefix sum, every
+    segment with children totals them plus the unit increments inside it
+    and is the shifted copy of them that the floor is copied along and the
+    descents walk, and every segment past the floor has children."""
+    rows, sums, base_cum = seg.rows, seg.sums, seg.base_cum
     top = len(seg.base) - 1
     if not any(row[1] == top for row in rows):
         raise RuntimeError(f"the base table ends at {top}, inside a segment")
-    prev_hi, prev_cum = start - 1, seg.base_cum[start - 1]
+    prev_hi, prev_cum = start - 1, base_cum[start - 1]
     for s, ((l, h, c1, c2, c, d, a, b, _), total, cum) in enumerate(zip(
             rows, sums, seg.cums)):
         if l != prev_hi + 1:
@@ -341,14 +264,18 @@ def _check_segments(seg: _Segments, start: int) -> None:
             raise RuntimeError(
                 f"cumulative chaining broken at {seg.label(s)}: "
                 f"{cum} != {prev_cum} + {total}")
+        if h <= top and cum != base_cum[h]:
+            raise RuntimeError(
+                f"cumulative count at {seg.label(s)} disagrees with the "
+                f"floor: {cum} != {base_cum[h]}")
         if c >= 0 and not (l <= a and b <= h and total == sums[c]
                            + sums[c + 1] + sums[c + 2] + max(0, b - a + 1)):
             raise RuntimeError(
                 f"unit increments of {seg.label(s)} do not complete the "
                 f"copy of its children")
-        if h > top and (c < 0 or (rows[c][0], rows[c + 1][0], rows[c + 2][0],
-                                  rows[c + 2][1])
-                        != (l - d, c1 - d, c2 - d, h - d)):
+        if (c < 0 and h > top) or (c >= 0 and (
+                rows[c][0], rows[c + 1][0], rows[c + 2][0], rows[c + 2][1])
+                != (l - d, c1 - d, c2 - d, h - d)):
             raise RuntimeError(
                 f"child segments do not line up with the cuts of "
                 f"{seg.label(s)}")
@@ -451,20 +378,46 @@ def _check_pieces(seg: _Segments, s: int, entry) -> None:
         raise RuntimeError(f"pieces of {name} do not tile it")
 
 
-def _build_segments(rows_of, m: int, vectors, start: int, label) -> _Segments:
-    """One tiling's tables: the rows ``rows_of(m)`` of every order from m
-    up to the one whose segments reach N_CAP, and the floor from
-    ``vectors``, the consecutive segment vectors from position ``start``
-    (nothing ends before it) to the floor's end, as ``bytes`` and a 64-bit
-    ``array`` of prefix sums; both self-checked (``_check_direct``,
-    ``_check_segments``)."""
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+
+
+def _counts(rows, explicit, n: int) -> bytearray:
+    """The counts ending at positions 0 to n, copied along the ``rows`` of
+    one tiling in tiling order: a segment without children is the next
+    vector of ``explicit``, any other the counts of its children one
+    ``shift`` back plus one over its unit increments [inc_lo, inc_hi].  A
+    count past 255 raises: ``_PLUS_ONE`` wraps it to 0."""
+    per = bytearray(rows[0][0])  # nothing ends before the first segment
+    vectors = iter(explicit.values())
+    for row in rows:
+        if len(per) > n:
+            break
+        lo, hi, _, _, first, shift, inc_lo, inc_hi = row[:8]
+        if first < 0:
+            per += bytes(next(vectors))
+            continue
+        per += per[lo - shift:min(hi, n) + 1 - shift]
+        block = per[inc_lo:inc_hi + 1].translate(_PLUS_ONE)
+        if 0 in block:
+            raise RuntimeError(f"a count in [{inc_lo}, {inc_hi}] passes 255")
+        per[inc_lo:inc_hi + 1] = block
+    del per[n + 1:]
+    return per
+
+
+def _build_segments(rows_of, m, explicit, start, label) -> _Segments:
+    """One tiling's tables, self-checked: the rows ``rows_of(m)`` of every
+    order from m up to the one whose segments reach N_CAP, and the floor
+    copied along them to the end of order _FLOOR_ORDER (``_counts``), as
+    ``bytes`` and a 64-bit ``array`` of prefix sums."""
     rows = []
     while not rows or rows[-1][1] < N_CAP:
         rows += rows_of(m)
+        if m == _FLOOR_ORDER:
+            top = rows[-1][1]
         m += 1
-    per = [0] * start + [x for vec in vectors for x in vec]
+    per = _counts(rows, explicit, top)
     seg = _Segments(rows, bytes(per), array("q", accumulate(per)), label)
-    _check_direct(seg, vectors)
     _check_segments(seg, start)
     return seg
 
@@ -474,14 +427,11 @@ _CUBES = None    # the cube tables, once built and checked
 
 
 def _square_segments() -> _Segments:
-    """Build the square tables, with the floor from the vectors of orders 4
-    to _FLOOR_ORDER, check the segment totals of the floor orders against
-    ``_phi`` too, and publish them.  Callers reach the tables as
-    ``_SQUARES or _square_segments()``."""
+    """Build the square tables, check the segment totals of the floor
+    orders against ``_phi`` too, and publish them.  Callers reach the
+    tables as ``_SQUARES or _square_segments()``."""
     global _SQUARES
-    vectors = [vec for vecs in islice(_square_orders(), _FLOOR_ORDER - 3)
-               for vec in vecs]
-    seg = _build_segments(_square_rows, 4, vectors, SQUARE_START,
+    seg = _build_segments(_square_rows, 4, _B_EXPLICIT, SQUARE_START,
                           _square_label)
     for m in range(4, _FLOOR_ORDER + 1):
         if _phi(m) != sum(seg.sums[3 * (m - 4):3 * (m - 3)]):
@@ -491,13 +441,21 @@ def _square_segments() -> _Segments:
 
 
 def _cube_segments() -> _Segments:
-    """The cube counterpart of ``_square_segments``, with the floor from
-    the vectors of orders 7 to _FLOOR_ORDER."""
+    """The cube counterpart of ``_square_segments``."""
     global _CUBES
-    _CUBES = _build_segments(
-        _cube_rows, 7, list(islice(_cube_orders(), _FLOOR_ORDER - 6)),
-        CUBE_START, _cube_label)
+    _CUBES = _build_segments(_cube_rows, 7, _D_EXPLICIT, CUBE_START,
+                             _cube_label)
     return _CUBES
+
+
+def _square_counts(n: int) -> bytearray:
+    """The square-end counts at positions 0 to n (see ``_counts``)."""
+    return _counts((_SQUARES or _square_segments()).rows, _B_EXPLICIT, n)
+
+
+def _cube_counts(n: int) -> bytearray:
+    """The cube-end counts at positions 0 to n (see ``_counts``)."""
+    return _counts((_CUBES or _cube_segments()).rows, _D_EXPLICIT, n)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +526,25 @@ def d_cum_at_gamma_max(m: int) -> int:
     segment."""
     seg, s = _cube_entry(m)
     return seg.cums[s]
+
+
+def square_segment_vector(j: int, m: int) -> tuple[int, ...]:
+    """Per-position square-end counts across one segment, copied along the
+    segment rows (``_counts``).  Grows like t_m, so the order stops where
+    the vector would pass MATERIALIZE_CAP entries; for tests, not the fast
+    path.  Nothing stays cached."""
+    j = _arg(j, 1, 3, "square segment kind")
+    m = _arg(m, 4, _SQUARE_VECTOR_MAX, "square segment order")
+    g = square_gamma(j, m)
+    return tuple(_square_counts(g.hi)[g.lo:])
+
+
+def cube_segment_vector(m: int) -> tuple[int, ...]:
+    """Per-position cube-end counts across one segment (see
+    ``square_segment_vector``)."""
+    m = _arg(m, 7, _CUBE_VECTOR_MAX, "cube segment order")
+    g = cube_gamma(m)
+    return tuple(_cube_counts(g.hi)[g.lo:])
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +634,6 @@ def square_case_block(j: int, m: int, p: int) -> range:
     occurrence p."""
     j = _arg(j, 1, 3, "square segment kind")
     m = _arg(m, 4, MAX_ORDER, "kernel order")
-    pos = position_kernel(m, p)
-    t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
-    if j == 1:
-        start = pos + exact_div(-t0 + 4 * t1 - t2 + 1, 2)
-        size = _k(m) - 1
-    elif j == 2:
-        start = pos + exact_div(-t0 + 4 * t1 - 3 * t2 + 1, 2)
-        size = _k(m) - 1
-    else:
-        start = pos
-        size = _t(m - 4) - _k(m - 3) + 1
-    return range(start, start + size)
+    shift = position_kernel(m, p) - position_kernel(m, 1)
+    inc_lo, inc_hi = _square_rows(m)[3 - j][6:8]
+    return range(inc_lo + shift, inc_hi + 1 + shift)

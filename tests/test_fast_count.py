@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from bisect import bisect_right
 from itertools import accumulate
 from pathlib import Path
@@ -281,9 +282,15 @@ ROW_FIELDS = ("lo", "hi", "cut1", "cut2", "first", "shift", "inc_lo",
               "inc_hi", "sums", "cums")
 
 
-def _with_wrong_entry(seg, s, field):
-    rows = [list(row[:8]) + [total, cum]
+def _table_rows(seg):
+    """The rows as ``fc._Segments`` takes them, total and cumulative count
+    in place of ``delta``."""
+    return [list(row[:8]) + [total, cum]
             for row, total, cum in zip(seg.rows, seg.sums, seg.cums)]
+
+
+def _with_wrong_entry(seg, s, field):
+    rows = _table_rows(seg)
     rows[s][ROW_FIELDS.index(field)] += 1
     return fc._Segments(rows, seg.base, seg.base_cum, seg.label)
 
@@ -321,6 +328,48 @@ def test_self_check_names_broken_cube_segment(field, message):
     broken = _with_wrong_entry(seg, 40 - 7, field)
     with pytest.raises(RuntimeError, match=message):
         fc._check_segments(broken, fc.CUBE_START)
+
+
+@pytest.mark.parametrize("tiling, s, field", [
+    ("square", 3 * (10 - 4) + 3 - 2, "cut1"),
+    ("square", 3 * (10 - 4) + 3 - 2, "shift"),
+    ("cube", 12 - 7, "cut1"),
+    ("cube", 12 - 7, "shift"),
+])
+def test_self_check_lines_up_segments_inside_the_floor(tiling, s, field):
+    # the floor is copied along the children of its segments too
+    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    assert seg.rows[s][1] < FLOOR_TOP
+    with pytest.raises(RuntimeError, match="child segments do not line up "
+                       "with the cuts of " + re.escape(seg.label(s))):
+        fc._check_segments(_with_wrong_entry(seg, s, field), seg.lo[0])
+
+
+@pytest.mark.parametrize("tiling", ["square", "cube"])
+def test_self_check_names_the_segment_that_disagrees_with_the_floor(tiling):
+    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    base = bytearray(seg.base)
+    base[1000] += 1
+    broken = fc._Segments(_table_rows(seg), bytes(base),
+                          array("q", accumulate(base)), seg.label)
+    s = bisect_right(seg.lo, 1000) - 1
+    with pytest.raises(RuntimeError, match="cumulative count at "
+                       + re.escape(seg.label(s)) + " disagrees with the "
+                       "floor"):
+        fc._check_segments(broken, seg.lo[0])
+
+
+def test_copied_counts_never_wrap():
+    # one explicit segment at 255 and a copy of it with a unit increment
+    rows = [(0, 0, 0, 0, -1, 0, 0, -1), (1, 1, 1, 1, 0, 1, 1, 1)]
+    assert fc._counts(rows[:1], {0: (255,)}, 0) == bytearray(b"\xff")
+    with pytest.raises(RuntimeError, match=r"a count in \[1, 1\] passes 255"):
+        fc._counts(rows, {0: (255,)}, 1)
+
+
+def test_vectors_at_the_materialization_cap_sum_to_the_closed_forms():
+    assert sum(fc.square_segment_vector(1, 28)) == fc.sum_b_gamma(1, 28)
+    assert sum(fc.cube_segment_vector(27)) == fc.sum_d_gamma(27)
 
 
 FLOOR_TOP = 3735  # last position of square order 13 and of cube order 13
