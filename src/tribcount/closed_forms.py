@@ -25,23 +25,10 @@ from .core_word import (
     _T,
     MAX_ORDER,
     N_CAP,
-    Record,
     _arg,
     exact_div,
     trib_number as _t,
 )
-
-
-class SquareBoundaries(Record):
-    """Breakpoints of the distinct-square count between consecutive
-    doubled block lengths."""
-    __slots__ = ("m", "alpha", "beta", "gamma", "theta")
-
-
-class CubeBoundaries(Record):
-    """First and last position at which a new distinct cube of the m-th
-    generation ends."""
-    __slots__ = ("m", "alpha", "beta")
 
 
 _SQUARE_TABLE = None  # (ends, bounds), once built
@@ -70,15 +57,6 @@ def _square_table():
         bounds.append((beta, gamma, theta))
     _SQUARE_TABLE = tuple(ends), tuple(bounds)
     return _SQUARE_TABLE
-
-
-def square_boundaries(m: int) -> SquareBoundaries:
-    """Breakpoints of the distinct-square count on [2 t_{m-1}, 2 t_m)."""
-    bounds = (_SQUARE_TABLE or _square_table())[1]
-    # the last order is the one that holds N_CAP
-    m = _arg(m, 4, 3 + len(bounds), "square boundary order")
-    beta, gamma, theta = bounds[m - 4]
-    return SquareBoundaries(m, 2 * _t(m - 1), beta, gamma, theta)
 
 
 def distinct_squares(n: int) -> int:
@@ -188,14 +166,6 @@ def _cube_table():
         betas.append(beta)
     _CUBE_TABLE = tuple(ends), tuple(betas)
     return _CUBE_TABLE
-
-
-def cube_boundaries(m: int) -> CubeBoundaries:
-    """First and last position at which a new distinct cube of order m
-    ends."""
-    betas = (_CUBE_TABLE or _cube_table())[1]
-    m = _arg(m, 7, 6 + len(betas), "cube boundary order")
-    return CubeBoundaries(m, _t(m - 1) + 2 * _t(m - 4), betas[m - 7])
 
 
 def distinct_cubes(n: int) -> int:

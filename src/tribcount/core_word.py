@@ -41,39 +41,6 @@ def _arg(value, lo: int, hi: int, what: str) -> int:
     return n
 
 
-class Record:
-    """Base of the small value records (segment bounds, scan summaries):
-    the fields are the subclass's ``__slots__``, compared, hashed and shown
-    by value, and set positionally in slot order by the constructor.  A
-    lighter stand-in for a frozen dataclass that keeps ``dataclasses`` out
-    of the package; records are read-only by convention, as some are cached
-    and shared."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes "
-                            f"{len(self.__slots__)} values, not {len(values)}")
-        for field, value in zip(self.__slots__, values):
-            setattr(self, field, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
 def exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:

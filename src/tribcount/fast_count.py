@@ -16,21 +16,20 @@ small positions: the per-position counts of the square orders 4-13 and the
 cube orders 7-13, which both end at position 3735, and their prefix sums.
 Every n up to 3735 is read from it with no jump.
 
-The rows are the one statement of the copy recursion: the floor, the
-segment vectors and ``positions --repeated`` are copied along them
-(``_counts``).  They are built on first use and published only once they
-pass the self-check: the tiling, chaining and copy identities at every
-order, every segment with children lined up with them, and, at every
-segment inside the floor, the closed-form cumulative count against the
-floor's prefix sum, which the copy built without the closed forms.  The
-pieces of a segment are composed from the rows the first time a descent
-reaches it (2 039 square and 697 cube pieces in all, about 580 KB) and
-stored only once they pass their own check: they tile the segment and
-every jump lands inside the segment it names.  A first call in a fresh
-process, rows, floor and the pieces on its path included, takes about 2-3
-ms at n = 10^18; one at n <= 3735, even at n <= 51, builds the rows and
-the floor alone, in about 1-2 ms.  A mismatch reports the offending
-segment and aborts.
+The rows are the one statement of the copy recursion: the floor and
+``positions --repeated`` are copied along them (``_counts``).  They are
+built on first use and published only once they pass the self-check: the
+tiling, chaining and copy identities at every order, every segment with
+children lined up with them, and, at every segment inside the floor, the
+closed-form cumulative count against the floor's prefix sum, which the
+copy built without the closed forms.  The pieces of a segment are composed
+from the rows the first time a descent reaches it (2 039 square and 697
+cube pieces in all, about 580 KB) and stored only once they pass their own
+check: they tile the segment and every jump lands inside the segment it
+names.  A first call in a fresh process, rows, floor and the pieces on its
+path included, takes about 2-3 ms at n = 10^18; one at n <= 3735, even at
+n <= 51, builds the rows and the floor alone, in about 1-2 ms.  A mismatch
+reports the offending segment and aborts.
 """
 
 from __future__ import annotations
@@ -43,10 +42,8 @@ from .core_word import (
     _K,
     _OFF,
     _T,
-    MATERIALIZE_CAP,
     MAX_ORDER,
     N_CAP,
-    Record,
     _arg,
     exact_div,
     position_kernel,
@@ -55,25 +52,7 @@ from .core_word import (
 
 
 # ---------------------------------------------------------------------------
-# segment records (views on the tables)
-
-
-class SquareGamma(Record):
-    """One square segment: inclusive position bounds plus the cuts where
-    the child segment changes and the threshold of the unit-increment
-    block (its first position for j in {1, 2}, one past its last for
-    j = 3, where the increments sit at the head)."""
-    __slots__ = ("j", "m", "lo", "hi", "cut1", "cut2", "eta")
-
-
-class CubeGamma(Record):
-    """One cube segment: bounds, child cuts, and the unit-increment block
-    [eta1, eta2) which ends exactly at the first child cut."""
-    __slots__ = ("m", "lo", "hi", "cut1", "cut2", "eta1", "eta2")
-
-
-# ---------------------------------------------------------------------------
-# the explicit low-order segments, the vector bounds and the floor order
+# the explicit low-order segments and the floor order
 
 _B_EXPLICIT = {
     (3, 4): (1,),
@@ -91,13 +70,6 @@ _D_EXPLICIT = {
         + (0,) * 30 + (1,) + (0,) * 37),
 }
 
-
-# Highest orders whose segment vectors stay within MATERIALIZE_CAP entries:
-# square segment (1, m), the longest of its order, spans t_{m-2} positions
-# and cube segment m spans t_{m-1}.
-_SQUARE_VECTOR_MAX = 2 + max(i for i in range(MAX_ORDER + 1)
-                             if _T[i + _OFF] <= MATERIALIZE_CAP)
-_CUBE_VECTOR_MAX = _SQUARE_VECTOR_MAX - 1
 
 # Highest order of the floor, the per-position table where descents stop:
 # both tilings end there at position 3735, within the oracle's cap.
@@ -126,8 +98,8 @@ class _Segments:
     unit increments at or before n.
 
     ``rows`` holds one tuple per segment, (lo, hi, cut1, cut2, first,
-    shift, inc_lo, inc_hi, delta), which the descents, the self-check and
-    the views read.  ``lo`` is also kept as its own tuple for ``bisect``;
+    shift, inc_lo, inc_hi, delta), which the descents and the self-check
+    read.  ``lo`` is also kept as its own tuple for ``bisect``;
     ``sums`` and ``cums`` are tuples over the segments.  ``base`` and
     ``base_cum`` are the floor: the per-position counts and their prefix
     sums up to the end of the floor orders, where descents stop.
@@ -456,95 +428,6 @@ def _square_counts(n: int) -> bytearray:
 def _cube_counts(n: int) -> bytearray:
     """The cube-end counts at positions 0 to n (see ``_counts``)."""
     return _counts((_CUBES or _cube_segments()).rows, _D_EXPLICIT, n)
-
-
-# ---------------------------------------------------------------------------
-# views on the tables
-
-
-def _square_entry(j: int, m: int) -> tuple[_Segments, int]:
-    """The square tables and the index of segment (j, m) in them, up to the
-    order whose segments reach N_CAP."""
-    seg = _SQUARES or _square_segments()
-    j = _arg(j, 1, 3, "square segment kind")
-    m = _arg(m, 4, 3 + len(seg.lo) // 3, "square segment order")
-    return seg, 3 * (m - 4) + 3 - j
-
-
-def _cube_entry(m: int) -> tuple[_Segments, int]:
-    """The cube tables and the index of segment m in them (see
-    ``_square_entry``)."""
-    seg = _CUBES or _cube_segments()
-    return seg, _arg(m, 7, 6 + len(seg.lo), "cube segment order") - 7
-
-
-def square_gamma(j: int, m: int) -> SquareGamma:
-    """Bounds, child cuts and increment threshold of square segment (j, m)."""
-    seg, s = _square_entry(j, m)
-    lo, hi, cut1, cut2, _, _, inc_lo, inc_hi, _ = seg.rows[s]
-    j = 3 - s % 3
-    eta = inc_hi + 1 if j == 3 else inc_lo
-    return SquareGamma(j, 4 + s // 3, lo, hi, cut1, cut2, eta)
-
-
-def cube_gamma(m: int) -> CubeGamma:
-    """Bounds, child cuts and unit-increment block of cube segment m."""
-    seg, s = _cube_entry(m)
-    lo, hi, cut1, cut2, _, _, inc_lo, inc_hi, _ = seg.rows[s]
-    return CubeGamma(7 + s, lo, hi, cut1, cut2, inc_lo, inc_hi + 1)
-
-
-def sum_b_gamma(j: int, m: int) -> int:
-    """Total square-end count over one square segment."""
-    seg, s = _square_entry(j, m)
-    return seg.sums[s]
-
-
-def phi(m: int) -> int:
-    """Total square-end count over the three order-m segments combined."""
-    # range-checks m as the other views do, and builds the tables that
-    # _phi is checked with; segment (1, m) has index 3 (m - 4) + 2
-    s = _square_entry(1, m)[1]
-    return _phi(4 + s // 3)
-
-
-def b_cum_at_gamma_max(j: int, m: int) -> int:
-    """Cumulative repeated-square count at the right endpoint of a square
-    segment."""
-    seg, s = _square_entry(j, m)
-    return seg.cums[s]
-
-
-def sum_d_gamma(m: int) -> int:
-    """Total cube-end count over one cube segment."""
-    seg, s = _cube_entry(m)
-    return seg.sums[s]
-
-
-def d_cum_at_gamma_max(m: int) -> int:
-    """Cumulative repeated-cube count at the right endpoint of a cube
-    segment."""
-    seg, s = _cube_entry(m)
-    return seg.cums[s]
-
-
-def square_segment_vector(j: int, m: int) -> tuple[int, ...]:
-    """Per-position square-end counts across one segment, copied along the
-    segment rows (``_counts``).  Grows like t_m, so the order stops where
-    the vector would pass MATERIALIZE_CAP entries; for tests, not the fast
-    path.  Nothing stays cached."""
-    j = _arg(j, 1, 3, "square segment kind")
-    m = _arg(m, 4, _SQUARE_VECTOR_MAX, "square segment order")
-    g = square_gamma(j, m)
-    return tuple(_square_counts(g.hi)[g.lo:])
-
-
-def cube_segment_vector(m: int) -> tuple[int, ...]:
-    """Per-position cube-end counts across one segment (see
-    ``square_segment_vector``)."""
-    m = _arg(m, 7, _CUBE_VECTOR_MAX, "cube segment order")
-    g = cube_gamma(m)
-    return tuple(_cube_counts(g.hi)[g.lo:])
 
 
 # ---------------------------------------------------------------------------

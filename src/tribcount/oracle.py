@@ -20,7 +20,7 @@ from array import array
 
 from ._kernels import find_repetitions
 from .core_word import (
-    Record,
+    MATERIALIZE_CAP,
     _arg,
     kernel_number,
     kernel_word,
@@ -37,7 +37,7 @@ ORACLE_CAP = 100_000
 EXHAUSTIVE_CAP = 10_000
 
 
-class RepetitionSummary(Record):
+class RepetitionSummary:
     """Every square and cube of the length-n prefix.
 
     ``a``/``c`` (index i in 1..n, index 0 unused) are 1 where a square
@@ -46,11 +46,37 @@ class RepetitionSummary(Record):
     square occurrence, ascending, and ``square_roots`` its root length in
     the same order (ties on the end by ascending root); ``cubes`` and
     ``cube_roots`` likewise.  All eight are tuples of ints.
+
+    The fields are set positionally in slot order and compared, hashed and
+    shown by value: a lighter stand-in for a frozen dataclass that keeps
+    ``dataclasses`` out of the package.  Read-only by convention.
     """
 
     __slots__ = ("n", "distinct_squares", "repeated_squares",
                  "distinct_cubes", "repeated_cubes", "a", "b", "c", "d",
                  "squares", "square_roots", "cubes", "cube_roots")
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"RepetitionSummary takes {len(self.__slots__)} "
+                            f"values, not {len(values)}")
+        for field, value in zip(self.__slots__, values):
+            setattr(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"RepetitionSummary({fields})"
 
 
 def _restricted_roots(n: int, power: int) -> list[int]:
@@ -227,7 +253,7 @@ def kernel_of(w: str) -> int:
     """Order of the maximal kernel word occurring in the factor w."""
     if not w:
         raise ValueError("empty factor")
-    window = min(10**7, max(1000, 64 * len(w)))
+    window = min(MATERIALIZE_CAP, max(1000, 64 * len(w)))
     if w not in prefix(window):
         raise ValueError(f"{w[:40]!r}... does not occur in the scanned prefix")
     best = 0

@@ -64,23 +64,31 @@ def check_kernel_gap_coding(m_max, n):
         assert coded == core_word.prefix(len(coded)), f"kernel order {m}"
 
 
+def square_index(j, m):
+    """Index of square segment (j, m) in the square tables; cube segment m
+    is at m - 7."""
+    return 3 * (m - 4) + 3 - j
+
+
 def check_segment_tiling(m_max):
     """Square segments tile positions from 8 up, cube segments from 52 up,
     with the advertised lengths and no gap or overlap."""
+    rows = fast_count._square_segments().rows
     expect = 8
     for m in range(4, m_max + 1):
         for j in (3, 2, 1):
-            g = fast_count.square_gamma(j, m)
-            assert g.lo == expect, (j, m)
+            lo, hi = rows[square_index(j, m)][:2]
+            assert lo == expect, (j, m)
             length = {1: m - 2, 2: m - 3, 3: m - 4}[j]
-            assert g.hi - g.lo + 1 == core_word.trib_number(length)
-            expect = g.hi + 1
+            assert hi - lo + 1 == core_word.trib_number(length)
+            expect = hi + 1
+    rows = fast_count._cube_segments().rows
     expect = 52
     for m in range(7, m_max + 1):
-        g = fast_count.cube_gamma(m)
-        assert g.lo == expect, m
-        assert g.hi - g.lo + 1 == core_word.trib_number(m - 1)
-        expect = g.hi + 1
+        lo, hi = rows[m - 7][:2]
+        assert lo == expect, m
+        assert hi - lo + 1 == core_word.trib_number(m - 1)
+        expect = hi + 1
 
 
 def check_graph_embedding(summary, word):

@@ -14,6 +14,7 @@ from tribcount import oracle
 from tribcount.core_word import prefix, trib_number as t
 
 import invariant_checks
+from invariant_checks import square_index
 
 
 def test_criterion_1_worked_examples():
@@ -25,9 +26,9 @@ def test_criterion_1_worked_examples():
     assert fc.algorithm_D(149) == 4
     assert fc.algorithm_B(60) == 47
     assert fc.algorithm_D(500) == 29
-    assert fc.b_cum_at_gamma_max(3, 7) == 45
+    assert fc._square_segments().cums[square_index(3, 7)] == 45
     assert fc.algorithm_B(58) == 45
-    assert fc.d_cum_at_gamma_max(9) == 12
+    assert fc._cube_segments().cums[9 - 7] == 12
     assert fc.algorithm_D(325) == 12
     print("criterion 1 PASS: worked examples exact")
 
@@ -87,33 +88,39 @@ def test_criterion_5_cross_formula_consistency():
 
 def test_criterion_6_structural_recursion(scan3000):
     # orders 14-16 lie above the descents' floor, which ends with order 13
+    seg = fc._square_segments()
     for m in range(4, 17):
         for j in (1, 2, 3):
-            g = fc.square_gamma(j, m)
-            vec = fc.square_segment_vector(j, m)
-            assert fc.sum_b_gamma(j, m) == sum(vec)
+            s = square_index(j, m)
+            lo, hi = seg.rows[s][:2]
+            vec = tuple(fc._square_counts(hi)[lo:])
+            assert seg.sums[s] == sum(vec)
             for i, v in enumerate(vec):
-                assert v == fc.b_at(g.lo + i)
-                if g.lo + i <= 3000:
-                    assert v == scan3000.b[g.lo + i]
-        assert fc.phi(m) == sum(fc.sum_b_gamma(j, m) for j in (1, 2, 3))
+                assert v == fc.b_at(lo + i)
+                if lo + i <= 3000:
+                    assert v == scan3000.b[lo + i]
+        assert fc._phi(m) == sum(seg.sums[square_index(j, m)]
+                                 for j in (1, 2, 3))
+    cubes = fc._cube_segments()
     for m in range(7, 17):
-        g = fc.cube_gamma(m)
-        vec = fc.cube_segment_vector(m)
-        assert fc.sum_d_gamma(m) == sum(vec)
+        lo, hi = cubes.rows[m - 7][:2]
+        vec = tuple(fc._cube_counts(hi)[lo:])
+        assert cubes.sums[m - 7] == sum(vec)
         for i, v in enumerate(vec):
-            assert v == fc.d_at(g.lo + i)
-            if g.lo + i <= 3000:
-                assert v == scan3000.d[g.lo + i]
+            assert v == fc.d_at(lo + i)
+            if lo + i <= 3000:
+                assert v == scan3000.d[lo + i]
     running = 0
     for m in range(4, 17):
         for j in (3, 2, 1):
-            running += sum(fc.square_segment_vector(j, m))
-            assert fc.b_cum_at_gamma_max(j, m) == running
+            lo, hi = seg.rows[square_index(j, m)][:2]
+            running += sum(fc._square_counts(hi)[lo:])
+            assert seg.cums[square_index(j, m)] == running
     running = 0
     for m in range(7, 17):
-        running += sum(fc.cube_segment_vector(m))
-        assert fc.d_cum_at_gamma_max(m) == running
+        lo, hi = cubes.rows[m - 7][:2]
+        running += sum(fc._cube_counts(hi)[lo:])
+        assert cubes.cums[m - 7] == running
     print("criterion 6 PASS: recursions, point counts and sums agree")
 
 

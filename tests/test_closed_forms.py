@@ -54,24 +54,30 @@ def test_distinct_squares_increments():
         prev = cur
 
 
+# the breakpoints of order m are read from the tables the counters read:
+# alpha = 2 t_{m-1} for squares and t_{m-1} + 2 t_{m-4} for cubes, the
+# others at index m - 4 (squares) or m - 7 (cubes)
+
+
 def test_square_boundary_ordering():
+    bounds = cf._square_table()[1]
     for m in range(4, 41):
-        bd = cf.square_boundaries(m)
-        nxt = cf.square_boundaries(m + 1)
-        assert bd.alpha < bd.beta < bd.gamma < bd.theta < nxt.alpha
+        beta, gamma, theta = bounds[m - 4]
+        assert 2 * t(m - 1) < beta < gamma < theta < 2 * t(m)
 
 
 def test_square_piecewise_continuity():
+    bounds = cf._square_table()[1]
     for m in range(4, 41):
-        bd = cf.square_boundaries(m)
-        nxt = cf.square_boundaries(m + 1)
+        alpha, nxt = 2 * t(m - 1), 2 * t(m)
+        beta, gamma, theta = bounds[m - 4]
         A = cf.distinct_squares
-        assert A(bd.beta) == A(bd.alpha) + bd.beta - bd.alpha
-        assert A(bd.gamma - 1) == A(bd.beta)
-        assert A(bd.gamma) == A(bd.beta) + 1
-        assert A(bd.theta) == A(bd.gamma) + bd.theta - bd.gamma
-        assert A(nxt.alpha - 1) == A(bd.theta)
-        assert A(nxt.alpha) == A(bd.theta) + 1
+        assert A(beta) == A(alpha) + beta - alpha
+        assert A(gamma - 1) == A(beta)
+        assert A(gamma) == A(beta) + 1
+        assert A(theta) == A(gamma) + theta - gamma
+        assert A(nxt - 1) == A(theta)
+        assert A(nxt) == A(theta) + 1
 
 
 def test_distinct_squares_at_t():
@@ -101,7 +107,7 @@ def test_distinct_cubes_values():
 def test_c_indicator_values():
     assert cf.c_indicator(58) == 1
     assert cf.c_indicator(59) == 0
-    assert cf.cube_boundaries(7).beta == 58
+    assert cf._cube_table()[1][7 - 7] == 58
 
 
 def test_c_indicator_partial_sums():
@@ -112,20 +118,21 @@ def test_c_indicator_partial_sums():
 
 
 def test_cube_boundary_ordering():
+    betas = cf._cube_table()[1]
     for m in range(7, 41):
-        bd = cf.cube_boundaries(m)
-        nxt = cf.cube_boundaries(m + 1)
-        assert bd.alpha <= bd.beta < nxt.alpha
+        alpha, nxt = t(m - 1) + 2 * t(m - 4), t(m) + 2 * t(m - 3)
+        assert alpha <= betas[m - 7] < nxt
 
 
 def test_cube_piecewise_continuity():
+    betas = cf._cube_table()[1]
     for m in range(7, 41):
-        bd = cf.cube_boundaries(m)
-        nxt = cf.cube_boundaries(m + 1)
+        alpha, nxt = t(m - 1) + 2 * t(m - 4), t(m) + 2 * t(m - 3)
+        beta = betas[m - 7]
         C = cf.distinct_cubes
-        assert C(bd.beta) == C(bd.alpha) + bd.beta - bd.alpha
-        assert C(nxt.alpha - 1) == C(bd.beta)
-        assert C(nxt.alpha) == C(bd.beta) + 1
+        assert C(beta) == C(alpha) + beta - alpha
+        assert C(nxt - 1) == C(beta)
+        assert C(nxt) == C(beta) + 1
 
 
 def test_distinct_cubes_at_t():
@@ -154,10 +161,10 @@ def test_all_divisions_exact_to_60():
         cf.glen_distinct_squares_at_t(m)
         cf.repeated_squares_at_t(m)
         cf.repeated_cubes_at_t(m)
-    for m in range(4, 61):
-        cf.square_boundaries(m)
+    # and the breakpoint tables of every order up to the cap
+    assert len(cf._square_table()[1]) >= 61 - 4
+    assert len(cf._cube_table()[1]) >= 61 - 7
     for m in range(7, 61):
-        cf.cube_boundaries(m)
         cf.distinct_cubes_at_t(m)
 
 
@@ -177,15 +184,15 @@ def test_ends_match_oracle():
     c = [e for e in range(1, top + 1) if scan.c[e]]
     # around the breakpoints of every order that starts below 10^5
     points = {0, 7, 8, 13, 14, 57, 58}
-    m = 4
-    while (bd := cf.square_boundaries(m)).alpha <= top:
-        points |= {bd.alpha - 1, bd.alpha, bd.beta, bd.beta + 1,
-                   bd.gamma - 1, bd.gamma, bd.theta, bd.theta + 1}
-        m += 1
-    m = 7
-    while (bd := cf.cube_boundaries(m)).alpha <= top:
-        points |= {bd.alpha - 1, bd.alpha, bd.beta, bd.beta + 1}
-        m += 1
+    for m, (beta, gamma, theta) in enumerate(cf._square_table()[1], 4):
+        if (alpha := 2 * t(m - 1)) > top:
+            break
+        points |= {alpha - 1, alpha, beta, beta + 1,
+                   gamma - 1, gamma, theta, theta + 1}
+    for m, beta in enumerate(cf._cube_table()[1], 7):
+        if (alpha := t(m - 1) + 2 * t(m - 4)) > top:
+            break
+        points |= {alpha - 1, alpha, beta, beta + 1}
     for n in sorted(p for p in points if p <= top):
         assert list(cf.square_ends(n)) == a[:bisect_right(a, n)], n
         assert list(cf.cube_ends(n)) == c[:bisect_right(c, n)], n

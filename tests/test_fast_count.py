@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tribcount import closed_forms as cf
 from tribcount import fast_count as fc
 from tribcount.core_word import (N_CAP, exact_div, kernel_number as k, prefix,
                                  trib_number as t)
 
 import invariant_checks
+from invariant_checks import square_index
 
 
 def test_base_square_table_matches_enumeration():
@@ -50,32 +52,23 @@ def test_segment_tiling():
     invariant_checks.check_segment_tiling(40)
 
 
-
-def test_segment_records_compare_by_value():
-    g = fc.square_gamma(2, 12)
-    same = fc.SquareGamma(g.j, g.m, g.lo, g.hi, g.cut1, g.cut2, g.eta)
-    assert g == same and hash(g) == hash(same)
-    assert g != fc.square_gamma(1, 12) and g != fc.cube_gamma(12)
-    assert repr(g).startswith("SquareGamma(j=2, m=12, lo=")
-    with pytest.raises(TypeError, match="takes 7 values, not 6"):
-        fc.SquareGamma(g.j, g.m, g.lo, g.hi, g.cut1, g.cut2)
-
 def test_segment_thresholds_construct():
-    # ordering violations raise inside the constructors
+    # ordering violations raise inside the row builders
     for m in range(4, 41):
-        for j in (1, 2, 3):
-            fc.square_gamma(j, m)
+        fc._square_rows(m)
     for m in range(7, 41):
-        fc.cube_gamma(m)
+        fc._cube_rows(m)
 
 
 def test_square_segment_explicit_bounds():
-    assert (fc.square_gamma(3, 4).lo, fc.square_gamma(3, 4).hi) == (8, 8)
-    assert (fc.square_gamma(2, 4).lo, fc.square_gamma(2, 4).hi) == (9, 10)
-    assert (fc.square_gamma(1, 4).lo, fc.square_gamma(1, 4).hi) == (11, 14)
-    assert (fc.square_gamma(1, 6).lo, fc.square_gamma(1, 6).hi) == (39, 51)
-    assert (fc.cube_gamma(7).lo, fc.cube_gamma(7).hi) == (52, 95)
-    assert (fc.cube_gamma(9).lo, fc.cube_gamma(9).hi) == (177, 325)
+    rows = fc._square_segments().rows
+    assert rows[square_index(3, 4)][:2] == (8, 8)
+    assert rows[square_index(2, 4)][:2] == (9, 10)
+    assert rows[square_index(1, 4)][:2] == (11, 14)
+    assert rows[square_index(1, 6)][:2] == (39, 51)
+    rows = fc._cube_segments().rows
+    assert rows[7 - 7][:2] == (52, 95)
+    assert rows[9 - 7][:2] == (177, 325)
 
 
 def test_b_at_values():
@@ -95,137 +88,154 @@ def test_d_at_values():
 # orders 14-16 lie above the floor, so their entries are reached by
 # descents of one to three row steps
 def test_square_vectors_match_single_point():
+    rows = fc._square_segments().rows
     for m in range(4, 17):
         for j in (1, 2, 3):
-            g = fc.square_gamma(j, m)
-            vec = fc.square_segment_vector(j, m)
-            assert len(vec) == g.hi - g.lo + 1
-            assert list(vec) == [fc.b_at(i) for i in range(g.lo, g.hi + 1)]
+            lo, hi = rows[square_index(j, m)][:2]
+            vec = tuple(fc._square_counts(hi)[lo:])
+            assert len(vec) == hi - lo + 1
+            assert list(vec) == [fc.b_at(i) for i in range(lo, hi + 1)]
 
 
 def test_cube_vectors_match_single_point():
+    rows = fc._cube_segments().rows
     for m in range(7, 17):
-        g = fc.cube_gamma(m)
-        vec = fc.cube_segment_vector(m)
-        assert len(vec) == g.hi - g.lo + 1
-        assert list(vec) == [fc.d_at(i) for i in range(g.lo, g.hi + 1)]
+        lo, hi = rows[m - 7][:2]
+        vec = tuple(fc._cube_counts(hi)[lo:])
+        assert len(vec) == hi - lo + 1
+        assert list(vec) == [fc.d_at(i) for i in range(lo, hi + 1)]
 
 
 def test_square_vectors_match_oracle(scan3000):
+    rows = fc._square_segments().rows
     for m in range(4, 13):
         for j in (1, 2, 3):
-            g = fc.square_gamma(j, m)
-            vec = fc.square_segment_vector(j, m)
-            for i, v in enumerate(vec):
-                if g.lo + i > 3000:
+            lo, hi = rows[square_index(j, m)][:2]
+            for i, v in enumerate(fc._square_counts(hi)[lo:]):
+                if lo + i > 3000:
                     break
-                assert v == scan3000.b[g.lo + i]
+                assert v == scan3000.b[lo + i]
 
 
 def test_cube_vectors_match_oracle(scan3000):
+    rows = fc._cube_segments().rows
     for m in range(7, 14):
-        g = fc.cube_gamma(m)
-        vec = fc.cube_segment_vector(m)
-        for i, v in enumerate(vec):
-            if g.lo + i > 3000:
+        lo, hi = rows[m - 7][:2]
+        for i, v in enumerate(fc._cube_counts(hi)[lo:]):
+            if lo + i > 3000:
                 break
-            assert v == scan3000.d[g.lo + i]
+            assert v == scan3000.d[lo + i]
 
 
 def test_sum_b_gamma_values():
-    assert fc.sum_b_gamma(3, 4) == 1
-    assert fc.sum_b_gamma(1, 5) == 5
-    assert fc.square_segment_vector(1, 5) == (1, 0, 1, 0, 0, 1, 2)
+    seg = fc._square_segments()
+    assert seg.sums[square_index(3, 4)] == 1
+    assert seg.sums[square_index(1, 5)] == 5
+    lo, hi = seg.rows[square_index(1, 5)][:2]
+    assert tuple(fc._square_counts(hi)[lo:]) == (1, 0, 1, 0, 0, 1, 2)
 
 
 def test_segment_sums_match_direct():
+    seg = fc._square_segments()
     for m in range(4, 13):
         total = 0
         for j in (1, 2, 3):
-            direct = sum(fc.square_segment_vector(j, m))
-            assert fc.sum_b_gamma(j, m) == direct
+            lo, hi = seg.rows[square_index(j, m)][:2]
+            direct = sum(fc._square_counts(hi)[lo:])
+            assert seg.sums[square_index(j, m)] == direct
             total += direct
-        assert fc.phi(m) == total
+        assert fc._phi(m) == total
+    seg = fc._cube_segments()
     for m in range(7, 14):
-        assert fc.sum_d_gamma(m) == sum(fc.cube_segment_vector(m))
+        lo, hi = seg.rows[m - 7][:2]
+        assert seg.sums[m - 7] == sum(fc._cube_counts(hi)[lo:])
 
 
 def test_cumulative_at_segment_ends():
     # and at every position: the running sums of the vectors
+    seg = fc._square_segments()
     running = 0
     for m in range(4, 17):
         for j in (3, 2, 1):
-            g = fc.square_gamma(j, m)
-            cum = list(accumulate(fc.square_segment_vector(j, m),
+            lo, hi = seg.rows[square_index(j, m)][:2]
+            cum = list(accumulate(fc._square_counts(hi)[lo:],
                                   initial=running))[1:]
-            assert [fc.algorithm_B(i) for i in range(g.lo, g.hi + 1)] == cum
+            assert [fc.algorithm_B(i) for i in range(lo, hi + 1)] == cum
             running = cum[-1]
-            assert fc.b_cum_at_gamma_max(j, m) == running
+            assert seg.cums[square_index(j, m)] == running
+    seg = fc._cube_segments()
     running = 0
     for m in range(7, 17):
-        g = fc.cube_gamma(m)
-        cum = list(accumulate(fc.cube_segment_vector(m), initial=running))[1:]
-        assert [fc.algorithm_D(i) for i in range(g.lo, g.hi + 1)] == cum
+        lo, hi = seg.rows[m - 7][:2]
+        cum = list(accumulate(fc._cube_counts(hi)[lo:], initial=running))[1:]
+        assert [fc.algorithm_D(i) for i in range(lo, hi + 1)] == cum
         running = cum[-1]
-        assert fc.d_cum_at_gamma_max(m) == running
+        assert seg.cums[m - 7] == running
 
 
 def test_b_cum_values():
-    assert fc.b_cum_at_gamma_max(3, 7) == 45
+    assert fc._square_segments().cums[square_index(3, 7)] == 45
 
 
 def test_b_cum_chaining():
+    seg = fc._square_segments()
+    sums, cums = seg.sums, seg.cums
     for m in range(4, 31):
-        assert (fc.b_cum_at_gamma_max(2, m) + fc.sum_b_gamma(1, m)
-                == fc.b_cum_at_gamma_max(1, m))
-        assert (fc.b_cum_at_gamma_max(3, m) + fc.sum_b_gamma(2, m)
-                == fc.b_cum_at_gamma_max(2, m))
+        one, two, three = (square_index(j, m) for j in (1, 2, 3))
+        assert cums[two] + sums[one] == cums[one]
+        assert cums[three] + sums[two] == cums[two]
     for m in range(4, 21):
-        nxt = fc.square_gamma(3, m + 1).lo
-        assert fc.b_cum_at_gamma_max(1, m) == fc.algorithm_B(nxt) - fc.b_at(nxt)
+        nxt = seg.rows[square_index(3, m + 1)][0]
+        assert cums[square_index(1, m)] == fc.algorithm_B(nxt) - fc.b_at(nxt)
 
 
 def test_phi_recurrence():
+    phi = fc._phi
     for m in range(7, 21):
         inc = exact_div(-3 * t(m) + 6 * t(m - 1) + t(m - 2) - 1, 2)
-        assert fc.phi(m) == fc.phi(m - 1) + fc.phi(m - 2) + fc.phi(m - 3) + inc
-    # phi stops where the square segments it sums do
-    assert fc.phi(68) == sum(fc.sum_b_gamma(j, 68) for j in (1, 2, 3))
-    with pytest.raises(ValueError, match=r"order 69 outside \[4, 68\]"):
-        fc.phi(69)
+        assert phi(m) == phi(m - 1) + phi(m - 2) + phi(m - 3) + inc
+    # and at the top order of the square tables
+    sums = fc._square_segments().sums
+    assert phi(68) == sum(sums[square_index(j, 68)] for j in (1, 2, 3))
 
 
 def test_segment_sum_recurrences():
+    sums, phi = fc._square_segments().sums, fc._phi
     for m in range(5, 21):
-        assert fc.sum_b_gamma(1, m) == fc.phi(m - 1) + k(m) - 1
+        assert sums[square_index(1, m)] == phi(m - 1) + k(m) - 1
     for m in range(6, 21):
-        assert fc.sum_b_gamma(2, m) == fc.phi(m - 2) + k(m) - 1
+        assert sums[square_index(2, m)] == phi(m - 2) + k(m) - 1
     for m in range(7, 21):
-        assert fc.sum_b_gamma(3, m) == fc.phi(m - 3) + t(m - 4) - k(m - 3) + 1
+        assert (sums[square_index(3, m)]
+                == phi(m - 3) + t(m - 4) - k(m - 3) + 1)
+    sums = fc._cube_segments().sums  # cube segment m at m - 7
     for m in range(10, 21):
-        assert fc.sum_d_gamma(m) == (fc.sum_d_gamma(m - 1) + fc.sum_d_gamma(m - 2)
-                                     + fc.sum_d_gamma(m - 3)
-                                     + exact_div(t(m - 2) - 3 * t(m - 4) - 1, 2))
+        assert sums[m - 7] == (sums[m - 8] + sums[m - 9] + sums[m - 10]
+                               + exact_div(t(m - 2) - 3 * t(m - 4) - 1, 2))
 
 
 def test_sum_d_gamma_values():
-    assert fc.sum_d_gamma(7) == 1
-    assert fc.sum_d_gamma(8) == 3
-    assert fc.sum_d_gamma(12) == sum(fc.cube_segment_vector(12))
+    seg = fc._cube_segments()
+    assert seg.sums[7 - 7] == 1
+    assert seg.sums[8 - 7] == 3
+    lo, hi = seg.rows[12 - 7][:2]
+    assert seg.sums[12 - 7] == sum(fc._cube_counts(hi)[lo:])
 
 
 def test_d_cum_values():
-    assert fc.d_cum_at_gamma_max(7) == 1
-    assert fc.d_cum_at_gamma_max(9) == 12
-    assert fc.d_cum_at_gamma_max(15) == sum(fc.sum_d_gamma(j) for j in range(7, 16))
+    seg = fc._cube_segments()
+    assert seg.cums[7 - 7] == 1
+    assert seg.cums[9 - 7] == 12
+    assert seg.cums[15 - 7] == sum(seg.sums[7 - 7:15 - 7 + 1])
 
 
 def test_d_cum_continuity_across_segments():
     # no cube ends at a segment's first position, so the cumulative count
     # carries over unchanged
+    seg = fc._cube_segments()
     for m in range(7, 20):
-        nxt = fc.cube_gamma(m + 1).lo
-        assert fc.algorithm_D(nxt) == fc.d_cum_at_gamma_max(m)
+        nxt = seg.rows[m + 1 - 7][0]
+        assert fc.algorithm_D(nxt) == seg.cums[m - 7]
         assert fc.d_at(nxt) == 0
 
 
@@ -260,8 +270,9 @@ def test_point_counts_match_oracle(scan3000):
 
 def test_repeated_square_tail_identity():
     # cumulative count between a top segment's start and the block length
+    cums = fc._square_segments().cums
     for m in range(4, 26):
-        tail = fc.algorithm_B(t(m)) - fc.b_cum_at_gamma_max(2, m)
+        tail = fc.algorithm_B(t(m)) - cums[square_index(2, m)]
         num = (m * (23 * t(m) - 38 * t(m - 1) - 3 * t(m - 2))
                + (-65 * t(m) + 164 * t(m - 1) - 105 * t(m - 2))
                + 33 * m - 99)
@@ -367,9 +378,61 @@ def test_copied_counts_never_wrap():
         fc._counts(rows, {0: (255,)}, 1)
 
 
+def _union(intervals):
+    """The union of the intervals [x, y] up to N_CAP, as sorted disjoint
+    [x, y] lists, no two of them adjacent."""
+    out = []
+    for x, y in sorted(intervals):
+        y = min(y, N_CAP)
+        if x > y:
+            continue
+        if out and x <= out[-1][1] + 1:
+            out[-1][1] = max(out[-1][1], y)
+        else:
+            out.append([x, y])
+    return out
+
+
+def test_unit_increments_are_the_first_occurrences():
+    # the unit-increment blocks of the segments with children, plus the
+    # nonzero entries of the explicit ones, are the positions where a
+    # square not seen before ends: the intervals of the closed forms.  The
+    # self-check sees only sums over whole segments, so a block moved
+    # inside its segment shows here.
+    seg = fc._square_segments()
+    blocks = []
+    for lo, hi, _, _, first, _, inc_lo, inc_hi, _ in seg.rows:
+        if first >= 0:
+            blocks.append((inc_lo, inc_hi))
+        else:
+            blocks += [(e, e) for e in range(lo, hi + 1) if seg.base[e]]
+    new = [(8, 8), (10, 10)]
+    for m, (beta, gamma, theta) in enumerate(cf._square_table()[1], 4):
+        new += [(2 * t(m - 1), beta), (gamma, theta)]
+    assert _union(blocks) == _union(new)
+    # cubes from the first segment with children on; the explicit orders
+    # 7-9 below it also hold repeated cubes
+    seg = fc._cube_segments()
+    start = seg.rows[10 - 7][0]
+    assert start == 326 and seg.rows[10 - 7][4] >= 0 > seg.rows[9 - 7][4]
+    blocks = [row[6:8] for row in seg.rows[10 - 7:]]
+    new = [(t(m - 1) + 2 * t(m - 4), beta)
+           for m, beta in enumerate(cf._cube_table()[1], 7)]
+    assert _union(blocks) == _union((max(x, start), y) for x, y in new)
+    below = {e for x, y in new for e in range(x, min(y, start - 1) + 1)}
+    assert ({e for e in range(start) if seg.base[e]}
+            == below | {139, 207, 256, 257, 288})
+
+
 def test_vectors_at_the_materialization_cap_sum_to_the_closed_forms():
-    assert sum(fc.square_segment_vector(1, 28)) == fc.sum_b_gamma(1, 28)
-    assert sum(fc.cube_segment_vector(27)) == fc.sum_d_gamma(27)
+    # square segment (1, 28) and cube segment 27: the longest segments of
+    # at most MATERIALIZE_CAP positions
+    seg = fc._square_segments()
+    lo, hi = seg.rows[square_index(1, 28)][:2]
+    assert sum(fc._square_counts(hi)[lo:]) == seg.sums[square_index(1, 28)]
+    seg = fc._cube_segments()
+    lo, hi = seg.rows[27 - 7][:2]
+    assert sum(fc._cube_counts(hi)[lo:]) == seg.sums[27 - 7]
 
 
 FLOOR_TOP = 3735  # last position of square order 13 and of cube order 13
@@ -488,21 +551,23 @@ def test_jumps_match_one_step_walk(n):
         assert _two_level_walk(seg, n) == _reference_walk(seg, n)
 
 
-def test_segment_views_stop_at_the_cap():
+def test_segment_tables_stop_at_the_cap():
     # the tables hold every order up to the one whose segments reach 10^18
-    assert fc.square_gamma(1, 68).hi >= 10**18 > fc.square_gamma(1, 67).hi
-    assert fc.cube_gamma(68).hi >= 10**18 > fc.cube_gamma(67).hi
-    with pytest.raises(ValueError, match=r"order 69 outside \[4, 68\]"):
-        fc.square_gamma(3, 69)
-    with pytest.raises(ValueError, match=r"order 69 outside \[7, 68\]"):
-        fc.sum_d_gamma(69)
+    rows = fc._square_segments().rows
+    assert len(rows) == square_index(1, 68) + 1
+    top, below = rows[square_index(1, 68)], rows[square_index(1, 67)]
+    assert top[1] >= 10**18 > below[1]
+    rows = fc._cube_segments().rows
+    assert len(rows) == 68 - 7 + 1
+    assert rows[68 - 7][1] >= 10**18 > rows[67 - 7][1]
 
 
 def test_floors_end_together_with_their_prefix_sums():
     for seg in (fc._square_segments(), fc._cube_segments()):
         assert len(seg.base) == len(seg.base_cum) == FLOOR_TOP + 1
         assert tuple(seg.base_cum) == tuple(accumulate(seg.base))
-    assert fc.square_gamma(1, 13).hi == fc.cube_gamma(13).hi == FLOOR_TOP
+    assert (fc._square_segments().rows[square_index(1, 13)][1]
+            == fc._cube_segments().rows[13 - 7][1] == FLOOR_TOP)
 
 
 def test_floors_match_oracle(scan5000):
@@ -523,10 +588,13 @@ def test_counts_above_the_floor_match_oracle(scan5000):
 
 
 def test_vectors_above_the_floor_are_not_kept():
+    squares, cubes = fc._square_segments(), fc._cube_segments()
     tracemalloc.start()
     try:
-        square = fc.square_segment_vector(1, 22)
-        cube = fc.cube_segment_vector(21)
+        lo, hi = squares.rows[square_index(1, 22)][:2]
+        square = tuple(fc._square_counts(hi)[lo:])
+        lo, hi = cubes.rows[21 - 7][:2]
+        cube = tuple(fc._cube_counts(hi)[lo:])
         sums = sum(square), sum(cube)
         digests = (hashlib.sha256(bytes(square)).hexdigest(),
                    hashlib.sha256(bytes(cube)).hexdigest())
@@ -535,7 +603,7 @@ def test_vectors_above_the_floor_are_not_kept():
     finally:
         tracemalloc.stop()
     assert held < 2**20
-    assert sums == (fc.sum_b_gamma(1, 22), fc.sum_d_gamma(21))
+    assert sums == (squares.sums[square_index(1, 22)], cubes.sums[21 - 7])
     # the vectors as the fully memoised recursion built them
     assert digests == (
         "3f01b10fbffe1a56a23fbb59b790558d9045fd16ae53e551d8fbf2706ecf4285",

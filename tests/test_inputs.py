@@ -13,7 +13,6 @@ from tribcount import closed_forms as cf
 from tribcount import core_word as cw
 from tribcount import fast_count as fc
 from tribcount import oracle
-from tribcount.core_word import Record
 
 COUNTERS = [cf.distinct_squares, cf.distinct_cubes, fc.algorithm_B,
             fc.algorithm_D, fc.b_at, fc.d_at, cf.a_indicator, cf.c_indicator]
@@ -103,23 +102,19 @@ ORDERS = [
     (cw.trib_number, (5,)), (cw.block_letter_counts, (5,)),
     (cw.last_letter, (5,)), (cw.kernel_number, (5,)), (cw.kernel_word, (7,)),
     (cw.prefix, (13,)), (cw.position_kernel, (6, 3)),
-    (cf.square_boundaries, (10,)), (cf.cube_boundaries, (10,)),
     (cf.distinct_squares_at_t, (10,)), (cf.distinct_cubes_at_t, (10,)),
     (cf.glen_distinct_squares_at_t, (10,)),
     (cf.repeated_squares_at_t, (10,)), (cf.repeated_cubes_at_t, (10,)),
-    (fc.square_gamma, (2, 10)), (fc.cube_gamma, (10,)),
-    (fc.sum_b_gamma, (2, 10)), (fc.phi, (10,)),
-    (fc.b_cum_at_gamma_max, (2, 10)), (fc.sum_d_gamma, (10,)),
-    (fc.d_cum_at_gamma_max, (10,)), (fc.square_case_block, (2, 10, 3)),
-    (fc.square_segment_vector, (2, 8)), (fc.cube_segment_vector, (10,)),
+    (fc.square_case_block, (2, 10, 3)),
     (oracle.scan_repetitions, (100,)), (oracle.occurrences, ("aba", 100)),
+    (oracle.gap_pattern, ("a", 100)), (oracle.gap_coding, ("a", 100)),
     (oracle.assert_no_fourth_powers, (100,)),
 ]
 
 
 def _plain(value) -> bool:
     """True iff every number inside ``value`` is a plain int."""
-    if isinstance(value, Record):
+    if isinstance(value, oracle.RepetitionSummary):
         return _plain(value._values())
     if isinstance(value, range):
         return _plain((value.start, value.stop, value.step))
@@ -160,10 +155,7 @@ def test_orders_outside_range_name_the_value(fn, args, value):
     (cw.trib_number, (76,), "76 outside [-2, 75]"),
     (cw.kernel_word, (30,), "30 outside [1, 29]"),
     (cf.distinct_cubes_at_t, (10**6,), "1000000 outside [0, 75]"),
-    (cf.square_boundaries, (68,), "68 outside [4, 67]"),
-    (cf.cube_boundaries, (69,), "69 outside [7, 68]"),
-    (fc.phi, (69,), "69 outside [4, 68]"),
-    (fc.square_gamma, (4, 10), "kind 4 outside [1, 3]"),
+    (fc.square_case_block, (4, 10, 3), "kind 4 outside [1, 3]"),
     (oracle.scan_repetitions, (oracle.ORACLE_CAP + 1,),
      f"{oracle.ORACLE_CAP + 1} outside [1, {oracle.ORACLE_CAP}]"),
     (oracle.assert_no_fourth_powers, (oracle.EXHAUSTIVE_CAP + 1,),
@@ -173,18 +165,3 @@ def test_order_ranges(fn, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         fn(*args)
 
-
-def test_segment_vectors_stop_at_the_materialization_cap():
-    # segment (1, m) is the longest of its order
-    top = fc._SQUARE_VECTOR_MAX
-    size = [g.hi - g.lo + 1 for g in (fc.square_gamma(1, top),
-                                      fc.square_gamma(1, top + 1))]
-    assert size[0] <= cw.MATERIALIZE_CAP < size[1]
-    top = fc._CUBE_VECTOR_MAX
-    size = [g.hi - g.lo + 1 for g in (fc.cube_gamma(top),
-                                      fc.cube_gamma(top + 1))]
-    assert size[0] <= cw.MATERIALIZE_CAP < size[1]
-    with pytest.raises(ValueError, match=r"order 29 outside \[4, 28\]"):
-        fc.square_segment_vector(1, 29)
-    with pytest.raises(ValueError, match=r"order 28 outside \[7, 27\]"):
-        fc.cube_segment_vector(28)

@@ -35,6 +35,16 @@ def test_repeated_cube_ends_500():
     assert s.repeated_cubes == 29
 
 
+def test_summaries_compare_by_value():
+    s = oracle.scan_repetitions(100)
+    same = oracle.RepetitionSummary(*s._values())
+    assert s == same and hash(s) == hash(same)
+    assert s != oracle.scan_repetitions(101) and s != s._values()
+    assert repr(s).startswith("RepetitionSummary(n=100, distinct_squares=")
+    with pytest.raises(TypeError, match="takes 13 values, not 12"):
+        oracle.RepetitionSummary(*s._values()[:-1])
+
+
 def test_checkpoints_3000(scan3000):
     assert scan3000.distinct_squares == invariant_checks.CHECKPOINT_3000["A"]
     assert scan3000.repeated_squares == invariant_checks.CHECKPOINT_3000["B"]

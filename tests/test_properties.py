@@ -9,6 +9,8 @@ from tribcount import closed_forms as cf
 from tribcount import fast_count as fc
 from tribcount.core_word import N_CAP, trib_number as t
 
+from invariant_checks import square_index
+
 # cumulative count and its per-position increment
 PAIRS = [(cf.distinct_squares, cf.a_indicator),
          (fc.algorithm_B, fc.b_at),
@@ -16,16 +18,11 @@ PAIRS = [(cf.distinct_squares, cf.a_indicator),
          (fc.algorithm_D, fc.d_at)]
 
 
-def _last_order(gamma, first):
-    """The order whose segment reaches N_CAP, where the tables stop."""
-    m = first
-    while gamma(m).hi < N_CAP:
-        m += 1
-    return m
-
-
-SQUARE_ORDERS = range(4, _last_order(lambda m: fc.square_gamma(1, m), 4) + 1)
-CUBE_ORDERS = range(7, _last_order(fc.cube_gamma, 7) + 1)
+SQUARES = fc._square_segments()
+CUBES = fc._cube_segments()
+# every order up to the one whose segments reach N_CAP, where the tables stop
+SQUARE_ORDERS = range(4, 4 + len(SQUARES.rows) // 3)
+CUBE_ORDERS = range(7, 7 + len(CUBES.rows))
 
 
 def _check_increments(n):
@@ -45,13 +42,13 @@ def test_increments_over_full_range(n):
 def test_increments_at_segment_breakpoints(square, cube, offset):
     # the places where a descent changes child or starts counting unit
     # increments, and their neighbours
-    g = fc.square_gamma(*square)
-    c = fc.cube_gamma(cube)
-    for point in (g.lo, g.cut1, g.cut2, g.eta, g.hi,
-                  c.lo, c.cut1, c.cut2, c.eta1, c.eta2, c.hi):
-        n = point + offset
-        if 1 <= n <= N_CAP:
-            _check_increments(n)
+    square_row = SQUARES.rows[square_index(*square)]
+    cube_row = CUBES.rows[cube - 7]
+    for lo, hi, cut1, cut2, _, _, inc_lo, inc_hi, _ in (square_row, cube_row):
+        for point in (lo, cut1, cut2, inc_lo, inc_hi + 1, hi):
+            n = point + offset
+            if 1 <= n <= N_CAP:
+                _check_increments(n)
 
 
 def test_repeated_counts_at_block_lengths():
@@ -64,15 +61,10 @@ def test_repeated_counts_at_block_lengths():
 
 
 def test_cumulative_counts_at_every_segment_end():
-    for m in SQUARE_ORDERS:
-        for j in (3, 2, 1):
-            hi = fc.square_gamma(j, m).hi
-            if hi <= N_CAP:
-                assert fc.algorithm_B(hi) == fc.b_cum_at_gamma_max(j, m), (j, m)
-    for m in CUBE_ORDERS:
-        hi = fc.cube_gamma(m).hi
-        if hi <= N_CAP:
-            assert fc.algorithm_D(hi) == fc.d_cum_at_gamma_max(m), m
+    for counter, seg in ((fc.algorithm_B, SQUARES), (fc.algorithm_D, CUBES)):
+        for row, cum in zip(seg.rows, seg.cums):
+            if row[1] <= N_CAP:
+                assert counter(row[1]) == cum, row[1]
 
 
 def test_dense_running_sums():
