@@ -40,6 +40,15 @@ def test_numpy_integers_match_int(fn, n):
     assert type(want) is (str if fn is cw.letter_at else int)
 
 
+@pytest.mark.parametrize("fn", ENDS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [1000, 10**6])
+def test_end_streams_take_numpy_integers(fn, n):
+    want = list(fn(n))
+    for np_n in (np.int64(n), np.uint64(n)):
+        got = list(fn(np_n))
+        assert got == want
+        assert all(type(e) is int for e in got)
+
 
 POSITIONAL = [fc.b_at, fc.d_at, cf.a_indicator, cf.c_indicator, cw.letter_at]
 
@@ -165,3 +174,64 @@ def test_order_ranges(fn, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         fn(*args)
 
+
+# every ranged argument of ORDERS and HELPERS: (function, good arguments,
+# index of the argument, its name in messages, lowest, highest)
+RANGES = [
+    (cw.trib_number, (5,), 0, "block order", -2, 75),
+    (cw.block_letter_counts, (5,), 0, "block order", -2, 75),
+    (cw.last_letter, (5,), 0, "block order", -1, 75),
+    (cw.kernel_number, (5,), 0, "kernel order", 0, 75),
+    (cw.kernel_word, (7,), 0, "kernel order", 1, 29),
+    (cw.prefix, (13,), 0, "prefix length", 0, cw.MATERIALIZE_CAP),
+    (cw.position_kernel, (6, 3), 0, "kernel order", 1, 75),
+    (cw.position_kernel, (6, 3), 1, "occurrence index", 1, cw.N_CAP),
+    (cw.letter_counts, (10,), 0, "prefix length", 0, cw.N_CAP),
+    (cw.position_letter, ("a", 2), 1, "occurrence index", 1, cw.N_CAP),
+    (cf.distinct_squares_at_t, (10,), 0, "block order", 0, 75),
+    (cf.distinct_cubes_at_t, (10,), 0, "block order", 0, 75),
+    (cf.glen_distinct_squares_at_t, (10,), 0, "block order", 3, 75),
+    (cf.repeated_squares_at_t, (10,), 0, "block order", 3, 75),
+    (cf.repeated_cubes_at_t, (10,), 0, "block order", 3, 75),
+    (fc.square_case_block, (2, 10, 3), 0, "square segment kind", 1, 3),
+    (fc.square_case_block, (2, 10, 3), 1, "kernel order", 4, 75),
+    (fc.square_case_block, (2, 10, 3), 2, "occurrence index", 1, cw.N_CAP),
+    (oracle.scan_repetitions, (100,), 0, "oracle scan length",
+     1, oracle.ORACLE_CAP),
+    (oracle.occurrences, ("aba", 100), 1, "oracle scan length",
+     0, oracle.ORACLE_CAP),
+    (oracle.gap_pattern, ("a", 100), 1, "oracle scan length",
+     0, oracle.ORACLE_CAP),
+    (oracle.gap_coding, ("a", 100), 1, "oracle scan length",
+     0, oracle.ORACLE_CAP),
+    (oracle.assert_no_fourth_powers, (100,), 0, "exhaustive scan length",
+     1, oracle.EXHAUSTIVE_CAP),
+]
+RANGE_IDS = [f"{fn.__name__}-{i}" for fn, _, i, *_ in RANGES]
+
+
+def _at(args, i, value):
+    return args[:i] + (value,) + args[i + 1:]
+
+
+@pytest.mark.parametrize("fn,args,i,what,lo,hi", RANGES, ids=RANGE_IDS)
+@pytest.mark.parametrize("end", ["below", "above"])
+def test_range_ends_are_rejected(fn, args, i, what, lo, hi, end):
+    value = lo - 1 if end == "below" else hi + 1
+    message = f"{what} {value} outside [{lo}, {hi}]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fn(*_at(args, i, value))
+
+
+@pytest.mark.parametrize("fn,args,i,what,lo,hi", RANGES, ids=RANGE_IDS)
+@pytest.mark.parametrize("end", ["lowest", "highest"])
+def test_range_ends_pass_the_range_check(fn, args, i, what, lo, hi, end):
+    value = lo if end == "lowest" else hi
+    try:
+        got = fn(*_at(args, i, value))
+    except ValueError as exc:
+        # a later check may still refuse the value: a position past N_CAP,
+        # a factor with too few occurrences
+        assert " outside [" not in str(exc)
+    else:
+        assert _plain(got)
