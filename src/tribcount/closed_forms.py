@@ -59,16 +59,17 @@ def _square_table():
     return _SQUARE_TABLE
 
 
+# the positions below 14 = 2 t_3, where order 4 starts, at which a new
+# square ends
+_FIRST_SQUARE_ENDS = (8, 10)
+
+
 def distinct_squares(n: int) -> int:
     """Number of distinct squares in the length-n prefix."""
     if type(n) is not int or n < 0 or n > N_CAP:
         n = _arg(n, 0, N_CAP, "prefix length")
-    if n <= 7:
-        return 0
-    if n <= 9:
-        return 1
-    if n <= 13:
-        return 2
+    if n < 14:
+        return bisect_right(_FIRST_SQUARE_ENDS, n)
     ends, bounds = _SQUARE_TABLE or _square_table()
     i = bisect_right(ends, n)
     beta, gamma, theta = bounds[i]
@@ -82,11 +83,6 @@ def distinct_squares(n: int) -> int:
     if n < theta:
         return n - exact_div(t1 + 3 * t2 + m + 3, 2)
     return exact_div(2 * t1 + t2 + 3 * t3 - m - 6, 2)
-
-
-# the positions below 14 = 2 t_3, where order 4 starts, at which a new
-# square ends
-_FIRST_SQUARE_ENDS = (8, 10)
 
 
 def a_indicator(n: int) -> int:

@@ -110,66 +110,52 @@ def prefix(n: int) -> str:
     return _PREFIX[:n]
 
 
-def letter_at(n: int) -> str:
-    """The n-th letter, via greedy block decomposition in O(log n)."""
-    if type(n) is not int or n < 1 or n > N_CAP:
-        n = _arg(n, 1, N_CAP, "position")
+def _blocks(n: int):
+    """The orders of the blocks of the greedy decomposition of the length-n
+    prefix, left to right: from the shortest block t_m >= n, descend
+    through T_m = T_{m-1} T_{m-2} T_{m-3}, taking each whole block that
+    ends before n, until n ends a whole block itself."""
     m = 2
     while _T[m + _OFF] < n:
         m += 1
-    # descend through T_m = T_{m-1} T_{m-2} T_{m-3}
-    while m >= 2:
+    while n > 0:
+        if n == _T[m + _OFF]:
+            yield m
+            return
+        # n < t_m here, so m >= 1 and we descend one block
         t1 = _T[m - 1 + _OFF]
-        t2 = _T[m - 2 + _OFF]
         if n <= t1:
             m -= 1
-        elif n <= t1 + t2:
-            n -= t1
+            continue
+        yield m - 1
+        n -= t1
+        t2 = _T[m - 2 + _OFF]
+        if n <= t2:
             m -= 2
         else:
-            n -= t1 + t2
+            yield m - 2
+            n -= t2
             m -= 3
-    if m == 1:
-        return "a" if n == 1 else "b"
-    if m == 0:
-        return "a"
-    return "c"  # order -1 block
+
+
+def letter_at(n: int) -> str:
+    """The n-th letter, the last letter of the last greedy block of the
+    length-n prefix, in O(log n)."""
+    if type(n) is not int or n < 1 or n > N_CAP:
+        n = _arg(n, 1, N_CAP, "position")
+    *_, m = _blocks(n)
+    return ALPHABET[m % 3]
 
 
 def letter_counts(n: int) -> tuple[int, int, int]:
     """Letter counts (a, b, c) of the length-n prefix, O(log n)."""
     n = _arg(n, 0, N_CAP, "prefix length")
     na = nb = nc = 0
-    m = 2
-    while _T[m + _OFF] < n:
-        m += 1
-    while n > 0:
-        if n == _T[m + _OFF]:
-            ca, cb, cc = _BLOCK_COUNTS[m + _OFF]
-            na += ca
-            nb += cb
-            nc += cc
-            break
-        # n < t_m here, so m >= 1 and we descend one block
-        t1 = _T[m - 1 + _OFF]
-        t2 = _T[m - 2 + _OFF]
-        if n <= t1:
-            m -= 1
-        elif n <= t1 + t2:
-            ca, cb, cc = _BLOCK_COUNTS[m - 1 + _OFF]
-            na += ca
-            nb += cb
-            nc += cc
-            n -= t1
-            m -= 2
-        else:
-            ca, cb, cc = _BLOCK_COUNTS[m - 1 + _OFF]
-            da, db, dc = _BLOCK_COUNTS[m - 2 + _OFF]
-            na += ca + da
-            nb += cb + db
-            nc += cc + dc
-            n -= t1 + t2
-            m -= 3
+    for m in _blocks(n):
+        ca, cb, cc = _BLOCK_COUNTS[m + _OFF]
+        na += ca
+        nb += cb
+        nc += cc
     return (na, nb, nc)
 
 
@@ -187,31 +173,28 @@ def kernel_word(m: int) -> str:
     return last_letter(m - 1) + prefix(_K[m] - 1)
 
 
-def position_letter(alpha: str, p: int) -> int:
-    """End position of the p-th occurrence of a letter."""
-    if alpha not in ALPHABET:
-        raise ValueError(f"unknown letter {alpha!r}")
-    p = _arg(p, 1, N_CAP, "occurrence index")
-    na, nb, _ = letter_counts(p - 1)
-    if alpha == "a":
-        pos = p + na + nb
-    elif alpha == "b":
-        pos = 2 * p + 2 * na + nb
-    else:
-        pos = 4 * p + 3 * na + 2 * nb
-    if pos > N_CAP:
-        raise ValueError(f"position of {alpha!r} occurrence {p} exceeds cap")
-    return pos
-
-
-def position_kernel(m: int, p: int) -> int:
-    """End position of the p-th occurrence of the m-th kernel word."""
-    m = _arg(m, 1, MAX_ORDER, "kernel order")
+def _kernel_end(m: int, p: int, word: str) -> int:
+    """End position of the p-th occurrence of the m-th kernel word, which
+    the cap error names ``word``."""
     p = _arg(p, 1, N_CAP, "occurrence index")
     na, nb, _ = letter_counts(p - 1)
     o = m + _OFF  # t_i is _T[i + _OFF]
     pos = (p * _T[o - 1] + na * (_T[o - 2] + _T[o - 3]) + nb * _T[o - 2]
            + _K[m] - 1)
     if pos > N_CAP:
-        raise ValueError(f"position of kernel {m} occurrence {p} exceeds cap")
+        raise ValueError(f"position of {word} occurrence {p} exceeds cap")
     return pos
+
+
+def position_letter(alpha: str, p: int) -> int:
+    """End position of the p-th occurrence of a letter, the kernel word of
+    order 1, 2 or 3."""
+    if alpha not in ALPHABET:
+        raise ValueError(f"unknown letter {alpha!r}")
+    return _kernel_end(ALPHABET.index(alpha) + 1, p, repr(alpha))
+
+
+def position_kernel(m: int, p: int) -> int:
+    """End position of the p-th occurrence of the m-th kernel word."""
+    m = _arg(m, 1, MAX_ORDER, "kernel order")
+    return _kernel_end(m, p, f"kernel {m}")

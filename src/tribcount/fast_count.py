@@ -17,19 +17,22 @@ cube orders 7-13, which both end at position 3735, and their prefix sums.
 Every n up to 3735 is read from it with no jump.
 
 The rows are the one statement of the copy recursion: the floor and
-``positions --repeated`` are copied along them (``_counts``).  They are
-built on first use and published only once they pass the self-check: the
-tiling, chaining and copy identities at every order, every segment with
-children lined up with them, and, at every segment inside the floor, the
-closed-form cumulative count against the floor's prefix sum, which the
-copy built without the closed forms.  The pieces of a segment are composed
-from the rows the first time a descent reaches it (2 039 square and 697
-cube pieces in all, about 580 KB) and stored only once they pass their own
-check: they tile the segment and every jump lands inside the segment it
-names.  A first call in a fresh process, rows, floor and the pieces on its
-path included, takes about 2-3 ms at n = 10^18; one at n <= 3735, even at
-n <= 51, builds the rows and the floor alone, in about 1-2 ms.  A mismatch
-reports the offending segment and aborts.
+``positions --repeated`` are copied along them (``_counts``), each segment
+the counts one block length back plus one over its unit increments.  The
+counts before a tiling starts are zeros, so the segments without children
+copy zeros, or zeros and the segments below them, by the same rule.  The
+rows are built on first use and published only once they pass the
+self-check: the tiling, chaining and copy identities at every order, every
+segment with children lined up with them, and, at every segment inside the
+floor, the closed-form cumulative count against the floor's prefix sum,
+which the copy built without the closed forms.  The pieces of a segment
+are composed from the rows the first time a descent reaches it (2 039
+square and 697 cube pieces in all, about 580 KB) and stored only once they
+pass their own check: they tile the segment and every jump lands inside
+the segment it names.  A first call in a fresh process, rows, floor and
+the pieces on its path included, takes about 2-3 ms at n = 10^18; one at
+n <= 3735, even at n <= 51, builds the rows and the floor alone, in about
+1-2 ms.  A mismatch reports the offending segment and aborts.
 """
 
 from __future__ import annotations
@@ -52,24 +55,7 @@ from .core_word import (
 
 
 # ---------------------------------------------------------------------------
-# the explicit low-order segments and the floor order
-
-_B_EXPLICIT = {
-    (3, 4): (1,),
-    (2, 4): (0, 1),
-    (1, 4): (0, 0, 0, 1),
-    (3, 5): (1, 1),
-    (2, 5): (0, 0, 1, 1),
-    (3, 6): (1, 1, 1, 1),
-}
-
-_D_EXPLICIT = {
-    7: (0,) * 6 + (1,) + (0,) * 37,
-    8: (0,) * 11 + (1, 1) + (0,) * 30 + (1,) + (0,) * 37,
-    9: ((0,) * 20 + (1,) * 4 + (0,) * 6 + (1,) + (0,) * 48 + (1, 1)
-        + (0,) * 30 + (1,) + (0,) * 37),
-}
-
+# the floor order and the tiling starts
 
 # Highest order of the floor, the per-position table where descents stop:
 # both tilings end there at position 3735, within the oracle's cap.
@@ -353,21 +339,18 @@ def _check_pieces(seg: _Segments, s: int, entry) -> None:
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
-def _counts(rows, explicit, n: int) -> bytearray:
+def _counts(rows, n: int) -> bytearray:
     """The counts ending at positions 0 to n, copied along the ``rows`` of
-    one tiling in tiling order: a segment without children is the next
-    vector of ``explicit``, any other the counts of its children one
-    ``shift`` back plus one over its unit increments [inc_lo, inc_hi].  A
+    one tiling in tiling order: every segment is the counts one ``shift``
+    back plus one over its unit increments [inc_lo, inc_hi].  The zeros
+    before the tiling starts are copied like any other counts, so a segment
+    without children copies zeros, or zeros and the segments below it.  A
     count past 255 raises: ``_PLUS_ONE`` wraps it to 0."""
     per = bytearray(rows[0][0])  # nothing ends before the first segment
-    vectors = iter(explicit.values())
     for row in rows:
         if len(per) > n:
             break
-        lo, hi, _, _, first, shift, inc_lo, inc_hi = row[:8]
-        if first < 0:
-            per += bytes(next(vectors))
-            continue
+        lo, hi, _, _, _, shift, inc_lo, inc_hi = row[:8]
         per += per[lo - shift:min(hi, n) + 1 - shift]
         block = per[inc_lo:inc_hi + 1].translate(_PLUS_ONE)
         if 0 in block:
@@ -377,7 +360,7 @@ def _counts(rows, explicit, n: int) -> bytearray:
     return per
 
 
-def _build_segments(rows_of, m, explicit, start, label) -> _Segments:
+def _build_segments(rows_of, m, start, label) -> _Segments:
     """One tiling's tables, self-checked: the rows ``rows_of(m)`` of every
     order from m up to the one whose segments reach N_CAP, and the floor
     copied along them to the end of order _FLOOR_ORDER (``_counts``), as
@@ -388,7 +371,7 @@ def _build_segments(rows_of, m, explicit, start, label) -> _Segments:
         if m == _FLOOR_ORDER:
             top = rows[-1][1]
         m += 1
-    per = _counts(rows, explicit, top)
+    per = _counts(rows, top)
     seg = _Segments(rows, bytes(per), array("q", accumulate(per)), label)
     _check_segments(seg, start)
     return seg
@@ -403,8 +386,7 @@ def _square_segments() -> _Segments:
     orders against ``_phi`` too, and publish them.  Callers reach the
     tables as ``_SQUARES or _square_segments()``."""
     global _SQUARES
-    seg = _build_segments(_square_rows, 4, _B_EXPLICIT, SQUARE_START,
-                          _square_label)
+    seg = _build_segments(_square_rows, 4, SQUARE_START, _square_label)
     for m in range(4, _FLOOR_ORDER + 1):
         if _phi(m) != sum(seg.sums[3 * (m - 4):3 * (m - 3)]):
             raise RuntimeError(f"segment total formula disagrees at m={m}")
@@ -415,19 +397,18 @@ def _square_segments() -> _Segments:
 def _cube_segments() -> _Segments:
     """The cube counterpart of ``_square_segments``."""
     global _CUBES
-    _CUBES = _build_segments(_cube_rows, 7, _D_EXPLICIT, CUBE_START,
-                             _cube_label)
+    _CUBES = _build_segments(_cube_rows, 7, CUBE_START, _cube_label)
     return _CUBES
 
 
 def _square_counts(n: int) -> bytearray:
     """The square-end counts at positions 0 to n (see ``_counts``)."""
-    return _counts((_SQUARES or _square_segments()).rows, _B_EXPLICIT, n)
+    return _counts((_SQUARES or _square_segments()).rows, n)
 
 
 def _cube_counts(n: int) -> bytearray:
     """The cube-end counts at positions 0 to n (see ``_counts``)."""
-    return _counts((_CUBES or _cube_segments()).rows, _D_EXPLICIT, n)
+    return _counts((_CUBES or _cube_segments()).rows, n)
 
 
 # ---------------------------------------------------------------------------

@@ -371,11 +371,13 @@ def test_self_check_names_the_segment_that_disagrees_with_the_floor(tiling):
 
 
 def test_copied_counts_never_wrap():
-    # one explicit segment at 255 and a copy of it with a unit increment
-    rows = [(0, 0, 0, 0, -1, 0, 0, -1), (1, 1, 1, 1, 0, 1, 1, 1)]
-    assert fc._counts(rows[:1], {0: (255,)}, 0) == bytearray(b"\xff")
-    with pytest.raises(RuntimeError, match=r"a count in \[1, 1\] passes 255"):
-        fc._counts(rows, {0: (255,)}, 1)
+    # segment k covers [k, k], copies the count at k - 1 and adds one at k,
+    # so the count at k is k: 255 at k = 255, past it at k = 256
+    rows = [(k, k, k, k, -1, 1, k, k) for k in range(1, 257)]
+    assert fc._counts(rows[:255], 255)[-1] == 255
+    with pytest.raises(RuntimeError,
+                       match=r"a count in \[256, 256\] passes 255"):
+        fc._counts(rows, 256)
 
 
 def _union(intervals):
@@ -394,34 +396,19 @@ def _union(intervals):
 
 
 def test_unit_increments_are_the_first_occurrences():
-    # the unit-increment blocks of the segments with children, plus the
-    # nonzero entries of the explicit ones, are the positions where a
-    # square not seen before ends: the intervals of the closed forms.  The
-    # self-check sees only sums over whole segments, so a block moved
-    # inside its segment shows here.
-    seg = fc._square_segments()
-    blocks = []
-    for lo, hi, _, _, first, _, inc_lo, inc_hi, _ in seg.rows:
-        if first >= 0:
-            blocks.append((inc_lo, inc_hi))
-        else:
-            blocks += [(e, e) for e in range(lo, hi + 1) if seg.base[e]]
+    # the unit-increment blocks of all segments, with or without children,
+    # are the positions where a square or a cube not seen before ends: the
+    # intervals of the closed forms.  The self-check sees only sums over
+    # whole segments, so a block moved inside its segment shows here.
+    blocks = [row[6:8] for row in fc._square_segments().rows]
     new = [(8, 8), (10, 10)]
     for m, (beta, gamma, theta) in enumerate(cf._square_table()[1], 4):
         new += [(2 * t(m - 1), beta), (gamma, theta)]
     assert _union(blocks) == _union(new)
-    # cubes from the first segment with children on; the explicit orders
-    # 7-9 below it also hold repeated cubes
-    seg = fc._cube_segments()
-    start = seg.rows[10 - 7][0]
-    assert start == 326 and seg.rows[10 - 7][4] >= 0 > seg.rows[9 - 7][4]
-    blocks = [row[6:8] for row in seg.rows[10 - 7:]]
+    blocks = [row[6:8] for row in fc._cube_segments().rows]
     new = [(t(m - 1) + 2 * t(m - 4), beta)
            for m, beta in enumerate(cf._cube_table()[1], 7)]
-    assert _union(blocks) == _union((max(x, start), y) for x, y in new)
-    below = {e for x, y in new for e in range(x, min(y, start - 1) + 1)}
-    assert ({e for e in range(start) if seg.base[e]}
-            == below | {139, 207, 256, 257, 288})
+    assert _union(blocks) == _union(new)
 
 
 def test_vectors_at_the_materialization_cap_sum_to_the_closed_forms():
