@@ -4,11 +4,11 @@
 which boundary interval the prefix length falls in; the indicator functions
 tell whether a new distinct repetition ends at a given position, and
 ``square_ends``/``cube_ends`` stream the positions where they are 1.  The
-breakpoints of every order are tabulated, and checked, on first use, so an
-evaluation is one ``bisect`` for the order, a few comparisons and one
-closed form read off the block lengths.  The ``*_at_t`` variants are the
-specialized values at prefix lengths equal to block lengths, including the
-repeated-square/cube counts there.
+breakpoints of every order and those positions are ``core_word``'s tables,
+so an evaluation is one ``bisect`` for the order, a few comparisons and
+one closed form read off the block lengths.  The ``*_at_t`` variants are
+the specialized values at prefix lengths equal to block lengths, including
+the repeated-square/cube counts there.
 
 All arithmetic is exact: fractional coefficients are cleared to a common
 denominator and divided once with a remainder check.
@@ -16,12 +16,16 @@ denominator and divided once with a remainder check.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain
 
 from .core_word import (
-    _K,
+    _CUBE_FIRSTS,
+    _CUBE_RANGE_ENDS,
     _OFF,
+    _SQUARE_BOUNDS,
+    _SQUARE_FIRSTS,
+    _SQUARE_RANGE_ENDS,
     _T,
     MAX_ORDER,
     N_CAP,
@@ -31,48 +35,14 @@ from .core_word import (
 )
 
 
-_SQUARE_TABLE = None  # (ends, bounds), once built
-
-
-def _square_table():
-    """Build, on first use, the per-order table of the distinct-square
-    count for every order m >= 4 up to the one holding N_CAP: ``ends``, the
-    right ends 2 t_m of the prefix-length ranges [2 t_{m-1}, 2 t_m), for
-    ``bisect``, and ``bounds``, the breakpoints (beta, gamma, theta) of the
-    count on each range.  Every order's breakpoints are checked for
-    ordering.  Callers reach the table as
-    ``_SQUARE_TABLE or _square_table()``."""
-    global _SQUARE_TABLE
-    ends, bounds, m = [], [], 3
-    while not ends or ends[-1] <= N_CAP:  # every order up to the cap
-        m += 1
-        o = m + _OFF  # t_i is _T[i + _OFF]
-        t0, t1, t2, t3 = _T[o], _T[o - 1], _T[o - 2], _T[o - 3]
-        beta = t0 + 2 * t3 - 1
-        gamma = 2 * t0 - t1
-        theta = exact_div(3 * t0 + t2 - 3, 2)
-        if not 2 * t1 < beta < gamma < theta < 2 * t0:
-            raise AssertionError(f"square boundary ordering broken at m={m}")
-        ends.append(2 * t0)
-        bounds.append((beta, gamma, theta))
-    _SQUARE_TABLE = tuple(ends), tuple(bounds)
-    return _SQUARE_TABLE
-
-
-# the positions below 14 = 2 t_3, where order 4 starts, at which a new
-# square ends
-_FIRST_SQUARE_ENDS = (8, 10)
-
-
 def distinct_squares(n: int) -> int:
     """Number of distinct squares in the length-n prefix."""
     if type(n) is not int or n < 0 or n > N_CAP:
         n = _arg(n, 0, N_CAP, "prefix length")
-    if n < 14:
-        return bisect_right(_FIRST_SQUARE_ENDS, n)
-    ends, bounds = _SQUARE_TABLE or _square_table()
-    i = bisect_right(ends, n)
-    beta, gamma, theta = bounds[i]
+    if n < 14:  # the intervals below order 4 are single positions
+        return bisect_left(_SQUARE_FIRSTS, (n + 1,))
+    i = bisect_right(_SQUARE_RANGE_ENDS, n)
+    beta, gamma, theta = _SQUARE_BOUNDS[i]
     m = 4 + i
     o = m + _OFF
     t1, t2, t3 = _T[o - 1], _T[o - 2], _T[o - 3]
@@ -89,27 +59,18 @@ def a_indicator(n: int) -> int:
     """1 iff a square not seen before ends exactly at position n."""
     if type(n) is not int or n < 1 or n > N_CAP:
         n = _arg(n, 1, N_CAP, "position")
-    if n < 14:
-        return 1 if n in _FIRST_SQUARE_ENDS else 0
-    # n >= alpha = 2 t_{m-1} holds on the whole range of order m
-    ends, bounds = _SQUARE_TABLE or _square_table()
-    beta, gamma, theta = bounds[bisect_right(ends, n)]
-    return 1 if n <= beta or gamma <= n <= theta else 0
+    # the last interval starting at or before n, else one starting past n
+    x, y = _SQUARE_FIRSTS[bisect_left(_SQUARE_FIRSTS, (n + 1,)) - 1]
+    return 1 if x <= n <= y else 0
 
 
 def square_ends(n: int):
     """The positions e <= n with ``a_indicator(e) == 1``, ascending, streamed
-    from the breakpoints: [alpha, beta] and [gamma, theta] of each order."""
+    from the intervals at which a new square ends; those that start past n
+    stream nothing."""
     n = _arg(n, 0, N_CAP, "prefix length")
-    ends, bounds = _SQUARE_TABLE or _square_table()
-    # order 4 + i covers [alpha, 2 t_{4+i}) with alpha = 2 t_{3+i}, the end
-    # of the order below (14 for order 4); the orders above n's start past n
-    orders = zip((14,) + ends, bounds[:bisect_right(ends, n) + 1])
-    return chain((e for e in _FIRST_SQUARE_ENDS if e <= n),
-                 chain.from_iterable(
-                     range(start, min(stop, n) + 1)
-                     for alpha, (beta, gamma, theta) in orders
-                     for start, stop in ((alpha, beta), (gamma, theta))))
+    return chain.from_iterable(range(x, min(y, n) + 1)
+                               for x, y in _SQUARE_FIRSTS)
 
 
 def distinct_squares_at_t(m: int) -> int:
@@ -138,43 +99,16 @@ def glen_distinct_squares_at_t(m: int) -> int:
     return total + _glen_d(h - 4) + _glen_d(h - 5) + 1
 
 
-_CUBE_TABLE = None  # (ends, betas), once built
-
-
-def _cube_table():
-    """The cube counterpart of ``_square_table``, for orders m >= 7: the
-    ranges are [t_{m-1} + 2 t_{m-4}, t_m + 2 t_{m-3}) and the breakpoint
-    beta of each is the last position at which a new cube of the order
-    ends.  Every order's breakpoints are checked for ordering, and beta
-    against t_{m-1} + k_{m+1} - 2."""
-    global _CUBE_TABLE
-    ends, betas, m = [], [], 6
-    while not ends or ends[-1] <= N_CAP:
-        m += 1
-        o = m + _OFF
-        t0, t1, t2, t3, t4 = _T[o], _T[o - 1], _T[o - 2], _T[o - 3], _T[o - 4]
-        beta = exact_div(3 * t1 - t3 - 3, 2)
-        if not t1 + 2 * t4 <= beta < t0 + 2 * t3:
-            raise AssertionError(f"cube boundary ordering broken at m={m}")
-        if beta != t1 + _K[m + 1] - 2:
-            raise AssertionError(f"last new cube misplaced at m={m}")
-        ends.append(t0 + 2 * t3)
-        betas.append(beta)
-    _CUBE_TABLE = tuple(ends), tuple(betas)
-    return _CUBE_TABLE
-
-
 def distinct_cubes(n: int) -> int:
     """Number of distinct cubes in the length-n prefix."""
     if type(n) is not int or n < 0 or n > N_CAP:
         n = _arg(n, 0, N_CAP, "prefix length")
     if n <= 57:
         return 0
-    ends, betas = _CUBE_TABLE or _cube_table()
-    i = bisect_right(ends, n)
+    i = bisect_right(_CUBE_RANGE_ENDS, n)
     m = 7 + i
     o = m + _OFF
-    if n <= betas[i]:
+    if n <= _CUBE_FIRSTS[i][1]:  # beta
         t1, t2, t3 = _T[o - 1], _T[o - 2], _T[o - 3]
         return n - exact_div(4 * t1 - t2 - 3 * t3 + m - 6, 2)
     return exact_div(_T[o - 5] + _T[o - 6] - m + 3, 2)
@@ -184,22 +118,16 @@ def c_indicator(n: int) -> int:
     """1 iff a cube not seen before ends exactly at position n."""
     if type(n) is not int or n < 1 or n > N_CAP:
         n = _arg(n, 1, N_CAP, "position")
-    if n <= 57:
-        return 0
-    ends, betas = _CUBE_TABLE or _cube_table()
-    return 1 if n <= betas[bisect_right(ends, n)] else 0
+    x, y = _CUBE_FIRSTS[bisect_left(_CUBE_FIRSTS, (n + 1,)) - 1]
+    return 1 if x <= n <= y else 0  # see ``a_indicator``
 
 
 def cube_ends(n: int):
     """The positions e <= n with ``c_indicator(e) == 1``, ascending, streamed
-    from the breakpoints: [alpha, beta] of each order."""
+    from the intervals at which a new cube ends (see ``square_ends``)."""
     n = _arg(n, 0, N_CAP, "prefix length")
-    ends, betas = _CUBE_TABLE or _cube_table()
-    # order 7 + i covers [alpha, t_{7+i} + 2 t_{4+i}) with alpha the end of
-    # the order below (58 for order 7); the orders above n's start past n
-    orders = zip((58,) + ends, betas[:bisect_right(ends, n) + 1])
-    return chain.from_iterable(range(alpha, min(beta, n) + 1)
-                               for alpha, beta in orders)
+    return chain.from_iterable(range(x, min(y, n) + 1)
+                               for x, y in _CUBE_FIRSTS)
 
 
 def distinct_cubes_at_t(m: int) -> int:

@@ -3,8 +3,11 @@
 Positions from 8 on are tiled by square segments (three per order) and from
 52 on by cube segments (one per order).  Per-position counts obey a
 self-similar recursion: a segment is a copy of three lower-order segments
-shifted by the previous block length, plus a block of unit increments.
-Each tiling is held as one row tuple per segment.  A step of the
+shifted by the previous block length, plus one at each unit increment,
+where a square (cube) not seen before ends: b(n) = b(n - shift) + a(n),
+d(n) = d(n - shift) + c(n), with the increments clipped from the
+first-occurrence intervals of ``core_word``.  Each tiling is held as one
+row tuple per segment.  A step of the
 recursion goes from a segment of order m to a child of order m - j, j in
 {1, 2, 3}, and both single-point and cumulative queries walk down it two
 steps per jump: each segment above the floor is cut into pieces over which
@@ -29,21 +32,21 @@ which the copy built without the closed forms.  The pieces of a segment
 are composed from the rows the first time a descent reaches it (2 039
 square and 697 cube pieces in all, about 580 KB) and stored only once they
 pass their own check: they tile the segment and every jump lands inside
-the segment it names.  A first call in a fresh process, rows, floor and
-the pieces on its path included, takes about 2-3 ms at n = 10^18; one at
-n <= 3735, even at n <= 51, builds the rows and the floor alone, in about
-1-2 ms.  A mismatch reports the offending segment and aborts.
+the segment it names.  A first call in a fresh process takes about
+2-3 ms at n = 10^18 (README).  A mismatch reports the offending segment
+and aborts.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from .core_word import (
-    _K,
+    _CUBE_FIRSTS,
     _OFF,
+    _SQUARE_FIRSTS,
     _T,
     MAX_ORDER,
     N_CAP,
@@ -73,8 +76,8 @@ class _Segments:
     """One tiling as flat tables, indexed by segment number in tiling order:
     square segment (j, m) is 3(m - 4) + 3 - j, cube segment m is m - 7.
 
-    Segment s covers [lo, hi] and carries its unit increments at
-    [inc_lo, inc_hi] (empty when inc_hi < inc_lo).  Shifted down by
+    Segment s covers [lo, hi], and a new square or cube ends at each of its
+    unit increments [inc_lo, inc_hi].  Shifted down by
     ``shift``, the previous block length, a position n of the segment lands
     in child segment ``first + (n >= cut1) + (n >= cut2)``; ``first`` is -1
     where the copy recursion has no children.  ``sums`` and ``cums`` are the
@@ -85,13 +88,12 @@ class _Segments:
 
     ``rows`` holds one tuple per segment, (lo, hi, cut1, cut2, first,
     shift, inc_lo, inc_hi, delta), which the descents and the self-check
-    read.  ``lo`` is also kept as its own tuple for ``bisect``;
-    ``sums`` and ``cums`` are tuples over the segments.  ``base`` and
-    ``base_cum`` are the floor: the per-position counts and their prefix
-    sums up to the end of the floor orders, where descents stop.
-    ``pieces`` holds, per segment, the two-step jumps of
-    ``_segment_pieces`` once a descent has reached it (None until then, and
-    for the floor's segments)."""
+    read.  ``lo`` is also kept as its own tuple for ``bisect``; ``sums``
+    and ``cums`` are tuples over the segments.  ``base`` and ``base_cum``
+    are the floor: the per-position counts and their prefix sums up to the
+    end of the floor orders, where descents stop.  ``pieces`` holds, per
+    segment, the two-step jumps of ``_segment_pieces`` once a descent has
+    reached it (None until then, and for the floor's segments)."""
 
     __slots__ = ("lo", "sums", "cums", "rows", "base", "base_cum", "label",
                  "pieces")
@@ -120,52 +122,63 @@ def _cube_label(s: int) -> str:
     return f"cube segment m={7 + s}"
 
 
+def _block(firsts, lo: int, hi: int, label: str) -> tuple:
+    """The one interval of ``firsts`` that meets the segment [lo, hi],
+    clipped to it; meeting none or two raises RuntimeError with ``label``."""
+    i = bisect_left(firsts, (hi + 1,))  # (x, y) < (hi + 1,) iff x <= hi
+    x, y = firsts[i - 1]
+    if i and y >= lo and (i == 1 or firsts[i - 2][1] < lo):
+        return max(x, lo), min(y, hi)
+    raise RuntimeError(f"{label} meets no first-occurrence interval, or two")
+
+
 def _square_rows(m: int) -> list:
     """Table rows of square segments (3, m), (2, m) and (1, m), by direct
-    arithmetic on the block lengths; a row is lo, hi, cut1, cut2, first,
-    shift, inc_lo, inc_hi, sum, cum."""
+    arithmetic on the block lengths and ``_block``; a row is lo, hi, cut1,
+    cut2, first, shift, inc_lo, inc_hi, sum, cum."""
     o = m + _OFF  # t_i is _T[i + _OFF]
     t0, t1, t2 = _T[o], _T[o - 1], _T[o - 2]
-    # per kind: j, lo, hi, eta - lo, and the numerators over 44 of the
-    # segment total and of the cumulative count at hi
+    # per kind: j, lo, hi, and the numerators over 44 of the segment total
+    # and of the cumulative count at hi
     kinds = (
         (3, exact_div(t0 + t2 - 1, 2), exact_div(-t0 + 4 * t1 + t2 - 3, 2),
-         _T[o - 4] - _K[m - 3] + 1,
          (2 * m * (-19 * t0 + 29 * t1 + 13 * t2)
           + (237 * t0 - 358 * t1 - 157 * t2) + 33),
          (m * (-25 * t0 + 48 * t1 + 31 * t2)
           + (173 * t0 - 294 * t1 - 213 * t2) + 11 * (m + 11))),
         (2, exact_div(-t0 + 4 * t1 + t2 - 1, 2),
-         exact_div(t0 + 2 * t1 - t2 - 3, 2), _T[o - 3] - _K[m] + 1,
+         exact_div(t0 + 2 * t1 - t2 - 3, 2),
          (2 * m * (10 * t0 - 6 * t1 - 19 * t2)
           + (-189 * t0 + 156 * t1 + 331 * t2) - 11),
          (m * (-5 * t0 + 36 * t1 - 7 * t2)
           + 2 * (-8 * t0 - 69 * t1 + 59 * t2) + 11 * (m + 10))),
         (1, exact_div(t0 + 2 * t1 - t2 - 1, 2),
-         exact_div(t0 + 2 * t1 + t2 - 3, 2), t2 - _K[m] + 1,
+         exact_div(t0 + 2 * t1 + t2 - 3, 2),
          (2 * m * (4 * t0 - 9 * t1 + 10 * t2)
           + (19 * t0 + 36 * t1 - 169 * t2) - 11),
          (m * (3 * t0 + 18 * t1 + 13 * t2)
           + (3 * t0 - 102 * t1 - 51 * t2) + 11 * (m + 9))),
     )
     rows = []
-    for j, lo, hi, eta_off, total, cum in kinds:
-        eta = lo + eta_off
+    for j, lo, hi, total, cum in kinds:
+        inc_lo, inc_hi = _block(_SQUARE_FIRSTS, lo, hi,
+                                _square_label(3 * (m - 4) + 3 - j))
         cm = m - j  # order of the three child segments
         # child cuts exist once the copy recursion does (child order >= 4)
         if cm >= 4:
             cut1 = lo + _T[cm - 4 + _OFF]
             cut2 = cut1 + _T[cm - 3 + _OFF]
-            ok = (cut1 < eta <= cut2) if j == 2 else (cut2 < eta <= hi)
-            if not ok:
+            # the block is the head [lo, e) for j = 3, else the tail [e, hi],
+            # with e in (cut1, cut2] for j = 2, else in (cut2, hi]
+            e = inc_hi + 1 if j == 3 else inc_lo
+            ok = (cut1 < e <= cut2) if j == 2 else (cut2 < e <= hi)
+            if not ok or lo < inc_lo and inc_hi < hi:  # neither head nor tail
                 raise AssertionError(
                     f"threshold ordering broken in ({j}, {m})")
             first = 3 * (cm - 4)
         else:
             cut1 = cut2 = lo
             first = -1
-        # the unit increments are the head [lo, eta) for j = 3, else [eta, hi]
-        inc_lo, inc_hi = (lo, eta - 1) if j == 3 else (eta, hi)
         rows.append((lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi,
                      exact_div(total, 44), exact_div(cum, 44)))
     return rows
@@ -175,21 +188,21 @@ def _cube_rows(m: int) -> list:
     """Table row of cube segment m, the one segment of its order (see
     ``_square_rows``)."""
     o = m + _OFF
-    t0, t1, t2, t3, t4 = _T[o], _T[o - 1], _T[o - 2], _T[o - 3], _T[o - 4]
+    t0, t1, t2 = _T[o], _T[o - 1], _T[o - 2]
     lo = exact_div(t0 + t2 - 1, 2)
     hi = exact_div(_T[o + 1] + t1 - 3, 2)
-    cut1 = lo + t4
-    cut2 = cut1 + t3
-    eta1 = lo + exact_div(-t2 + 5 * t4 + 1, 2)
-    eta2 = eta1 + exact_div(t2 - 3 * t4 - 1, 2)
-    if not (lo < eta1 < eta2 == cut1 < cut2 <= hi + 1):
+    cut1 = lo + _T[o - 4]
+    cut2 = cut1 + _T[o - 3]
+    inc_lo, inc_hi = _block(_CUBE_FIRSTS, lo, hi, _cube_label(m - 7))
+    # the block lies in the first child's span, and ends where it does
+    if not lo < inc_lo <= inc_hi == cut1 - 1 < cut2 - 1 <= hi:
         raise AssertionError(f"threshold ordering broken in cube segment {m}")
     total = exact_div(2 * m * (7 * t0 - 13 * t1 + t2)
                       + (-41 * t0 + 74 * t1 - 7 * t2) + 11, 44)
     cum = exact_div(m * (9 * t0 - 12 * t1 - 5 * t2)
                     + 12 * (-2 * t0 + 2 * t1 + t2) + 11 * m, 44)
     first = m - 10 if m >= 10 else -1  # children m-3, m-2, m-1 from order 10
-    return [(lo, hi, cut1, cut2, first, t1, eta1, eta2 - 1, total, cum)]
+    return [(lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi, total, cum)]
 
 
 def _phi(m: int) -> int:
@@ -495,9 +508,13 @@ def square_case_block(j: int, m: int, p: int) -> range:
     """End positions of the squares of kind j whose maximal kernel word has
     order m, around the p-th occurrence of that kernel word.  These are the
     positions the unit increments of segment (j, m) sit at, shifted to
-    occurrence p."""
+    occurrence p; a block that ends past N_CAP raises ValueError."""
     j = _arg(j, 1, 3, "square segment kind")
     m = _arg(m, 4, MAX_ORDER, "kernel order")
     shift = position_kernel(m, p) - position_kernel(m, 1)
-    inc_lo, inc_hi = _square_rows(m)[3 - j][6:8]
+    rows = (_SQUARES or _square_segments()).rows
+    inc_lo, inc_hi = rows[3 * (m - 4) + 3 - j][6:8]
+    if inc_hi + shift > N_CAP:
+        raise ValueError(f"square block ({j}, {m}) at kernel occurrence {p} "
+                         f"exceeds cap")
     return range(inc_lo + shift, inc_hi + 1 + shift)

@@ -3,9 +3,10 @@ from bisect import bisect_right
 import pytest
 
 from tribcount import closed_forms as cf
+from tribcount import core_word as cw
 from tribcount import fast_count as fc
 from tribcount import oracle
-from tribcount.core_word import trib_number as t
+from tribcount.core_word import N_CAP, trib_number as t
 
 
 def test_distinct_squares_small():
@@ -56,28 +57,31 @@ def test_distinct_squares_increments():
 
 # the breakpoints of order m are read from the tables the counters read:
 # alpha = 2 t_{m-1} for squares and t_{m-1} + 2 t_{m-4} for cubes, the
-# others at index m - 4 (squares) or m - 7 (cubes)
+# others at index m - 4 (squares) or m - 7 (cubes).  The tests run over
+# every order of the tables, leaving out the evaluation points past N_CAP.
+
+
+def _steps_hold(count, steps):
+    """count(y) - count(x) == step for every (x, y, step) with y <= N_CAP
+    (and x < y)."""
+    for x, y, step in steps:
+        if y <= N_CAP:
+            assert count(y) - count(x) == step, (x, y)
 
 
 def test_square_boundary_ordering():
-    bounds = cf._square_table()[1]
-    for m in range(4, 41):
-        beta, gamma, theta = bounds[m - 4]
+    assert len(cw._SQUARE_BOUNDS) == 68 - 4 + 1
+    for m, (beta, gamma, theta) in enumerate(cw._SQUARE_BOUNDS, 4):
         assert 2 * t(m - 1) < beta < gamma < theta < 2 * t(m)
 
 
 def test_square_piecewise_continuity():
-    bounds = cf._square_table()[1]
-    for m in range(4, 41):
+    for m, (beta, gamma, theta) in enumerate(cw._SQUARE_BOUNDS, 4):
         alpha, nxt = 2 * t(m - 1), 2 * t(m)
-        beta, gamma, theta = bounds[m - 4]
-        A = cf.distinct_squares
-        assert A(beta) == A(alpha) + beta - alpha
-        assert A(gamma - 1) == A(beta)
-        assert A(gamma) == A(beta) + 1
-        assert A(theta) == A(gamma) + theta - gamma
-        assert A(nxt - 1) == A(theta)
-        assert A(nxt) == A(theta) + 1
+        _steps_hold(cf.distinct_squares, [
+            (alpha, beta, beta - alpha), (beta, gamma - 1, 0),
+            (beta, gamma, 1), (gamma, theta, theta - gamma),
+            (theta, nxt - 1, 0), (theta, nxt, 1)])
 
 
 def test_distinct_squares_at_t():
@@ -107,7 +111,7 @@ def test_distinct_cubes_values():
 def test_c_indicator_values():
     assert cf.c_indicator(58) == 1
     assert cf.c_indicator(59) == 0
-    assert cf._cube_table()[1][7 - 7] == 58
+    assert cw._CUBE_FIRSTS[7 - 7] == (58, 58)
 
 
 def test_c_indicator_partial_sums():
@@ -118,21 +122,17 @@ def test_c_indicator_partial_sums():
 
 
 def test_cube_boundary_ordering():
-    betas = cf._cube_table()[1]
-    for m in range(7, 41):
-        alpha, nxt = t(m - 1) + 2 * t(m - 4), t(m) + 2 * t(m - 3)
-        assert alpha <= betas[m - 7] < nxt
+    assert len(cw._CUBE_FIRSTS) == 68 - 7 + 1
+    for m, (alpha, beta) in enumerate(cw._CUBE_FIRSTS, 7):
+        assert alpha == t(m - 1) + 2 * t(m - 4)
+        assert alpha <= beta < t(m) + 2 * t(m - 3)
 
 
 def test_cube_piecewise_continuity():
-    betas = cf._cube_table()[1]
-    for m in range(7, 41):
+    for m, (_, beta) in enumerate(cw._CUBE_FIRSTS, 7):
         alpha, nxt = t(m - 1) + 2 * t(m - 4), t(m) + 2 * t(m - 3)
-        beta = betas[m - 7]
-        C = cf.distinct_cubes
-        assert C(beta) == C(alpha) + beta - alpha
-        assert C(nxt - 1) == C(beta)
-        assert C(nxt) == C(beta) + 1
+        _steps_hold(cf.distinct_cubes, [
+            (alpha, beta, beta - alpha), (beta, nxt - 1, 0), (beta, nxt, 1)])
 
 
 def test_distinct_cubes_at_t():
@@ -162,8 +162,8 @@ def test_all_divisions_exact_to_60():
         cf.repeated_squares_at_t(m)
         cf.repeated_cubes_at_t(m)
     # and the breakpoint tables of every order up to the cap
-    assert len(cf._square_table()[1]) >= 61 - 4
-    assert len(cf._cube_table()[1]) >= 61 - 7
+    assert len(cw._SQUARE_BOUNDS) >= 61 - 4
+    assert len(cw._CUBE_FIRSTS) >= 61 - 7
     for m in range(7, 61):
         cf.distinct_cubes_at_t(m)
 
@@ -184,12 +184,12 @@ def test_ends_match_oracle():
     c = [e for e in range(1, top + 1) if scan.c[e]]
     # around the breakpoints of every order that starts below 10^5
     points = {0, 7, 8, 13, 14, 57, 58}
-    for m, (beta, gamma, theta) in enumerate(cf._square_table()[1], 4):
+    for m, (beta, gamma, theta) in enumerate(cw._SQUARE_BOUNDS, 4):
         if (alpha := 2 * t(m - 1)) > top:
             break
         points |= {alpha - 1, alpha, beta, beta + 1,
                    gamma - 1, gamma, theta, theta + 1}
-    for m, beta in enumerate(cf._cube_table()[1], 7):
+    for m, (_, beta) in enumerate(cw._CUBE_FIRSTS, 7):
         if (alpha := t(m - 1) + 2 * t(m - 4)) > top:
             break
         points |= {alpha - 1, alpha, beta, beta + 1}

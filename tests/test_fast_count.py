@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tribcount import closed_forms as cf
+from tribcount import core_word as cw
 from tribcount import fast_count as fc
 from tribcount.core_word import (N_CAP, exact_div, kernel_number as k, prefix,
                                  trib_number as t)
@@ -285,6 +285,16 @@ def test_square_case_block_points():
     assert list(fc.square_case_block(1, 5, 3)) == [70, 71]
 
 
+@pytest.mark.parametrize("j, m, p", [(1, 65, 6), (1, 66, 3), (1, 68, 1),
+                                     (2, 68, 1)])
+def test_square_case_block_past_the_cap(j, m, p):
+    # the kernel occurrence itself lies inside the cap, its block does not
+    assert cw.position_kernel(m, p) <= N_CAP
+    with pytest.raises(ValueError, match=rf"square block \({j}, {m}\) at "
+                       rf"kernel occurrence {p} exceeds cap"):
+        fc.square_case_block(j, m, p)
+
+
 def test_graph_embedding(scan3000):
     invariant_checks.check_graph_embedding(scan3000, prefix(3000))
 
@@ -398,17 +408,47 @@ def _union(intervals):
 def test_unit_increments_are_the_first_occurrences():
     # the unit-increment blocks of all segments, with or without children,
     # are the positions where a square or a cube not seen before ends: the
-    # intervals of the closed forms.  The self-check sees only sums over
-    # whole segments, so a block moved inside its segment shows here.
+    # intervals of the closed forms, which the rows are clipped from, so no
+    # first occurrence up to N_CAP falls outside a block.
     blocks = [row[6:8] for row in fc._square_segments().rows]
     new = [(8, 8), (10, 10)]
-    for m, (beta, gamma, theta) in enumerate(cf._square_table()[1], 4):
+    for m, (beta, gamma, theta) in enumerate(cw._SQUARE_BOUNDS, 4):
         new += [(2 * t(m - 1), beta), (gamma, theta)]
     assert _union(blocks) == _union(new)
     blocks = [row[6:8] for row in fc._cube_segments().rows]
     new = [(t(m - 1) + 2 * t(m - 4), beta)
-           for m, beta in enumerate(cf._cube_table()[1], 7)]
+           for m, (_, beta) in enumerate(cw._CUBE_FIRSTS, 7)]
     assert _union(blocks) == _union(new)
+
+
+@pytest.mark.parametrize("tiling, index, delta, message", [
+    # square beta of order 14: the second field of interval 2 + 2 (14 - 4)
+    ("square", 22, -1, r"unit increments of square segment \(j=3, m=15\)"),
+    ("square", 22, 1, r"unit increments of square segment \(j=3, m=15\)"),
+    # square theta of order 44: the second field of interval 2 + 2 (44 - 4) + 1
+    ("square", 83, -1, r"threshold ordering broken in \(2, 45\)"),
+    ("square", 83, 1, r"square segment \(j=1, m=45\) meets no "
+                      r"first-occurrence interval, or two"),
+    # cube beta of order 27
+    ("cube", 27 - 7, -1, "threshold ordering broken in cube segment 27"),
+    ("cube", 27 - 7, 1, "threshold ordering broken in cube segment 27"),
+])
+def test_a_moved_breakpoint_fails_the_first_build(monkeypatch, tiling, index,
+                                                  delta, message):
+    # the rows take their unit increments from the first-occurrence
+    # intervals, so one breakpoint moved by one fails the build that reads
+    # it, naming the segment, and nothing is published
+    name = "_SQUARE_FIRSTS" if tiling == "square" else "_CUBE_FIRSTS"
+    firsts = getattr(fc, name)
+    x, y = firsts[index]
+    monkeypatch.setattr(fc, name, firsts[:index] + ((x, y + delta),)
+                        + firsts[index + 1:])
+    monkeypatch.setattr(fc, "_SQUARES", None)
+    monkeypatch.setattr(fc, "_CUBES", None)
+    build = fc._square_segments if tiling == "square" else fc._cube_segments
+    with pytest.raises((RuntimeError, AssertionError), match=message):
+        build()
+    assert fc._SQUARES is None and fc._CUBES is None
 
 
 def test_vectors_at_the_materialization_cap_sum_to_the_closed_forms():
