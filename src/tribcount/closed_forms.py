@@ -4,11 +4,12 @@
 which boundary interval the prefix length falls in; the indicator functions
 tell whether a new distinct repetition ends at a given position, and
 ``square_ends``/``cube_ends`` stream the positions where they are 1.  The
-breakpoints of every order and those positions are ``core_word``'s tables,
-so an evaluation is one ``bisect`` for the order, a few comparisons and
-one closed form read off the block lengths.  The ``*_at_t`` variants are
-the specialized values at prefix lengths equal to block lengths, including
-the repeated-square/cube counts there.
+breakpoints of every order and those positions are ``core_word``'s tables.
+The formulas are evaluated once per order at import, into a tuple of the
+order's breakpoints and constants, so an evaluation is one ``bisect`` into
+those tuples, a few comparisons and at most one subtraction.  The
+``*_at_t`` variants are the specialized values at prefix lengths equal to
+block lengths, including the repeated-square/cube counts there.
 
 All arithmetic is exact: fractional coefficients are cleared to a common
 denominator and divided once with a remainder check.
@@ -35,24 +36,41 @@ from .core_word import (
 )
 
 
+def _square_constants():
+    """Per order m of ``_SQUARE_BOUNDS``, its breakpoints (beta, gamma,
+    theta) and the constants c1..c4 of the count on [alpha, beta),
+    [beta, gamma), [gamma, theta) and [theta, 2 t_m): n - c1, c2, n - c3
+    and c4."""
+    constants = []
+    for m, (beta, gamma, theta) in enumerate(_SQUARE_BOUNDS, 4):
+        o = m + _OFF  # t_i is _T[i + _OFF]
+        t0, t1, t2, t3 = _T[o], _T[o - 1], _T[o - 2], _T[o - 3]
+        constants.append((beta, gamma, theta,
+                          exact_div(t0 + t3 + m + 3, 2),
+                          exact_div(t1 + t2 + 4 * t3 - m - 5, 2),
+                          exact_div(t1 + 3 * t2 + m + 3, 2),
+                          exact_div(2 * t1 + t2 + 3 * t3 - m - 6, 2)))
+    return tuple(constants)
+
+
+_SQUARE_CONSTANTS = _square_constants()
+
+
 def distinct_squares(n: int) -> int:
     """Number of distinct squares in the length-n prefix."""
     if type(n) is not int or n < 0 or n > N_CAP:
         n = _arg(n, 0, N_CAP, "prefix length")
     if n < 14:  # the intervals below order 4 are single positions
         return bisect_left(_SQUARE_FIRSTS, (n + 1,))
-    i = bisect_right(_SQUARE_RANGE_ENDS, n)
-    beta, gamma, theta = _SQUARE_BOUNDS[i]
-    m = 4 + i
-    o = m + _OFF
-    t1, t2, t3 = _T[o - 1], _T[o - 2], _T[o - 3]
+    beta, gamma, theta, c1, c2, c3, c4 = _SQUARE_CONSTANTS[
+        bisect_right(_SQUARE_RANGE_ENDS, n)]
     if n < beta:
-        return n - exact_div(_T[o] + t3 + m + 3, 2)
+        return n - c1
     if n < gamma:
-        return exact_div(t1 + t2 + 4 * t3 - m - 5, 2)
+        return c2
     if n < theta:
-        return n - exact_div(t1 + 3 * t2 + m + 3, 2)
-    return exact_div(2 * t1 + t2 + 3 * t3 - m - 6, 2)
+        return n - c3
+    return c4
 
 
 def a_indicator(n: int) -> int:
@@ -99,19 +117,31 @@ def glen_distinct_squares_at_t(m: int) -> int:
     return total + _glen_d(h - 4) + _glen_d(h - 5) + 1
 
 
+def _cube_constants():
+    """Per order m of ``_CUBE_FIRSTS``, its beta and the constants c1, c2
+    of the count on [alpha, beta] and (beta, t_m + 2 t_{m-3}): n - c1 and
+    c2."""
+    constants = []
+    for m, (_, beta) in enumerate(_CUBE_FIRSTS, 7):
+        o = m + _OFF
+        t1, t2, t3 = _T[o - 1], _T[o - 2], _T[o - 3]
+        constants.append((beta,
+                          exact_div(4 * t1 - t2 - 3 * t3 + m - 6, 2),
+                          exact_div(_T[o - 5] + _T[o - 6] - m + 3, 2)))
+    return tuple(constants)
+
+
+_CUBE_CONSTANTS = _cube_constants()
+
+
 def distinct_cubes(n: int) -> int:
     """Number of distinct cubes in the length-n prefix."""
     if type(n) is not int or n < 0 or n > N_CAP:
         n = _arg(n, 0, N_CAP, "prefix length")
     if n <= 57:
         return 0
-    i = bisect_right(_CUBE_RANGE_ENDS, n)
-    m = 7 + i
-    o = m + _OFF
-    if n <= _CUBE_FIRSTS[i][1]:  # beta
-        t1, t2, t3 = _T[o - 1], _T[o - 2], _T[o - 3]
-        return n - exact_div(4 * t1 - t2 - 3 * t3 + m - 6, 2)
-    return exact_div(_T[o - 5] + _T[o - 6] - m + 3, 2)
+    beta, c1, c2 = _CUBE_CONSTANTS[bisect_right(_CUBE_RANGE_ENDS, n)]
+    return n - c1 if n <= beta else c2
 
 
 def c_indicator(n: int) -> int:

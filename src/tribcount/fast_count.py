@@ -13,11 +13,12 @@ recursion goes from a segment of order m to a child of order m - j, j in
 steps per jump: each segment above the floor is cut into pieces over which
 both steps are fixed, so a jump is one ``bisect`` over the segment's piece
 starts and one addition.  At n drawn log-uniformly from 10^3 to 10^18 a
-call takes about 8.5 jumps and about 2-5 microseconds warm (README,
+call takes about 7.4 jumps and about 2.5-6 microseconds warm (README,
 "Arithmetic and speed").  The walk stops at the floor, the one table of
-small positions: the per-position counts of the square orders 4-13 and the
-cube orders 7-13, which both end at position 3735, and their prefix sums.
-Every n up to 3735 is read from it with no jump.
+small positions: the per-position counts of the square orders 4-17 and the
+cube orders 7-17, which both end at position 42761, and their prefix sums
+in an ``array('I')``.  Every n up to 42761 is read from it before any
+lookup, with no jump.
 
 The rows are the one statement of the copy recursion: the floor and
 ``positions --repeated`` are copied along them (``_counts``), each segment
@@ -29,12 +30,13 @@ self-check: the tiling, chaining and copy identities at every order, every
 segment with children lined up with them, and, at every segment inside the
 floor, the closed-form cumulative count against the floor's prefix sum,
 which the copy built without the closed forms.  The pieces of a segment
-are composed from the rows the first time a descent reaches it (2 039
-square and 697 cube pieces in all, about 580 KB) and stored only once they
+are composed from the rows the first time a descent reaches it (1 887
+square and 645 cube pieces in all, about 590 KB) and stored only once they
 pass their own check: they tile the segment and every jump lands inside
-the segment it names.  A first call in a fresh process takes about
-2-3 ms at n = 10^18 (README).  A mismatch reports the offending segment
-and aborts.
+the segment it names.  The first algorithm_B and algorithm_D calls in a
+fresh process take about 6 and 4.5 ms at n = 10^18, most of it the rows,
+the floor and its prefix sums (README).  A mismatch reports the offending
+segment and aborts.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ from .core_word import (
 # the floor order and the tiling starts
 
 # Highest order of the floor, the per-position table where descents stop:
-# both tilings end there at position 3735, within the oracle's cap.
-_FLOOR_ORDER = 13
+# both tilings end there at position 42761, within the oracle's cap.
+_FLOOR_ORDER = 17
 
 SQUARE_START = 8  # first position of the square tiling
 CUBE_START = 52   # first position of the cube tiling
@@ -377,7 +379,8 @@ def _build_segments(rows_of, m, start, label) -> _Segments:
     """One tiling's tables, self-checked: the rows ``rows_of(m)`` of every
     order from m up to the one whose segments reach N_CAP, and the floor
     copied along them to the end of order _FLOOR_ORDER (``_counts``), as
-    ``bytes`` and a 64-bit ``array`` of prefix sums."""
+    ``bytes`` and an ``array('I')`` of prefix sums: the largest, 175 512,
+    needs 4 bytes, and one past the type's range raises OverflowError."""
     rows = []
     while not rows or rows[-1][1] < N_CAP:
         rows += rows_of(m)
@@ -385,7 +388,7 @@ def _build_segments(rows_of, m, start, label) -> _Segments:
             top = rows[-1][1]
         m += 1
     per = _counts(rows, top)
-    seg = _Segments(rows, bytes(per), array("q", accumulate(per)), label)
+    seg = _Segments(rows, bytes(per), array("I", accumulate(per)), label)
     _check_segments(seg, start)
     return seg
 
@@ -431,9 +434,12 @@ def _cube_counts(n: int) -> bytearray:
 def _point(seg: _Segments, n: int) -> int:
     """Count ending exactly at n: the unit increments met on the way down
     the copy recursion, two steps per jump, plus the floor entry reached:
-    the entry of n itself for every n up to the floor's end."""
-    pieces, base = seg.pieces, seg.base
-    top = len(base) - 1
+    the entry of n itself, read before any lookup, for every n up to the
+    floor's end."""
+    base = seg.base
+    if n < len(base):
+        return base[n]
+    pieces, top = seg.pieces, len(base) - 1
     s = bisect_right(seg.lo, n) - 1
     extra = 0
     while n > top:
@@ -450,8 +456,10 @@ def _cumulative(seg: _Segments, n: int) -> int:
     """Count ending at or before n: the terms a * n + b of the pieces met
     on the way down plus the floor's prefix sum reached (see ``_point`` and
     ``_segment_pieces``)."""
-    pieces, base_cum = seg.pieces, seg.base_cum
-    top = len(base_cum) - 1
+    base_cum = seg.base_cum
+    if n < len(base_cum):
+        return base_cum[n]
+    pieces, top = seg.pieces, len(base_cum) - 1
     s = bisect_right(seg.lo, n) - 1
     total = 0
     while n > top:

@@ -9,8 +9,8 @@ def scan3000():
 
 
 @pytest.fixture(scope="session")
-def scan5000():
-    return oracle.scan_repetitions(5000)
+def scan_cap():
+    return oracle.scan_repetitions(oracle.ORACLE_CAP)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from tribcount import closed_forms as cf
 from tribcount import core_word as cw
 from tribcount import fast_count as fc
 from tribcount import oracle
-from tribcount.core_word import N_CAP, trib_number as t
+from tribcount.core_word import N_CAP, exact_div, trib_number as t
 
 
 def test_distinct_squares_small():
@@ -135,6 +135,53 @@ def test_cube_piecewise_continuity():
             (alpha, beta, beta - alpha), (beta, nxt - 1, 0), (beta, nxt, 1)])
 
 
+def _squares_by_formula(m, n):
+    """The distinct-square count at n in the range of order m, evaluated
+    from the block lengths as ``distinct_squares`` once did per call."""
+    beta, gamma, theta = cw._SQUARE_BOUNDS[m - 4]
+    t0, t1, t2, t3 = t(m), t(m - 1), t(m - 2), t(m - 3)
+    if n < beta:
+        return n - exact_div(t0 + t3 + m + 3, 2)
+    if n < gamma:
+        return exact_div(t1 + t2 + 4 * t3 - m - 5, 2)
+    if n < theta:
+        return n - exact_div(t1 + 3 * t2 + m + 3, 2)
+    return exact_div(2 * t1 + t2 + 3 * t3 - m - 6, 2)
+
+
+def _cubes_by_formula(m, n):
+    """The distinct-cube count at n in the range of order m (see
+    ``_squares_by_formula``)."""
+    t1, t2, t3 = t(m - 1), t(m - 2), t(m - 3)
+    if n <= cw._CUBE_FIRSTS[m - 7][1]:
+        return n - exact_div(4 * t1 - t2 - 3 * t3 + m - 6, 2)
+    return exact_div(t(m - 5) + t(m - 6) - m + 3, 2)
+
+
+def test_constant_tables_equal_the_formulas_to_the_cap():
+    # the per-order constants against the expressions they were evaluated
+    # from, at every breakpoint and range end up to N_CAP, beyond the
+    # oracle's reach
+    orders = 0
+    for m, (beta, gamma, theta) in enumerate(cw._SQUARE_BOUNDS, 4):
+        points = [2 * t(m - 1), beta - 1, beta, gamma - 1, gamma, theta - 1,
+                  theta, 2 * t(m) - 1]
+        orders += points[0] <= N_CAP
+        for n in points:
+            if n <= N_CAP:
+                assert cf.distinct_squares(n) == _squares_by_formula(m, n), n
+    assert orders == 67 - 4 + 1
+    orders = 0
+    for m, (alpha, beta) in enumerate(cw._CUBE_FIRSTS, 7):
+        end = t(m) + 2 * t(m - 3)  # the next order's range starts here
+        orders += alpha <= N_CAP
+        for n, order in ((alpha - 1, m - 1), (alpha, m), (alpha + 1, m),
+                         (beta, m), (beta + 1, m), (end - 1, m)):
+            if 58 <= n <= N_CAP:
+                assert cf.distinct_cubes(n) == _cubes_by_formula(order, n), n
+    assert orders == 68 - 7 + 1
+
+
 def test_distinct_cubes_at_t():
     assert cf.distinct_cubes_at_t(6) == 0
     assert cf.distinct_cubes_at_t(7) == 1
@@ -177,11 +224,10 @@ def test_oracle_agreement(scan3000):
         assert cf.distinct_cubes(n) == acc_c
 
 
-def test_ends_match_oracle():
-    top = 100_000
-    scan = oracle.scan_repetitions(top)
-    a = [e for e in range(1, top + 1) if scan.a[e]]
-    c = [e for e in range(1, top + 1) if scan.c[e]]
+def test_ends_match_oracle(scan_cap):
+    top = oracle.ORACLE_CAP
+    a = [e for e in range(1, top + 1) if scan_cap.a[e]]
+    c = [e for e in range(1, top + 1) if scan_cap.c[e]]
     # around the breakpoints of every order that starts below 10^5
     points = {0, 7, 8, 13, 14, 57, 58}
     for m, (beta, gamma, theta) in enumerate(cw._SQUARE_BOUNDS, 4):

@@ -422,9 +422,15 @@ def test_unit_increments_are_the_first_occurrences():
 
 
 @pytest.mark.parametrize("tiling, index, delta, message", [
-    # square beta of order 14: the second field of interval 2 + 2 (14 - 4)
-    ("square", 22, -1, r"unit increments of square segment \(j=3, m=15\)"),
-    ("square", 22, 1, r"unit increments of square segment \(j=3, m=15\)"),
+    # square beta of order 14: the second field of interval 2 + 2 (14 - 4);
+    # segment (3, 15) lies inside the floor, which is copied along it
+    ("square", 22, -1, r"cumulative count at square segment \(j=3, m=15\) "
+                       r"disagrees with the floor"),
+    ("square", 22, 1, r"cumulative count at square segment \(j=3, m=15\) "
+                      r"disagrees with the floor"),
+    # square beta of order 17: segment (3, 18), the first past the floor
+    ("square", 28, -1, r"unit increments of square segment \(j=3, m=18\)"),
+    ("square", 28, 1, r"unit increments of square segment \(j=3, m=18\)"),
     # square theta of order 44: the second field of interval 2 + 2 (44 - 4) + 1
     ("square", 83, -1, r"threshold ordering broken in \(2, 45\)"),
     ("square", 83, 1, r"square segment \(j=1, m=45\) meets no "
@@ -462,7 +468,7 @@ def test_vectors_at_the_materialization_cap_sum_to_the_closed_forms():
     assert sum(fc._cube_counts(hi)[lo:]) == seg.sums[27 - 7]
 
 
-FLOOR_TOP = 3735  # last position of square order 13 and of cube order 13
+FLOOR_TOP = 42761  # last position of square order 17 and of cube order 17
 
 
 def _every_piece(seg):
@@ -593,23 +599,23 @@ def test_floors_end_together_with_their_prefix_sums():
     for seg in (fc._square_segments(), fc._cube_segments()):
         assert len(seg.base) == len(seg.base_cum) == FLOOR_TOP + 1
         assert tuple(seg.base_cum) == tuple(accumulate(seg.base))
-    assert (fc._square_segments().rows[square_index(1, 13)][1]
-            == fc._cube_segments().rows[13 - 7][1] == FLOOR_TOP)
+    assert (fc._square_segments().rows[square_index(1, 17)][1]
+            == fc._cube_segments().rows[17 - 7][1] == FLOOR_TOP)
 
 
-def test_floors_match_oracle(scan5000):
+def test_floors_match_oracle(scan_cap):
     floor = slice(FLOOR_TOP + 1)
-    assert tuple(fc._square_segments().base) == tuple(scan5000.b[floor])
-    assert tuple(fc._cube_segments().base) == tuple(scan5000.d[floor])
+    assert tuple(fc._square_segments().base) == tuple(scan_cap.b[floor])
+    assert tuple(fc._cube_segments().base) == tuple(scan_cap.d[floor])
 
 
-def test_counts_above_the_floor_match_oracle(scan5000):
+def test_counts_above_the_floor_match_oracle(scan_cap):
     # the first steps of the descents, from just below the floor's end
-    acc_b = list(accumulate(scan5000.b))
-    acc_d = list(accumulate(scan5000.d))
-    for n in range(3700, 5001):
-        assert fc.b_at(n) == scan5000.b[n], n
-        assert fc.d_at(n) == scan5000.d[n], n
+    acc_b = list(accumulate(scan_cap.b))
+    acc_d = list(accumulate(scan_cap.d))
+    for n in range(42_700, 44_001):
+        assert fc.b_at(n) == scan_cap.b[n], n
+        assert fc.d_at(n) == scan_cap.d[n], n
         assert fc.algorithm_B(n) == acc_b[n], n
         assert fc.algorithm_D(n) == acc_d[n], n
 

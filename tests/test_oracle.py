@@ -225,13 +225,12 @@ def test_longest_previous_on_random_words(word):
     assert list(oracle._longest_previous(word)) == _longest_previous_reference(word)
 
 
-def test_formulas_equal_running_sums_at_the_cap():
+def test_formulas_equal_running_sums_at_the_cap(scan_cap):
     n = oracle.ORACLE_CAP
-    s = oracle.scan_repetitions(n)
-    for fn, column in ((closed_forms.distinct_squares, s.a),
-                       (fast_count.algorithm_B, s.b),
-                       (closed_forms.distinct_cubes, s.c),
-                       (fast_count.algorithm_D, s.d)):
+    for fn, column in ((closed_forms.distinct_squares, scan_cap.a),
+                       (fast_count.algorithm_B, scan_cap.b),
+                       (closed_forms.distinct_cubes, scan_cap.c),
+                       (fast_count.algorithm_D, scan_cap.d)):
         sums = list(accumulate(column))
         assert [fn(i) for i in range(n + 1)] == sums, fn.__name__
 
