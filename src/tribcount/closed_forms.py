@@ -1,15 +1,15 @@
-"""Closed-form counting of distinct squares and cubes in prefixes.
+"""Counting of distinct squares and cubes in prefixes.
 
-``distinct_squares``/``distinct_cubes`` evaluate piecewise formulas keyed on
-which boundary interval the prefix length falls in; the indicator functions
-tell whether a new distinct repetition ends at a given position, and
-``square_ends``/``cube_ends`` stream the positions where they are 1.  The
-breakpoints of every order and those positions are ``core_word``'s tables.
-The formulas are evaluated once per order at import, into a tuple of the
-order's breakpoints and constants, so an evaluation is one ``bisect`` into
-those tuples, a few comparisons and at most one subtraction.  The
-``*_at_t`` variants are the specialized values at prefix lengths equal to
-block lengths, including the repeated-square/cube counts there.
+``distinct_squares``/``distinct_cubes`` are running sums over the intervals
+at which a square or cube not seen before ends, ``core_word``'s tables.  At
+import each table becomes three int columns, the interval starts, the
+interval ends and the running count at each end, so a count is one
+``bisect`` over the starts, two reads and at most one subtraction.  The
+indicator functions, whether a new repetition ends at a given position,
+read the same columns, and ``square_ends``/``cube_ends`` stream the
+positions where they are 1.  The ``*_at_t`` variants are closed forms at
+prefix lengths equal to block lengths, including the repeated-square/cube
+counts there; they read no interval table.
 
 All arithmetic is exact: fractional coefficients are cleared to a common
 denominator and divided once with a remainder check.
@@ -17,17 +17,12 @@ denominator and divided once with a remainder check.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import chain
+from bisect import bisect_right
+from itertools import accumulate, chain
 
 from .core_word import (
     _CUBE_FIRSTS,
-    _CUBE_RANGE_ENDS,
-    _OFF,
-    _SQUARE_BOUNDS,
     _SQUARE_FIRSTS,
-    _SQUARE_RANGE_ENDS,
-    _T,
     MAX_ORDER,
     N_CAP,
     _arg,
@@ -36,50 +31,38 @@ from .core_word import (
 )
 
 
-def _square_constants():
-    """Per order m of ``_SQUARE_BOUNDS``, its breakpoints (beta, gamma,
-    theta) and the constants c1..c4 of the count on [alpha, beta),
-    [beta, gamma), [gamma, theta) and [theta, 2 t_m): n - c1, c2, n - c3
-    and c4."""
-    constants = []
-    for m, (beta, gamma, theta) in enumerate(_SQUARE_BOUNDS, 4):
-        o = m + _OFF  # t_i is _T[i + _OFF]
-        t0, t1, t2, t3 = _T[o], _T[o - 1], _T[o - 2], _T[o - 3]
-        constants.append((beta, gamma, theta,
-                          exact_div(t0 + t3 + m + 3, 2),
-                          exact_div(t1 + t2 + 4 * t3 - m - 5, 2),
-                          exact_div(t1 + 3 * t2 + m + 3, 2),
-                          exact_div(2 * t1 + t2 + 3 * t3 - m - 6, 2)))
-    return tuple(constants)
+def _running(firsts):
+    """Three int columns of the intervals ``firsts`` at which a new square
+    or cube ends, led by an empty interval (0, -1) so that every n >= 0 has
+    one starting at or before it: the starts, for ``bisect``, the ends, and
+    the count of positions in the intervals up to each end."""
+    firsts = ((0, -1),) + firsts
+    return (tuple(x for x, _ in firsts), tuple(y for _, y in firsts),
+            tuple(accumulate(y - x + 1 for x, y in firsts)))
 
 
-_SQUARE_CONSTANTS = _square_constants()
+_SQUARE_STARTS, _SQUARE_ENDS, _SQUARE_COUNTS = _running(_SQUARE_FIRSTS)
+_CUBE_STARTS, _CUBE_ENDS, _CUBE_COUNTS = _running(_CUBE_FIRSTS)
 
 
 def distinct_squares(n: int) -> int:
-    """Number of distinct squares in the length-n prefix."""
+    """Number of distinct squares in the length-n prefix: the number of
+    positions e <= n at which a new square ends, summed over the
+    intervals."""
     if type(n) is not int or n < 0 or n > N_CAP:
         n = _arg(n, 0, N_CAP, "prefix length")
-    if n < 14:  # the intervals below order 4 are single positions
-        return bisect_left(_SQUARE_FIRSTS, (n + 1,))
-    beta, gamma, theta, c1, c2, c3, c4 = _SQUARE_CONSTANTS[
-        bisect_right(_SQUARE_RANGE_ENDS, n)]
-    if n < beta:
-        return n - c1
-    if n < gamma:
-        return c2
-    if n < theta:
-        return n - c3
-    return c4
+    # the last interval starting at or before n, less its positions past n
+    i = bisect_right(_SQUARE_STARTS, n) - 1
+    over = _SQUARE_ENDS[i] - n
+    return _SQUARE_COUNTS[i] - over if over > 0 else _SQUARE_COUNTS[i]
 
 
 def a_indicator(n: int) -> int:
     """1 iff a square not seen before ends exactly at position n."""
     if type(n) is not int or n < 1 or n > N_CAP:
         n = _arg(n, 1, N_CAP, "position")
-    # the last interval starting at or before n, else one starting past n
-    x, y = _SQUARE_FIRSTS[bisect_left(_SQUARE_FIRSTS, (n + 1,)) - 1]
-    return 1 if x <= n <= y else 0
+    # the last interval starting at or before n holds n, or none does
+    return 1 if n <= _SQUARE_ENDS[bisect_right(_SQUARE_STARTS, n) - 1] else 0
 
 
 def square_ends(n: int):
@@ -117,39 +100,22 @@ def glen_distinct_squares_at_t(m: int) -> int:
     return total + _glen_d(h - 4) + _glen_d(h - 5) + 1
 
 
-def _cube_constants():
-    """Per order m of ``_CUBE_FIRSTS``, its beta and the constants c1, c2
-    of the count on [alpha, beta] and (beta, t_m + 2 t_{m-3}): n - c1 and
-    c2."""
-    constants = []
-    for m, (_, beta) in enumerate(_CUBE_FIRSTS, 7):
-        o = m + _OFF
-        t1, t2, t3 = _T[o - 1], _T[o - 2], _T[o - 3]
-        constants.append((beta,
-                          exact_div(4 * t1 - t2 - 3 * t3 + m - 6, 2),
-                          exact_div(_T[o - 5] + _T[o - 6] - m + 3, 2)))
-    return tuple(constants)
-
-
-_CUBE_CONSTANTS = _cube_constants()
-
-
 def distinct_cubes(n: int) -> int:
-    """Number of distinct cubes in the length-n prefix."""
+    """Number of distinct cubes in the length-n prefix (see
+    ``distinct_squares``)."""
     if type(n) is not int or n < 0 or n > N_CAP:
         n = _arg(n, 0, N_CAP, "prefix length")
-    if n <= 57:
-        return 0
-    beta, c1, c2 = _CUBE_CONSTANTS[bisect_right(_CUBE_RANGE_ENDS, n)]
-    return n - c1 if n <= beta else c2
+    i = bisect_right(_CUBE_STARTS, n) - 1
+    over = _CUBE_ENDS[i] - n
+    return _CUBE_COUNTS[i] - over if over > 0 else _CUBE_COUNTS[i]
 
 
 def c_indicator(n: int) -> int:
     """1 iff a cube not seen before ends exactly at position n."""
     if type(n) is not int or n < 1 or n > N_CAP:
         n = _arg(n, 1, N_CAP, "position")
-    x, y = _CUBE_FIRSTS[bisect_left(_CUBE_FIRSTS, (n + 1,)) - 1]
-    return 1 if x <= n <= y else 0  # see ``a_indicator``
+    # see ``a_indicator``
+    return 1 if n <= _CUBE_ENDS[bisect_right(_CUBE_STARTS, n) - 1] else 0
 
 
 def cube_ends(n: int):

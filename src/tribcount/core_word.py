@@ -6,9 +6,10 @@ per-block letter counts and last letters.  Positions are 1-based, matching
 the usual convention for occurrence positions.  Queries never materialize
 the word except for ``prefix``, which is capped.
 
-The breakpoints of the distinct counts and the intervals at which a square
-or cube not seen before ends are built, and checked, at import too: both
-``closed_forms`` and ``fast_count``'s segment rows read them.
+The intervals at which a square or cube not seen before ends are built,
+and their breakpoints checked, at import too: ``closed_forms``' distinct
+counts are running sums over them, and ``fast_count``'s segment rows take
+their unit increments from them.
 """
 
 from __future__ import annotations
@@ -99,13 +100,12 @@ def kernel_number(m: int) -> int:
 
 
 def _square_breakpoints():
-    """Per order m >= 4 of the distinct-square count, up to the first that
-    starts past N_CAP (it holds square segment (1, 68)'s increments): the
-    end 2 t_m of its range [alpha, 2 t_m), for ``bisect``, its breakpoints
-    (beta, gamma, theta), checked for ordering, and the ascending intervals
-    at which a new square ends: (8, 8), (10, 10), then [alpha, beta] and
-    [gamma, theta] of each order."""
-    ends, bounds, firsts, m, alpha = [], [], [(8, 8), (10, 10)], 3, 0
+    """The ascending intervals at which a new square ends: (8, 8), (10, 10),
+    then [alpha, beta] and [gamma, theta] of each order m >= 4 of the
+    distinct-square count, up to the first that starts past N_CAP (it holds
+    square segment (1, 68)'s increments), with alpha < beta < gamma <
+    theta < 2 t_m checked."""
+    firsts, m, alpha = [(8, 8), (10, 10)], 3, 0
     while alpha <= N_CAP:
         m += 1
         o = m + _OFF  # t_i is _T[i + _OFF]
@@ -116,33 +116,31 @@ def _square_breakpoints():
         theta = exact_div(3 * t0 + t2 - 3, 2)
         if not alpha < beta < gamma < theta < 2 * t0:
             raise AssertionError(f"square boundary ordering broken at m={m}")
-        ends.append(2 * t0)
-        bounds.append((beta, gamma, theta))
         firsts += [(alpha, beta), (gamma, theta)]
-    return tuple(ends), tuple(bounds), tuple(firsts)
+    return tuple(firsts)
 
 
 def _cube_breakpoints():
-    """The cube counterpart, orders m >= 7 up to the one holding N_CAP: the
-    range ends t_m + 2 t_{m-3} and the intervals [alpha, beta], with beta
-    checked for ordering and against t_{m-1} + k_{m+1} - 2."""
-    ends, firsts, m = [], [], 6
-    while not ends or ends[-1] <= N_CAP:
+    """The cube counterpart, orders m >= 7 up to the one whose range
+    [alpha, t_m + 2 t_{m-3}) holds N_CAP: the intervals [alpha, beta], with
+    beta checked for ordering and against t_{m-1} + k_{m+1} - 2."""
+    firsts, m, end = [], 6, 0
+    while end <= N_CAP:
         m += 1
         o = m + _OFF
         t0, t1, t2, t3, t4 = _T[o], _T[o - 1], _T[o - 2], _T[o - 3], _T[o - 4]
         beta = exact_div(3 * t1 - t3 - 3, 2)
-        if not t1 + 2 * t4 <= beta < t0 + 2 * t3:
+        end = t0 + 2 * t3
+        if not t1 + 2 * t4 <= beta < end:
             raise AssertionError(f"cube boundary ordering broken at m={m}")
         if beta != t1 + _K[m + 1] - 2:
             raise AssertionError(f"last new cube misplaced at m={m}")
-        ends.append(t0 + 2 * t3)
         firsts.append((t1 + 2 * t4, beta))
-    return tuple(ends), tuple(firsts)
+    return tuple(firsts)
 
 
-_SQUARE_RANGE_ENDS, _SQUARE_BOUNDS, _SQUARE_FIRSTS = _square_breakpoints()
-_CUBE_RANGE_ENDS, _CUBE_FIRSTS = _cube_breakpoints()
+_SQUARE_FIRSTS = _square_breakpoints()
+_CUBE_FIRSTS = _cube_breakpoints()
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,12 @@ rows are built on first use and published only once they pass the
 self-check: the tiling, chaining and copy identities at every order, every
 segment with children lined up with them, and, at every segment inside the
 floor, the closed-form cumulative count against the floor's prefix sum,
-which the copy built without the closed forms.  The pieces of a segment
-are composed from the rows the first time a descent reaches it (1 887
-square and 645 cube pieces in all, about 590 KB) and stored only once they
-pass their own check: they tile the segment and every jump lands inside
-the segment it names.  The first algorithm_B and algorithm_D calls in a
+which the copy built without the closed forms (with the chaining, this
+pins every closed-form segment total there).  The pieces of a segment are
+composed from the rows the first time a descent reaches it (1 887 square
+and 645 cube pieces in all, about 590 KB) and stored only once they pass
+their own check: they tile the segment and every jump lands inside the
+segment it names.  The first algorithm_B and algorithm_D calls in a
 fresh process take about 6 and 4.5 ms at n = 10^18, most of it the rows,
 the floor and its prefix sums (README).  A mismatch reports the offending
 segment and aborts.
@@ -55,7 +56,6 @@ from .core_word import (
     _arg,
     exact_div,
     position_kernel,
-    trib_number as _t,
 )
 
 
@@ -205,13 +205,6 @@ def _cube_rows(m: int) -> list:
                     + 12 * (-2 * t0 + 2 * t1 + t2) + 11 * m, 44)
     first = m - 10 if m >= 10 else -1  # children m-3, m-2, m-1 from order 10
     return [(lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi, total, cum)]
-
-
-def _phi(m: int) -> int:
-    t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
-    num = (2 * m * (-5 * t0 + 14 * t1 + 4 * t2)
-           + (67 * t0 - 166 * t1 + 5 * t2) + 11)
-    return exact_div(num, 44)
 
 
 def _check_segments(seg: _Segments, start: int) -> None:
@@ -398,16 +391,11 @@ _CUBES = None    # the cube tables, once built and checked
 
 
 def _square_segments() -> _Segments:
-    """Build the square tables, check the segment totals of the floor
-    orders against ``_phi`` too, and publish them.  Callers reach the
-    tables as ``_SQUARES or _square_segments()``."""
+    """Build the square tables and publish them.  Callers reach the tables
+    as ``_SQUARES or _square_segments()``."""
     global _SQUARES
-    seg = _build_segments(_square_rows, 4, SQUARE_START, _square_label)
-    for m in range(4, _FLOOR_ORDER + 1):
-        if _phi(m) != sum(seg.sums[3 * (m - 4):3 * (m - 3)]):
-            raise RuntimeError(f"segment total formula disagrees at m={m}")
-    _SQUARES = seg
-    return seg
+    _SQUARES = _build_segments(_square_rows, 4, SQUARE_START, _square_label)
+    return _SQUARES
 
 
 def _cube_segments() -> _Segments:

@@ -8,6 +8,7 @@ except where the sweep's purpose is exactly that comparison.
 """
 
 from tribcount import core_word, fast_count, oracle
+from tribcount.core_word import exact_div, trib_number as t
 
 # end positions of the 29 first-occurrence squares in the length-65 prefix
 SQUARE_ENDS_65 = [
@@ -68,6 +69,25 @@ def square_index(j, m):
     """Index of square segment (j, m) in the square tables; cube segment m
     is at m - 7."""
     return 3 * (m - 4) + 3 - j
+
+
+def square_bounds():
+    """(beta, gamma, theta) of every square order m >= 4, at index m - 4,
+    read from the intervals at which a new square ends: after (8, 8) and
+    (10, 10), order m holds [2 t_{m-1}, beta] and [gamma, theta]."""
+    firsts = core_word._SQUARE_FIRSTS[2:]
+    assert len(firsts) % 2 == 0
+    return [(beta, gamma, theta)
+            for (_, beta), (gamma, theta) in zip(firsts[::2], firsts[1::2])]
+
+
+def phi(m):
+    """The paper's closed form of the total of the three square segments
+    of order m; the counters read no such total."""
+    t0, t1, t2 = t(m), t(m - 1), t(m - 2)
+    num = (2 * m * (-5 * t0 + 14 * t1 + 4 * t2)
+           + (67 * t0 - 166 * t1 + 5 * t2) + 11)
+    return exact_div(num, 44)
 
 
 def check_segment_tiling(m_max):

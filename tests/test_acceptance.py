@@ -14,7 +14,7 @@ from tribcount import oracle
 from tribcount.core_word import prefix, trib_number as t
 
 import invariant_checks
-from invariant_checks import square_index
+from invariant_checks import phi, square_index
 
 
 def test_criterion_1_worked_examples():
@@ -77,19 +77,20 @@ def test_criterion_4_exhaustive_validation(scan600_restricted, scan600_exhaustiv
 
 
 def test_criterion_5_cross_formula_consistency():
-    for m in range(3, 26):
+    # every block length up to N_CAP: t_67 is the last
+    for m in range(3, 68):
         assert cf.repeated_squares_at_t(m) == fc.algorithm_B(t(m)), m
         assert cf.repeated_cubes_at_t(m) == fc.algorithm_D(t(m)), m
         assert cf.distinct_squares_at_t(m) == cf.glen_distinct_squares_at_t(m), m
         assert cf.distinct_squares_at_t(m) == cf.distinct_squares(t(m)), m
         assert cf.distinct_cubes_at_t(m) == cf.distinct_cubes(t(m)), m
-    print("criterion 5 PASS: cross-formula consistency on [3, 25]")
+    print("criterion 5 PASS: cross-formula consistency on [3, 67]")
 
 
 def test_criterion_6_structural_recursion(scan3000):
-    # orders 14-16 lie above the descents' floor, which ends with order 13
+    # orders 18-20 lie above the descents' floor, which ends with order 17
     seg = fc._square_segments()
-    for m in range(4, 17):
+    for m in range(4, 21):
         for j in (1, 2, 3):
             s = square_index(j, m)
             lo, hi = seg.rows[s][:2]
@@ -99,10 +100,10 @@ def test_criterion_6_structural_recursion(scan3000):
                 assert v == fc.b_at(lo + i)
                 if lo + i <= 3000:
                     assert v == scan3000.b[lo + i]
-        assert fc._phi(m) == sum(seg.sums[square_index(j, m)]
+        assert phi(m) == sum(seg.sums[square_index(j, m)]
                                  for j in (1, 2, 3))
     cubes = fc._cube_segments()
-    for m in range(7, 17):
+    for m in range(7, 21):
         lo, hi = cubes.rows[m - 7][:2]
         vec = tuple(fc._cube_counts(hi)[lo:])
         assert cubes.sums[m - 7] == sum(vec)
@@ -111,13 +112,13 @@ def test_criterion_6_structural_recursion(scan3000):
             if lo + i <= 3000:
                 assert v == scan3000.d[lo + i]
     running = 0
-    for m in range(4, 17):
+    for m in range(4, 21):
         for j in (3, 2, 1):
             lo, hi = seg.rows[square_index(j, m)][:2]
             running += sum(fc._square_counts(hi)[lo:])
             assert seg.cums[square_index(j, m)] == running
     running = 0
-    for m in range(7, 17):
+    for m in range(7, 21):
         lo, hi = cubes.rows[m - 7][:2]
         running += sum(fc._cube_counts(hi)[lo:])
         assert cubes.cums[m - 7] == running

@@ -8,6 +8,8 @@ from tribcount import fast_count as fc
 from tribcount import oracle
 from tribcount.core_word import N_CAP, exact_div, trib_number as t
 
+from invariant_checks import square_bounds
+
 
 def test_distinct_squares_small():
     for n in range(0, 8):
@@ -55,10 +57,11 @@ def test_distinct_squares_increments():
         prev = cur
 
 
-# the breakpoints of order m are read from the tables the counters read:
+# the breakpoints of order m are read from the intervals the counters sum:
 # alpha = 2 t_{m-1} for squares and t_{m-1} + 2 t_{m-4} for cubes, the
-# others at index m - 4 (squares) or m - 7 (cubes).  The tests run over
-# every order of the tables, leaving out the evaluation points past N_CAP.
+# others at index m - 4 (``square_bounds``) or m - 7 (``_CUBE_FIRSTS``).
+# The tests run over every order of the tables, leaving out the evaluation
+# points past N_CAP.
 
 
 def _steps_hold(count, steps):
@@ -70,13 +73,13 @@ def _steps_hold(count, steps):
 
 
 def test_square_boundary_ordering():
-    assert len(cw._SQUARE_BOUNDS) == 68 - 4 + 1
-    for m, (beta, gamma, theta) in enumerate(cw._SQUARE_BOUNDS, 4):
+    assert len(square_bounds()) == 68 - 4 + 1
+    for m, (beta, gamma, theta) in enumerate(square_bounds(), 4):
         assert 2 * t(m - 1) < beta < gamma < theta < 2 * t(m)
 
 
 def test_square_piecewise_continuity():
-    for m, (beta, gamma, theta) in enumerate(cw._SQUARE_BOUNDS, 4):
+    for m, (beta, gamma, theta) in enumerate(square_bounds(), 4):
         alpha, nxt = 2 * t(m - 1), 2 * t(m)
         _steps_hold(cf.distinct_squares, [
             (alpha, beta, beta - alpha), (beta, gamma - 1, 0),
@@ -92,7 +95,8 @@ def test_distinct_squares_at_t():
 
 
 def test_glen_equivalence():
-    for m in range(3, 31):
+    # every block length up to N_CAP: t_67 is the last
+    for m in range(3, 68):
         assert cf.glen_distinct_squares_at_t(m) == cf.distinct_squares_at_t(m)
         assert cf.distinct_squares_at_t(m) == cf.distinct_squares(t(m))
 
@@ -137,8 +141,8 @@ def test_cube_piecewise_continuity():
 
 def _squares_by_formula(m, n):
     """The distinct-square count at n in the range of order m, evaluated
-    from the block lengths as ``distinct_squares`` once did per call."""
-    beta, gamma, theta = cw._SQUARE_BOUNDS[m - 4]
+    from the block lengths by the paper's piecewise formula."""
+    beta, gamma, theta = square_bounds()[m - 4]
     t0, t1, t2, t3 = t(m), t(m - 1), t(m - 2), t(m - 3)
     if n < beta:
         return n - exact_div(t0 + t3 + m + 3, 2)
@@ -158,27 +162,31 @@ def _cubes_by_formula(m, n):
     return exact_div(t(m - 5) + t(m - 6) - m + 3, 2)
 
 
-def test_constant_tables_equal_the_formulas_to_the_cap():
-    # the per-order constants against the expressions they were evaluated
-    # from, at every breakpoint and range end up to N_CAP, beyond the
-    # oracle's reach
+def test_running_counts_equal_the_formulas_to_the_cap():
+    # the running sums over the intervals against the paper's piecewise
+    # formulas, at every breakpoint +-1 of every order up to N_CAP, beyond
+    # the oracle's reach; a point past a range is taken by the next order
     orders = 0
-    for m, (beta, gamma, theta) in enumerate(cw._SQUARE_BOUNDS, 4):
-        points = [2 * t(m - 1), beta - 1, beta, gamma - 1, gamma, theta - 1,
-                  theta, 2 * t(m) - 1]
-        orders += points[0] <= N_CAP
-        for n in points:
-            if n <= N_CAP:
-                assert cf.distinct_squares(n) == _squares_by_formula(m, n), n
+    for m, (beta, gamma, theta) in enumerate(square_bounds(), 4):
+        alpha, nxt = 2 * t(m - 1), 2 * t(m)
+        orders += alpha <= N_CAP
+        for point in (alpha, beta, gamma, theta, nxt):
+            for n in (point - 1, point, point + 1):
+                order = m - (n < alpha) + (n >= nxt)
+                if 14 <= n <= N_CAP:
+                    assert (cf.distinct_squares(n)
+                            == _squares_by_formula(order, n)), n
     assert orders == 67 - 4 + 1
     orders = 0
     for m, (alpha, beta) in enumerate(cw._CUBE_FIRSTS, 7):
         end = t(m) + 2 * t(m - 3)  # the next order's range starts here
         orders += alpha <= N_CAP
-        for n, order in ((alpha - 1, m - 1), (alpha, m), (alpha + 1, m),
-                         (beta, m), (beta + 1, m), (end - 1, m)):
-            if 58 <= n <= N_CAP:
-                assert cf.distinct_cubes(n) == _cubes_by_formula(order, n), n
+        for point in (alpha, beta, end):
+            for n in (point - 1, point, point + 1):
+                order = m - (n < alpha) + (n >= end)
+                if 58 <= n <= N_CAP:
+                    assert (cf.distinct_cubes(n)
+                            == _cubes_by_formula(order, n)), n
     assert orders == 68 - 7 + 1
 
 
@@ -209,7 +217,7 @@ def test_all_divisions_exact_to_60():
         cf.repeated_squares_at_t(m)
         cf.repeated_cubes_at_t(m)
     # and the breakpoint tables of every order up to the cap
-    assert len(cw._SQUARE_BOUNDS) >= 61 - 4
+    assert len(square_bounds()) >= 61 - 4
     assert len(cw._CUBE_FIRSTS) >= 61 - 7
     for m in range(7, 61):
         cf.distinct_cubes_at_t(m)
@@ -230,7 +238,7 @@ def test_ends_match_oracle(scan_cap):
     c = [e for e in range(1, top + 1) if scan_cap.c[e]]
     # around the breakpoints of every order that starts below 10^5
     points = {0, 7, 8, 13, 14, 57, 58}
-    for m, (beta, gamma, theta) in enumerate(cw._SQUARE_BOUNDS, 4):
+    for m, (beta, gamma, theta) in enumerate(square_bounds(), 4):
         if (alpha := 2 * t(m - 1)) > top:
             break
         points |= {alpha - 1, alpha, beta, beta + 1,

@@ -18,7 +18,7 @@ from tribcount.core_word import (N_CAP, exact_div, kernel_number as k, prefix,
                                  trib_number as t)
 
 import invariant_checks
-from invariant_checks import square_index
+from invariant_checks import phi, square_bounds, square_index
 
 
 def test_base_square_table_matches_enumeration():
@@ -85,11 +85,11 @@ def test_d_at_values():
     assert fc.d_at(365) == 1
 
 
-# orders 14-16 lie above the floor, so their entries are reached by
-# descents of one to three row steps
+# orders 18-20 lie above the floor, which ends with order 17, so their
+# entries are reached by descents of one and two jumps
 def test_square_vectors_match_single_point():
     rows = fc._square_segments().rows
-    for m in range(4, 17):
+    for m in range(4, 21):
         for j in (1, 2, 3):
             lo, hi = rows[square_index(j, m)][:2]
             vec = tuple(fc._square_counts(hi)[lo:])
@@ -99,7 +99,7 @@ def test_square_vectors_match_single_point():
 
 def test_cube_vectors_match_single_point():
     rows = fc._cube_segments().rows
-    for m in range(7, 17):
+    for m in range(7, 21):
         lo, hi = rows[m - 7][:2]
         vec = tuple(fc._cube_counts(hi)[lo:])
         assert len(vec) == hi - lo + 1
@@ -136,26 +136,28 @@ def test_sum_b_gamma_values():
 
 
 def test_segment_sums_match_direct():
+    # every order inside the floor
     seg = fc._square_segments()
-    for m in range(4, 13):
+    for m in range(4, 18):
         total = 0
         for j in (1, 2, 3):
             lo, hi = seg.rows[square_index(j, m)][:2]
             direct = sum(fc._square_counts(hi)[lo:])
             assert seg.sums[square_index(j, m)] == direct
             total += direct
-        assert fc._phi(m) == total
+        assert phi(m) == total
     seg = fc._cube_segments()
-    for m in range(7, 14):
+    for m in range(7, 18):
         lo, hi = seg.rows[m - 7][:2]
         assert seg.sums[m - 7] == sum(fc._cube_counts(hi)[lo:])
 
 
 def test_cumulative_at_segment_ends():
-    # and at every position: the running sums of the vectors
+    # and at every position: the running sums of the vectors, through
+    # orders 18-20 above the floor
     seg = fc._square_segments()
     running = 0
-    for m in range(4, 17):
+    for m in range(4, 21):
         for j in (3, 2, 1):
             lo, hi = seg.rows[square_index(j, m)][:2]
             cum = list(accumulate(fc._square_counts(hi)[lo:],
@@ -165,7 +167,7 @@ def test_cumulative_at_segment_ends():
             assert seg.cums[square_index(j, m)] == running
     seg = fc._cube_segments()
     running = 0
-    for m in range(7, 17):
+    for m in range(7, 21):
         lo, hi = seg.rows[m - 7][:2]
         cum = list(accumulate(fc._cube_counts(hi)[lo:], initial=running))[1:]
         assert [fc.algorithm_D(i) for i in range(lo, hi + 1)] == cum
@@ -190,7 +192,6 @@ def test_b_cum_chaining():
 
 
 def test_phi_recurrence():
-    phi = fc._phi
     for m in range(7, 21):
         inc = exact_div(-3 * t(m) + 6 * t(m - 1) + t(m - 2) - 1, 2)
         assert phi(m) == phi(m - 1) + phi(m - 2) + phi(m - 3) + inc
@@ -200,7 +201,7 @@ def test_phi_recurrence():
 
 
 def test_segment_sum_recurrences():
-    sums, phi = fc._square_segments().sums, fc._phi
+    sums = fc._square_segments().sums
     for m in range(5, 21):
         assert sums[square_index(1, m)] == phi(m - 1) + k(m) - 1
     for m in range(6, 21):
@@ -412,7 +413,7 @@ def test_unit_increments_are_the_first_occurrences():
     # first occurrence up to N_CAP falls outside a block.
     blocks = [row[6:8] for row in fc._square_segments().rows]
     new = [(8, 8), (10, 10)]
-    for m, (beta, gamma, theta) in enumerate(cw._SQUARE_BOUNDS, 4):
+    for m, (beta, gamma, theta) in enumerate(square_bounds(), 4):
         new += [(2 * t(m - 1), beta), (gamma, theta)]
     assert _union(blocks) == _union(new)
     blocks = [row[6:8] for row in fc._cube_segments().rows]
