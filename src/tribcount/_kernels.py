@@ -5,7 +5,9 @@ For a root length L, byte j of ``word[L:] XOR word[:n - L]`` is zero iff
 at 1-based position e iff the (power - 1) * L bytes before its last root,
 j = e - power * L .. e - L - 1, are all zero, so each maximal zero run
 [start, end) of at least that length gives the ends start + need + L through
-end + L.
+end + L.  The zero run is a factor of period L that extends neither way (a
+run in the sense of Kolpakov and Kucherov, FOCS 1999, when L is its least
+period), and the scan keeps it as that range of ends.
 """
 
 from __future__ import annotations
@@ -16,19 +18,18 @@ _NONZERO = re.compile(rb"[^\x00]")
 
 
 def find_repetitions(word: bytes, root_lens, power: int):
-    """End positions (1-based) and root lengths of every power-fold
-    repetition in ``word`` whose root length is among ``root_lens``.
-
-    Returns two parallel lists of ints sorted by (end, root length).
-    """
+    """Every power-fold repetition in ``word`` whose root length is among
+    ``root_lens``, as runs: a list of triples (root length L, first end,
+    last end), one repetition ending at each 1-based position from the
+    first end to the last, sorted by L and then by end.  Runs of one L
+    neither overlap nor touch."""
     if power < 2:
         raise ValueError("repetitions have power >= 2")
     roots = sorted(set(int(x) for x in root_lens))
     if roots and roots[0] < 1:
         raise ValueError("root lengths must be positive")
     n = len(word)
-    k = n + 1  # end * k + root sorts as the pair (end, root) does
-    keys = []
+    runs = []
     for L in roots:
         if power * L > n:
             break
@@ -42,7 +43,6 @@ def find_repetitions(word: bytes, root_lens, power: int):
         while start >= 0:
             nonzero = _NONZERO.search(diff, start + need)
             end = nonzero.start() if nonzero else n - L
-            keys.extend(range((start + need + L) * k + L, (end + L + 1) * k + L, k))
+            runs.append((L, start + need + L, end + L))
             start = diff.find(zeros, end)
-    keys.sort()
-    return [key // k for key in keys], [key % k for key in keys]
+    return runs

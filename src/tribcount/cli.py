@@ -126,11 +126,10 @@ def cmd_verify(opts) -> int:
         no4 = oracle.assert_no_fourth_powers(max_n)
         print(f"fourth powers absent: {'ok' if no4 else 'FAIL'}")
         word = core_word.prefix(max_n)
-        ends = summary.squares + summary.cubes
-        roots = summary.square_roots + summary.cube_roots
-        # the last root of the repetition ending at e
+        # the last root of the repetition ending at each end of each run
+        runs = summary.square_runs + summary.cube_runs
         prim = all(oracle.is_primitive(word[e - L:e])
-                   for e, L in zip(ends, roots))
+                   for L, first, last in runs for e in range(first, last + 1))
         print(f"repetition roots primitive: {'ok' if prim else 'FAIL'}")
         ok = ok and same and no4 and prim
     return 0 if ok else 2

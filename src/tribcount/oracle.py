@@ -6,17 +6,20 @@ segment recursions it is used to validate.  The scan restricts candidate
 root lengths to the block-length families known to carry all repetitions;
 exhaustive mode drops the restriction (and is what validates it).
 
-``scan_repetitions`` returns its occurrences as columns, not one object per
-occurrence: the sorted end position of every square (cube) occurrence and,
-in a parallel list, its root length.  An occurrence is the first of its
-factor iff it is longer than the longest suffix of the prefix ending there
-that also ends earlier, which one suffix automaton of the prefix gives at
-every position in linear memory (``_longest_previous``).
+``scan_repetitions`` keeps the occurrences as the scan finds them: runs
+(root length, first end, last end) of consecutive ends, not one object per
+occurrence.  An occurrence is the first of its factor iff it is longer than
+the longest suffix of the prefix ending there that also ends earlier, which
+one suffix automaton of the prefix gives at every position in linear memory
+(``_longest_previous``).  ``occurrences``, ``gap_pattern``, ``gap_coding``
+and ``kernel_of`` are the paper's gap-sequence and kernel-word checks.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
+from itertools import accumulate, chain, repeat
 
 from ._kernels import find_repetitions
 from .core_word import (
@@ -29,74 +32,40 @@ from .core_word import (
 )
 
 # Longest prefix the oracle scans.  Its memory is linear in n, so the
-# caller's own n bounds the cost: ``verify --max 100000`` takes about 1 s at
-# 62 MB peak RSS (2-vCPU Xeon VM, Python 3.11).
+# caller's own n bounds the cost: ``verify --max 100000`` takes about 0.8 s
+# at 35 MB peak RSS (2-vCPU Xeon VM, Python 3.11).
 ORACLE_CAP = 100_000
 # Longest prefix scanned over every root length, whose time grows
-# quadratically: ``verify --max 10000 --exhaustive`` takes 0.6-0.9 s at 20 MB.
+# quadratically: ``verify --max 10000 --exhaustive`` takes 0.6-0.9 s at 18 MB.
 EXHAUSTIVE_CAP = 10_000
 
 
-class RepetitionSummary:
-    """Every square and cube of the length-n prefix.
+RepetitionSummary = namedtuple("RepetitionSummary", (
+    "n distinct_squares repeated_squares distinct_cubes repeated_cubes "
+    "a b c d squares square_runs cubes cube_runs"))
+RepetitionSummary.__doc__ = """Every square and cube of the length-n prefix.
 
-    ``a``/``c`` (index i in 1..n, index 0 unused) are 1 where a square
-    (cube) not seen before ends at i, ``b``/``d`` count the square (cube)
-    occurrences ending at i.  ``squares`` holds the end position of every
-    square occurrence, ascending, and ``square_roots`` its root length in
-    the same order (ties on the end by ascending root); ``cubes`` and
-    ``cube_roots`` likewise.  All eight are tuples of ints.
-
-    The fields are set positionally in slot order and compared, hashed and
-    shown by value: a lighter stand-in for a frozen dataclass that keeps
-    ``dataclasses`` out of the package.  Read-only by convention.
-    """
-
-    __slots__ = ("n", "distinct_squares", "repeated_squares",
-                 "distinct_cubes", "repeated_cubes", "a", "b", "c", "d",
-                 "squares", "square_roots", "cubes", "cube_roots")
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"RepetitionSummary takes {len(self.__slots__)} "
-                            f"values, not {len(values)}")
-        for field, value in zip(self.__slots__, values):
-            setattr(self, field, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"RepetitionSummary({fields})"
+``a``/``c`` (index i in 1..n, index 0 unused) are 1 where a square (cube)
+not seen before ends at i, ``b``/``d`` count the square (cube) occurrences
+ending at i, and ``squares``/``cubes`` list each end once per occurrence,
+ascending.  ``square_runs``/``cube_runs`` are ``find_repetitions``'s runs.
+"""
 
 
-def _restricted_roots(n: int, power: int) -> list[int]:
-    if power == 2:
-        limit = n // 2
-        roots = set()
-        m = 0
-        while trib_number(m) <= limit:
-            roots.add(trib_number(m))
-            if trib_number(m) + trib_number(m - 1) <= limit:
-                roots.add(trib_number(m) + trib_number(m - 1))
-            m += 1
-        return sorted(roots)
+def _roots(n: int, power: int, exhaustive: bool):
+    """Root lengths to scan: every one, or the block lengths t_m and, for
+    squares, the sums t_m + t_(m-1)."""
     limit = n // power
-    roots = []
+    if exhaustive:
+        return range(1, limit + 1)
+    roots = set()
     m = 0
     while trib_number(m) <= limit:
-        roots.append(trib_number(m))
+        roots.add(trib_number(m))
+        if power == 2 and trib_number(m) + trib_number(m - 1) <= limit:
+            roots.add(trib_number(m) + trib_number(m - 1))
         m += 1
-    return roots
+    return sorted(roots)
 
 
 def _longest_previous(word: bytes) -> array:
@@ -148,21 +117,30 @@ def _longest_previous(word: bytes) -> array:
     return lp
 
 
-def _collect(word_bytes: bytes, roots, power: int, n: int, lp):
-    """Occurrences per end position, first occurrences per end position,
-    the number of distinct repetitions, and the end and root columns.
-    ``lp`` is ``_longest_previous(word_bytes)``."""
-    ends, root_lens = find_repetitions(word_bytes, roots, power)
-    per_pos = [0] * (n + 1)
+def _collect(word_bytes: bytes, roots, power: int, lp):
+    """The runs of power-fold repetitions with root lengths among
+    ``roots``, the occurrences ending at each position, and 1 where a new
+    one ends.  ``lp`` is ``_longest_previous(word_bytes)``."""
+    n = len(word_bytes)
+    runs = tuple(find_repetitions(word_bytes, roots, power))
+    steps = [0] * (n + 2)  # the occurrence counts as a difference array
     new_at = [0] * (n + 1)
-    for e, L in zip(ends, root_lens):
-        per_pos[e] += 1
-        if power * L > lp[e]:
-            if new_at[e]:
-                raise AssertionError(
-                    f"two new distinct repetitions end at {e}")
-            new_at[e] = 1
-    return per_pos, new_at, sum(new_at), tuple(ends), tuple(root_lens)
+    for L, first, last in runs:
+        steps[first] += 1
+        steps[last + 1] -= 1
+        for e in range(first, last + 1):
+            if power * L > lp[e]:
+                if new_at[e]:
+                    raise AssertionError(
+                        f"two new distinct repetitions end at {e}")
+                new_at[e] = 1
+    steps.pop()
+    return runs, tuple(accumulate(steps)), tuple(new_at)
+
+
+def _expand(counts) -> tuple:
+    """Each position i repeated counts[i] times, ascending."""
+    return tuple(chain.from_iterable(map(repeat, range(len(counts)), counts)))
 
 
 def scan_repetitions(n: int, exhaustive: bool = False) -> RepetitionSummary:
@@ -177,19 +155,12 @@ def scan_repetitions(n: int, exhaustive: bool = False) -> RepetitionSummary:
     else:
         n = _arg(n, 1, ORACLE_CAP, "oracle scan length")
     word_bytes = prefix(n).encode("ascii")
-    if exhaustive:
-        sq_roots = range(1, n // 2 + 1)
-        cu_roots = range(1, n // 3 + 1)
-    else:
-        sq_roots = _restricted_roots(n, 2)
-        cu_roots = _restricted_roots(n, 3)
     lp = _longest_previous(word_bytes)
-    b, a, n_dist_sq, sq_ends, sq_lens = _collect(word_bytes, sq_roots, 2, n, lp)
-    d, c, n_dist_cu, cu_ends, cu_lens = _collect(word_bytes, cu_roots, 3, n, lp)
-    return RepetitionSummary(
-        n, n_dist_sq, len(sq_ends), n_dist_cu, len(cu_ends),
-        tuple(a), tuple(b), tuple(c), tuple(d),
-        sq_ends, sq_lens, cu_ends, cu_lens)
+    square_runs, b, a = _collect(word_bytes, _roots(n, 2, exhaustive), 2, lp)
+    cube_runs, d, c = _collect(word_bytes, _roots(n, 3, exhaustive), 3, lp)
+    squares, cubes = _expand(b), _expand(d)
+    return RepetitionSummary(n, sum(a), len(squares), sum(c), len(cubes), a,
+                             b, c, d, squares, square_runs, cubes, cube_runs)
 
 
 def _starts(hay: str, needle: str) -> list[int]:
@@ -282,5 +253,5 @@ def assert_no_fourth_powers(n: int) -> bool:
     n = _arg(n, 1, EXHAUSTIVE_CAP, "exhaustive scan length")
     if n < 4:
         return True
-    ends, _ = find_repetitions(prefix(n).encode("ascii"), range(1, n // 4 + 1), 4)
-    return not ends
+    return not find_repetitions(prefix(n).encode("ascii"),
+                                range(1, n // 4 + 1), 4)

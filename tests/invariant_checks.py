@@ -111,12 +111,19 @@ def check_segment_tiling(m_max):
         expect = hi + 1
 
 
+def run_occurrences(runs):
+    """(end, root length) of every occurrence in the runs of a scan
+    summary, sorted by end and then by root length."""
+    return sorted((e, L) for L, first, last in runs
+                  for e in range(first, last + 1))
+
+
 def check_graph_embedding(summary, word):
     """Squares ending at corresponding sample points of later kernel
     occurrences repeat the first occurrence's squares, once squares with
     higher-order kernels are filtered out."""
     by_end = {}
-    for e, L in zip(summary.squares, summary.square_roots):
+    for e, L in run_occurrences(summary.square_runs):
         by_end.setdefault(e, []).append(word[e - 2 * L:e])
     for j in (1, 2, 3):
         for m in range(4, 8):

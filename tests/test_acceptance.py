@@ -63,14 +63,13 @@ def test_criterion_4_exhaustive_validation(scan600_restricted, scan600_exhaustiv
     singles = {t(m) for m in range(0, 15)}
     doubles = {t(m) + t(m - 1) for m in range(0, 15)}
     word = prefix(600)
-    for L in x.square_roots:
+    for L, _, _ in x.square_runs:
         assert L in singles | doubles
-    for L in x.cube_roots:
+    for L, _, _ in x.cube_runs:
         assert L in singles
     assert oracle.assert_no_fourth_powers(600)
-    for p, ends, roots in ((2, x.squares, x.square_roots),
-                           (3, x.cubes, x.cube_roots)):
-        for e, L in zip(ends, roots):
+    for p, runs in ((2, x.square_runs), (3, x.cube_runs)):
+        for e, L in invariant_checks.run_occurrences(runs):
             root = word[e - p * L:e - (p - 1) * L]
             assert oracle.is_primitive(root)
     print("criterion 4 PASS: exhaustive scan at 600 clean")

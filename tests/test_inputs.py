@@ -123,8 +123,6 @@ ORDERS = [
 
 def _plain(value) -> bool:
     """True iff every number inside ``value`` is a plain int."""
-    if isinstance(value, oracle.RepetitionSummary):
-        return _plain(value._values())
     if isinstance(value, range):
         return _plain((value.start, value.stop, value.step))
     if isinstance(value, (tuple, list)):
