@@ -25,17 +25,19 @@ The rows are the one statement of the copy recursion: the floor and
 the counts one block length back plus one over its unit increments.  The
 counts before a tiling starts are zeros, so the segments without children
 copy zeros, or zeros and the segments below them, by the same rule.  The
-rows are built on first use and published only once they pass the
-self-check: the tiling, chaining and copy identities at every order, every
-segment with children lined up with them, and, at every segment inside the
-floor, the closed-form cumulative count against the floor's prefix sum,
-which the copy built without the closed forms (with the chaining, this
-pins every closed-form segment total there).  The pieces of a segment are
+rows hold only geometry: each segment's total is the floor's over it, or
+above the floor its children's plus its unit increments, and the counts
+before the segments chain from those totals, so no segment total or
+cumulative count is stated a second time.  The rows are built on first
+use and published only once they pass the self-check: the tiling at every
+order, the floor ending on a segment boundary, and every segment with
+children holding its unit increments and lined up with the children, as
+every segment past the floor must have.  The pieces of a segment are
 composed from the rows the first time a descent reaches it (1 887 square
 and 645 cube pieces in all, about 590 KB) and stored only once they pass
 their own check: they tile the segment and every jump lands inside the
 segment it names.  The first algorithm_B and algorithm_D calls in a
-fresh process take about 6 and 4.5 ms at n = 10^18, most of it the rows,
+fresh process take about 5.8 and 4.5 ms at n = 10^18, most of it the rows,
 the floor and its prefix sums (README).  A mismatch reports the offending
 segment and aborts.
 """
@@ -82,34 +84,42 @@ class _Segments:
     unit increments [inc_lo, inc_hi].  Shifted down by
     ``shift``, the previous block length, a position n of the segment lands
     in child segment ``first + (n >= cut1) + (n >= cut2)``; ``first`` is -1
-    where the copy recursion has no children.  ``sums`` and ``cums`` are the
-    closed-form segment total and the cumulative count at hi.  ``delta`` is
-    the count over [lo - shift, lo), which the copy leaves out, so that the
-    cumulative count at n is the one at n - shift plus ``delta`` plus the
-    unit increments at or before n.
+    where the copy recursion has no children.  ``delta`` is the count over
+    [lo - shift, lo), which the copy leaves out, so that the cumulative
+    count at n is the one at n - shift plus ``delta`` plus the unit
+    increments at or before n.  It is derived here from the floor and the
+    copy: a segment inside the floor totals the floor over it, one above
+    it totals its three children plus its unit increments, and the count
+    before a segment chains from the one before the tiling starts.
 
     ``rows`` holds one tuple per segment, (lo, hi, cut1, cut2, first,
     shift, inc_lo, inc_hi, delta), which the descents and the self-check
-    read.  ``lo`` is also kept as its own tuple for ``bisect``; ``sums``
-    and ``cums`` are tuples over the segments.  ``base`` and ``base_cum``
-    are the floor: the per-position counts and their prefix sums up to the
-    end of the floor orders, where descents stop.  ``pieces`` holds, per
+    read; the constructor takes the first eight fields.  ``lo`` is also
+    kept as its own tuple for ``bisect``.  ``base`` and ``base_cum`` are
+    the floor: the per-position counts and their prefix sums up to the end
+    of the floor orders, where descents stop.  ``pieces`` holds, per
     segment, the two-step jumps of ``_segment_pieces`` once a descent has
     reached it (None until then, and for the floor's segments)."""
 
-    __slots__ = ("lo", "sums", "cums", "rows", "base", "base_cum", "label",
-                 "pieces")
+    __slots__ = ("lo", "rows", "base", "base_cum", "label", "pieces")
 
     def __init__(self, rows, base, base_cum, label):
+        top = len(base) - 1
+        sums, pre = [], []  # per segment: its total, the count before it
+        cum = base_cum[rows[0][0] - 1]
+        for lo, hi, _, _, first, _, inc_lo, inc_hi in rows:
+            if hi <= top:
+                total = base_cum[hi] - base_cum[lo - 1]
+            else:  # a childless segment here fails _check_segments
+                total = (sum(sums[first:first + 3])
+                         + max(0, inc_hi - inc_lo + 1))
+            sums.append(total)
+            pre.append(cum)
+            cum += total
         self.lo = tuple(row[0] for row in rows)
-        self.sums = tuple(row[8] for row in rows)
-        self.cums = tuple(row[9] for row in rows)
-        pre = [c - t for c, t in zip(self.cums, self.sums)]
         self.rows = tuple(
-            (lo, hi, cut1, cut2, first, shift, inc_lo, inc_hi,
-             pre[s] - pre[first] if first >= 0 else 0)
-            for s, (lo, hi, cut1, cut2, first, shift, inc_lo, inc_hi, _, _)
-            in enumerate(rows))
+            (*row, pre[s] - pre[row[4]] if row[4] >= 0 else 0)
+            for s, row in enumerate(rows))
         self.base = base
         self.base_cum = base_cum
         self.label = label
@@ -137,32 +147,18 @@ def _block(firsts, lo: int, hi: int, label: str) -> tuple:
 def _square_rows(m: int) -> list:
     """Table rows of square segments (3, m), (2, m) and (1, m), by direct
     arithmetic on the block lengths and ``_block``; a row is lo, hi, cut1,
-    cut2, first, shift, inc_lo, inc_hi, sum, cum."""
+    cut2, first, shift, inc_lo, inc_hi."""
     o = m + _OFF  # t_i is _T[i + _OFF]
     t0, t1, t2 = _T[o], _T[o - 1], _T[o - 2]
-    # per kind: j, lo, hi, and the numerators over 44 of the segment total
-    # and of the cumulative count at hi
-    kinds = (
-        (3, exact_div(t0 + t2 - 1, 2), exact_div(-t0 + 4 * t1 + t2 - 3, 2),
-         (2 * m * (-19 * t0 + 29 * t1 + 13 * t2)
-          + (237 * t0 - 358 * t1 - 157 * t2) + 33),
-         (m * (-25 * t0 + 48 * t1 + 31 * t2)
-          + (173 * t0 - 294 * t1 - 213 * t2) + 11 * (m + 11))),
+    kinds = (  # per kind: j, lo, hi
+        (3, exact_div(t0 + t2 - 1, 2), exact_div(-t0 + 4 * t1 + t2 - 3, 2)),
         (2, exact_div(-t0 + 4 * t1 + t2 - 1, 2),
-         exact_div(t0 + 2 * t1 - t2 - 3, 2),
-         (2 * m * (10 * t0 - 6 * t1 - 19 * t2)
-          + (-189 * t0 + 156 * t1 + 331 * t2) - 11),
-         (m * (-5 * t0 + 36 * t1 - 7 * t2)
-          + 2 * (-8 * t0 - 69 * t1 + 59 * t2) + 11 * (m + 10))),
+         exact_div(t0 + 2 * t1 - t2 - 3, 2)),
         (1, exact_div(t0 + 2 * t1 - t2 - 1, 2),
-         exact_div(t0 + 2 * t1 + t2 - 3, 2),
-         (2 * m * (4 * t0 - 9 * t1 + 10 * t2)
-          + (19 * t0 + 36 * t1 - 169 * t2) - 11),
-         (m * (3 * t0 + 18 * t1 + 13 * t2)
-          + (3 * t0 - 102 * t1 - 51 * t2) + 11 * (m + 9))),
+         exact_div(t0 + 2 * t1 + t2 - 3, 2)),
     )
     rows = []
-    for j, lo, hi, total, cum in kinds:
+    for j, lo, hi in kinds:
         inc_lo, inc_hi = _block(_SQUARE_FIRSTS, lo, hi,
                                 _square_label(3 * (m - 4) + 3 - j))
         cm = m - j  # order of the three child segments
@@ -181,8 +177,7 @@ def _square_rows(m: int) -> list:
         else:
             cut1 = cut2 = lo
             first = -1
-        rows.append((lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi,
-                     exact_div(total, 44), exact_div(cum, 44)))
+        rows.append((lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi))
     return rows
 
 
@@ -199,53 +194,36 @@ def _cube_rows(m: int) -> list:
     # the block lies in the first child's span, and ends where it does
     if not lo < inc_lo <= inc_hi == cut1 - 1 < cut2 - 1 <= hi:
         raise AssertionError(f"threshold ordering broken in cube segment {m}")
-    total = exact_div(2 * m * (7 * t0 - 13 * t1 + t2)
-                      + (-41 * t0 + 74 * t1 - 7 * t2) + 11, 44)
-    cum = exact_div(m * (9 * t0 - 12 * t1 - 5 * t2)
-                    + 12 * (-2 * t0 + 2 * t1 + t2) + 11 * m, 44)
     first = m - 10 if m >= 10 else -1  # children m-3, m-2, m-1 from order 10
-    return [(lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi, total, cum)]
+    return [(lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi)]
 
 
 def _check_segments(seg: _Segments, start: int) -> None:
     """Raise RuntimeError, naming the segment, unless the tables tile the
     positions from ``start`` on without gap or overlap, the floor ends on a
-    segment boundary, each cumulative count is the previous one plus the
-    segment total and, inside the floor, the floor's prefix sum, every
-    segment with children totals them plus the unit increments inside it
-    and is the shifted copy of them that the floor is copied along and the
-    descents walk, and every segment past the floor has children."""
-    rows, sums, base_cum = seg.rows, seg.sums, seg.base_cum
-    top = len(seg.base) - 1
+    segment boundary, every segment with children holds its unit
+    increments and is the shifted copy of them that the floor is copied
+    along, ``delta`` is derived along and the descents walk, and every
+    segment past the floor has children, which that derivation reads."""
+    rows, top = seg.rows, len(seg.base) - 1
     if not any(row[1] == top for row in rows):
         raise RuntimeError(f"the base table ends at {top}, inside a segment")
-    prev_hi, prev_cum = start - 1, base_cum[start - 1]
-    for s, ((l, h, c1, c2, c, d, a, b, _), total, cum) in enumerate(zip(
-            rows, sums, seg.cums)):
+    prev_hi = start - 1
+    for s, (l, h, c1, c2, c, d, a, b, _) in enumerate(rows):
         if l != prev_hi + 1:
             raise RuntimeError(
                 f"tiling broken at {seg.label(s)}: it starts at {l}, "
                 f"not {prev_hi + 1}")
-        if cum != prev_cum + total:
+        if c >= 0 and not (l <= a and b <= h):
             raise RuntimeError(
-                f"cumulative chaining broken at {seg.label(s)}: "
-                f"{cum} != {prev_cum} + {total}")
-        if h <= top and cum != base_cum[h]:
-            raise RuntimeError(
-                f"cumulative count at {seg.label(s)} disagrees with the "
-                f"floor: {cum} != {base_cum[h]}")
-        if c >= 0 and not (l <= a and b <= h and total == sums[c]
-                           + sums[c + 1] + sums[c + 2] + max(0, b - a + 1)):
-            raise RuntimeError(
-                f"unit increments of {seg.label(s)} do not complete the "
-                f"copy of its children")
+                f"unit increments of {seg.label(s)} lie outside it")
         if (c < 0 and h > top) or (c >= 0 and (
                 rows[c][0], rows[c + 1][0], rows[c + 2][0], rows[c + 2][1])
                 != (l - d, c1 - d, c2 - d, h - d)):
             raise RuntimeError(
                 f"child segments do not line up with the cuts of "
                 f"{seg.label(s)}")
-        prev_hi, prev_cum = h, cum
+        prev_hi = h
 
 
 def _steps(row) -> list:
@@ -369,11 +347,12 @@ def _counts(rows, n: int) -> bytearray:
 
 
 def _build_segments(rows_of, m, start, label) -> _Segments:
-    """One tiling's tables, self-checked: the rows ``rows_of(m)`` of every
-    order from m up to the one whose segments reach N_CAP, and the floor
-    copied along them to the end of order _FLOOR_ORDER (``_counts``), as
-    ``bytes`` and an ``array('I')`` of prefix sums: the largest, 175 512,
-    needs 4 bytes, and one past the type's range raises OverflowError."""
+    """One tiling's tables, self-checked: the geometry rows ``rows_of(m)``
+    of every order from m up to the one whose segments reach N_CAP, the
+    floor copied along them to the end of order _FLOOR_ORDER (``_counts``),
+    as ``bytes`` and an ``array('I')`` of prefix sums (the largest,
+    175 512, needs 4 bytes, and one past the type's range raises
+    OverflowError), and the deltas ``_Segments`` derives from both."""
     rows = []
     while not rows or rows[-1][1] < N_CAP:
         rows += rows_of(m)

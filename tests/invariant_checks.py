@@ -90,6 +90,55 @@ def phi(m):
     return exact_div(num, 44)
 
 
+def segment_closed_forms(tiling):
+    """The paper's closed forms of every segment of the "square" or "cube"
+    tiling up to order 68, the last one the tables hold: the segment totals
+    and the cumulative counts at each segment's end, as two tuples indexed
+    like the segment rows.  The counters derive both from the floor and the
+    copy recursion instead; ``check_closed_forms`` compares the two."""
+    sums, cums = [], []
+    for m in range(4 if tiling == "square" else 7, 69):
+        t0, t1, t2 = t(m), t(m - 1), t(m - 2)
+        if tiling == "cube":
+            kinds = ((2 * m * (7 * t0 - 13 * t1 + t2)
+                      + (-41 * t0 + 74 * t1 - 7 * t2) + 11,
+                      m * (9 * t0 - 12 * t1 - 5 * t2)
+                      + 12 * (-2 * t0 + 2 * t1 + t2) + 11 * m),)
+        else:  # the numerators over 44 of segments (3, m), (2, m), (1, m)
+            kinds = (
+                (2 * m * (-19 * t0 + 29 * t1 + 13 * t2)
+                 + (237 * t0 - 358 * t1 - 157 * t2) + 33,
+                 m * (-25 * t0 + 48 * t1 + 31 * t2)
+                 + (173 * t0 - 294 * t1 - 213 * t2) + 11 * (m + 11)),
+                (2 * m * (10 * t0 - 6 * t1 - 19 * t2)
+                 + (-189 * t0 + 156 * t1 + 331 * t2) - 11,
+                 m * (-5 * t0 + 36 * t1 - 7 * t2)
+                 + 2 * (-8 * t0 - 69 * t1 + 59 * t2) + 11 * (m + 10)),
+                (2 * m * (4 * t0 - 9 * t1 + 10 * t2)
+                 + (19 * t0 + 36 * t1 - 169 * t2) - 11,
+                 m * (3 * t0 + 18 * t1 + 13 * t2)
+                 + (3 * t0 - 102 * t1 - 51 * t2) + 11 * (m + 9)),
+            )
+        for total, cum in kinds:
+            sums.append(exact_div(total, 44))
+            cums.append(exact_div(cum, 44))
+    return tuple(sums), tuple(cums)
+
+
+def check_closed_forms(seg, tiling):
+    """Every segment's closed-form total and cumulative count against the
+    cumulative counts the descents give at its ends, the top segments past
+    N_CAP included; a mismatch names the first segment that disagrees."""
+    sums, cums = segment_closed_forms(tiling)
+    assert len(sums) == len(seg.rows), tiling
+    for s, row in enumerate(seg.rows):
+        cum = fast_count._cumulative(seg, row[1])
+        got = cum - fast_count._cumulative(seg, row[0] - 1), cum
+        assert got == (sums[s], cums[s]), (
+            f"closed forms of {seg.label(s)}: total and cumulative count "
+            f"{sums[s]}, {cums[s]}, not {got[0]}, {got[1]}")
+
+
 def check_segment_tiling(m_max):
     """Square segments tile positions from 8 up, cube segments from 52 up,
     with the advertised lengths and no gap or overlap."""

@@ -14,7 +14,7 @@ from tribcount import oracle
 from tribcount.core_word import prefix, trib_number as t
 
 import invariant_checks
-from invariant_checks import phi, square_index
+from invariant_checks import phi, segment_closed_forms, square_index
 
 
 def test_criterion_1_worked_examples():
@@ -26,9 +26,9 @@ def test_criterion_1_worked_examples():
     assert fc.algorithm_D(149) == 4
     assert fc.algorithm_B(60) == 47
     assert fc.algorithm_D(500) == 29
-    assert fc._square_segments().cums[square_index(3, 7)] == 45
+    assert segment_closed_forms("square")[1][square_index(3, 7)] == 45
     assert fc.algorithm_B(58) == 45
-    assert fc._cube_segments().cums[9 - 7] == 12
+    assert segment_closed_forms("cube")[1][9 - 7] == 12
     assert fc.algorithm_D(325) == 12
     print("criterion 1 PASS: worked examples exact")
 
@@ -89,23 +89,24 @@ def test_criterion_5_cross_formula_consistency():
 def test_criterion_6_structural_recursion(scan3000):
     # orders 18-20 lie above the descents' floor, which ends with order 17
     seg = fc._square_segments()
+    sums, cums = segment_closed_forms("square")
     for m in range(4, 21):
         for j in (1, 2, 3):
             s = square_index(j, m)
             lo, hi = seg.rows[s][:2]
             vec = tuple(fc._square_counts(hi)[lo:])
-            assert seg.sums[s] == sum(vec)
+            assert sums[s] == sum(vec)
             for i, v in enumerate(vec):
                 assert v == fc.b_at(lo + i)
                 if lo + i <= 3000:
                     assert v == scan3000.b[lo + i]
-        assert phi(m) == sum(seg.sums[square_index(j, m)]
-                                 for j in (1, 2, 3))
+        assert phi(m) == sum(sums[square_index(j, m)] for j in (1, 2, 3))
     cubes = fc._cube_segments()
+    cube_sums, cube_cums = segment_closed_forms("cube")
     for m in range(7, 21):
         lo, hi = cubes.rows[m - 7][:2]
         vec = tuple(fc._cube_counts(hi)[lo:])
-        assert cubes.sums[m - 7] == sum(vec)
+        assert cube_sums[m - 7] == sum(vec)
         for i, v in enumerate(vec):
             assert v == fc.d_at(lo + i)
             if lo + i <= 3000:
@@ -115,12 +116,12 @@ def test_criterion_6_structural_recursion(scan3000):
         for j in (3, 2, 1):
             lo, hi = seg.rows[square_index(j, m)][:2]
             running += sum(fc._square_counts(hi)[lo:])
-            assert seg.cums[square_index(j, m)] == running
+            assert cums[square_index(j, m)] == running
     running = 0
     for m in range(7, 21):
         lo, hi = cubes.rows[m - 7][:2]
         running += sum(fc._cube_counts(hi)[lo:])
-        assert cubes.cums[m - 7] == running
+        assert cube_cums[m - 7] == running
     print("criterion 6 PASS: recursions, point counts and sums agree")
 
 

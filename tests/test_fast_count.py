@@ -18,7 +18,11 @@ from tribcount.core_word import (N_CAP, exact_div, kernel_number as k, prefix,
                                  trib_number as t)
 
 import invariant_checks
-from invariant_checks import phi, square_bounds, square_index
+from invariant_checks import (check_closed_forms, phi, segment_closed_forms,
+                              square_bounds, square_index)
+
+SQUARE_SUMS, SQUARE_CUMS = segment_closed_forms("square")
+CUBE_SUMS, CUBE_CUMS = segment_closed_forms("cube")
 
 
 def test_base_square_table_matches_enumeration():
@@ -128,10 +132,9 @@ def test_cube_vectors_match_oracle(scan3000):
 
 
 def test_sum_b_gamma_values():
-    seg = fc._square_segments()
-    assert seg.sums[square_index(3, 4)] == 1
-    assert seg.sums[square_index(1, 5)] == 5
-    lo, hi = seg.rows[square_index(1, 5)][:2]
+    assert SQUARE_SUMS[square_index(3, 4)] == 1
+    assert SQUARE_SUMS[square_index(1, 5)] == 5
+    lo, hi = fc._square_segments().rows[square_index(1, 5)][:2]
     assert tuple(fc._square_counts(hi)[lo:]) == (1, 0, 1, 0, 0, 1, 2)
 
 
@@ -143,13 +146,13 @@ def test_segment_sums_match_direct():
         for j in (1, 2, 3):
             lo, hi = seg.rows[square_index(j, m)][:2]
             direct = sum(fc._square_counts(hi)[lo:])
-            assert seg.sums[square_index(j, m)] == direct
+            assert SQUARE_SUMS[square_index(j, m)] == direct
             total += direct
         assert phi(m) == total
     seg = fc._cube_segments()
     for m in range(7, 18):
         lo, hi = seg.rows[m - 7][:2]
-        assert seg.sums[m - 7] == sum(fc._cube_counts(hi)[lo:])
+        assert CUBE_SUMS[m - 7] == sum(fc._cube_counts(hi)[lo:])
 
 
 def test_cumulative_at_segment_ends():
@@ -164,7 +167,7 @@ def test_cumulative_at_segment_ends():
                                   initial=running))[1:]
             assert [fc.algorithm_B(i) for i in range(lo, hi + 1)] == cum
             running = cum[-1]
-            assert seg.cums[square_index(j, m)] == running
+            assert SQUARE_CUMS[square_index(j, m)] == running
     seg = fc._cube_segments()
     running = 0
     for m in range(7, 21):
@@ -172,16 +175,16 @@ def test_cumulative_at_segment_ends():
         cum = list(accumulate(fc._cube_counts(hi)[lo:], initial=running))[1:]
         assert [fc.algorithm_D(i) for i in range(lo, hi + 1)] == cum
         running = cum[-1]
-        assert seg.cums[m - 7] == running
+        assert CUBE_CUMS[m - 7] == running
 
 
 def test_b_cum_values():
-    assert fc._square_segments().cums[square_index(3, 7)] == 45
+    assert SQUARE_CUMS[square_index(3, 7)] == 45
 
 
 def test_b_cum_chaining():
     seg = fc._square_segments()
-    sums, cums = seg.sums, seg.cums
+    sums, cums = SQUARE_SUMS, SQUARE_CUMS
     for m in range(4, 31):
         one, two, three = (square_index(j, m) for j in (1, 2, 3))
         assert cums[two] + sums[one] == cums[one]
@@ -196,12 +199,11 @@ def test_phi_recurrence():
         inc = exact_div(-3 * t(m) + 6 * t(m - 1) + t(m - 2) - 1, 2)
         assert phi(m) == phi(m - 1) + phi(m - 2) + phi(m - 3) + inc
     # and at the top order of the square tables
-    sums = fc._square_segments().sums
-    assert phi(68) == sum(sums[square_index(j, 68)] for j in (1, 2, 3))
+    assert phi(68) == sum(SQUARE_SUMS[square_index(j, 68)] for j in (1, 2, 3))
 
 
 def test_segment_sum_recurrences():
-    sums = fc._square_segments().sums
+    sums = SQUARE_SUMS
     for m in range(5, 21):
         assert sums[square_index(1, m)] == phi(m - 1) + k(m) - 1
     for m in range(6, 21):
@@ -209,25 +211,23 @@ def test_segment_sum_recurrences():
     for m in range(7, 21):
         assert (sums[square_index(3, m)]
                 == phi(m - 3) + t(m - 4) - k(m - 3) + 1)
-    sums = fc._cube_segments().sums  # cube segment m at m - 7
+    sums = CUBE_SUMS  # cube segment m at m - 7
     for m in range(10, 21):
         assert sums[m - 7] == (sums[m - 8] + sums[m - 9] + sums[m - 10]
                                + exact_div(t(m - 2) - 3 * t(m - 4) - 1, 2))
 
 
 def test_sum_d_gamma_values():
-    seg = fc._cube_segments()
-    assert seg.sums[7 - 7] == 1
-    assert seg.sums[8 - 7] == 3
-    lo, hi = seg.rows[12 - 7][:2]
-    assert seg.sums[12 - 7] == sum(fc._cube_counts(hi)[lo:])
+    assert CUBE_SUMS[7 - 7] == 1
+    assert CUBE_SUMS[8 - 7] == 3
+    lo, hi = fc._cube_segments().rows[12 - 7][:2]
+    assert CUBE_SUMS[12 - 7] == sum(fc._cube_counts(hi)[lo:])
 
 
 def test_d_cum_values():
-    seg = fc._cube_segments()
-    assert seg.cums[7 - 7] == 1
-    assert seg.cums[9 - 7] == 12
-    assert seg.cums[15 - 7] == sum(seg.sums[7 - 7:15 - 7 + 1])
+    assert CUBE_CUMS[7 - 7] == 1
+    assert CUBE_CUMS[9 - 7] == 12
+    assert CUBE_CUMS[15 - 7] == sum(CUBE_SUMS[7 - 7:15 - 7 + 1])
 
 
 def test_d_cum_continuity_across_segments():
@@ -236,7 +236,7 @@ def test_d_cum_continuity_across_segments():
     seg = fc._cube_segments()
     for m in range(7, 20):
         nxt = seg.rows[m + 1 - 7][0]
-        assert fc.algorithm_D(nxt) == seg.cums[m - 7]
+        assert fc.algorithm_D(nxt) == CUBE_CUMS[m - 7]
         assert fc.d_at(nxt) == 0
 
 
@@ -271,9 +271,8 @@ def test_point_counts_match_oracle(scan3000):
 
 def test_repeated_square_tail_identity():
     # cumulative count between a top segment's start and the block length
-    cums = fc._square_segments().cums
     for m in range(4, 26):
-        tail = fc.algorithm_B(t(m)) - cums[square_index(2, m)]
+        tail = fc.algorithm_B(t(m)) - SQUARE_CUMS[square_index(2, m)]
         num = (m * (23 * t(m) - 38 * t(m - 1) - 3 * t(m - 2))
                + (-65 * t(m) + 164 * t(m - 1) - 105 * t(m - 2))
                + 33 * m - 99)
@@ -301,32 +300,30 @@ def test_graph_embedding(scan3000):
 
 
 ROW_FIELDS = ("lo", "hi", "cut1", "cut2", "first", "shift", "inc_lo",
-              "inc_hi", "sums", "cums")
+              "inc_hi")
 
 
 def _table_rows(seg):
-    """The rows as ``fc._Segments`` takes them, total and cumulative count
-    in place of ``delta``."""
-    return [list(row[:8]) + [total, cum]
-            for row, total, cum in zip(seg.rows, seg.sums, seg.cums)]
+    """The rows as ``fc._Segments`` takes them, without ``delta``."""
+    return [list(row[:8]) for row in seg.rows]
 
 
-def _with_wrong_entry(seg, s, field):
+def _with_wrong_entry(seg, s, field, value=None):
+    """The tables with one field of segment s moved by one, or set to
+    ``value``."""
     rows = _table_rows(seg)
-    rows[s][ROW_FIELDS.index(field)] += 1
+    i = ROW_FIELDS.index(field)
+    rows[s][i] = rows[s][i] + 1 if value is None else value
     return fc._Segments(rows, seg.base, seg.base_cum, seg.label)
 
 
 @pytest.mark.parametrize("field, message", [
     ("lo", r"tiling broken at square segment \(j=2, m=30\)"),
-    ("cums", r"cumulative chaining broken at square segment \(j=2, m=30\)"),
-    ("sums", r"cumulative chaining broken at square segment \(j=2, m=30\)"),
     ("cut1", r"child segments do not line up with the cuts of "
              r"square segment \(j=2, m=30\)"),
-    ("inc_lo", r"unit increments of square segment \(j=2, m=30\) do not "
-               r"complete the copy of its children"),
-    ("inc_hi", r"unit increments of square segment \(j=2, m=30\) do not "
-               r"complete the copy of its children"),
+    # the segment's block is its tail, so it ends at hi
+    ("inc_hi", r"unit increments of square segment \(j=2, m=30\) lie "
+               r"outside it"),
 ])
 def test_self_check_names_broken_square_segment(field, message):
     seg = fc._square_segments()
@@ -337,13 +334,8 @@ def test_self_check_names_broken_square_segment(field, message):
 
 @pytest.mark.parametrize("field, message", [
     ("lo", r"tiling broken at cube segment m=40"),
-    ("cums", r"cumulative chaining broken at cube segment m=40"),
     ("shift", r"child segments do not line up with the cuts of "
               r"cube segment m=40"),
-    ("inc_lo", r"unit increments of cube segment m=40 do not complete the "
-               r"copy of its children"),
-    ("inc_hi", r"unit increments of cube segment m=40 do not complete the "
-               r"copy of its children"),
 ])
 def test_self_check_names_broken_cube_segment(field, message):
     seg = fc._cube_segments()
@@ -367,18 +359,54 @@ def test_self_check_lines_up_segments_inside_the_floor(tiling, s, field):
         fc._check_segments(_with_wrong_entry(seg, s, field), seg.lo[0])
 
 
+@pytest.mark.parametrize("tiling, s", [("square", 3 * (30 - 4) + 3 - 2),
+                                       ("cube", 40 - 7)])
+def test_self_check_wants_children_past_the_floor(tiling, s):
+    # a segment past the floor totals its children, so it must have them
+    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    assert seg.rows[s][0] > FLOOR_TOP
+    with pytest.raises(RuntimeError, match="child segments do not line up "
+                       "with the cuts of " + re.escape(seg.label(s))):
+        fc._check_segments(_with_wrong_entry(seg, s, "first", -1),
+                           seg.lo[0])
+
+
 @pytest.mark.parametrize("tiling", ["square", "cube"])
-def test_self_check_names_the_segment_that_disagrees_with_the_floor(tiling):
+def test_self_check_wants_the_floor_to_end_a_segment(tiling):
+    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    broken = fc._Segments(_table_rows(seg), seg.base[:-1], seg.base_cum[:-1],
+                          seg.label)
+    with pytest.raises(RuntimeError, match=f"the base table ends at "
+                       f"{FLOOR_TOP - 1}, inside a segment"):
+        fc._check_segments(broken, seg.lo[0])
+
+
+# square inc_hi + 1 leaves its segment, which the self-check names (above)
+@pytest.mark.parametrize("tiling, s, field", [
+    ("square", 3 * (30 - 4) + 3 - 2, "inc_lo"),
+    ("cube", 40 - 7, "inc_lo"),
+    ("cube", 40 - 7, "inc_hi"),
+])
+def test_closed_forms_name_a_segment_with_a_wrong_increment(tiling, s, field):
+    # the total derived from the copy moves by one, unlike the closed form
+    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    with pytest.raises(AssertionError, match="closed forms of "
+                       + re.escape(seg.label(s)) + ": "):
+        check_closed_forms(_with_wrong_entry(seg, s, field), tiling)
+
+
+@pytest.mark.parametrize("tiling", ["square", "cube"])
+def test_closed_forms_name_the_segment_that_disagrees_with_the_floor(tiling):
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
     base = bytearray(seg.base)
     base[1000] += 1
     broken = fc._Segments(_table_rows(seg), bytes(base),
                           array("q", accumulate(base)), seg.label)
+    fc._check_segments(broken, seg.lo[0])  # the geometry is unchanged
     s = bisect_right(seg.lo, 1000) - 1
-    with pytest.raises(RuntimeError, match="cumulative count at "
-                       + re.escape(seg.label(s)) + " disagrees with the "
-                       "floor"):
-        fc._check_segments(broken, seg.lo[0])
+    with pytest.raises(AssertionError, match="closed forms of "
+                       + re.escape(seg.label(s)) + ": "):
+        check_closed_forms(broken, tiling)
 
 
 def test_copied_counts_never_wrap():
@@ -422,16 +450,20 @@ def test_unit_increments_are_the_first_occurrences():
     assert _union(blocks) == _union(new)
 
 
+def _with_moved_breakpoint(monkeypatch, tiling, index, delta):
+    """Move the end of first-occurrence interval ``index`` of a tiling by
+    ``delta`` for ``fast_count``, with neither table published."""
+    name = "_SQUARE_FIRSTS" if tiling == "square" else "_CUBE_FIRSTS"
+    firsts = getattr(fc, name)
+    x, y = firsts[index]
+    monkeypatch.setattr(fc, name, firsts[:index] + ((x, y + delta),)
+                        + firsts[index + 1:])
+    monkeypatch.setattr(fc, "_SQUARES", None)
+    monkeypatch.setattr(fc, "_CUBES", None)
+    return fc._square_segments if tiling == "square" else fc._cube_segments
+
+
 @pytest.mark.parametrize("tiling, index, delta, message", [
-    # square beta of order 14: the second field of interval 2 + 2 (14 - 4);
-    # segment (3, 15) lies inside the floor, which is copied along it
-    ("square", 22, -1, r"cumulative count at square segment \(j=3, m=15\) "
-                       r"disagrees with the floor"),
-    ("square", 22, 1, r"cumulative count at square segment \(j=3, m=15\) "
-                      r"disagrees with the floor"),
-    # square beta of order 17: segment (3, 18), the first past the floor
-    ("square", 28, -1, r"unit increments of square segment \(j=3, m=18\)"),
-    ("square", 28, 1, r"unit increments of square segment \(j=3, m=18\)"),
     # square theta of order 44: the second field of interval 2 + 2 (44 - 4) + 1
     ("square", 83, -1, r"threshold ordering broken in \(2, 45\)"),
     ("square", 83, 1, r"square segment \(j=1, m=45\) meets no "
@@ -443,30 +475,40 @@ def test_unit_increments_are_the_first_occurrences():
 def test_a_moved_breakpoint_fails_the_first_build(monkeypatch, tiling, index,
                                                   delta, message):
     # the rows take their unit increments from the first-occurrence
-    # intervals, so one breakpoint moved by one fails the build that reads
+    # intervals, so a breakpoint moved by one can fail the build that reads
     # it, naming the segment, and nothing is published
-    name = "_SQUARE_FIRSTS" if tiling == "square" else "_CUBE_FIRSTS"
-    firsts = getattr(fc, name)
-    x, y = firsts[index]
-    monkeypatch.setattr(fc, name, firsts[:index] + ((x, y + delta),)
-                        + firsts[index + 1:])
-    monkeypatch.setattr(fc, "_SQUARES", None)
-    monkeypatch.setattr(fc, "_CUBES", None)
-    build = fc._square_segments if tiling == "square" else fc._cube_segments
+    build = _with_moved_breakpoint(monkeypatch, tiling, index, delta)
     with pytest.raises((RuntimeError, AssertionError), match=message):
         build()
     assert fc._SQUARES is None and fc._CUBES is None
 
 
+@pytest.mark.parametrize("index, delta, segment", [
+    # square beta of order 14: the second field of interval 2 + 2 (14 - 4);
+    # segment (3, 15) lies inside the floor, which is copied along it
+    (22, -1, (3, 15)),
+    (22, 1, (3, 15)),
+    # square beta of order 17: segment (3, 18), the first past the floor
+    (28, -1, (3, 18)),
+    (28, 1, (3, 18)),
+])
+def test_a_moved_breakpoint_fails_the_closed_forms(monkeypatch, index, delta,
+                                                   segment):
+    # a block that keeps its place among the cuts builds: the totals follow
+    # it, and the closed forms name the segment that holds it
+    seg = _with_moved_breakpoint(monkeypatch, "square", index, delta)()
+    with pytest.raises(AssertionError, match="closed forms of "
+                       + re.escape(seg.label(square_index(*segment))) + ": "):
+        check_closed_forms(seg, "square")
+
+
 def test_vectors_at_the_materialization_cap_sum_to_the_closed_forms():
     # square segment (1, 28) and cube segment 27: the longest segments of
     # at most MATERIALIZE_CAP positions
-    seg = fc._square_segments()
-    lo, hi = seg.rows[square_index(1, 28)][:2]
-    assert sum(fc._square_counts(hi)[lo:]) == seg.sums[square_index(1, 28)]
-    seg = fc._cube_segments()
-    lo, hi = seg.rows[27 - 7][:2]
-    assert sum(fc._cube_counts(hi)[lo:]) == seg.sums[27 - 7]
+    lo, hi = fc._square_segments().rows[square_index(1, 28)][:2]
+    assert sum(fc._square_counts(hi)[lo:]) == SQUARE_SUMS[square_index(1, 28)]
+    lo, hi = fc._cube_segments().rows[27 - 7][:2]
+    assert sum(fc._cube_counts(hi)[lo:]) == CUBE_SUMS[27 - 7]
 
 
 FLOOR_TOP = 42761  # last position of square order 17 and of cube order 17
@@ -637,7 +679,7 @@ def test_vectors_above_the_floor_are_not_kept():
     finally:
         tracemalloc.stop()
     assert held < 2**20
-    assert sums == (squares.sums[square_index(1, 22)], cubes.sums[21 - 7])
+    assert sums == (SQUARE_SUMS[square_index(1, 22)], CUBE_SUMS[21 - 7])
     # the vectors as the fully memoised recursion built them
     assert digests == (
         "3f01b10fbffe1a56a23fbb59b790558d9045fd16ae53e551d8fbf2706ecf4285",

@@ -1,7 +1,7 @@
 """Identities that tie the counters to each other across the whole range
 [1, 10^18]: each cumulative count against its per-position increment, the
-repeated counts at block lengths and segment ends against their closed
-forms, and a dense sweep of running sums at small n."""
+repeated counts at block lengths and at every segment's ends against their
+closed forms, and a dense sweep of running sums at small n."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +9,7 @@ from tribcount import closed_forms as cf
 from tribcount import fast_count as fc
 from tribcount.core_word import N_CAP, trib_number as t
 
-from invariant_checks import square_index
+from invariant_checks import check_closed_forms, square_index
 
 # cumulative count and its per-position increment
 PAIRS = [(cf.distinct_squares, cf.a_indicator),
@@ -61,10 +61,10 @@ def test_repeated_counts_at_block_lengths():
 
 
 def test_cumulative_counts_at_every_segment_end():
-    for counter, seg in ((fc.algorithm_B, SQUARES), (fc.algorithm_D, CUBES)):
-        for row, cum in zip(seg.rows, seg.cums):
-            if row[1] <= N_CAP:
-                assert counter(row[1]) == cum, row[1]
+    # the closed forms of every segment, past N_CAP too, against the totals
+    # and cumulative counts the tables derive from the floor and the copy
+    check_closed_forms(SQUARES, "square")
+    check_closed_forms(CUBES, "cube")
 
 
 def test_dense_running_sums():
