@@ -10,8 +10,6 @@ run in the sense of Kolpakov and Kucherov, FOCS 1999, when L is its least
 period), and the scan keeps it as that range of ends.
 """
 
-from __future__ import annotations
-
 import re
 
 _NONZERO = re.compile(rb"[^\x00]")

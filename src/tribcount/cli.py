@@ -20,8 +20,6 @@ arguments are parsed from one table of commands (``_COMMANDS``) rather than
 by argparse, whose import alone costs more than evaluating a count.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from itertools import chain, islice, repeat
@@ -65,7 +63,8 @@ def _stat(name: str):
 
 
 def cmd_count(opts) -> int:
-    print(_stat(opts["stat"])(opts["n"]))
+    n = core_word._arg(opts["n"], 0, core_word.N_CAP, "--n")
+    print(_stat(opts["stat"])(n))
     return 0
 
 

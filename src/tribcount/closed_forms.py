@@ -9,13 +9,12 @@ indicator functions, whether a new repetition ends at a given position,
 read the same columns, and ``square_ends``/``cube_ends`` stream the
 positions where they are 1.  The ``*_at_t`` variants are closed forms at
 prefix lengths equal to block lengths, including the repeated-square/cube
-counts there; they read no interval table.
+counts there; they read no interval table.  Glen's cumulative-sum route
+to ``distinct_squares_at_t`` is a test check (``tests/paper_checks.py``).
 
 All arithmetic is exact: fractional coefficients are cleared to a common
 denominator and divided once with a remainder check.
 """
-
-from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, chain
@@ -80,24 +79,6 @@ def distinct_squares_at_t(m: int) -> int:
     if m <= 2:
         return 0
     return exact_div(2 * _t(m - 2) + _t(m - 3) + 3 * _t(m - 4) - m - 5, 2)
-
-
-def _glen_d(i: int) -> int:
-    # cumulative block-length sums: d_i = t_0 + ... + t_{i-1}, with the
-    # empty sum at 0 and formally -1 below that
-    if i <= -1:
-        return -1
-    if i == 0:
-        return 0
-    return exact_div(_t(i + 1) + _t(i - 1) - 3, 2)
-
-
-def glen_distinct_squares_at_t(m: int) -> int:
-    """Glen's cumulative-sum expression for the same count; independent
-    route used as a cross-check of ``distinct_squares_at_t``."""
-    h = _arg(m, 3, MAX_ORDER, "block order") - 1
-    total = sum(_glen_d(i) + 1 for i in range(0, h - 1))
-    return total + _glen_d(h - 4) + _glen_d(h - 5) + 1
 
 
 def distinct_cubes(n: int) -> int:

@@ -12,8 +12,6 @@ counts are running sums over them, and ``fast_count``'s segment rows take
 their unit increments from them.
 """
 
-from __future__ import annotations
-
 import operator
 
 ALPHABET = ("a", "b", "c")
@@ -78,11 +76,6 @@ MAX_ORDER = len(_T) - 1 - _OFF
 def trib_number(m: int) -> int:
     """Length t_m of the m-th block, m >= -2."""
     return _T[_arg(m, -2, MAX_ORDER, "block order") + _OFF]
-
-
-def block_letter_counts(m: int) -> tuple[int, int, int]:
-    """(a, b, c) letter counts of the m-th block."""
-    return _BLOCK_COUNTS[_arg(m, -2, MAX_ORDER, "block order") + _OFF]
 
 
 def last_letter(m: int) -> str:

@@ -39,10 +39,10 @@ their own check: they tile the segment and every jump lands inside the
 segment it names.  The first algorithm_B and algorithm_D calls in a
 fresh process take about 5.8 and 4.5 ms at n = 10^18, most of it the rows,
 the floor and its prefix sums (README).  A mismatch reports the offending
-segment and aborts.
+segment and aborts.  The paper's square tree, the unit-increment blocks
+shifted to later occurrences of a kernel word, is read off the same rows
+by the tests (``tests/paper_checks.py``); no command needs it.
 """
-
-from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
@@ -53,11 +53,9 @@ from .core_word import (
     _OFF,
     _SQUARE_FIRSTS,
     _T,
-    MAX_ORDER,
     N_CAP,
     _arg,
     exact_div,
-    position_kernel,
 )
 
 
@@ -473,23 +471,3 @@ def algorithm_D(n: int) -> int:
     if type(n) is not int or n < 0 or n > N_CAP:
         n = _arg(n, 0, N_CAP, "prefix length")
     return _cumulative(_CUBES or _cube_segments(), n)
-
-
-# ---------------------------------------------------------------------------
-# square-tree sample points
-
-
-def square_case_block(j: int, m: int, p: int) -> range:
-    """End positions of the squares of kind j whose maximal kernel word has
-    order m, around the p-th occurrence of that kernel word.  These are the
-    positions the unit increments of segment (j, m) sit at, shifted to
-    occurrence p; a block that ends past N_CAP raises ValueError."""
-    j = _arg(j, 1, 3, "square segment kind")
-    m = _arg(m, 4, MAX_ORDER, "kernel order")
-    shift = position_kernel(m, p) - position_kernel(m, 1)
-    rows = (_SQUARES or _square_segments()).rows
-    inc_lo, inc_hi = rows[3 * (m - 4) + 3 - j][6:8]
-    if inc_hi + shift > N_CAP:
-        raise ValueError(f"square block ({j}, {m}) at kernel occurrence {p} "
-                         f"exceeds cap")
-    return range(inc_lo + shift, inc_hi + 1 + shift)

@@ -11,25 +11,19 @@ exhaustive mode drops the restriction (and is what validates it).
 occurrence.  An occurrence is the first of its factor iff it is longer than
 the longest suffix of the prefix ending there that also ends earlier, which
 one suffix automaton of the prefix gives at every position in linear memory
-(``_longest_previous``).  ``occurrences``, ``gap_pattern``, ``gap_coding``
-and ``kernel_of`` are the paper's gap-sequence and kernel-word checks.
+(``_longest_previous``).  ``is_primitive`` and ``assert_no_fourth_powers``
+are the further checks of ``verify --exhaustive``.  The paper's own route,
+the gap sequences between the occurrences of each distinct square, is not
+shipped: no command reads it, and the tests keep it as a check
+(``tests/paper_checks.py``).
 """
-
-from __future__ import annotations
 
 from array import array
 from collections import namedtuple
 from itertools import accumulate, chain, repeat
 
 from ._kernels import find_repetitions
-from .core_word import (
-    MATERIALIZE_CAP,
-    _arg,
-    kernel_number,
-    kernel_word,
-    prefix,
-    trib_number,
-)
+from .core_word import _arg, prefix, trib_number
 
 # Longest prefix the oracle scans.  Its memory is linear in n, so the
 # caller's own n bounds the cost: ``verify --max 100000`` takes about 0.8 s
@@ -161,84 +155,6 @@ def scan_repetitions(n: int, exhaustive: bool = False) -> RepetitionSummary:
     squares, cubes = _expand(b), _expand(d)
     return RepetitionSummary(n, sum(a), len(squares), sum(c), len(cubes), a,
                              b, c, d, squares, square_runs, cubes, cube_runs)
-
-
-def _starts(hay: str, needle: str) -> list[int]:
-    """0-based start of every occurrence of needle in hay, ascending
-    (overlaps included)."""
-    out = []
-    i = hay.find(needle)
-    while i >= 0:
-        out.append(i)
-        i = hay.find(needle, i + 1)
-    return out
-
-
-def occurrences(w: str, n: int) -> list[int]:
-    """1-based end positions of all occurrences of w in the length-n
-    prefix, ascending (overlaps included)."""
-    if not w:
-        raise ValueError("empty factor")
-    hay = prefix(_arg(n, 0, ORACLE_CAP, "oracle scan length"))
-    return [i + len(w) for i in _starts(hay, w)]
-
-
-def _steps(w: str, n: int) -> list[str]:
-    # words between consecutive end positions; the p-th step is the p-th
-    # gap followed by one copy of w, so steps compare equal iff gaps do
-    ends = occurrences(w, n)
-    if len(ends) < 2:
-        raise ValueError(f"factor {w!r} occurs fewer than twice in range")
-    hay = prefix(n)
-    return [hay[ends[i]:ends[i + 1]] for i in range(len(ends) - 1)]
-
-
-def gap_pattern(w: str, n: int) -> list[int]:
-    """Lengths of the gaps between consecutive occurrences of w.  Negative
-    when consecutive occurrences overlap."""
-    ends = occurrences(w, n)
-    if len(ends) < 4:
-        raise ValueError(f"factor {w!r} occurs fewer than 4 times in range")
-    return [ends[i + 1] - ends[i] - len(w) for i in range(len(ends) - 1)]
-
-
-def gap_coding(w: str, n: int) -> str:
-    """Each gap coded by which of the first, second or fourth gap it equals
-    (as a word), written a, b, c respectively."""
-    steps = _steps(w, n)
-    if len(steps) < 4:
-        raise ValueError(f"factor {w!r} has fewer than 4 gaps in range")
-    alphabet = {steps[0]: "a", steps[1]: "b", steps[3]: "c"}
-    if len(alphabet) != 3:
-        raise ValueError(f"gaps 1, 2, 4 of {w!r} are not pairwise distinct")
-    out = []
-    for s in steps:
-        try:
-            out.append(alphabet[s])
-        except KeyError:
-            raise ValueError(f"gap of {w!r} matches none of gaps 1, 2, 4")
-    return "".join(out)
-
-
-def kernel_of(w: str) -> int:
-    """Order of the maximal kernel word occurring in the factor w."""
-    if not w:
-        raise ValueError("empty factor")
-    window = min(MATERIALIZE_CAP, max(1000, 64 * len(w)))
-    if w not in prefix(window):
-        raise ValueError(f"{w[:40]!r}... does not occur in the scanned prefix")
-    best = 0
-    m = 1
-    while kernel_number(m) <= len(w):
-        if kernel_word(m) in w:
-            best = m
-        m += 1
-    if best == 0:
-        raise ValueError(f"no kernel word inside {w!r}")
-    if len(_starts(w, kernel_word(best))) != 1:
-        raise AssertionError(
-            f"maximal kernel word of order {best} occurs more than once")
-    return best
 
 
 def is_primitive(w: str) -> bool:

@@ -7,8 +7,10 @@ directly) and frozen here; nothing below imports the code paths it checks
 except where the sweep's purpose is exactly that comparison.
 """
 
-from tribcount import core_word, fast_count, oracle
+from tribcount import core_word, fast_count
 from tribcount.core_word import exact_div, trib_number as t
+
+import paper_checks
 
 # end positions of the 29 first-occurrence squares in the length-65 prefix
 SQUARE_ENDS_65 = [
@@ -61,7 +63,7 @@ def check_kernel_gap_coding(m_max, n):
     """Gap sequences of kernel words take three values patterned like the
     word itself."""
     for m in range(1, m_max + 1):
-        coded = oracle.gap_coding(core_word.kernel_word(m), n)
+        coded = paper_checks.gap_coding(core_word.kernel_word(m), n)
         assert coded == core_word.prefix(len(coded)), f"kernel order {m}"
 
 
@@ -176,12 +178,12 @@ def check_graph_embedding(summary, word):
         by_end.setdefault(e, []).append(word[e - 2 * L:e])
     for j in (1, 2, 3):
         for m in range(4, 8):
-            base = fast_count.square_case_block(j, m, 1)
+            base = paper_checks.square_case_block(j, m, 1)
             for p in range(1, 6):
-                block = fast_count.square_case_block(j, m, p)
+                block = paper_checks.square_case_block(j, m, p)
                 assert len(block) == len(base)
                 for i in range(len(block)):
                     lhs = set(by_end.get(base[i], []))
                     rhs = {w for w in by_end.get(block[i], [])
-                           if 4 <= oracle.kernel_of(w) <= m}
+                           if 4 <= paper_checks.kernel_of(w) <= m}
                     assert lhs == rhs, (j, m, p, i + 1)

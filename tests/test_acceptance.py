@@ -15,6 +15,7 @@ from tribcount.core_word import prefix, trib_number as t
 
 import invariant_checks
 from invariant_checks import phi, segment_closed_forms, square_index
+from paper_checks import glen_distinct_squares_at_t
 
 
 def test_criterion_1_worked_examples():
@@ -80,7 +81,7 @@ def test_criterion_5_cross_formula_consistency():
     for m in range(3, 68):
         assert cf.repeated_squares_at_t(m) == fc.algorithm_B(t(m)), m
         assert cf.repeated_cubes_at_t(m) == fc.algorithm_D(t(m)), m
-        assert cf.distinct_squares_at_t(m) == cf.glen_distinct_squares_at_t(m), m
+        assert cf.distinct_squares_at_t(m) == glen_distinct_squares_at_t(m), m
         assert cf.distinct_squares_at_t(m) == cf.distinct_squares(t(m)), m
         assert cf.distinct_cubes_at_t(m) == cf.distinct_cubes(t(m)), m
     print("criterion 5 PASS: cross-formula consistency on [3, 67]")

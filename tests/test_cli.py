@@ -325,6 +325,11 @@ def test_option_ranges_named(capsys):
     for n in ("-1", "-5"):
         code, out, err = run(capsys, "positions", "--kind", "cube", "--n", n)
         assert code == 1 and out == "" and "--n" in err
+    for stat in ("A", "B"):
+        for n in (-1, 10**18 + 1):
+            code, out, err = run(capsys, "count", "--stat", stat, "--n", str(n))
+            assert (code, out) == (1, "")
+            assert err == f"error: --n {n} outside [0, {10**18}]\n"
     for m in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--max", m)
         assert code == 1 and out == "" and "--max" in err

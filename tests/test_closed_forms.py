@@ -9,6 +9,7 @@ from tribcount import oracle
 from tribcount.core_word import N_CAP, exact_div, trib_number as t
 
 from invariant_checks import square_bounds
+from paper_checks import glen_distinct_squares_at_t
 
 
 def test_distinct_squares_small():
@@ -97,7 +98,7 @@ def test_distinct_squares_at_t():
 def test_glen_equivalence():
     # every block length up to N_CAP: t_67 is the last
     for m in range(3, 68):
-        assert cf.glen_distinct_squares_at_t(m) == cf.distinct_squares_at_t(m)
+        assert glen_distinct_squares_at_t(m) == cf.distinct_squares_at_t(m)
         assert cf.distinct_squares_at_t(m) == cf.distinct_squares(t(m))
 
 
@@ -213,7 +214,7 @@ def test_all_divisions_exact_to_60():
     # any inexact division raises, so evaluating is the assertion
     for m in range(3, 61):
         cf.distinct_squares_at_t(m)
-        cf.glen_distinct_squares_at_t(m)
+        glen_distinct_squares_at_t(m)
         cf.repeated_squares_at_t(m)
         cf.repeated_cubes_at_t(m)
     # and the breakpoint tables of every order up to the cap

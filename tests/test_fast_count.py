@@ -20,6 +20,7 @@ from tribcount.core_word import (N_CAP, exact_div, kernel_number as k, prefix,
 import invariant_checks
 from invariant_checks import (check_closed_forms, phi, segment_closed_forms,
                               square_bounds, square_index)
+from paper_checks import square_case_block
 
 SQUARE_SUMS, SQUARE_CUMS = segment_closed_forms("square")
 CUBE_SUMS, CUBE_CUMS = segment_closed_forms("cube")
@@ -280,9 +281,9 @@ def test_repeated_square_tail_identity():
 
 
 def test_square_case_block_points():
-    assert list(fc.square_case_block(3, 4, 1)) == [8]
-    assert list(fc.square_case_block(1, 5, 1)) == [26, 27]
-    assert list(fc.square_case_block(1, 5, 3)) == [70, 71]
+    assert list(square_case_block(3, 4, 1)) == [8]
+    assert list(square_case_block(1, 5, 1)) == [26, 27]
+    assert list(square_case_block(1, 5, 3)) == [70, 71]
 
 
 @pytest.mark.parametrize("j, m, p", [(1, 65, 6), (1, 66, 3), (1, 68, 1),
@@ -292,7 +293,7 @@ def test_square_case_block_past_the_cap(j, m, p):
     assert cw.position_kernel(m, p) <= N_CAP
     with pytest.raises(ValueError, match=rf"square block \({j}, {m}\) at "
                        rf"kernel occurrence {p} exceeds cap"):
-        fc.square_case_block(j, m, p)
+        square_case_block(j, m, p)
 
 
 def test_graph_embedding(scan3000):

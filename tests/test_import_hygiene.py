@@ -6,8 +6,13 @@ argparse.
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.  Modules that the interpreter had loaded before
 tribcount (from ``site``, say) are not held against it.
+
+Every top-level function and class of the package is reachable from what a
+user calls: the public names, the console script and what the modules run
+at import.  A check that only tests call lives under ``tests/``.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -65,8 +70,8 @@ def test_oracle_names_still_reachable():
 import io, contextlib, sys
 import tribcount
 assert tribcount.scan_repetitions(50).distinct_squares == 20
-from tribcount.oracle import occurrences
-assert occurrences("aa", 40) == [8, 21, 32]
+from tribcount.oracle import is_primitive
+assert is_primitive("ab") and not is_primitive("abab")
 ns = {}
 exec("from tribcount import *", ns)
 missing = [name for name in tribcount.__all__ if name not in ns]
@@ -128,3 +133,72 @@ import tribcount
 print(*(m for m in {WATCHED!r} if m in sys.modules))
 """)
     assert out.split() == []
+
+
+# what a user reaches besides the public names: the console script
+# (``[project.scripts]``) and the module dunders the interpreter calls
+ENTRY_POINTS = (("cli", "entry"), ("__init__", "__getattr__"),
+                ("__init__", "__dir__"))
+
+
+def _unreachable():
+    """``module.name`` of every top-level function or class of the package
+    that no chain of references reaches from ``__all__``, ENTRY_POINTS or
+    a module-level statement.  A name resolves to a definition of its own
+    module or to the one it was imported from (``from .m import name``);
+    ``m.name``, with m imported by ``from . import m``, to m's definition;
+    any other attribute name to every definition of that name."""
+    import tribcount
+    defs, aliases, imported = {}, {}, {}
+    roots = []
+    for path in sorted((SRC / "tribcount").glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module, node.name] = node
+            else:
+                roots.append((module, node))
+        aliases[module], imported[module] = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        aliases[module][a.asname or a.name] = a.name
+                    else:
+                        imported[module][a.asname or a.name] = (node.module,
+                                                               a.name)
+
+    def targets(module, node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield imported[module].get(sub.id, (module, sub.id))
+            elif isinstance(sub, ast.Attribute):
+                owner = sub.value
+                if (isinstance(owner, ast.Name)
+                        and owner.id in aliases[module]):
+                    yield aliases[module][owner.id], sub.attr
+                else:
+                    yield from ((m, n) for m, n in defs if n == sub.attr)
+
+    # each public name where it is defined (constants define nothing)
+    public = [getattr(tribcount, name) for name in tribcount.__all__]
+    todo = [(obj.__module__.rpartition(".")[2], obj.__name__)
+            for obj in public if hasattr(obj, "__name__")]
+    todo += ENTRY_POINTS
+    for module, node in roots:
+        todo += targets(module, node)
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in defs and key not in reached:
+            reached.add(key)
+            todo += targets(key[0], defs[key])
+    return sorted(f"{m}.{n}" for m, n in set(defs) - reached)
+
+
+def test_every_function_is_reachable():
+    unreachable = _unreachable()
+    assert not unreachable, ("reached from no public name, entry point or "
+                             "module-level statement: "
+                             + ", ".join(unreachable))

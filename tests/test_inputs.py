@@ -7,6 +7,7 @@ results hold plain ints."""
 import re
 
 import numpy as np
+import paper_checks as pc
 import pytest
 
 from tribcount import closed_forms as cf
@@ -106,17 +107,18 @@ def test_position_helpers_take_numpy_integers(fn, args):
 
 
 # every other public function with an integer argument: block, kernel,
-# segment and scan orders and lengths, with good arguments
+# segment and scan orders and lengths, with good arguments; the paper checks
+# in tests/paper_checks.py keep the same argument checks
 ORDERS = [
-    (cw.trib_number, (5,)), (cw.block_letter_counts, (5,)),
+    (cw.trib_number, (5,)), (pc.block_letter_counts, (5,)),
     (cw.last_letter, (5,)), (cw.kernel_number, (5,)), (cw.kernel_word, (7,)),
     (cw.prefix, (13,)), (cw.position_kernel, (6, 3)),
     (cf.distinct_squares_at_t, (10,)), (cf.distinct_cubes_at_t, (10,)),
-    (cf.glen_distinct_squares_at_t, (10,)),
+    (pc.glen_distinct_squares_at_t, (10,)),
     (cf.repeated_squares_at_t, (10,)), (cf.repeated_cubes_at_t, (10,)),
-    (fc.square_case_block, (2, 10, 3)),
-    (oracle.scan_repetitions, (100,)), (oracle.occurrences, ("aba", 100)),
-    (oracle.gap_pattern, ("a", 100)), (oracle.gap_coding, ("a", 100)),
+    (pc.square_case_block, (2, 10, 3)),
+    (oracle.scan_repetitions, (100,)), (pc.occurrences, ("aba", 100)),
+    (pc.gap_pattern, ("a", 100)), (pc.gap_coding, ("a", 100)),
     (oracle.assert_no_fourth_powers, (100,)),
 ]
 
@@ -162,7 +164,7 @@ def test_orders_outside_range_name_the_value(fn, args, value):
     (cw.trib_number, (76,), "76 outside [-2, 75]"),
     (cw.kernel_word, (30,), "30 outside [1, 29]"),
     (cf.distinct_cubes_at_t, (10**6,), "1000000 outside [0, 75]"),
-    (fc.square_case_block, (4, 10, 3), "kind 4 outside [1, 3]"),
+    (pc.square_case_block, (4, 10, 3), "kind 4 outside [1, 3]"),
     (oracle.scan_repetitions, (oracle.ORACLE_CAP + 1,),
      f"{oracle.ORACLE_CAP + 1} outside [1, {oracle.ORACLE_CAP}]"),
     (oracle.assert_no_fourth_powers, (oracle.EXHAUSTIVE_CAP + 1,),
@@ -177,7 +179,7 @@ def test_order_ranges(fn, args, message):
 # index of the argument, its name in messages, lowest, highest)
 RANGES = [
     (cw.trib_number, (5,), 0, "block order", -2, 75),
-    (cw.block_letter_counts, (5,), 0, "block order", -2, 75),
+    (pc.block_letter_counts, (5,), 0, "block order", -2, 75),
     (cw.last_letter, (5,), 0, "block order", -1, 75),
     (cw.kernel_number, (5,), 0, "kernel order", 0, 75),
     (cw.kernel_word, (7,), 0, "kernel order", 1, 29),
@@ -188,19 +190,19 @@ RANGES = [
     (cw.position_letter, ("a", 2), 1, "occurrence index", 1, cw.N_CAP),
     (cf.distinct_squares_at_t, (10,), 0, "block order", 0, 75),
     (cf.distinct_cubes_at_t, (10,), 0, "block order", 0, 75),
-    (cf.glen_distinct_squares_at_t, (10,), 0, "block order", 3, 75),
+    (pc.glen_distinct_squares_at_t, (10,), 0, "block order", 3, 75),
     (cf.repeated_squares_at_t, (10,), 0, "block order", 3, 75),
     (cf.repeated_cubes_at_t, (10,), 0, "block order", 3, 75),
-    (fc.square_case_block, (2, 10, 3), 0, "square segment kind", 1, 3),
-    (fc.square_case_block, (2, 10, 3), 1, "kernel order", 4, 75),
-    (fc.square_case_block, (2, 10, 3), 2, "occurrence index", 1, cw.N_CAP),
+    (pc.square_case_block, (2, 10, 3), 0, "square segment kind", 1, 3),
+    (pc.square_case_block, (2, 10, 3), 1, "kernel order", 4, 75),
+    (pc.square_case_block, (2, 10, 3), 2, "occurrence index", 1, cw.N_CAP),
     (oracle.scan_repetitions, (100,), 0, "oracle scan length",
      1, oracle.ORACLE_CAP),
-    (oracle.occurrences, ("aba", 100), 1, "oracle scan length",
+    (pc.occurrences, ("aba", 100), 1, "oracle scan length",
      0, oracle.ORACLE_CAP),
-    (oracle.gap_pattern, ("a", 100), 1, "oracle scan length",
+    (pc.gap_pattern, ("a", 100), 1, "oracle scan length",
      0, oracle.ORACLE_CAP),
-    (oracle.gap_coding, ("a", 100), 1, "oracle scan length",
+    (pc.gap_coding, ("a", 100), 1, "oracle scan length",
      0, oracle.ORACLE_CAP),
     (oracle.assert_no_fourth_powers, (100,), 0, "exhaustive scan length",
      1, oracle.EXHAUSTIVE_CAP),

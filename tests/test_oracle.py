@@ -9,6 +9,7 @@ from tribcount import _kernels, closed_forms, fast_count, oracle
 from tribcount.core_word import prefix
 
 import invariant_checks
+import paper_checks
 
 
 def test_distinct_square_ends_65():
@@ -120,7 +121,7 @@ def test_square_halves_are_consecutive_occurrences():
     word = prefix(300)
     for e, L in invariant_checks.run_occurrences(s.square_runs):
         root = word[e - 2 * L:e - L]
-        ends = oracle.occurrences(root, 300)
+        ends = paper_checks.occurrences(root, 300)
         i = ends.index(e - L)
         assert ends[i + 1] == e, (e, L)
 
@@ -154,42 +155,42 @@ def test_indicators_match_formulas(scan3000):
 
 
 def test_occurrences_values():
-    assert oracle.occurrences("aa", 40) == [8, 21, 32]
-    assert oracle.occurrences("c", 20)[0] == 4
-    assert oracle.occurrences("zz", 40) == []
+    assert paper_checks.occurrences("aa", 40) == [8, 21, 32]
+    assert paper_checks.occurrences("c", 20)[0] == 4
+    assert paper_checks.occurrences("zz", 40) == []
     with pytest.raises(ValueError):
-        oracle.occurrences("", 10)
+        paper_checks.occurrences("", 10)
 
 
 def test_gap_pattern_letter_a():
-    gaps = oracle.gap_pattern("a", 20)
+    gaps = paper_checks.gap_pattern("a", 20)
     assert gaps[3] == 0
 
 
 def test_gap_pattern_needs_occurrences():
     with pytest.raises(ValueError):
-        oracle.gap_pattern("abacabaabacab", 30)
+        paper_checks.gap_pattern("abacabaabacab", 30)
 
 
 def test_gap_coding_matches_word():
     for w in ("a", "b", "aa", "abacaba"):
-        coded = oracle.gap_coding(w, 2000)
+        coded = paper_checks.gap_coding(w, 2000)
         assert coded == prefix(len(coded)), w
 
 
 def test_gap_values_bounded():
     for w in ("a", "b", "aa", "abacaba"):
-        steps = oracle._steps(w, 2000)
+        steps = paper_checks._steps(w, 2000)
         assert len(set(steps)) <= 3
 
 
 def test_kernel_of():
     word = prefix(100)
-    assert oracle.kernel_of("aa") == 4
-    assert oracle.kernel_of(word[1:27]) == 5    # 26-letter square ending at 27
-    assert oracle.kernel_of(word[31:71]) == 7   # 40-letter square ending at 71
+    assert paper_checks.kernel_of("aa") == 4
+    assert paper_checks.kernel_of(word[1:27]) == 5    # 26-letter square ending at 27
+    assert paper_checks.kernel_of(word[31:71]) == 7   # 40-letter square ending at 71
     with pytest.raises(ValueError):
-        oracle.kernel_of("ccc")
+        paper_checks.kernel_of("ccc")
 
 
 def _direct_repetitions(word: bytes, p: int) -> list:
