@@ -159,7 +159,7 @@ def cmd_positions(opts) -> int:
 
 
 def cmd_kernel(opts) -> int:
-    m = opts["m"]
+    m = core_word._arg(opts["m"], 1, core_word._KERNEL_WORD_MAX, "--m")
     word = core_word.kernel_word(m)
     print(f"m={m} word={word} length={core_word.kernel_number(m)} "
           f"first_end={core_word.position_kernel(m, 1)}")

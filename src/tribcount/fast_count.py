@@ -7,18 +7,19 @@ shifted by the previous block length, plus one at each unit increment,
 where a square (cube) not seen before ends: b(n) = b(n - shift) + a(n),
 d(n) = d(n - shift) + c(n), with the increments clipped from the
 first-occurrence intervals of ``core_word``.  Each tiling is held as one
-row tuple per segment.  A step of the
-recursion goes from a segment of order m to a child of order m - j, j in
-{1, 2, 3}, and both single-point and cumulative queries walk down it two
-steps per jump: each segment above the floor is cut into pieces over which
-both steps are fixed, so a jump is one ``bisect`` over the segment's piece
-starts and one addition.  At n drawn log-uniformly from 10^3 to 10^18 a
-call takes about 7.4 jumps and about 2.5-6 microseconds warm (README,
-"Arithmetic and speed").  The walk stops at the floor, the one table of
-small positions: the per-position counts of the square orders 4-17 and the
-cube orders 7-17, which both end at position 42761, and their prefix sums
-in an ``array('I')``.  Every n up to 42761 is read from it before any
-lookup, with no jump.
+row tuple per segment.  A step of the recursion goes from a segment of
+order m to a child of order m - j, j in {1, 2, 3}, and both single-point
+and cumulative queries walk down it two steps per jump: each segment above
+the floor is cut into pieces over which both steps are fixed, and each
+piece is linked to the pieces of the segment it lands in.  The first jump is one ``bisect`` over every piece of
+the tiling in position order, each later one a ``bisect`` over the pieces
+the previous one linked to, and each adds one term.  At n drawn
+log-uniformly from 10^3 to 10^18 a call takes about 7.4 jumps and about
+2-5 microseconds warm (README, "Arithmetic and speed").  The walk stops
+at the floor, the one table of small positions: the per-position counts of
+the square orders 4-17 and the cube orders 7-17, which both end at
+position 42761, and their prefix sums in an ``array('I')``.  Every n up to
+42761 is read from it before any lookup, with no jump.
 
 The rows are the one statement of the copy recursion: the floor and
 ``positions --repeated`` are copied along them (``_counts``), each segment
@@ -28,17 +29,17 @@ copy zeros, or zeros and the segments below them, by the same rule.  The
 rows hold only geometry: each segment's total is the floor's over it, or
 above the floor its children's plus its unit increments, and the counts
 before the segments chain from those totals, so no segment total or
-cumulative count is stated a second time.  The rows are built on first
-use and published only once they pass the self-check: the tiling at every
+cumulative count is stated a second time.  A tiling is built on first
+use and published only once it passes the self-check: the tiling at every
 order, the floor ending on a segment boundary, and every segment with
 children holding its unit increments and lined up with the children, as
-every segment past the floor must have.  The pieces of a segment are
-composed from the rows the first time a descent reaches it (1 887 square
-and 645 cube pieces in all, about 590 KB) and stored only once they pass
-their own check: they tile the segment and every jump lands inside the
-segment it names.  The first algorithm_B and algorithm_D calls in a
-fresh process take about 5.8 and 4.5 ms at n = 10^18, most of it the rows,
-the floor and its prefix sums (README).  A mismatch reports the offending
+every segment past the floor must have.  The pieces of every segment are
+composed from the rows in the same build (1 887 square and 645 cube
+pieces, about 620 KB with the first jump's table) and checked before they
+are linked: they tile the segment and every jump lands inside the segment
+it names.  So the first call of a tiling in a fresh process, at any n,
+takes about 15.5 ms for squares and 7 ms for cubes, of which the pieces
+take about 11 and 4 ms (README).  A mismatch reports the offending
 segment and aborts.  The paper's square tree, the unit-increment blocks
 shifted to later occurrences of a kernel word, is read off the same rows
 by the tests (``tests/paper_checks.py``); no command needs it.
@@ -46,7 +47,7 @@ by the tests (``tests/paper_checks.py``); no command needs it.
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .core_word import (
     _CUBE_FIRSTS,
@@ -91,15 +92,19 @@ class _Segments:
     before a segment chains from the one before the tiling starts.
 
     ``rows`` holds one tuple per segment, (lo, hi, cut1, cut2, first,
-    shift, inc_lo, inc_hi, delta), which the descents and the self-check
-    read; the constructor takes the first eight fields.  ``lo`` is also
-    kept as its own tuple for ``bisect``.  ``base`` and ``base_cum`` are
+    shift, inc_lo, inc_hi, delta), which the pieces are composed from and
+    the self-check reads; the constructor takes the first eight fields.
+    ``lo`` is also kept as its own tuple, for a ``bisect`` that names the
+    segment of a position.  ``base`` and ``base_cum`` are
     the floor: the per-position counts and their prefix sums up to the end
     of the floor orders, where descents stop.  ``pieces`` holds, per
-    segment, the two-step jumps of ``_segment_pieces`` once a descent has
-    reached it (None until then, and for the floor's segments)."""
+    segment, its entry: the pair (piece starts, pieces) of the two-step
+    jumps of ``_segment_pieces``, each piece linked to the entry of the
+    segment it lands in (None for the floor's segments).  ``jumps`` is the
+    entry of the first jump, every piece in position order.  Both are set
+    by ``_link_pieces`` when the tiling is built."""
 
-    __slots__ = ("lo", "rows", "base", "base_cum", "label", "pieces")
+    __slots__ = ("lo", "rows", "base", "base_cum", "label", "pieces", "jumps")
 
     def __init__(self, rows, base, base_cum, label):
         top = len(base) - 1
@@ -121,7 +126,7 @@ class _Segments:
         self.base = base
         self.base_cum = base_cum
         self.label = label
-        self.pieces = [None] * len(rows)
+        self.pieces = self.jumps = None  # set by _link_pieces
 
 
 def _square_label(s: int) -> str:
@@ -247,14 +252,15 @@ def _steps(row) -> list:
 
 def _segment_pieces(seg: _Segments, s: int) -> tuple:
     """Two steps of the copy recursion from segment s, above the floor,
-    composed into one jump: checked, stored in ``seg.pieces`` and returned.
+    composed into one jump, in index form.
 
     The segment is cut into pieces over which its child, its grandchild and
     the membership in both unit-increment blocks stay constant; a piece is
     (lo, hi, shift, next, a, b): a jump from n in [lo, hi] lands at
-    n - shift in segment ``next`` (-1 for the floor), ``a`` increment blocks
-    hold n and the two steps add a * n + b to the cumulative count.  The
-    entry is the pair (the pieces' starts, the pieces)."""
+    n - shift in segment number ``next`` (-1 for the floor), ``a``
+    increment blocks hold n and the two steps add a * n + b to the
+    cumulative count.  The entry is the pair (the pieces' starts, the
+    pieces)."""
     rows, top = seg.rows, len(seg.base) - 1
     row = rows[s]
     first, shift = row[4], row[5]
@@ -274,10 +280,7 @@ def _segment_pieces(seg: _Segments, s: int) -> tuple:
             if x2 <= y2:
                 pieces.append((x2, y2, total, g if rows[g][1] > top else -1,
                                a + a2, b + b2 - a2 * shift))
-    entry = tuple(p[0] for p in pieces), tuple(pieces)
-    _check_pieces(seg, s, entry)
-    seg.pieces[s] = entry
-    return entry
+    return tuple(p[0] for p in pieces), tuple(pieces)
 
 
 def _check_pieces(seg: _Segments, s: int, entry) -> None:
@@ -320,6 +323,30 @@ def _check_pieces(seg: _Segments, s: int, entry) -> None:
         raise RuntimeError(f"pieces of {name} do not tile it")
 
 
+def _link_pieces(seg: _Segments) -> None:
+    """Compose the pieces of every segment above the floor, check each
+    segment's in index form (``_check_pieces``) and link them in tiling
+    order: a piece's ``next`` becomes the entry of the segment it lands in,
+    or None for the floor.  A jump lands below the segment it starts in,
+    so that entry is linked already.  Set ``seg.pieces`` and ``seg.jumps``,
+    the first jump's entry: every piece in position order."""
+    top = len(seg.base) - 1
+    entries = []
+    for s, row in enumerate(seg.rows):
+        if row[1] <= top:
+            entries.append(None)
+            continue
+        entry = _segment_pieces(seg, s)
+        _check_pieces(seg, s, entry)
+        entries.append((entry[0], tuple(
+            (lo, hi, shift, entries[nxt] if nxt >= 0 else None, a, b)
+            for lo, hi, shift, nxt, a, b in entry[1])))
+    above = [entry for entry in entries if entry]
+    seg.pieces = tuple(entries)
+    seg.jumps = (tuple(chain.from_iterable(e[0] for e in above)),
+                 tuple(chain.from_iterable(e[1] for e in above)))
+
+
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
@@ -350,7 +377,8 @@ def _build_segments(rows_of, m, start, label) -> _Segments:
     floor copied along them to the end of order _FLOOR_ORDER (``_counts``),
     as ``bytes`` and an ``array('I')`` of prefix sums (the largest,
     175 512, needs 4 bytes, and one past the type's range raises
-    OverflowError), and the deltas ``_Segments`` derives from both."""
+    OverflowError), the deltas ``_Segments`` derives from both, and the
+    linked pieces of every segment (``_link_pieces``)."""
     rows = []
     while not rows or rows[-1][1] < N_CAP:
         rows += rows_of(m)
@@ -360,6 +388,7 @@ def _build_segments(rows_of, m, start, label) -> _Segments:
     per = _counts(rows, top)
     seg = _Segments(rows, bytes(per), array("I", accumulate(per)), label)
     _check_segments(seg, start)
+    _link_pieces(seg)
     return seg
 
 
@@ -400,20 +429,19 @@ def _point(seg: _Segments, n: int) -> int:
     """Count ending exactly at n: the unit increments met on the way down
     the copy recursion, two steps per jump, plus the floor entry reached:
     the entry of n itself, read before any lookup, for every n up to the
-    floor's end."""
+    floor's end.  The first jump searches every piece, each later one the
+    pieces of the segment the previous one landed in; the assert names
+    the segment whose pieces were searched."""
     base = seg.base
     if n < len(base):
         return base[n]
-    pieces, top = seg.pieces, len(base) - 1
-    s = bisect_right(seg.lo, n) - 1
-    extra = 0
-    while n > top:
-        starts, cut = pieces[s] or _segment_pieces(seg, s)
-        lo, hi, shift, nxt, a, _ = cut[bisect_right(starts, n) - 1]
-        assert lo <= n <= hi, (seg.label(s), n)
+    entry, extra = seg.jumps, 0
+    while entry is not None:
+        starts, cut = entry
+        lo, hi, shift, entry, a, _ = cut[bisect_right(starts, n) - 1]
+        assert lo <= n <= hi, (seg.label(bisect_right(seg.lo, lo) - 1), n)
         extra += a
         n -= shift
-        s = nxt
     return base[n] + extra
 
 
@@ -424,16 +452,13 @@ def _cumulative(seg: _Segments, n: int) -> int:
     base_cum = seg.base_cum
     if n < len(base_cum):
         return base_cum[n]
-    pieces, top = seg.pieces, len(base_cum) - 1
-    s = bisect_right(seg.lo, n) - 1
-    total = 0
-    while n > top:
-        starts, cut = pieces[s] or _segment_pieces(seg, s)
-        lo, hi, shift, nxt, a, b = cut[bisect_right(starts, n) - 1]
-        assert lo <= n <= hi, (seg.label(s), n)
+    entry, total = seg.jumps, 0
+    while entry is not None:
+        starts, cut = entry
+        lo, hi, shift, entry, a, b = cut[bisect_right(starts, n) - 1]
+        assert lo <= n <= hi, (seg.label(bisect_right(seg.lo, lo) - 1), n)
         total += a * n + b
         n -= shift
-        s = nxt
     return total + base_cum[n]
 
 

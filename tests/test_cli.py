@@ -210,7 +210,7 @@ def test_kernel_limit_is_the_library_bound(capsys):
     assert " length=3045154 first_end=" in out
     code, out, err = run(capsys, "kernel", "--m", "30")
     assert code == 1 and out == ""
-    assert "kernel order 30 outside [1, 29]" in err
+    assert err == "error: --m 30 outside [1, 29]\n"
 
 
 def test_count_at_block_lengths(capsys):
@@ -333,3 +333,6 @@ def test_option_ranges_named(capsys):
     for m in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--max", m)
         assert code == 1 and out == "" and "--max" in err
+    for m in ("0", "30"):
+        assert run(capsys, "kernel", "--m", m) == (
+            1, "", f"error: --m {m} outside [1, 29]\n")

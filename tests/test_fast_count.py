@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import os
 import re
@@ -391,9 +392,11 @@ def test_self_check_wants_the_floor_to_end_a_segment(tiling):
 def test_closed_forms_name_a_segment_with_a_wrong_increment(tiling, s, field):
     # the total derived from the copy moves by one, unlike the closed form
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    broken = _with_wrong_entry(seg, s, field)
+    fc._link_pieces(broken)  # the pieces pass their checks
     with pytest.raises(AssertionError, match="closed forms of "
                        + re.escape(seg.label(s)) + ": "):
-        check_closed_forms(_with_wrong_entry(seg, s, field), tiling)
+        check_closed_forms(broken, tiling)
 
 
 @pytest.mark.parametrize("tiling", ["square", "cube"])
@@ -404,6 +407,7 @@ def test_closed_forms_name_the_segment_that_disagrees_with_the_floor(tiling):
     broken = fc._Segments(_table_rows(seg), bytes(base),
                           array("q", accumulate(base)), seg.label)
     fc._check_segments(broken, seg.lo[0])  # the geometry is unchanged
+    fc._link_pieces(broken)
     s = bisect_right(seg.lo, 1000) - 1
     with pytest.raises(AssertionError, match="closed forms of "
                        + re.escape(seg.label(s)) + ": "):
@@ -516,8 +520,8 @@ FLOOR_TOP = 42761  # last position of square order 17 and of cube order 17
 
 
 def _every_piece(seg):
-    """(segment, piece) for every segment above the floor, building the
-    pieces of each."""
+    """(segment, piece) for every segment above the floor, the pieces
+    composed in index form, as ``fc._check_pieces`` checks them."""
     top = len(seg.base) - 1
     for s, row in enumerate(seg.rows):
         if row[1] > top:
@@ -590,6 +594,89 @@ def test_self_check_of_pieces_names_the_break():
         with pytest.raises(RuntimeError,
                            match=re.escape(seg.label(s)) + ".* " + message):
             fc._check_pieces(seg, s, (bad_starts, bad_pieces))
+
+
+@pytest.mark.parametrize("tiling", ["square", "cube"])
+def test_pieces_are_built_checked_and_linked_with_the_rows(monkeypatch,
+                                                           tiling):
+    # right after a fresh build every segment above the floor has its
+    # entry, each piece linked to the entry of the segment it was checked
+    # to land in, and the first jump searches all of them in position order
+    monkeypatch.setattr(fc, "_SQUARES", None)
+    monkeypatch.setattr(fc, "_CUBES", None)
+    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    assert len(seg.pieces) == len(seg.rows)
+    starts, pieces = [], []
+    for s, row in enumerate(seg.rows):
+        entry = seg.pieces[s]
+        if row[1] <= FLOOR_TOP:
+            assert entry is None, seg.label(s)
+            continue
+        checked = fc._segment_pieces(seg, s)
+        fc._check_pieces(seg, s, checked)
+        assert entry[0] == checked[0], seg.label(s)
+        assert len(entry[1]) == len(checked[1]), seg.label(s)
+        for linked, piece in zip(entry[1], checked[1]):
+            nxt = piece[3]
+            assert linked[:3] + linked[4:] == piece[:3] + piece[4:]
+            assert linked[3] is (seg.pieces[nxt] if nxt >= 0 else None)
+        starts += entry[0]
+        pieces += entry[1]
+    assert seg.jumps[0] == tuple(starts)
+    assert len(seg.jumps[1]) == len(pieces)
+    assert all(a is b for a, b in zip(seg.jumps[1], pieces))
+    # which tile [42 762, N_CAP] and on to the end of the top segment
+    prev = FLOOR_TOP
+    for lo, hi, *_ in seg.jumps[1]:
+        assert lo == prev + 1 <= hi
+        prev = hi
+    assert prev == seg.rows[-1][1] >= N_CAP
+
+
+@pytest.mark.parametrize("tiling, s", [("square", 3 * (30 - 4) + 3 - 2),
+                                       ("cube", 40 - 7)])
+def test_a_piece_that_fails_its_check_fails_the_build(monkeypatch, tiling, s):
+    # every segment's pieces are checked while the tiling is built, so a
+    # broken one fails the build, naming the segment, and nothing is
+    # published
+    compose = fc._segment_pieces
+
+    def without_the_last_piece(seg, t):
+        starts, pieces = compose(seg, t)
+        return (starts[:-1], pieces[:-1]) if t == s else (starts, pieces)
+
+    monkeypatch.setattr(fc, "_segment_pieces", without_the_last_piece)
+    monkeypatch.setattr(fc, "_SQUARES", None)
+    monkeypatch.setattr(fc, "_CUBES", None)
+    build = fc._square_segments if tiling == "square" else fc._cube_segments
+    label = fc._square_label(s) if tiling == "square" else fc._cube_label(s)
+    with pytest.raises(RuntimeError,
+                       match=re.escape(label) + " do not tile it"):
+        build()
+    assert fc._SQUARES is None and fc._CUBES is None
+
+
+@pytest.mark.parametrize("tiling", ["square", "cube"])
+def test_a_jump_into_the_wrong_pieces_names_their_segment(tiling):
+    # a copy of the tables with one piece linked to another segment's
+    # entry: the next jump searches that segment's pieces, finds none
+    # holding n, and the assert of both descents names that segment
+    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    n = 10**15 + 7
+    starts, pieces = seg.jumps
+    i = bisect_right(starts, n) - 1
+    lo, hi, shift, entry, a, b = pieces[i]
+    wrong = len(seg.rows) - 1  # the top segment, above every landing
+    assert entry is not None and entry is not seg.pieces[wrong]
+    broken = copy.copy(seg)
+    broken.jumps = starts, (pieces[:i] + ((lo, hi, shift, seg.pieces[wrong],
+                                           a, b),) + pieces[i + 1:])
+    for descent in (fc._point, fc._cumulative):
+        with pytest.raises(AssertionError,
+                           match=re.escape(repr(seg.label(wrong)))):
+            descent(broken, n)
+    # the tables copied from are intact
+    assert _two_level_walk(seg, n) == _reference_walk(seg, n)
 
 
 def _reference_walk(seg, n):
