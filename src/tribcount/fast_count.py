@@ -11,15 +11,16 @@ row tuple per segment.  A step of the recursion goes from a segment of
 order m to a child of order m - j, j in {1, 2, 3}, and both single-point
 and cumulative queries walk down it two steps per jump: each segment above
 the floor is cut into pieces over which both steps are fixed, and each
-piece is linked to the pieces of the segment it lands in.  The first jump is one ``bisect`` over every piece of
-the tiling in position order, each later one a ``bisect`` over the pieces
-the previous one linked to, and each adds one term.  At n drawn
-log-uniformly from 10^3 to 10^18 a call takes about 7.4 jumps and about
-2-5 microseconds warm (README, "Arithmetic and speed").  The walk stops
-at the floor, the one table of small positions: the per-position counts of
-the square orders 4-17 and the cube orders 7-17, which both end at
-position 42761, and their prefix sums in an ``array('I')``.  Every n up to
-42761 is read from it before any lookup, with no jump.
+piece is composed already linked to the pieces of the segment it lands
+in.  The first jump is one ``bisect`` over every piece of the tiling in
+position order, each later one a ``bisect`` over the pieces the previous
+one linked to, and each adds one term.  At n drawn log-uniformly from
+10^3 to 10^18 a call takes about 7.4 jumps and about 2-5 microseconds
+warm (README, "Arithmetic and speed").  The walk stops at the floor, the
+one table of small positions: the per-position counts of the square
+orders 4-17 and the cube orders 7-17, which both end at position 42761,
+and their prefix sums in an ``array('I')``.  Every n up to 42761 is read
+from it before any lookup, with no jump.
 
 The rows are the one statement of the copy recursion: the floor and
 ``positions --repeated`` are copied along them (``_counts``), each segment
@@ -35,14 +36,15 @@ order, the floor ending on a segment boundary, and every segment with
 children holding its unit increments and lined up with the children, as
 every segment past the floor must have.  The pieces of every segment are
 composed from the rows in the same build (1 887 square and 645 cube
-pieces, about 620 KB with the first jump's table) and checked before they
-are linked: they tile the segment and every jump lands inside the segment
-it names.  So the first call of a tiling in a fresh process, at any n,
-takes about 15.5 ms for squares and 7 ms for cubes, of which the pieces
-take about 11 and 4 ms (README).  A mismatch reports the offending
-segment and aborts.  The paper's square tree, the unit-increment blocks
-shifted to later occurrences of a kernel word, is read off the same rows
-by the tests (``tests/paper_checks.py``); no command needs it.
+pieces, about 620 KB with the first jump's table) and checked as they
+are composed: they tile the segment, and every jump lands inside one
+segment and links to that segment's own entry.  So the first call of a
+tiling in a fresh process, at any n, takes about 9 ms for squares and
+5 ms for cubes, of which the pieces take about 6 and 2.3 ms (README).  A
+mismatch reports the offending segment and aborts.  The paper's square
+tree, the unit-increment blocks shifted to later occurrences of a kernel
+word, is read off the same rows by the tests (``tests/paper_checks.py``);
+no command needs it.
 """
 
 from array import array
@@ -99,7 +101,7 @@ class _Segments:
     the floor: the per-position counts and their prefix sums up to the end
     of the floor orders, where descents stop.  ``pieces`` holds, per
     segment, its entry: the pair (piece starts, pieces) of the two-step
-    jumps of ``_segment_pieces``, each piece linked to the entry of the
+    jumps of ``_segment_pieces``, each piece holding the entry of the
     segment it lands in (None for the floor's segments).  ``jumps`` is the
     entry of the first jump, every piece in position order.  Both are set
     by ``_link_pieces`` when the tiling is built."""
@@ -250,46 +252,46 @@ def _steps(row) -> list:
     return steps
 
 
-def _segment_pieces(seg: _Segments, s: int) -> tuple:
+def _segment_pieces(seg: _Segments, s: int, steps, entries) -> tuple:
     """Two steps of the copy recursion from segment s, above the floor,
-    composed into one jump, in index form.
+    composed into one jump and linked as the descents read it.
 
     The segment is cut into pieces over which its child, its grandchild and
     the membership in both unit-increment blocks stay constant; a piece is
     (lo, hi, shift, next, a, b): a jump from n in [lo, hi] lands at
-    n - shift in segment number ``next`` (-1 for the floor), ``a``
-    increment blocks hold n and the two steps add a * n + b to the
+    n - shift, in the segment whose entry is ``next`` (None for the floor),
+    ``a`` increment blocks hold n and the two steps add a * n + b to the
     cumulative count.  The entry is the pair (the pieces' starts, the
-    pieces)."""
-    rows, top = seg.rows, len(seg.base) - 1
-    row = rows[s]
-    first, shift = row[4], row[5]
-    # per child above the floor: the shift of both steps (one int object
-    # for all its pieces) and the child's own steps
-    kids = {c: (shift + rows[c][5], _steps(rows[c]))
-            for c in range(first, first + 3) if rows[c][1] > top}
+    pieces).  ``steps`` holds each segment's ``_steps`` (None in the
+    floor) and ``entries`` the entries of the segments below s."""
+    rows = seg.rows
+    first, shift = rows[s][4:6]
+    # per child above the floor, the shift of both steps: one int object
+    # for all its pieces
+    totals = {c: shift + rows[c][5]
+              for c in range(first, first + 3) if steps[c]}
     pieces = []
-    for x, y, c, a, b in _steps(row):
-        if c not in kids:  # one step reaches the floor
-            pieces.append((x, y, shift, -1, a, b))
+    for x, y, c, a, b in steps[s]:
+        if c not in totals:  # one step reaches the floor
+            pieces.append((x, y, shift, None, a, b))
             continue
         # the child's steps, clipped to [x, y] shifted into the child
-        total, steps = kids[c]
-        for x2, y2, g, a2, b2 in steps:
+        total = totals[c]
+        for x2, y2, g, a2, b2 in steps[c]:
             x2, y2 = max(x2 + shift, x), min(y2 + shift, y)
             if x2 <= y2:
-                pieces.append((x2, y2, total, g if rows[g][1] > top else -1,
-                               a + a2, b + b2 - a2 * shift))
+                pieces.append((x2, y2, total, entries[g], a + a2,
+                               b + b2 - a2 * shift))
     return tuple(p[0] for p in pieces), tuple(pieces)
 
 
-def _check_pieces(seg: _Segments, s: int, entry) -> None:
+def _check_pieces(seg: _Segments, s: int, entry, entries) -> None:
     """Raise RuntimeError, naming segment s, unless its pieces tile it,
-    start where the ``bisect`` column says they do, and shift first by the
-    segment's own shift into the child they were composed from and then,
-    with the child's shift, into segment ``next`` (or, for -1, into the
-    floor): so that every jump of the descents stays inside the segment
-    it names."""
+    start where the ``bisect`` column says they do, shift first by the
+    segment's own shift into the child they were composed from and then
+    by the child's, each land inside one segment t, and each link to
+    ``entries[t]`` itself (None for the floor): so that every jump of the
+    descents searches the pieces of the segment it lands in."""
     rows, top = seg.rows, len(seg.base) - 1
     lo, hi, cut1, cut2, first, shift = rows[s][:6]
     name = seg.label(s)
@@ -309,38 +311,34 @@ def _check_pieces(seg: _Segments, s: int, entry) -> None:
         if p_shift != shift + (child[5] if child[1] > top else 0):
             raise RuntimeError(
                 f"a piece of {name} does not shift by its steps")
-        if nxt == -1:
-            where, low, high = "the floor", rows[0][0], top
-        elif 0 <= nxt < len(rows) and rows[nxt][1] > top:
-            where, (low, high) = "the segment it names", rows[nxt][:2]
-        else:
+        # the child, or its first child, starts past the tiling's start,
+        # so t >= 0
+        t = bisect_right(seg.lo, p_lo - p_shift) - 1
+        if p_hi - p_shift > rows[t][1]:
             raise RuntimeError(
-                f"a piece of {name} names no segment above the floor")
-        if not low <= p_lo - p_shift <= p_hi - p_shift <= high:
-            raise RuntimeError(
-                f"a piece of {name} does not land inside {where}")
+                f"a piece of {name} does not land inside one segment")
+        if nxt is not entries[t]:
+            raise RuntimeError(f"a piece of {name} is not linked to "
+                               f"{seg.label(t)}, where it lands")
     if prev != hi:
         raise RuntimeError(f"pieces of {name} do not tile it")
 
 
 def _link_pieces(seg: _Segments) -> None:
-    """Compose the pieces of every segment above the floor, check each
-    segment's in index form (``_check_pieces``) and link them in tiling
-    order: a piece's ``next`` becomes the entry of the segment it lands in,
-    or None for the floor.  A jump lands below the segment it starts in,
-    so that entry is linked already.  Set ``seg.pieces`` and ``seg.jumps``,
-    the first jump's entry: every piece in position order."""
+    """Compose, link and check the pieces of every segment above the floor
+    in tiling order, from one ``_steps`` per segment: a jump lands below
+    the segment it starts in, so the entry it links to is built already.
+    Set ``seg.pieces`` and ``seg.jumps``, the first jump's entry: every
+    piece in position order."""
     top = len(seg.base) - 1
+    steps = [_steps(row) if row[1] > top else None for row in seg.rows]
     entries = []
-    for s, row in enumerate(seg.rows):
-        if row[1] <= top:
-            entries.append(None)
-            continue
-        entry = _segment_pieces(seg, s)
-        _check_pieces(seg, s, entry)
-        entries.append((entry[0], tuple(
-            (lo, hi, shift, entries[nxt] if nxt >= 0 else None, a, b)
-            for lo, hi, shift, nxt, a, b in entry[1])))
+    for s, row_steps in enumerate(steps):
+        entry = None
+        if row_steps:
+            entry = _segment_pieces(seg, s, steps, entries)
+            _check_pieces(seg, s, entry, entries)
+        entries.append(entry)
     above = [entry for entry in entries if entry]
     seg.pieces = tuple(entries)
     seg.jumps = (tuple(chain.from_iterable(e[0] for e in above)),

@@ -518,90 +518,105 @@ def test_vectors_at_the_materialization_cap_sum_to_the_closed_forms():
 
 FLOOR_TOP = 42761  # last position of square order 17 and of cube order 17
 
-
-def _every_piece(seg):
-    """(segment, piece) for every segment above the floor, the pieces
-    composed in index form, as ``fc._check_pieces`` checks them."""
-    top = len(seg.base) - 1
-    for s, row in enumerate(seg.rows):
-        if row[1] > top:
-            for piece in fc._segment_pieces(seg, s)[1]:
-                yield s, piece
-
-
 PIECE_FIELDS = ("lo", "hi", "shift", "next", "a", "b")
 
 
-def _with_wrong_piece(seg, s, field):
-    starts, pieces = fc._segment_pieces(seg, s)
+def _equal_copy(entry):
+    """A new pair of new tuples, equal to ``entry`` but not it."""
+    return tuple(list(entry[0])), tuple(list(entry[1]))
+
+
+def _with_wrong_piece(seg, s, field, wrong):
+    """The entry of segment s with ``field`` of its first piece replaced
+    by ``wrong(old value)``."""
+    starts, pieces = seg.pieces[s]
     first = list(pieces[0])
-    first[PIECE_FIELDS.index(field)] += 1
+    i = PIECE_FIELDS.index(field)
+    first[i] = wrong(first[i])
     return starts, (tuple(first),) + pieces[1:]
 
 
-@pytest.mark.parametrize("field, message", [
-    ("lo", r"piece starts of square segment \(j=2, m=30\) do not match"),
-    ("shift", r"a piece of square segment \(j=2, m=30\) does not shift by "
-              r"its steps"),
-    ("next", r"a piece of square segment \(j=2, m=30\) does not land inside "
-             r"the segment it names"),
-])
-def test_self_check_names_broken_square_piece(field, message):
+# the first piece of either segment lands above the floor
+WRONG_PIECES = [
+    ("lo", lambda lo: lo + 1, "piece starts of {} do not match"),
+    ("shift", lambda shift: shift + 1, "a piece of {} does not shift by its "
+                                       "steps"),
+    ("next", lambda entry: None, "a piece of {} is not linked to"),
+    ("next", _equal_copy, "a piece of {} is not linked to"),
+]
+
+
+@pytest.mark.parametrize("field, wrong, message", WRONG_PIECES)
+def test_self_check_names_broken_square_piece(field, wrong, message):
     seg = fc._square_segments()
     s = 3 * (30 - 4) + 3 - 2
-    with pytest.raises(RuntimeError, match=message):
-        fc._check_pieces(seg, s, _with_wrong_piece(seg, s, field))
+    with pytest.raises(RuntimeError,
+                       match=re.escape(message.format(seg.label(s)))):
+        fc._check_pieces(seg, s, _with_wrong_piece(seg, s, field, wrong),
+                         seg.pieces)
 
 
-@pytest.mark.parametrize("field, message", [
-    ("lo", r"piece starts of cube segment m=40 do not match"),
-    ("shift", r"a piece of cube segment m=40 does not shift by its steps"),
-    ("next", r"a piece of cube segment m=40 does not land inside the "
-             r"segment it names"),
+@pytest.mark.parametrize("field, wrong, message", WRONG_PIECES + [
+    # an entry of the other tiling
+    ("next", lambda entry: fc._square_segments().pieces[-1],
+     "a piece of {} is not linked to"),
 ])
-def test_self_check_names_broken_cube_piece(field, message):
+def test_self_check_names_broken_cube_piece(field, wrong, message):
     seg = fc._cube_segments()
-    with pytest.raises(RuntimeError, match=message):
-        fc._check_pieces(seg, 40 - 7, _with_wrong_piece(seg, 40 - 7, field))
+    with pytest.raises(RuntimeError,
+                       match=re.escape(message.format(seg.label(40 - 7)))):
+        fc._check_pieces(seg, 40 - 7,
+                         _with_wrong_piece(seg, 40 - 7, field, wrong),
+                         seg.pieces)
 
 
 def test_self_check_of_pieces_names_the_break():
     seg = fc._square_segments()
     s = 3 * (30 - 4) + 3 - 2
-    starts, pieces = fc._segment_pieces(seg, s)
+    starts, pieces = seg.pieces[s]
     lo, hi, shift, nxt, a, b = pieces[0]
     i = starts.index(seg.rows[s][2])  # the first piece of the second child
+    # the first two pieces of one child that land in different segments
+    cuts = seg.rows[s][2:4]
+    k = next(k for k in range(1, len(pieces))
+             if starts[k] not in cuts and pieces[k][3] is not pieces[k - 1][3])
+    # the first segment past the floor: its jumps land in the floor
+    f = bisect_right(seg.lo, FLOOR_TOP)
+    f_starts, f_pieces = seg.pieces[f]
     cases = [
         # starts moved along with the piece: the tiling breaks
-        ((lo + 1,) + starts[1:], ((lo + 1, hi, shift, nxt, a, b),)
+        (s, (lo + 1,) + starts[1:], ((lo + 1, hi, shift, nxt, a, b),)
          + pieces[1:], "do not tile it"),
         # the last piece dropped
-        (starts[:-1], pieces[:-1], "do not tile it"),
-        # a jump that lands in the floor while claiming a segment
-        (starts, ((lo, hi, shift, -1, a, b),) + pieces[1:],
-         "does not land inside the floor"),
-        # a jump to a segment past the last one, or to one in the floor
-        (starts, ((lo, hi, shift, len(seg.rows), a, b),) + pieces[1:],
-         "names no segment above the floor"),
-        (starts, ((lo, hi, shift, 0, a, b),) + pieces[1:],
-         "names no segment above the floor"),
+        (s, starts[:-1], pieces[:-1], "do not tile it"),
         # two pieces merged across the first child cut
-        (starts[:i] + starts[i + 1:],
+        (s, starts[:i] + starts[i + 1:],
          pieces[:i - 1] + (pieces[i - 1][:1] + pieces[i][1:],)
          + pieces[i + 1:], "leaves the child it was composed from"),
+        # two pieces merged across a cut of the child they share
+        (s, starts[:k] + starts[k + 1:],
+         pieces[:k - 1] + (pieces[k - 1][:1] + pieces[k][1:],)
+         + pieces[k + 1:], "does not land inside one segment"),
+        # linked to a segment while landing in the floor
+        (f, f_starts, (f_pieces[0][:3] + (seg.pieces[s],)
+                       + f_pieces[0][4:],) + f_pieces[1:],
+         "is not linked to"),
+        # linked to a segment of this tiling it does not land in
+        (s, starts, ((lo, hi, shift, seg.pieces[-1], a, b),) + pieces[1:],
+         "is not linked to"),
     ]
-    for bad_starts, bad_pieces, message in cases:
+    for t, bad_starts, bad_pieces, message in cases:
         with pytest.raises(RuntimeError,
-                           match=re.escape(seg.label(s)) + ".* " + message):
-            fc._check_pieces(seg, s, (bad_starts, bad_pieces))
+                           match=re.escape(seg.label(t)) + ".* " + message):
+            fc._check_pieces(seg, t, (bad_starts, bad_pieces), seg.pieces)
 
 
 @pytest.mark.parametrize("tiling", ["square", "cube"])
 def test_pieces_are_built_checked_and_linked_with_the_rows(monkeypatch,
                                                            tiling):
     # right after a fresh build every segment above the floor has its
-    # entry, each piece linked to the entry of the segment it was checked
-    # to land in, and the first jump searches all of them in position order
+    # entry, each piece linked to the entry of the segment it lands in,
+    # and the first jump searches all of them in position order
     monkeypatch.setattr(fc, "_SQUARES", None)
     monkeypatch.setattr(fc, "_CUBES", None)
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
@@ -612,14 +627,7 @@ def test_pieces_are_built_checked_and_linked_with_the_rows(monkeypatch,
         if row[1] <= FLOOR_TOP:
             assert entry is None, seg.label(s)
             continue
-        checked = fc._segment_pieces(seg, s)
-        fc._check_pieces(seg, s, checked)
-        assert entry[0] == checked[0], seg.label(s)
-        assert len(entry[1]) == len(checked[1]), seg.label(s)
-        for linked, piece in zip(entry[1], checked[1]):
-            nxt = piece[3]
-            assert linked[:3] + linked[4:] == piece[:3] + piece[4:]
-            assert linked[3] is (seg.pieces[nxt] if nxt >= 0 else None)
+        fc._check_pieces(seg, s, entry, seg.pieces)
         starts += entry[0]
         pieces += entry[1]
     assert seg.jumps[0] == tuple(starts)
@@ -633,6 +641,22 @@ def test_pieces_are_built_checked_and_linked_with_the_rows(monkeypatch,
     assert prev == seg.rows[-1][1] >= N_CAP
 
 
+def test_a_build_takes_each_segments_steps_once(monkeypatch):
+    # the steps of a segment are composed with its own and with its
+    # parents' pieces, from one list: 153 square and 51 cube segments
+    # lie above the floor
+    monkeypatch.setattr(fc, "_SQUARES", None)
+    monkeypatch.setattr(fc, "_CUBES", None)
+    calls, steps = [], fc._steps
+    monkeypatch.setattr(fc, "_steps", lambda row: calls.append(row)
+                        or steps(row))
+    for build, above in ((fc._square_segments, 153), (fc._cube_segments, 51)):
+        rows = [row for row in build().rows if row[1] > FLOOR_TOP]
+        assert len(rows) == above
+        assert sorted(calls) == rows
+        calls.clear()
+
+
 @pytest.mark.parametrize("tiling, s", [("square", 3 * (30 - 4) + 3 - 2),
                                        ("cube", 40 - 7)])
 def test_a_piece_that_fails_its_check_fails_the_build(monkeypatch, tiling, s):
@@ -641,8 +665,8 @@ def test_a_piece_that_fails_its_check_fails_the_build(monkeypatch, tiling, s):
     # published
     compose = fc._segment_pieces
 
-    def without_the_last_piece(seg, t):
-        starts, pieces = compose(seg, t)
+    def without_the_last_piece(seg, t, steps, entries):
+        starts, pieces = compose(seg, t, steps, entries)
         return (starts[:-1], pieces[:-1]) if t == s else (starts, pieces)
 
     monkeypatch.setattr(fc, "_segment_pieces", without_the_last_piece)
@@ -702,7 +726,7 @@ def _two_level_walk(seg, n):
 @pytest.mark.parametrize("tiling", ["square", "cube"])
 def test_jumps_match_one_step_walk_at_every_piece_end(tiling):
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
-    for _, (lo, hi, _, _, _, _) in _every_piece(seg):
+    for lo, hi, *_ in seg.jumps[1]:
         for n in (lo - 1, lo, hi, hi + 1):
             if n <= N_CAP:
                 assert _two_level_walk(seg, n) == _reference_walk(seg, n), n
