@@ -15,9 +15,16 @@ import its module on first use.  The commands hold no counting rule of
 their own: ``positions`` streams ``closed_forms.square_ends`` /
 ``cube_ends``, or with ``--repeated`` the per-position counts that
 ``fast_count`` copies along its segment rows, and the options are
-range-checked by ``core_word._arg``, whose error names the option.  The
-arguments are parsed from one table of commands (``_COMMANDS``) rather than
-by argparse, whose import alone costs more than evaluating a count.
+range-checked by ``core_word._arg``, whose error names the option.
+
+The grammar is the running Python's argparse, built by ``_parser`` from one
+table of commands (``_COMMANDS``): its messages, its help wrapped to the
+terminal width and its version's rules for ``--``; a usage error exits 1.
+A command followed only by its own options in full, with valid values that
+do not start with "-" (every line the benchmark runs), is read by ``_fast``
+without importing argparse.  Help, abbreviated options, negative values and
+usage errors pay ~5 ms more: 2.3 ms to import argparse, 2.6 ms to build the
+parser (medians of 20 fresh processes, Python 3.11).
 """
 
 import os
@@ -168,17 +175,6 @@ def cmd_kernel(opts) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-#
-# The grammar, and the messages and exit codes of the argparse parser it
-# replaces: ``--opt value`` or ``--opt=value``, unique prefixes of an option
-# (``--st B``), the last of repeated options wins, ``-h/--help`` on stdout
-# with exit 0, and on a usage error a ``usage:`` line and ``tribcount: error:``
-# on stderr with exit 1.  Help is not wrapped to the terminal width.
-
-_PROG = "tribcount"
-_DESCRIPTION = "Exact square/cube counts in Tribonacci prefixes"
-_HELP = ("-h", "--help")
-_HELP_SPEC = ("-h/--help", None, None, False, "show this help message and exit")
 
 # command -> (function, help, options); an option is (flag, dest, kind,
 # required, help), kind ``int``, a tuple of choices or None for a flag.  An
@@ -210,146 +206,84 @@ _COMMANDS = {
 }
 
 
-class _UsageError(Exception):
-    """A command line that does not parse: (message, the subcommand whose
-    usage goes with it, or None for the top level)."""
+def _default(kind, required: bool):
+    return (False if kind is None
+            else None if kind is int or required else kind[0])
 
 
-def _match(arg: str, flags, command):
-    """What ``arg`` is among ``flags``: None for a value, otherwise the
-    pair (flag, value after ``=`` or None), with flag "" for an unknown
-    option.  A ``--`` prefix of more than one flag is an error."""
-    if arg[:1] != "-" or arg == "-":
+def _fast(argv):
+    """(command, options) of a line that is a command and then only its
+    own options spelled in full, ``--opt value`` or ``--opt=value``, with
+    no value that starts with "-", every value valid and every required
+    option given; None for any other line.  On such a line argparse gives
+    the same options."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
         return None
-    name, eq, value = arg.partition("=")
-    explicit = value if eq else None
-    if name in flags:
-        return name, explicit
-    if name.startswith("--") and name != "--":
-        hits = [f for f in flags if f.startswith(name)]
-        if len(hits) > 1:
-            raise _UsageError(f"ambiguous option: {arg} could match "
-                              f"{', '.join(hits)}", command)
-        if hits:
-            return hits[0], explicit
-    # as in argparse, negative numbers such as "-5" and "-.5" are values
-    return None if arg[1:].replace(".", "", 1).isdigit() else ("", None)
-
-
-def _invocation(flag: str, dest: str, kind) -> str:
-    if kind is None:
-        return flag
-    if kind is int:
-        return f"{flag} {dest.upper()}"
-    return f"{flag} {{{','.join(kind)}}}"
-
-
-def _usage(command: str | None = None) -> str:
-    if command is None:
-        return f"usage: {_PROG} [-h] {{{','.join(_COMMANDS)}}} ..."
-    words = [f"usage: {_PROG} {command} [-h]"]
-    for flag, dest, kind, required, _ in _COMMANDS[command][2]:
-        words.append(_invocation(flag, dest, kind) if required
-                     else f"[{_invocation(flag, dest, kind)}]")
-    return " ".join(words)
-
-
-def _columns(rows, width: int) -> list:
-    # argparse's layout: help text from column ``width``
-    return [f"{' ' * indent}{name:<{width - indent - 2}}  {text}" if text
-            else " " * indent + name for indent, name, text in rows]
-
-
-def _help(command: str | None = None) -> str:
-    help_row = (2, "-h, --help", _HELP_SPEC[4])
-    if command is None:
-        commands = [(4, name, spec[1]) for name, spec in _COMMANDS.items()]
-        choices = (2, f"{{{','.join(_COMMANDS)}}}", None)
-        width = min(len(choices[1]) + 4, 24)
-        return "\n".join([_usage(), "", _DESCRIPTION, "",
-                          "positional arguments:",
-                          *_columns([choices] + commands, width), "",
-                          "options:", *_columns([help_row], width)])
-    rows = [help_row] + [(2, _invocation(flag, dest, kind), text)
-                         for flag, dest, kind, _, text in _COMMANDS[command][2]]
-    width = min(max(len(name) for _, name, _ in rows) + 4, 24)
-    return "\n".join([_usage(command), "", "options:", *_columns(rows, width)])
-
-
-def _parse(argv):
-    """(command, options) from the command line, or None once help has
-    been printed; raises ``_UsageError``."""
-    command, opts = None, {}
-    options = dict.fromkeys(_HELP, _HELP_SPEC)  # flag -> spec, as _COMMANDS
-    extras = []  # unknown options and stray values, reported last
-    args = iter(argv)
+    kinds = {flag: (dest, kind) for flag, dest, kind, _, _ in spec[2]}
+    opts = {dest: _default(kind, required)
+            for _, dest, kind, required, _ in spec[2]}
+    args = iter(argv[1:])
     for arg in args:
-        flag, value = _match(arg, options, command) or (None, None)
-        if flag is None and command is None:
-            if arg not in _COMMANDS:
-                choices = ", ".join(map(repr, _COMMANDS))
-                raise _UsageError(f"argument command: invalid choice: {arg!r} "
-                                  f"(choose from {choices})", None)
-            command = arg
-            for spec in _COMMANDS[command][2]:
-                _, dest, kind, required, _ = spec
-                options[spec[0]] = spec
-                opts[dest] = (False if kind is None else
-                              None if kind is int or required else kind[0])
-            continue
-        if not flag:
-            extras.append(arg)
-            continue
-        name, dest, kind, _, _ = options[flag]
+        flag, eq, value = arg.partition("=")
+        if flag not in kinds:
+            return None
+        dest, kind = kinds[flag]
         if kind is None:
-            if value is not None:
-                raise _UsageError(f"argument {name}: ignored explicit "
-                                  f"argument {value!r}", command)
-            if dest is None:
-                print(_help(command))
+            if eq:
                 return None
             opts[dest] = True
             continue
-        if value is None:
-            value = next(args, None)
-            if value is None or _match(value, options, command) is not None:
-                raise _UsageError(f"argument {flag}: expected one argument",
-                                  command)
+        if not eq:
+            value = next(args, "-")  # none left: argparse's to report
+        if value.startswith("-"):
+            return None
         if kind is int:
             try:
                 value = int(value)
             except ValueError:
-                raise _UsageError(f"argument {flag}: invalid int value: "
-                                  f"{value!r}", command) from None
+                return None
         elif value not in kind:
-            raise _UsageError(f"argument {flag}: invalid choice: {value!r} "
-                              f"(choose from {', '.join(map(repr, kind))})",
-                              command)
+            return None
         opts[dest] = value
-    if command is None:
-        raise _UsageError("the following arguments are required: command",
-                          None)
-    missing = [flag for flag, dest, _, required, _ in _COMMANDS[command][2]
-               if required and opts[dest] is None]
-    if missing:
-        raise _UsageError("the following arguments are required: "
-                          + ", ".join(missing), command)
-    if extras:
-        raise _UsageError("unrecognized arguments: " + " ".join(extras), None)
-    return command, opts
+    if any(required and opts[dest] is None
+           for _, dest, _, required, _ in spec[2]):
+        return None
+    return argv[0], opts
+
+
+def _parser():
+    """The argparse parser of ``_COMMANDS``: one subcommand each, whose
+    usage errors exit 2 and whose help exits 0."""
+    import argparse
+    parser = argparse.ArgumentParser(
+        prog="tribcount",
+        description="Exact square/cube counts in Tribonacci prefixes")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, about, options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=about)
+        for flag, dest, kind, required, text in options:
+            if kind is None:
+                command.add_argument(flag, dest=dest, action="store_true",
+                                     help=text)
+            else:
+                command.add_argument(
+                    flag, dest=dest, required=required, help=text,
+                    default=_default(kind, required),
+                    **({"type": int} if kind is int else {"choices": kind}))
+    return parser
 
 
 def main(argv=None) -> int:
-    try:
-        parsed = _parse(sys.argv[1:] if argv is None else argv)
-    except _UsageError as exc:
-        message, command = exc.args
-        prog = _PROG if command is None else f"{_PROG} {command}"
-        print(_usage(command), file=sys.stderr)
-        print(f"{prog}: error: {message}", file=sys.stderr)
-        return 1
+    argv = sys.argv[1:] if argv is None else argv
+    parsed = _fast(argv)
     if parsed is None:
-        return 0
+        try:
+            opts = vars(_parser().parse_args(argv))
+        except SystemExit as exc:
+            # argparse has printed help (exit 0) or a usage error (exit 2)
+            return 1 if exc.code else 0
+        parsed = opts.pop("command"), opts
     command, opts = parsed
     try:
         return _COMMANDS[command][0](opts)

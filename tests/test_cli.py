@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
 
@@ -292,12 +295,14 @@ GRAMMAR = [
     (["count", "--stat", "X", "--n", "65"], 1, "usage"),
     (["count", "--stat", "A", "--n", "abc"], 1, "usage"),
     (["table", "--from", "1", "--to", "2", "--format", "xml"], 1, "usage"),
+    (["table", "--from", "x", "--to", "2", "--fo"], 1, "usage"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,kind", GRAMMAR,
                          ids=[" ".join(case[0]) for case in GRAMMAR])
-def test_cli_grammar(capsys, argv, code, kind):
+def test_cli_grammar(capsys, monkeypatch, argv, code, kind):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
     got, out, err = run(capsys, *argv)
     assert got == code
     if kind == "answer":
@@ -310,6 +315,103 @@ def test_cli_grammar(capsys, argv, code, kind):
         usage, message = err.splitlines()
         assert usage.startswith("usage: tribcount")
         assert message.startswith("tribcount") and ": error: " in message
+
+
+AMBIGUOUS = "ambiguous option: --f could match --from, --format"
+
+
+@pytest.mark.parametrize("argv,in_order", [
+    (["table", "--help", "--f"], 0),
+    (["table", "--from", "x", "--to", "2", "--f"], 1),
+], ids=["help first", "bad value first"])
+def test_ambiguous_prefix_is_reported_first(capsys, argv, in_order):
+    # argparse 3.10 and 3.11 report an ambiguous prefix before anything
+    # else on the line; later releases may take the options in order and
+    # exit as ``in_order`` says
+    code, out, err = run(capsys, *argv)
+    if sys.version_info < (3, 12) or AMBIGUOUS in err:
+        assert (code, out) == (1, "") and AMBIGUOUS in err
+    else:
+        assert code == in_order
+
+
+def test_nothing_after_double_dash_is_an_option(capsys):
+    # argparse's handling of "--" differs between 3.10-3.13; on each of them
+    # an option after it is not read as one
+    code, out, err = run(capsys, "count", "--stat", "A", "--n", "5", "--",
+                         "--n=7")
+    assert (code, out) == (1, "")
+    assert "--n=7" in err
+
+
+VALUES = ["0", "5", "65", "-1", "-5", "", "abc", "1e3", "+7", " 8", "1_000",
+          "10", str(10**18), str(10**19), "A", "X", "json", "cube", "-"]
+TOKENS = (VALUES + list(cli._COMMANDS)
+          + ["--", "--=x", "-h", "--help", "-", "-x", "--bogus", "--st", "--f",
+             "--fo", "--t", "--e", "--r", "--k", "--m", "--ma", "--st=B",
+             "--f=1", "--n=", "--n=-3", "--stat=", "--exhaustive=1",
+             "--repeated=", "-.5"]
+          + [flag for _, _, options in cli._COMMANDS.values()
+             for flag, *_ in options])
+
+
+def _full_form(rng):
+    """A command, then its required options and up to three more of its
+    options, shuffled, each spelled in full with a valid value."""
+    name = rng.choice(list(cli._COMMANDS))
+    options = cli._COMMANDS[name][2]
+    picks = [o for o in options if o[3]] + rng.choices(options,
+                                                        k=rng.randrange(4))
+    rng.shuffle(picks)
+    argv = [name]
+    for flag, _, kind, _, _ in picks:
+        if kind is None:
+            argv.append(flag)
+            continue
+        value = (rng.choice(kind) if kind is not int else
+                 rng.choice(["0", "65", str(10**18), str(10**40), "+7", " 8",
+                             "1_000", str(rng.randrange(10**6))]))
+        argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+    return argv
+
+
+def _mutated(rng):
+    """A full-form line, or a bare command, with one to three tokens of
+    TOKENS put in, tokens replaced by them or tokens dropped."""
+    argv = (_full_form(rng) if rng.random() < 0.8
+            else [rng.choice(list(cli._COMMANDS))])
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(argv))
+        how = rng.randrange(3)
+        if how == 0:
+            argv.insert(i, rng.choice(TOKENS))
+        elif how == 1:
+            argv[i] = rng.choice(TOKENS)
+        elif len(argv) > 1:
+            del argv[i]
+    return argv
+
+
+def test_short_path_reads_lines_as_argparse_does():
+    rng = random.Random(26)
+    parser = cli._parser()
+    lines = [(True, _full_form(rng)) for _ in range(1000)]
+    lines += [(False, _mutated(rng)) for _ in range(1000)]
+    answered = 0
+    for full, argv in lines:
+        fast = cli._fast(argv)
+        if full:
+            assert fast is not None, argv
+        if fast is None:
+            continue
+        answered += 1
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                opts = vars(parser.parse_args(argv))
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
+        assert fast == (opts.pop("command"), opts), argv
+    assert answered > 1000  # some random lines are in full form too
 
 
 def test_positions_empty_prefix(capsys):

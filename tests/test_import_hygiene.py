@@ -1,7 +1,8 @@
 """Counting paths load neither the oracle nor ``dataclasses``; no command,
 not even one that scans with the oracle, loads numpy or ``dataclasses``; and
-a CLI process loads only the counting module its command uses, and no
-argparse.
+a CLI process loads only the counting module its command uses, and argparse
+only for a line that is not in full form: help, an abbreviated option or a
+usage error.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.  Modules that the interpreter had loaded before
@@ -113,8 +114,14 @@ COMMANDS = [
     (["positions", "--kind", "cube", "--n", "500", "--repeated"], [FC]),
     (["verify", "--max", "50"], ["tribcount.oracle", CF, FC]),
     (["table", "--from", "1", "--to", "9"], [CF, FC]),
-    (["count", "--help"], []),
-    (["count", "--stat", "X", "--n", "5"], []),
+    # lines in full form skip argparse; help, prefixes and errors use it
+    (["count", "--stat", "A", "--n=65"], [CF]),
+    (["count", "--n", "65", "--stat", "A"], [CF]),
+    (["table", "--from", "1", "--to", "9", "--format", "json"], [CF, FC]),
+    (["verify", "--max", "50", "--exhaustive"], ["tribcount.oracle", CF, FC]),
+    (["count", "--st", "A", "--n", "65"], ["argparse", CF]),
+    (["count", "--help"], ["argparse"]),
+    (["count", "--stat", "X", "--n", "5"], ["argparse"]),
 ]
 
 

@@ -175,6 +175,10 @@ def test_order_ranges(fn, args, message):
         fn(*args)
 
 
+def exhaustive_scan(n):
+    return oracle.scan_repetitions(n, exhaustive=True)
+
+
 # every ranged argument of ORDERS and HELPERS: (function, good arguments,
 # index of the argument, its name in messages, lowest, highest)
 RANGES = [
@@ -204,6 +208,8 @@ RANGES = [
      0, oracle.ORACLE_CAP),
     (pc.gap_coding, ("a", 100), 1, "oracle scan length",
      0, oracle.ORACLE_CAP),
+    (exhaustive_scan, (100,), 0, "exhaustive scan length",
+     1, oracle.EXHAUSTIVE_CAP),
     (oracle.assert_no_fourth_powers, (100,), 0, "exhaustive scan length",
      1, oracle.EXHAUSTIVE_CAP),
 ]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tribcount import _kernels, closed_forms, fast_count, oracle
-from tribcount.core_word import prefix
+from tribcount.core_word import prefix, trib_number
 
 import invariant_checks
 import paper_checks
@@ -262,14 +262,28 @@ def test_longest_previous_on_random_words(word):
     assert list(oracle._longest_previous(word)) == _longest_previous_reference(word)
 
 
-def test_formulas_equal_running_sums_at_the_cap(scan_cap):
-    n = oracle.ORACLE_CAP
-    for fn, column in ((closed_forms.distinct_squares, scan_cap.a),
-                       (fast_count.algorithm_B, scan_cap.b),
-                       (closed_forms.distinct_cubes, scan_cap.c),
-                       (fast_count.algorithm_D, scan_cap.d)):
+def _formulas_equal_running_sums(summary):
+    for fn, column in ((closed_forms.distinct_squares, summary.a),
+                       (fast_count.algorithm_B, summary.b),
+                       (closed_forms.distinct_cubes, summary.c),
+                       (fast_count.algorithm_D, summary.d)):
         sums = list(accumulate(column))
-        assert [fn(i) for i in range(n + 1)] == sums, fn.__name__
+        assert [fn(i) for i in range(summary.n + 1)] == sums, fn.__name__
+
+
+def test_formulas_equal_running_sums_at_the_cap(scan_cap):
+    assert scan_cap.n == oracle.ORACLE_CAP
+    _formulas_equal_running_sums(scan_cap)
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 10, 12])
+@pytest.mark.parametrize("power", [2, 3])
+@pytest.mark.parametrize("past", [0, 1])
+def test_scans_where_the_root_bound_decides(m, power, past):
+    # at n = 2 t_m (3 t_m) a square (cube) of root t_m just fits, so the
+    # root families must take t_m while t_m <= n // power
+    _formulas_equal_running_sums(
+        oracle.scan_repetitions(power * trib_number(m) + past))
 
 
 def test_scan_inputs():
