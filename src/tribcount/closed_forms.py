@@ -58,8 +58,7 @@ def distinct_squares(n: int) -> int:
 
 def a_indicator(n: int) -> int:
     """1 iff a square not seen before ends exactly at position n."""
-    if type(n) is not int or n < 1 or n > N_CAP:
-        n = _arg(n, 1, N_CAP, "position")
+    n = _arg(n, 1, N_CAP, "position")
     # the last interval starting at or before n holds n, or none does
     return 1 if n <= _SQUARE_ENDS[bisect_right(_SQUARE_STARTS, n) - 1] else 0
 
@@ -93,8 +92,7 @@ def distinct_cubes(n: int) -> int:
 
 def c_indicator(n: int) -> int:
     """1 iff a cube not seen before ends exactly at position n."""
-    if type(n) is not int or n < 1 or n > N_CAP:
-        n = _arg(n, 1, N_CAP, "position")
+    n = _arg(n, 1, N_CAP, "position")
     # see ``a_indicator``
     return 1 if n <= _CUBE_ENDS[bisect_right(_CUBE_STARTS, n) - 1] else 0
 

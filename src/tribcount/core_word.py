@@ -187,8 +187,7 @@ def _blocks(n: int):
 def letter_at(n: int) -> str:
     """The n-th letter, the last letter of the last greedy block of the
     length-n prefix, in O(log n)."""
-    if type(n) is not int or n < 1 or n > N_CAP:
-        n = _arg(n, 1, N_CAP, "position")
+    n = _arg(n, 1, N_CAP, "position")
     *_, m = _blocks(n)
     return ALPHABET[m % 3]
 

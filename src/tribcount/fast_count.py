@@ -22,29 +22,28 @@ orders 4-17 and the cube orders 7-17, which both end at position 42761,
 and their prefix sums in an ``array('I')``.  Every n up to 42761 is read
 from it before any lookup, with no jump.
 
-The rows are the one statement of the copy recursion: the floor and
-``positions --repeated`` are copied along them (``_counts``), each segment
-the counts one block length back plus one over its unit increments.  The
-counts before a tiling starts are zeros, so the segments without children
-copy zeros, or zeros and the segments below them, by the same rule.  The
-rows hold only geometry: each segment's total is the floor's over it, or
-above the floor its children's plus its unit increments, and the counts
-before the segments chain from those totals, so no segment total or
-cumulative count is stated a second time.  A tiling is built on first
-use and published only once it passes the self-check: the tiling at every
-order, the floor ending on a segment boundary, and every segment with
-children holding its unit increments and lined up with the children, as
-every segment past the floor must have.  The pieces of every segment are
-composed from the rows in the same build (1 887 square and 645 cube
-pieces, about 620 KB with the first jump's table) and checked as they
-are composed: they tile the segment, and every jump lands inside one
-segment and links to that segment's own entry.  So the first call of a
-tiling in a fresh process, at any n, takes about 9 ms for squares and
-5 ms for cubes, of which the pieces take about 6 and 2.3 ms (README).  A
-mismatch reports the offending segment and aborts.  The paper's square
-tree, the unit-increment blocks shifted to later occurrences of a kernel
-word, is read off the same rows by the tests (``tests/paper_checks.py``);
-no command needs it.
+The rows are the one statement of the copy recursion and hold only
+geometry.  The floor and ``positions --repeated`` are copied along them
+(``_counts``), each segment the counts one block length back plus one over
+its unit increments.  The counts before a tiling starts are zeros, so the
+segments without children copy zeros, or zeros and the segments below
+them, by the same rule.  A tiling is built on first use, in one pass over
+its rows in tiling order, where a segment comes after its children and
+after every segment its jumps land in (``_Segments``).  Each segment is
+checked first: it tiles on from the one before, the floor does not end
+inside it, it holds its unit increments, and it is the shifted copy of
+its children, as every segment past the floor must be.  It is then
+totalled, from the floor inside the floor and above it from its children
+plus its unit increments, and a segment above the floor is cut into its
+pieces (1 887 square and 645 cube pieces, about 620 KB with the first
+jump's table), checked as they are composed: they tile the segment, and
+every jump lands inside one segment and links to that segment's own
+entry.  A mismatch reports the offending segment and aborts, and nothing
+is published.  So the first call of a tiling in a fresh process pays the
+whole build at any n (README, "Arithmetic and speed").  The paper's
+square tree, the unit-increment blocks shifted to later occurrences of a
+kernel word, is read off the same rows by the tests
+(``tests/paper_checks.py``); no command needs it.
 """
 
 from array import array
@@ -81,54 +80,62 @@ class _Segments:
     """One tiling as flat tables, indexed by segment number in tiling order:
     square segment (j, m) is 3(m - 4) + 3 - j, cube segment m is m - 7.
 
-    Segment s covers [lo, hi], and a new square or cube ends at each of its
-    unit increments [inc_lo, inc_hi].  Shifted down by
-    ``shift``, the previous block length, a position n of the segment lands
-    in child segment ``first + (n >= cut1) + (n >= cut2)``; ``first`` is -1
-    where the copy recursion has no children.  ``delta`` is the count over
-    [lo - shift, lo), which the copy leaves out, so that the cumulative
-    count at n is the one at n - shift plus ``delta`` plus the unit
-    increments at or before n.  It is derived here from the floor and the
-    copy: a segment inside the floor totals the floor over it, one above
-    it totals its three children plus its unit increments, and the count
-    before a segment chains from the one before the tiling starts.
-
     ``rows`` holds one tuple per segment, (lo, hi, cut1, cut2, first,
-    shift, inc_lo, inc_hi, delta), which the pieces are composed from and
-    the self-check reads; the constructor takes the first eight fields.
-    ``lo`` is also kept as its own tuple, for a ``bisect`` that names the
-    segment of a position.  ``base`` and ``base_cum`` are
-    the floor: the per-position counts and their prefix sums up to the end
-    of the floor orders, where descents stop.  ``pieces`` holds, per
-    segment, its entry: the pair (piece starts, pieces) of the two-step
-    jumps of ``_segment_pieces``, each piece holding the entry of the
-    segment it lands in (None for the floor's segments).  ``jumps`` is the
-    entry of the first jump, every piece in position order.  Both are set
-    by ``_link_pieces`` when the tiling is built."""
+    shift, inc_lo, inc_hi), as ``_square_rows`` and ``_cube_rows`` return
+    them.  Segment s covers [lo, hi], and a new square or cube ends at each
+    of its unit increments [inc_lo, inc_hi].  Shifted down by ``shift``,
+    the previous block length, a position n of the segment lands in child
+    segment ``first + (n >= cut1) + (n >= cut2)``; ``first`` is -1 where
+    the copy recursion has no children.  ``lo`` is also kept as its own
+    tuple, for a ``bisect`` that names the segment of a position.  ``base``
+    and ``base_cum`` are the floor: the per-position counts and their
+    prefix sums up to the end of the floor orders, where descents stop.
+
+    The constructor builds the tiling in one pass over the rows, from the
+    tiling's ``start`` on: each segment is checked (``_check_row``), then
+    totalled, the floor's total over it inside the floor, above it its
+    three children's plus its unit increments.  A segment above the floor
+    is then cut into pieces by ``_steps`` and ``_segment_pieces``, which
+    ``_check_pieces`` checks.  Its ``delta``, the count over
+    [lo - shift, lo) that the copy leaves out, is the sum of the totals of
+    the segments that cover that interval, from its first child up to the
+    segment before it, so that the cumulative count at n is the one at
+    n - shift plus ``delta`` plus the unit increments at or before n.
+    Every segment the pass reads comes before the one it builds: the
+    children and the segments its jumps land in.  ``pieces`` holds, per
+    segment, its entry: the pair (piece starts, pieces), each piece
+    holding the entry of the segment it lands in (None for the floor's
+    segments).  ``jumps`` is the entry of the first jump, every piece in
+    position order.  A failed check raises RuntimeError naming the
+    segment."""
 
     __slots__ = ("lo", "rows", "base", "base_cum", "label", "pieces", "jumps")
 
-    def __init__(self, rows, base, base_cum, label):
-        top = len(base) - 1
-        sums, pre = [], []  # per segment: its total, the count before it
-        cum = base_cum[rows[0][0] - 1]
-        for lo, hi, _, _, first, _, inc_lo, inc_hi in rows:
-            if hi <= top:
-                total = base_cum[hi] - base_cum[lo - 1]
-            else:  # a childless segment here fails _check_segments
-                total = (sum(sums[first:first + 3])
-                         + max(0, inc_hi - inc_lo + 1))
-            sums.append(total)
-            pre.append(cum)
-            cum += total
+    def __init__(self, rows, base, base_cum, label, start):
         self.lo = tuple(row[0] for row in rows)
-        self.rows = tuple(
-            (*row, pre[s] - pre[row[4]] if row[4] >= 0 else 0)
-            for s, row in enumerate(rows))
+        self.rows = rows = tuple(rows)
         self.base = base
         self.base_cum = base_cum
         self.label = label
-        self.pieces = self.jumps = None  # set by _link_pieces
+        top = len(base) - 1
+        sums, steps, entries = [], [], []  # per segment
+        for s, row in enumerate(rows):
+            _check_row(rows, s, start, top, label)
+            lo, hi, _, _, first, _, inc_lo, inc_hi = row
+            if hi <= top:
+                sums.append(base_cum[hi] - base_cum[lo - 1])
+                steps.append(None)
+                entries.append(None)
+                continue
+            sums.append(sum(sums[first:first + 3]) + inc_hi - inc_lo + 1)
+            steps.append(_steps(row, sum(sums[first:s])))
+            entry = _segment_pieces(self, s, steps, entries)
+            _check_pieces(self, s, entry, entries)
+            entries.append(entry)
+        above = [entry for entry in entries if entry]
+        self.pieces = tuple(entries)
+        self.jumps = (tuple(chain.from_iterable(e[0] for e in above)),
+                      tuple(chain.from_iterable(e[1] for e in above)))
 
 
 def _square_label(s: int) -> str:
@@ -203,41 +210,38 @@ def _cube_rows(m: int) -> list:
     return [(lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi)]
 
 
-def _check_segments(seg: _Segments, start: int) -> None:
-    """Raise RuntimeError, naming the segment, unless the tables tile the
-    positions from ``start`` on without gap or overlap, the floor ends on a
-    segment boundary, every segment with children holds its unit
-    increments and is the shifted copy of them that the floor is copied
-    along, ``delta`` is derived along and the descents walk, and every
-    segment past the floor has children, which that derivation reads."""
-    rows, top = seg.rows, len(seg.base) - 1
-    if not any(row[1] == top for row in rows):
+def _check_row(rows, s: int, start: int, top: int, label) -> None:
+    """Raise RuntimeError, naming segment s, unless it starts right after
+    the segment before it (at ``start`` for the first), the floor, which
+    ends at ``top``, does not end inside it, it holds its unit increments,
+    and, where it has children, it is the shifted copy of them that the
+    floor is copied along and the totals, ``delta`` and the descents read,
+    as every segment past the floor must be."""
+    l, h, c1, c2, c, d, a, b = rows[s]
+    prev_hi = rows[s - 1][1] if s else start - 1
+    if l != prev_hi + 1:
+        raise RuntimeError(
+            f"tiling broken at {label(s)}: it starts at {l}, "
+            f"not {prev_hi + 1}")
+    if l <= top < h:
         raise RuntimeError(f"the base table ends at {top}, inside a segment")
-    prev_hi = start - 1
-    for s, (l, h, c1, c2, c, d, a, b, _) in enumerate(rows):
-        if l != prev_hi + 1:
-            raise RuntimeError(
-                f"tiling broken at {seg.label(s)}: it starts at {l}, "
-                f"not {prev_hi + 1}")
-        if c >= 0 and not (l <= a and b <= h):
-            raise RuntimeError(
-                f"unit increments of {seg.label(s)} lie outside it")
-        if (c < 0 and h > top) or (c >= 0 and (
-                rows[c][0], rows[c + 1][0], rows[c + 2][0], rows[c + 2][1])
-                != (l - d, c1 - d, c2 - d, h - d)):
-            raise RuntimeError(
-                f"child segments do not line up with the cuts of "
-                f"{seg.label(s)}")
-        prev_hi = h
+    if not l <= a <= b <= h:
+        raise RuntimeError(f"unit increments of {label(s)} lie outside it")
+    if (c < 0 and h > top) or (c >= 0 and (
+            rows[c][0], rows[c + 1][0], rows[c + 2][0], rows[c + 2][1])
+            != (l - d, c1 - d, c2 - d, h - d)):
+        raise RuntimeError(
+            f"child segments do not line up with the cuts of {label(s)}")
 
 
-def _steps(row) -> list:
-    """One step of the copy recursion at a segment ``row``, cut where the
-    child or the membership in the unit-increment block changes: a list of
-    (x, y, child, a, b), one per interval [x, y] of the segment, where the
-    step adds a * n + b to the cumulative count at n (``a`` is 1 inside the
-    increment block, else 0)."""
-    lo, hi, cut1, cut2, first, shift, inc_lo, inc_hi, delta = row
+def _steps(row, delta: int) -> list:
+    """One step of the copy recursion at a segment ``row`` whose ``delta``
+    is given (see ``_Segments``), cut where the child or the membership in
+    the unit-increment block changes: a list of (x, y, child, a, b), one
+    per interval [x, y] of the segment, where the step adds a * n + b to
+    the cumulative count at n (``a`` is 1 inside the increment block, else
+    0)."""
+    lo, hi, cut1, cut2, first, shift, inc_lo, inc_hi = row
     edges = sorted({e for e in (cut1, cut2, inc_lo, inc_hi + 1)
                     if lo < e <= hi})
     steps = []
@@ -262,8 +266,9 @@ def _segment_pieces(seg: _Segments, s: int, steps, entries) -> tuple:
     n - shift, in the segment whose entry is ``next`` (None for the floor),
     ``a`` increment blocks hold n and the two steps add a * n + b to the
     cumulative count.  The entry is the pair (the pieces' starts, the
-    pieces).  ``steps`` holds each segment's ``_steps`` (None in the
-    floor) and ``entries`` the entries of the segments below s."""
+    pieces).  ``steps`` holds the ``_steps`` of s and of each segment below
+    it (None in the floor), and ``entries`` the entries of the segments
+    below s."""
     rows = seg.rows
     first, shift = rows[s][4:6]
     # per child above the floor, the shift of both steps: one int object
@@ -324,27 +329,6 @@ def _check_pieces(seg: _Segments, s: int, entry, entries) -> None:
         raise RuntimeError(f"pieces of {name} do not tile it")
 
 
-def _link_pieces(seg: _Segments) -> None:
-    """Compose, link and check the pieces of every segment above the floor
-    in tiling order, from one ``_steps`` per segment: a jump lands below
-    the segment it starts in, so the entry it links to is built already.
-    Set ``seg.pieces`` and ``seg.jumps``, the first jump's entry: every
-    piece in position order."""
-    top = len(seg.base) - 1
-    steps = [_steps(row) if row[1] > top else None for row in seg.rows]
-    entries = []
-    for s, row_steps in enumerate(steps):
-        entry = None
-        if row_steps:
-            entry = _segment_pieces(seg, s, steps, entries)
-            _check_pieces(seg, s, entry, entries)
-        entries.append(entry)
-    above = [entry for entry in entries if entry]
-    seg.pieces = tuple(entries)
-    seg.jumps = (tuple(chain.from_iterable(e[0] for e in above)),
-                 tuple(chain.from_iterable(e[1] for e in above)))
-
-
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
@@ -359,7 +343,7 @@ def _counts(rows, n: int) -> bytearray:
     for row in rows:
         if len(per) > n:
             break
-        lo, hi, _, _, _, shift, inc_lo, inc_hi = row[:8]
+        lo, hi, _, _, _, shift, inc_lo, inc_hi = row
         per += per[lo - shift:min(hi, n) + 1 - shift]
         block = per[inc_lo:inc_hi + 1].translate(_PLUS_ONE)
         if 0 in block:
@@ -370,13 +354,12 @@ def _counts(rows, n: int) -> bytearray:
 
 
 def _build_segments(rows_of, m, start, label) -> _Segments:
-    """One tiling's tables, self-checked: the geometry rows ``rows_of(m)``
-    of every order from m up to the one whose segments reach N_CAP, the
-    floor copied along them to the end of order _FLOOR_ORDER (``_counts``),
-    as ``bytes`` and an ``array('I')`` of prefix sums (the largest,
-    175 512, needs 4 bytes, and one past the type's range raises
-    OverflowError), the deltas ``_Segments`` derives from both, and the
-    linked pieces of every segment (``_link_pieces``)."""
+    """One tiling's tables, built and self-checked by ``_Segments``: the
+    geometry rows ``rows_of(m)`` of every order from m up to the one whose
+    segments reach N_CAP, and the floor copied along them to the end of
+    order _FLOOR_ORDER (``_counts``), as ``bytes`` and an ``array('I')`` of
+    prefix sums (the largest, 175 512, needs 4 bytes, and one past the
+    type's range raises OverflowError)."""
     rows = []
     while not rows or rows[-1][1] < N_CAP:
         rows += rows_of(m)
@@ -384,10 +367,8 @@ def _build_segments(rows_of, m, start, label) -> _Segments:
             top = rows[-1][1]
         m += 1
     per = _counts(rows, top)
-    seg = _Segments(rows, bytes(per), array("I", accumulate(per)), label)
-    _check_segments(seg, start)
-    _link_pieces(seg)
-    return seg
+    return _Segments(rows, bytes(per), array("I", accumulate(per)), label,
+                     start)
 
 
 _SQUARES = None  # the square tables, once built and checked

@@ -305,18 +305,13 @@ ROW_FIELDS = ("lo", "hi", "cut1", "cut2", "first", "shift", "inc_lo",
               "inc_hi")
 
 
-def _table_rows(seg):
-    """The rows as ``fc._Segments`` takes them, without ``delta``."""
-    return [list(row[:8]) for row in seg.rows]
-
-
 def _with_wrong_entry(seg, s, field, value=None):
-    """The tables with one field of segment s moved by one, or set to
-    ``value``."""
-    rows = _table_rows(seg)
+    """The tables built again, from the same floor and start, with one
+    field of segment s moved by one, or set to ``value``."""
+    rows = [list(row) for row in seg.rows]
     i = ROW_FIELDS.index(field)
     rows[s][i] = rows[s][i] + 1 if value is None else value
-    return fc._Segments(rows, seg.base, seg.base_cum, seg.label)
+    return fc._Segments(rows, seg.base, seg.base_cum, seg.label, seg.lo[0])
 
 
 @pytest.mark.parametrize("field, message", [
@@ -329,9 +324,8 @@ def _with_wrong_entry(seg, s, field, value=None):
 ])
 def test_self_check_names_broken_square_segment(field, message):
     seg = fc._square_segments()
-    broken = _with_wrong_entry(seg, 3 * (30 - 4) + 3 - 2, field)
     with pytest.raises(RuntimeError, match=message):
-        fc._check_segments(broken, fc.SQUARE_START)
+        _with_wrong_entry(seg, 3 * (30 - 4) + 3 - 2, field)
 
 
 @pytest.mark.parametrize("field, message", [
@@ -341,9 +335,8 @@ def test_self_check_names_broken_square_segment(field, message):
 ])
 def test_self_check_names_broken_cube_segment(field, message):
     seg = fc._cube_segments()
-    broken = _with_wrong_entry(seg, 40 - 7, field)
     with pytest.raises(RuntimeError, match=message):
-        fc._check_segments(broken, fc.CUBE_START)
+        _with_wrong_entry(seg, 40 - 7, field)
 
 
 @pytest.mark.parametrize("tiling, s, field", [
@@ -358,7 +351,7 @@ def test_self_check_lines_up_segments_inside_the_floor(tiling, s, field):
     assert seg.rows[s][1] < FLOOR_TOP
     with pytest.raises(RuntimeError, match="child segments do not line up "
                        "with the cuts of " + re.escape(seg.label(s))):
-        fc._check_segments(_with_wrong_entry(seg, s, field), seg.lo[0])
+        _with_wrong_entry(seg, s, field)
 
 
 @pytest.mark.parametrize("tiling, s", [("square", 3 * (30 - 4) + 3 - 2),
@@ -369,18 +362,52 @@ def test_self_check_wants_children_past_the_floor(tiling, s):
     assert seg.rows[s][0] > FLOOR_TOP
     with pytest.raises(RuntimeError, match="child segments do not line up "
                        "with the cuts of " + re.escape(seg.label(s))):
-        fc._check_segments(_with_wrong_entry(seg, s, "first", -1),
-                           seg.lo[0])
+        _with_wrong_entry(seg, s, "first", -1)
+
+
+@pytest.mark.parametrize("tiling, s", [("square", square_index(1, 6)),
+                                       ("cube", 9 - 7)])
+def test_a_lower_floor_gives_the_same_counts(tiling, s):
+    # the floor cut at the end of the segments without children: every
+    # segment past it is totalled from its children and cut into pieces,
+    # and the descents walk on down to the lower floor
+    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    top = seg.rows[s][1]
+    low = fc._Segments(seg.rows, seg.base[:top + 1], seg.base_cum[:top + 1],
+                       seg.label, seg.lo[0])
+    assert len(low.jumps[1]) > len(seg.jumps[1])
+    ends = {n for lo, hi, *_ in low.jumps[1] for n in (lo, hi)}
+    for n in sorted(ends.union(range(1, FLOOR_TOP + 2))):
+        if n <= N_CAP:
+            assert _two_level_walk(low, n) == _two_level_walk(seg, n), n
+
+
+@pytest.mark.parametrize("j, m, field, moved_from, by", [
+    (3, 30, "inc_lo", "lo", -1),      # a head block, which starts at lo
+    (3, 30, "inc_lo", "inc_hi", 1),   # an empty block inside the segment
+    (3, 4, "inc_hi", "hi", 1),        # a segment without children
+])
+def test_self_check_wants_every_segment_to_hold_its_increments(
+        j, m, field, moved_from, by):
+    seg = fc._square_segments()
+    s = square_index(j, m)
+    value = seg.rows[s][ROW_FIELDS.index(moved_from)] + by
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"unit increments of {seg.label(s)} lie outside it")):
+        _with_wrong_entry(seg, s, field, value)
 
 
 @pytest.mark.parametrize("tiling", ["square", "cube"])
-def test_self_check_wants_the_floor_to_end_a_segment(tiling):
+@pytest.mark.parametrize("ends_at", ["hi - 1", "lo"])
+def test_self_check_wants_the_floor_to_end_a_segment(tiling, ends_at):
+    # the floor cut short inside its last segment [lo, hi]
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
-    broken = fc._Segments(_table_rows(seg), seg.base[:-1], seg.base_cum[:-1],
-                          seg.label)
+    lo, hi = seg.rows[bisect_right(seg.lo, FLOOR_TOP) - 1][:2]
+    top = hi - 1 if ends_at == "hi - 1" else lo
     with pytest.raises(RuntimeError, match=f"the base table ends at "
-                       f"{FLOOR_TOP - 1}, inside a segment"):
-        fc._check_segments(broken, seg.lo[0])
+                       f"{top}, inside a segment"):
+        fc._Segments(seg.rows, seg.base[:top + 1], seg.base_cum[:top + 1],
+                     seg.label, seg.lo[0])
 
 
 # square inc_hi + 1 leaves its segment, which the self-check names (above)
@@ -392,8 +419,7 @@ def test_self_check_wants_the_floor_to_end_a_segment(tiling):
 def test_closed_forms_name_a_segment_with_a_wrong_increment(tiling, s, field):
     # the total derived from the copy moves by one, unlike the closed form
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
-    broken = _with_wrong_entry(seg, s, field)
-    fc._link_pieces(broken)  # the pieces pass their checks
+    broken = _with_wrong_entry(seg, s, field)  # which passes the build
     with pytest.raises(AssertionError, match="closed forms of "
                        + re.escape(seg.label(s)) + ": "):
         check_closed_forms(broken, tiling)
@@ -404,10 +430,9 @@ def test_closed_forms_name_the_segment_that_disagrees_with_the_floor(tiling):
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
     base = bytearray(seg.base)
     base[1000] += 1
-    broken = fc._Segments(_table_rows(seg), bytes(base),
-                          array("q", accumulate(base)), seg.label)
-    fc._check_segments(broken, seg.lo[0])  # the geometry is unchanged
-    fc._link_pieces(broken)
+    # the geometry is unchanged, so the build passes
+    broken = fc._Segments(seg.rows, bytes(base), array("q", accumulate(base)),
+                          seg.label, seg.lo[0])
     s = bisect_right(seg.lo, 1000) - 1
     with pytest.raises(AssertionError, match="closed forms of "
                        + re.escape(seg.label(s)) + ": "):
@@ -648,8 +673,8 @@ def test_a_build_takes_each_segments_steps_once(monkeypatch):
     monkeypatch.setattr(fc, "_SQUARES", None)
     monkeypatch.setattr(fc, "_CUBES", None)
     calls, steps = [], fc._steps
-    monkeypatch.setattr(fc, "_steps", lambda row: calls.append(row)
-                        or steps(row))
+    monkeypatch.setattr(fc, "_steps", lambda row, delta: calls.append(row)
+                        or steps(row, delta))
     for build, above in ((fc._square_segments, 153), (fc._cube_segments, 51)):
         rows = [row for row in build().rows if row[1] > FLOOR_TOP]
         assert len(rows) == above
@@ -705,13 +730,18 @@ def test_a_jump_into_the_wrong_pieces_names_their_segment(tiling):
 
 def _reference_walk(seg, n):
     """The copy recursion one step at a time over ``seg.rows``: the counts
-    ending at n and at or before n, for n past the floor."""
+    ending at n and at or before n, for n past the floor.  The count over
+    [lo - shift, lo), which the copy leaves out, is read off the paper's
+    closed-form cumulative counts, not off the build."""
+    cums = SQUARE_CUMS if seg.label is fc._square_label else CUBE_CUMS
     top = len(seg.base) - 1
     s = bisect_right(seg.lo, n) - 1
     point = cumulative = 0
     while n > top:
-        lo, hi, cut1, cut2, c, shift, inc_lo, inc_hi, delta = seg.rows[s]
+        lo, hi, cut1, cut2, c, shift, inc_lo, inc_hi = seg.rows[s]
         assert lo <= n <= hi
+        # the segments c to s - 1 cover [lo - shift, lo), and c > 0
+        delta = cums[s - 1] - cums[c - 1]
         point += inc_lo <= n <= inc_hi
         cumulative += delta + max(0, min(n, inc_hi) - inc_lo + 1)
         s = c + (n >= cut1) + (n >= cut2)

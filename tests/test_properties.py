@@ -44,7 +44,7 @@ def test_increments_at_segment_breakpoints(square, cube, offset):
     # increments, and their neighbours
     square_row = SQUARES.rows[square_index(*square)]
     cube_row = CUBES.rows[cube - 7]
-    for lo, hi, cut1, cut2, _, _, inc_lo, inc_hi, _ in (square_row, cube_row):
+    for lo, hi, cut1, cut2, _, _, inc_lo, inc_hi in (square_row, cube_row):
         for point in (lo, cut1, cut2, inc_lo, inc_hi + 1, hi):
             n = point + offset
             if 1 <= n <= N_CAP:
