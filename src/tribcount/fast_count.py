@@ -10,17 +10,22 @@ first-occurrence intervals of ``core_word``.  Each tiling is held as one
 row tuple per segment.  A step of the recursion goes from a segment of
 order m to a child of order m - j, j in {1, 2, 3}, and both single-point
 and cumulative queries walk down it two steps per jump: each segment above
-the floor is cut into pieces over which both steps are fixed, and each
-piece is composed already linked to the pieces of the segment it lands
-in.  The first jump is one ``bisect`` over every piece of the tiling in
-position order, each later one a ``bisect`` over the pieces the previous
-one linked to, and each adds one term.  At n drawn log-uniformly from
-10^3 to 10^18 a call takes about 7.4 jumps and about 2-5 microseconds
-warm (README, "Arithmetic and speed").  The walk stops at the floor, the
-one table of small positions: the per-position counts of the square
-orders 4-17 and the cube orders 7-17, which both end at position 42761,
-and their prefix sums in an ``array('I')``.  Every n up to 42761 is read
-from it before any lookup, with no jump.
+the floor is cut into pieces over which both steps are fixed.  Its entry
+holds the pieces' starts followed by its hi + 1, and the pieces between
+two end pieces; a piece is (shift, next, a, b), composed already linked
+to the entry of the segment it lands in.  A jump is one ``bisect_right``
+over the starts, whose index is that of the piece holding n, a four-field
+unpack and one term.  The first jump searches every piece of the tiling in
+position order, each later one the pieces the previous one linked to.  A
+position outside the searched segment reads an end piece, whose link
+raises RuntimeError naming the segment on the next jump, under
+``python -O`` too.  At n drawn log-uniformly from 10^3 to 10^18 a call
+takes about 7.4 jumps and about 2-4 microseconds warm (README, "Arithmetic
+and speed").  The walk stops at the floor, the one table of small
+positions: the per-position counts of the square orders 4-17 and the cube
+orders 7-17, which both end at position 42761, and their prefix sums in an
+``array('I')``.  Every n up to 42761 is read from it before any lookup,
+with no jump.
 
 The rows are the one statement of the copy recursion and hold only
 geometry.  The floor and ``positions --repeated`` are copied along them
@@ -35,11 +40,12 @@ inside it, it holds its unit increments, and it is the shifted copy of
 its children, as every segment past the floor must be.  It is then
 totalled, from the floor inside the floor and above it from its children
 plus its unit increments, and a segment above the floor is cut into its
-pieces (1 887 square and 645 cube pieces, about 620 KB with the first
-jump's table), checked as they are composed: they tile the segment, and
-every jump lands inside one segment and links to that segment's own
-entry.  A mismatch reports the offending segment and aborts, and nothing
-is published.  So the first call of a tiling in a fresh process pays the
+pieces (1 887 square and 645 cube pieces over 204 segments, with their end
+pieces and the first jump's table about 500 KB), checked as they are
+composed: they tile the segment between its end pieces, and every jump
+lands inside one segment and links to that segment's own entry.  A
+mismatch reports the offending segment and aborts, and nothing is
+published.  So the first call of a tiling in a fresh process pays the
 whole build at any n (README, "Arithmetic and speed").  The paper's
 square tree, the unit-increment blocks shifted to later occurrences of a
 kernel word, is read off the same rows by the tests
@@ -103,11 +109,14 @@ class _Segments:
     n - shift plus ``delta`` plus the unit increments at or before n.
     Every segment the pass reads comes before the one it builds: the
     children and the segments its jumps land in.  ``pieces`` holds, per
-    segment, its entry: the pair (piece starts, pieces), each piece
-    holding the entry of the segment it lands in (None for the floor's
-    segments).  ``jumps`` is the entry of the first jump, every piece in
-    position order.  A failed check raises RuntimeError naming the
-    segment."""
+    segment, its entry (``_segment_pieces``): the pair of its piece starts
+    followed by hi + 1, and its pieces between two end pieces, each piece
+    linked to the entry of the segment it lands in.  A segment in the floor
+    has None.  ``jumps`` is the entry of the first jump, laid out the same
+    way over every piece of the tiling in position order: the top
+    segment's hi + 1 ends the starts, and the lower end piece of the first
+    segment above the floor and the upper one of the top segment close the
+    pieces.  A failed check raises RuntimeError naming the segment."""
 
     __slots__ = ("lo", "rows", "base", "base_cum", "label", "pieces", "jumps")
 
@@ -134,8 +143,14 @@ class _Segments:
             entries.append(entry)
         above = [entry for entry in entries if entry]
         self.pieces = tuple(entries)
-        self.jumps = (tuple(chain.from_iterable(e[0] for e in above)),
-                      tuple(chain.from_iterable(e[1] for e in above)))
+        # every piece in position order, between the lower end piece of the
+        # first segment above the floor and the upper one of the top segment
+        self.jumps = (
+            tuple(chain.from_iterable(e[0][:-1] for e in above))
+            + above[-1][0][-1:],
+            above[0][1][:1]
+            + tuple(chain.from_iterable(e[1][1:-1] for e in above))
+            + above[-1][1][-1:])
 
 
 def _square_label(s: int) -> str:
@@ -256,58 +271,88 @@ def _steps(row, delta: int) -> list:
     return steps
 
 
+class _Outside:
+    """The link of an end piece.  A descent that reads an end piece has
+    searched the pieces of a segment for a position outside it, and
+    unpacking the link as the next entry raises RuntimeError naming that
+    segment, under ``python -O`` too."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __iter__(self):
+        raise RuntimeError(
+            f"a descent searched the pieces of {self.name} for a position "
+            "outside it")
+
+
 def _segment_pieces(seg: _Segments, s: int, steps, entries) -> tuple:
     """Two steps of the copy recursion from segment s, above the floor,
     composed into one jump and linked as the descents read it.
 
     The segment is cut into pieces over which its child, its grandchild and
-    the membership in both unit-increment blocks stay constant; a piece is
-    (lo, hi, shift, next, a, b): a jump from n in [lo, hi] lands at
-    n - shift, in the segment whose entry is ``next`` (None for the floor),
-    ``a`` increment blocks hold n and the two steps add a * n + b to the
-    cumulative count.  The entry is the pair (the pieces' starts, the
-    pieces).  ``steps`` holds the ``_steps`` of s and of each segment below
-    it (None in the floor), and ``entries`` the entries of the segments
-    below s."""
+    the membership in both unit-increment blocks stay constant.  The entry
+    is the pair (starts, cut): ``starts`` holds the start of every piece
+    and then hi + 1, and ``cut`` holds an end piece, the pieces and another
+    end piece, so that piece k covers [starts[k - 1], starts[k] - 1] and
+    ``cut[bisect_right(starts, n)]`` is the piece holding n, or an end
+    piece for n outside the segment.  A piece is (shift, next, a, b): a
+    jump from n lands at n - shift, in the segment whose entry is ``next``
+    (None for the floor), ``a`` increment blocks hold n and the two steps
+    add a * n + b to the cumulative count.  An end piece is
+    (0, ``_Outside``, 0, 0).  ``steps`` holds the ``_steps`` of s and of
+    each segment below it (None in the floor), and ``entries`` the entries
+    of the segments below s."""
     rows = seg.rows
-    first, shift = rows[s][4:6]
+    hi, _, _, first, shift = rows[s][1:6]
     # per child above the floor, the shift of both steps: one int object
     # for all its pieces
     totals = {c: shift + rows[c][5]
               for c in range(first, first + 3) if steps[c]}
-    pieces = []
+    end = (0, _Outside(seg.label(s)), 0, 0)
+    starts, cut = [], [end]
     for x, y, c, a, b in steps[s]:
         if c not in totals:  # one step reaches the floor
-            pieces.append((x, y, shift, None, a, b))
+            starts.append(x)
+            cut.append((shift, None, a, b))
             continue
         # the child's steps, clipped to [x, y] shifted into the child
         total = totals[c]
         for x2, y2, g, a2, b2 in steps[c]:
-            x2, y2 = max(x2 + shift, x), min(y2 + shift, y)
-            if x2 <= y2:
-                pieces.append((x2, y2, total, entries[g], a + a2,
-                               b + b2 - a2 * shift))
-    return tuple(p[0] for p in pieces), tuple(pieces)
+            x2 = max(x2 + shift, x)
+            if x2 <= min(y2 + shift, y):
+                starts.append(x2)
+                cut.append((total, entries[g], a + a2, b + b2 - a2 * shift))
+    starts.append(hi + 1)
+    cut.append(end)
+    return tuple(starts), tuple(cut)
 
 
 def _check_pieces(seg: _Segments, s: int, entry, entries) -> None:
-    """Raise RuntimeError, naming segment s, unless its pieces tile it,
-    start where the ``bisect`` column says they do, shift first by the
-    segment's own shift into the child they were composed from and then
-    by the child's, each land inside one segment t, and each link to
-    ``entries[t]`` itself (None for the floor): so that every jump of the
-    descents searches the pieces of the segment it lands in."""
+    """Raise RuntimeError, naming segment s, unless its entry has an end
+    piece naming it at each side, its starts rise from lo to hi + 1 with one
+    piece between each two, and each piece shifts first by the segment's
+    own shift into the child it was composed from and then by the child's,
+    lands inside one segment t, and links to ``entries[t]`` itself (None
+    for the floor): so that every jump of the descents searches the pieces
+    of the segment it lands in, and one from outside the segment raises."""
     rows, top = seg.rows, len(seg.base) - 1
     lo, hi, cut1, cut2, first, shift = rows[s][:6]
     name = seg.label(s)
-    starts, pieces = entry
-    if starts != tuple(p[0] for p in pieces):
-        raise RuntimeError(f"piece starts of {name} do not match its pieces")
-    prev = lo - 1
-    for p_lo, p_hi, p_shift, nxt, _, _ in pieces:
-        if not prev + 1 == p_lo <= p_hi <= hi:
+    starts, cut = entry
+    for end in cut[0], cut[-1]:
+        if (type(end[1]) is not _Outside or end != (0, end[1], 0, 0)
+                or end[1].name != name):
+            raise RuntimeError(f"pieces of {name} lack an end piece")
+    if (starts[0], starts[-1], len(cut)) != (lo, hi + 1, len(starts) + 1):
+        raise RuntimeError(f"pieces of {name} do not tile it")
+    for p_lo, p_end, (p_shift, nxt, _, _) in zip(starts, starts[1:],
+                                                  cut[1:-1]):
+        p_hi = p_end - 1
+        if p_lo > p_hi:
             raise RuntimeError(f"pieces of {name} do not tile it")
-        prev = p_hi
         child = rows[first + (p_lo >= cut1) + (p_lo >= cut2)]
         if not child[0] <= p_lo - shift <= p_hi - shift <= child[1]:
             raise RuntimeError(
@@ -325,8 +370,6 @@ def _check_pieces(seg: _Segments, s: int, entry, entries) -> None:
         if nxt is not entries[t]:
             raise RuntimeError(f"a piece of {name} is not linked to "
                                f"{seg.label(t)}, where it lands")
-    if prev != hi:
-        raise RuntimeError(f"pieces of {name} do not tile it")
 
 
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
@@ -409,16 +452,16 @@ def _point(seg: _Segments, n: int) -> int:
     the copy recursion, two steps per jump, plus the floor entry reached:
     the entry of n itself, read before any lookup, for every n up to the
     floor's end.  The first jump searches every piece, each later one the
-    pieces of the segment the previous one landed in; the assert names
-    the segment whose pieces were searched."""
+    pieces of the segment the previous one landed in.  A jump that finds
+    an end piece has landed outside that segment, and the next one raises
+    RuntimeError naming it (see ``_Outside``)."""
     base = seg.base
     if n < len(base):
         return base[n]
     entry, extra = seg.jumps, 0
     while entry is not None:
         starts, cut = entry
-        lo, hi, shift, entry, a, _ = cut[bisect_right(starts, n) - 1]
-        assert lo <= n <= hi, (seg.label(bisect_right(seg.lo, lo) - 1), n)
+        shift, entry, a, _ = cut[bisect_right(starts, n)]
         extra += a
         n -= shift
     return base[n] + extra
@@ -434,8 +477,7 @@ def _cumulative(seg: _Segments, n: int) -> int:
     entry, total = seg.jumps, 0
     while entry is not None:
         starts, cut = entry
-        lo, hi, shift, entry, a, b = cut[bisect_right(starts, n) - 1]
-        assert lo <= n <= hi, (seg.label(bisect_right(seg.lo, lo) - 1), n)
+        shift, entry, a, b = cut[bisect_right(starts, n)]
         total += a * n + b
         n -= shift
     return total + base_cum[n]

@@ -9,6 +9,7 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -376,7 +377,7 @@ def test_a_lower_floor_gives_the_same_counts(tiling, s):
     low = fc._Segments(seg.rows, seg.base[:top + 1], seg.base_cum[:top + 1],
                        seg.label, seg.lo[0])
     assert len(low.jumps[1]) > len(seg.jumps[1])
-    ends = {n for lo, hi, *_ in low.jumps[1] for n in (lo, hi)}
+    ends = {n for lo, hi in _bounds(low.jumps[0]) for n in (lo, hi)}
     for n in sorted(ends.union(range(1, FLOOR_TOP + 2))):
         if n <= N_CAP:
             assert _two_level_walk(low, n) == _two_level_walk(seg, n), n
@@ -543,7 +544,13 @@ def test_vectors_at_the_materialization_cap_sum_to_the_closed_forms():
 
 FLOOR_TOP = 42761  # last position of square order 17 and of cube order 17
 
-PIECE_FIELDS = ("lo", "hi", "shift", "next", "a", "b")
+PIECE_FIELDS = ("start", "shift", "next", "a", "b")
+
+
+def _bounds(starts):
+    """The bounds (lo, hi) of each piece of an entry whose piece starts,
+    followed by hi + 1, are ``starts``."""
+    return [(lo, end - 1) for lo, end in zip(starts, starts[1:])]
 
 
 def _equal_copy(entry):
@@ -552,18 +559,18 @@ def _equal_copy(entry):
 
 
 def _with_wrong_piece(seg, s, field, wrong):
-    """The entry of segment s with ``field`` of its first piece replaced
-    by ``wrong(old value)``."""
-    starts, pieces = seg.pieces[s]
-    first = list(pieces[0])
+    """The entry of segment s with ``field`` of its first piece, its start
+    or a field of the piece, replaced by ``wrong(old value)``."""
+    starts, cut = seg.pieces[s]
+    first = [starts[0], *cut[1]]
     i = PIECE_FIELDS.index(field)
     first[i] = wrong(first[i])
-    return starts, (tuple(first),) + pieces[1:]
+    return (first[0],) + starts[1:], cut[:1] + (tuple(first[1:]),) + cut[2:]
 
 
 # the first piece of either segment lands above the floor
 WRONG_PIECES = [
-    ("lo", lambda lo: lo + 1, "piece starts of {} do not match"),
+    ("start", lambda lo: lo + 1, "pieces of {} do not tile it"),
     ("shift", lambda shift: shift + 1, "a piece of {} does not shift by its "
                                        "steps"),
     ("next", lambda entry: None, "a piece of {} is not linked to"),
@@ -598,42 +605,60 @@ def test_self_check_names_broken_cube_piece(field, wrong, message):
 def test_self_check_of_pieces_names_the_break():
     seg = fc._square_segments()
     s = 3 * (30 - 4) + 3 - 2
-    starts, pieces = seg.pieces[s]
-    lo, hi, shift, nxt, a, b = pieces[0]
-    i = starts.index(seg.rows[s][2])  # the first piece of the second child
+    hi = seg.rows[s][1]
+    starts, cut = seg.pieces[s]
+    end, (shift, _, a, b) = cut[0], cut[1]
+    # piece k is cut[k], from starts[k - 1] to starts[k] - 1
+    i = starts.index(seg.rows[s][2]) + 1  # the first piece of the 2nd child
     # the first two pieces of one child that land in different segments
     cuts = seg.rows[s][2:4]
-    k = next(k for k in range(1, len(pieces))
-             if starts[k] not in cuts and pieces[k][3] is not pieces[k - 1][3])
+    k = next(k for k in range(2, len(cut) - 1)
+             if starts[k - 1] not in cuts and cut[k][1] is not cut[k - 1][1])
     # the first segment past the floor: its jumps land in the floor
     f = bisect_right(seg.lo, FLOOR_TOP)
-    f_starts, f_pieces = seg.pieces[f]
+    f_starts, f_cut = seg.pieces[f]
     cases = [
-        # starts moved along with the piece: the tiling breaks
-        (s, (lo + 1,) + starts[1:], ((lo + 1, hi, shift, nxt, a, b),)
-         + pieces[1:], "do not tile it"),
-        # the last piece dropped
-        (s, starts[:-1], pieces[:-1], "do not tile it"),
+        # the first start moved by one: the tiling breaks
+        (s, (starts[0] + 1,) + starts[1:], cut, "do not tile it"),
+        # the last piece dropped: the last start is not hi + 1
+        (s, starts[:-1], cut[:-2] + cut[-1:], "do not tile it"),
+        # the last start other than hi + 1
+        (s, starts[:-1] + (hi,), cut, "do not tile it"),
+        (s, starts[:-1] + (hi + 2,), cut, "do not tile it"),
+        # a start repeated, with a piece for it
+        (s, starts[:2] + starts[1:], cut[:2] + cut[1:], "do not tile it"),
+        # one piece more than the starts bound
+        (s, starts, cut[:2] + cut[1:], "do not tile it"),
+        # an end piece missing
+        (s, starts, cut[1:], "lack an end piece"),
+        (s, starts, cut[:-1], "lack an end piece"),
+        # an end piece replaced by an ordinary piece
+        (s, starts, cut[1:2] + cut[1:], "lack an end piece"),
+        (s, starts, cut[:-1] + cut[-2:-1], "lack an end piece"),
+        # an end piece that names another segment, or that shifts
+        (s, starts, f_cut[:1] + cut[1:], "lack an end piece"),
+        (s, starts, cut[:-1] + ((1,) + end[1:],), "lack an end piece"),
+        # an end piece whose link names the segment but does not raise
+        (s, starts, cut[:-1] + ((0, SimpleNamespace(name=seg.label(s)), 0,
+                                 0),), "lack an end piece"),
         # two pieces merged across the first child cut
-        (s, starts[:i] + starts[i + 1:],
-         pieces[:i - 1] + (pieces[i - 1][:1] + pieces[i][1:],)
-         + pieces[i + 1:], "leaves the child it was composed from"),
+        (s, starts[:i - 1] + starts[i:], cut[:i - 1] + cut[i:],
+         "leaves the child it was composed from"),
         # two pieces merged across a cut of the child they share
-        (s, starts[:k] + starts[k + 1:],
-         pieces[:k - 1] + (pieces[k - 1][:1] + pieces[k][1:],)
-         + pieces[k + 1:], "does not land inside one segment"),
+        (s, starts[:k - 1] + starts[k:], cut[:k - 1] + cut[k:],
+         "does not land inside one segment"),
         # linked to a segment while landing in the floor
-        (f, f_starts, (f_pieces[0][:3] + (seg.pieces[s],)
-                       + f_pieces[0][4:],) + f_pieces[1:],
+        (f, f_starts, f_cut[:1] + (f_cut[1][:1] + (seg.pieces[s],)
+                                   + f_cut[1][2:],) + f_cut[2:],
          "is not linked to"),
         # linked to a segment of this tiling it does not land in
-        (s, starts, ((lo, hi, shift, seg.pieces[-1], a, b),) + pieces[1:],
+        (s, starts, (end, (shift, seg.pieces[-1], a, b)) + cut[2:],
          "is not linked to"),
     ]
-    for t, bad_starts, bad_pieces, message in cases:
+    for t, bad_starts, bad_cut, message in cases:
         with pytest.raises(RuntimeError,
                            match=re.escape(seg.label(t)) + ".* " + message):
-            fc._check_pieces(seg, t, (bad_starts, bad_pieces), seg.pieces)
+            fc._check_pieces(seg, t, (bad_starts, bad_cut), seg.pieces)
 
 
 @pytest.mark.parametrize("tiling", ["square", "cube"])
@@ -646,21 +671,25 @@ def test_pieces_are_built_checked_and_linked_with_the_rows(monkeypatch,
     monkeypatch.setattr(fc, "_CUBES", None)
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
     assert len(seg.pieces) == len(seg.rows)
-    starts, pieces = [], []
+    starts, cut, above = [], [], []
     for s, row in enumerate(seg.rows):
         entry = seg.pieces[s]
         if row[1] <= FLOOR_TOP:
             assert entry is None, seg.label(s)
             continue
         fc._check_pieces(seg, s, entry, seg.pieces)
-        starts += entry[0]
-        pieces += entry[1]
-    assert seg.jumps[0] == tuple(starts)
-    assert len(seg.jumps[1]) == len(pieces)
-    assert all(a is b for a, b in zip(seg.jumps[1], pieces))
+        starts += entry[0][:-1]
+        cut += entry[1][1:-1]
+        above.append(entry)
+    # between the lower end piece of the first segment above the floor and
+    # the upper one of the top segment
+    assert seg.jumps[0] == tuple(starts) + (seg.rows[-1][1] + 1,)
+    assert len(seg.jumps[1]) == len(cut) + 2
+    assert all(a is b for a, b in zip(
+        seg.jumps[1], [above[0][1][0]] + cut + [above[-1][1][-1]]))
     # which tile [42 762, N_CAP] and on to the end of the top segment
     prev = FLOOR_TOP
-    for lo, hi, *_ in seg.jumps[1]:
+    for lo, hi in _bounds(seg.jumps[0]):
         assert lo == prev + 1 <= hi
         prev = hi
     assert prev == seg.rows[-1][1] >= N_CAP
@@ -691,8 +720,10 @@ def test_a_piece_that_fails_its_check_fails_the_build(monkeypatch, tiling, s):
     compose = fc._segment_pieces
 
     def without_the_last_piece(seg, t, steps, entries):
-        starts, pieces = compose(seg, t, steps, entries)
-        return (starts[:-1], pieces[:-1]) if t == s else (starts, pieces)
+        starts, cut = compose(seg, t, steps, entries)
+        if t == s:
+            return starts[:-1], cut[:-2] + cut[-1:]
+        return starts, cut
 
     monkeypatch.setattr(fc, "_segment_pieces", without_the_last_piece)
     monkeypatch.setattr(fc, "_SQUARES", None)
@@ -705,27 +736,87 @@ def test_a_piece_that_fails_its_check_fails_the_build(monkeypatch, tiling, s):
     assert fc._SQUARES is None and fc._CUBES is None
 
 
-@pytest.mark.parametrize("tiling", ["square", "cube"])
-def test_a_jump_into_the_wrong_pieces_names_their_segment(tiling):
-    # a copy of the tables with one piece linked to another segment's
-    # entry: the next jump searches that segment's pieces, finds none
-    # holding n, and the assert of both descents names that segment
-    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
-    n = 10**15 + 7
-    starts, pieces = seg.jumps
-    i = bisect_right(starts, n) - 1
-    lo, hi, shift, entry, a, b = pieces[i]
-    wrong = len(seg.rows) - 1  # the top segment, above every landing
+def _misdirected(seg, n):
+    """A copy of the tables with the piece of the first jump from n linked
+    to the entry of the top segment, which lies above every landing, and
+    that segment's label."""
+    starts, cut = seg.jumps
+    i = bisect_right(starts, n)
+    shift, entry, a, b = cut[i]
+    wrong = len(seg.rows) - 1
     assert entry is not None and entry is not seg.pieces[wrong]
     broken = copy.copy(seg)
-    broken.jumps = starts, (pieces[:i] + ((lo, hi, shift, seg.pieces[wrong],
-                                           a, b),) + pieces[i + 1:])
+    broken.jumps = starts, (cut[:i] + ((shift, seg.pieces[wrong], a, b),)
+                            + cut[i + 1:])
+    return broken, seg.label(wrong)
+
+
+def _outside(label):
+    """The error of a descent that searched the pieces of ``label``."""
+    return re.escape(f"a descent searched the pieces of {label} for a "
+                     "position outside it")
+
+
+@pytest.mark.parametrize("tiling", ["square", "cube"])
+def test_a_jump_into_the_wrong_pieces_names_their_segment(tiling):
+    # the next jump searches the wrong segment's pieces, finds its lower
+    # end piece, and both descents name that segment
+    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    n = 10**15 + 7
+    broken, label = _misdirected(seg, n)
     for descent in (fc._point, fc._cumulative):
-        with pytest.raises(AssertionError,
-                           match=re.escape(repr(seg.label(wrong)))):
+        with pytest.raises(RuntimeError, match=_outside(label)):
             descent(broken, n)
     # the tables copied from are intact
     assert _two_level_walk(seg, n) == _reference_walk(seg, n)
+
+
+@pytest.mark.parametrize("tiling", ["square", "cube"])
+def test_a_jump_into_the_wrong_pieces_names_their_segment_under_O(tiling):
+    # the end pieces, not an assert, stop the descent: under python -O it
+    # names the segment too
+    script = ("import sys\n"
+              f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+              "from test_fast_count import _misdirected, fc\n"
+              f"seg = fc._{tiling}_segments()\n"
+              "broken, label = _misdirected(seg, 10**15 + 7)\n"
+              "print(label)\n"
+              "for descent in fc._point, fc._cumulative:\n"
+              "    try:\n"
+              "        descent(broken, 10**15 + 7)\n"
+              "    except RuntimeError as error:\n"
+              "        print(error)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    label, *errors = proc.stdout.splitlines()
+    assert len(errors) == 2
+    for error in errors:
+        assert re.fullmatch(_outside(label), error)
+
+
+@pytest.mark.parametrize("tiling", ["square", "cube"])
+def test_a_descent_outside_an_entry_names_its_segment(tiling):
+    # a descent started at an entry, just outside its segment, reads an
+    # end piece and names the segment; the copy has no floor, so that
+    # n = lo - 1 does not stop in it
+    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    bare = copy.copy(seg)
+    bare.base, bare.base_cum = b"", array("I")
+    entries = 0
+    for s, entry in enumerate(seg.pieces):
+        if entry is None:
+            continue
+        entries += 1
+        bare.jumps = entry
+        lo, hi = seg.rows[s][:2]
+        for n in (lo - 1, hi + 1):
+            for descent in (fc._point, fc._cumulative):
+                with pytest.raises(RuntimeError,
+                                   match=_outside(seg.label(s))):
+                    descent(bare, n)
+    assert entries == (153 if tiling == "square" else 51)
 
 
 def _reference_walk(seg, n):
@@ -756,7 +847,7 @@ def _two_level_walk(seg, n):
 @pytest.mark.parametrize("tiling", ["square", "cube"])
 def test_jumps_match_one_step_walk_at_every_piece_end(tiling):
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
-    for lo, hi, *_ in seg.jumps[1]:
+    for lo, hi in _bounds(seg.jumps[0]):
         for n in (lo - 1, lo, hi, hi + 1):
             if n <= N_CAP:
                 assert _two_level_walk(seg, n) == _reference_walk(seg, n), n
