@@ -1,10 +1,10 @@
 """Tribonacci word basics: blocks, letters, kernel words and positions.
 
 The infinite word is the fixed point of a -> ab, b -> ac, c -> a.  Everything
-here works on a block table built once at import time: block lengths t_m,
-per-block letter counts and last letters.  Positions are 1-based, matching
-the usual convention for occurrence positions.  Queries never materialize
-the word except for ``prefix``, which is capped.
+here works on a block table built once at import time: block lengths t_m
+and kernel word lengths k_m.  Positions are 1-based, matching the usual
+convention for occurrence positions.  Queries never materialize the word
+except for ``prefix``, which is capped.
 
 The intervals at which a square or cube not seen before ends are built,
 and their breakpoints checked, at import too: ``closed_forms``' distinct
@@ -13,6 +13,7 @@ their unit increments from them.
 """
 
 import operator
+from bisect import bisect_right
 
 ALPHABET = ("a", "b", "c")
 
@@ -54,21 +55,17 @@ def exact_div(num: int, den: int) -> int:
 def _build_tables(cap: int):
     # index i holds order m = i - 2, so t_{-2}, t_{-1}, t_0, ... ; grown a
     # few doublings past cap so every boundary formula (all < 4*t_m) stays
-    # inside the table when locating segments for n <= cap.
+    # inside the table when locating segments for n <= cap.  k is indexed
+    # by order, with as many terms as t.
     t = [0, 1, 1, 2]
-    counts = [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
-    k = [0, 1, 1]
+    k = [0, 1, 1, 1]
     while t[-1] <= 64 * cap:
         t.append(t[-1] + t[-2] + t[-3])
-        counts.append(tuple(x + y + z for x, y, z in
-                            zip(counts[-1], counts[-2], counts[-3])))
         k.append(k[-1] + k[-2] + k[-3] - 1)
-    while len(k) < len(t):
-        k.append(k[-1] + k[-2] + k[-3] - 1)
-    return tuple(t), tuple(counts), tuple(k)
+    return tuple(t), tuple(k)
 
 
-_T, _BLOCK_COUNTS, _K = _build_tables(N_CAP)
+_T, _K = _build_tables(N_CAP)
 _OFF = 2  # t_m lives at _T[m + _OFF]
 MAX_ORDER = len(_T) - 1 - _OFF
 
@@ -157,31 +154,16 @@ def prefix(n: int) -> str:
 
 
 def _blocks(n: int):
-    """The orders of the blocks of the greedy decomposition of the length-n
-    prefix, left to right: from the shortest block t_m >= n, descend
-    through T_m = T_{m-1} T_{m-2} T_{m-3}, taking each whole block that
-    ends before n, until n ends a whole block itself."""
-    m = 2
-    while _T[m + _OFF] < n:
-        m += 1
-    while n > 0:
-        if n == _T[m + _OFF]:
-            yield m
-            return
-        # n < t_m here, so m >= 1 and we descend one block
-        t1 = _T[m - 1 + _OFF]
-        if n <= t1:
-            m -= 1
-            continue
-        yield m - 1
-        n -= t1
-        t2 = _T[m - 2 + _OFF]
-        if n <= t2:
-            m -= 2
-        else:
-            yield m - 2
-            n -= t2
-            m -= 3
+    """The orders of the blocks of the length-n prefix, left to right: its
+    greedy Tribonacci representation, each block the longest that fits in
+    what is left.  T_m = T_{m-1} T_{m-2} T_{m-3}, so the prefix is these
+    blocks one after another, no order twice."""
+    i = bisect_right(_T, n)  # past every t_m <= n
+    while n:  # order 0 (t_0 = 1) takes the last letter, before order -1
+        i -= 1
+        if _T[i] <= n:
+            yield i - _OFF
+            n -= _T[i]
 
 
 def letter_at(n: int) -> str:
@@ -193,15 +175,14 @@ def letter_at(n: int) -> str:
 
 
 def letter_counts(n: int) -> tuple[int, int, int]:
-    """Letter counts (a, b, c) of the length-n prefix, O(log n)."""
+    """Letter counts (a, b, c) of the length-n prefix, O(log n): block T_m
+    holds t_{m-1} a's and t_{m-2} b's."""
     n = _arg(n, 0, N_CAP, "prefix length")
-    na = nb = nc = 0
+    na = nb = 0
     for m in _blocks(n):
-        ca, cb, cc = _BLOCK_COUNTS[m + _OFF]
-        na += ca
-        nb += cb
-        nc += cc
-    return (na, nb, nc)
+        na += _T[m + _OFF - 1]
+        nb += _T[m + _OFF - 2]
+    return (na, nb, n - na - nb)
 
 
 # highest order whose kernel word fits under MATERIALIZE_CAP

@@ -8,24 +8,26 @@ where a square (cube) not seen before ends: b(n) = b(n - shift) + a(n),
 d(n) = d(n - shift) + c(n), with the increments clipped from the
 first-occurrence intervals of ``core_word``.  Each tiling is held as one
 row tuple per segment.  A step of the recursion goes from a segment of
-order m to a child of order m - j, j in {1, 2, 3}, and both single-point
-and cumulative queries walk down it two steps per jump: each segment above
-the floor is cut into pieces over which both steps are fixed.  Its entry
-holds the pieces' starts followed by its hi + 1, and the pieces between
-two end pieces; a piece is (shift, next, a, b), composed already linked
-to the entry of the segment it lands in.  A jump is one ``bisect_right``
-over the starts, whose index is that of the piece holding n, a four-field
-unpack and one term.  The first jump searches every piece of the tiling in
-position order, each later one the pieces the previous one linked to.  A
-position outside the searched segment reads an end piece, whose link
-raises RuntimeError naming the segment on the next jump, under
-``python -O`` too.  At n drawn log-uniformly from 10^3 to 10^18 a call
-takes about 7.4 jumps and about 2-4 microseconds warm (README, "Arithmetic
-and speed").  The walk stops at the floor, the one table of small
-positions: the per-position counts of the square orders 4-17 and the cube
-orders 7-17, which both end at position 42761, and their prefix sums in an
-``array('I')``.  Every n up to 42761 is read from it before any lookup,
-with no jump.
+order m to a child of order m - j, j in {1, 2, 3}, and is stated once, as
+a rule at a point (``_step``): the child n lands in and the term it adds.
+Both single-point and cumulative queries walk down it two steps per jump:
+each segment above the floor is cut into pieces at the positions where
+either step changes, and a piece is the jump from any of its positions
+(``_jump``).  Its entry holds the pieces' starts followed by its hi + 1,
+and the pieces between two end pieces; a piece is (shift, next, a, b),
+linked to the entry of the segment it lands in.  A jump is one
+``bisect_right`` over the starts, whose index is that of the piece holding
+n, a four-field unpack and one term.  The first jump searches every piece
+of the tiling in position order, each later one the pieces the previous
+one linked to.  A position outside the searched segment reads an end
+piece, whose link raises RuntimeError naming the segment on the next jump,
+under ``python -O`` too.  At n drawn log-uniformly from 10^3 to 10^18 a
+call takes about 7.4 jumps and about 2-4 microseconds warm (README,
+"Arithmetic and speed").  The walk stops at the floor, the one table of
+small positions: the per-position counts of the square orders 4-17 and the
+cube orders 7-17, which both end at position 42761, and their prefix sums
+in an ``array('I')``.  Every n up to 42761 is read from it before any
+lookup, with no jump.
 
 The rows are the one statement of the copy recursion and hold only
 geometry.  The floor and ``positions --repeated`` are copied along them
@@ -41,15 +43,16 @@ its children, as every segment past the floor must be.  It is then
 totalled, from the floor inside the floor and above it from its children
 plus its unit increments, and a segment above the floor is cut into its
 pieces (1 887 square and 645 cube pieces over 204 segments, with their end
-pieces and the first jump's table about 500 KB), checked as they are
-composed: they tile the segment between its end pieces, and every jump
-lands inside one segment and links to that segment's own entry.  A
-mismatch reports the offending segment and aborts, and nothing is
-published.  So the first call of a tiling in a fresh process pays the
-whole build at any n (README, "Arithmetic and speed").  The paper's
-square tree, the unit-increment blocks shifted to later occurrences of a
-kernel word, is read off the same rows by the tests
-(``tests/paper_checks.py``); no command needs it.
+pieces and the first jump's table about 500 KB).  They are checked as
+they are composed: they tile the segment between its end pieces, start
+exactly where a step changes, and each is the jump from its last
+position, its link and its terms included.  A mismatch reports the
+offending segment and aborts, and nothing is published.  So the first
+call of a tiling in a fresh process pays the whole build at any n
+(README, "Arithmetic and speed").  The paper's square tree, the
+unit-increment blocks shifted to later occurrences of a kernel word, is
+read off the same rows by the tests (``tests/paper_checks.py``); no
+command needs it.
 """
 
 from array import array
@@ -92,55 +95,56 @@ class _Segments:
     of its unit increments [inc_lo, inc_hi].  Shifted down by ``shift``,
     the previous block length, a position n of the segment lands in child
     segment ``first + (n >= cut1) + (n >= cut2)``; ``first`` is -1 where
-    the copy recursion has no children.  ``lo`` is also kept as its own
-    tuple, for a ``bisect`` that names the segment of a position.  ``base``
-    and ``base_cum`` are the floor: the per-position counts and their
-    prefix sums up to the end of the floor orders, where descents stop.
+    the copy recursion has no children.  ``base`` and ``base_cum`` are the
+    floor: the per-position counts and their prefix sums up to the end of
+    the floor orders, where descents stop.
 
     The constructor builds the tiling in one pass over the rows, from the
     tiling's ``start`` on: each segment is checked (``_check_row``), then
     totalled, the floor's total over it inside the floor, above it its
-    three children's plus its unit increments.  A segment above the floor
-    is then cut into pieces by ``_steps`` and ``_segment_pieces``, which
-    ``_check_pieces`` checks.  Its ``delta``, the count over
-    [lo - shift, lo) that the copy leaves out, is the sum of the totals of
-    the segments that cover that interval, from its first child up to the
-    segment before it, so that the cumulative count at n is the one at
-    n - shift plus ``delta`` plus the unit increments at or before n.
+    three children's plus its unit increments.  For a segment above the
+    floor it then keeps what its step (``_step``) reads besides the row:
+    in ``deltas`` the count over [lo - shift, lo) that the copy leaves
+    out, the sum of the totals of the segments that cover that interval,
+    from its first child up to the segment before it, and in ``edges`` the
+    positions where the step changes (``_edges``).  The segment is then
+    cut into pieces (``_segment_pieces``), which ``_check_pieces`` checks.
     Every segment the pass reads comes before the one it builds: the
     children and the segments its jumps land in.  ``pieces`` holds, per
-    segment, its entry (``_segment_pieces``): the pair of its piece starts
-    followed by hi + 1, and its pieces between two end pieces, each piece
-    linked to the entry of the segment it lands in.  A segment in the floor
-    has None.  ``jumps`` is the entry of the first jump, laid out the same
-    way over every piece of the tiling in position order: the top
-    segment's hi + 1 ends the starts, and the lower end piece of the first
-    segment above the floor and the upper one of the top segment close the
-    pieces.  A failed check raises RuntimeError naming the segment."""
+    segment, its entry: the pair of its piece starts followed by hi + 1,
+    and its pieces between two end pieces, each piece linked to the entry
+    of the segment it lands in.  A segment in the floor has None in
+    ``deltas``, ``edges`` and ``pieces``.  ``jumps`` is the entry of the
+    first jump, laid out the same way over every piece of the tiling in
+    position order: the top segment's hi + 1 ends the starts, and the
+    lower end piece of the first segment above the floor and the upper one
+    of the top segment close the pieces.  A failed check raises
+    RuntimeError naming the segment."""
 
-    __slots__ = ("lo", "rows", "base", "base_cum", "label", "pieces", "jumps")
+    __slots__ = ("rows", "base", "base_cum", "label", "deltas", "edges",
+                 "pieces", "jumps")
 
     def __init__(self, rows, base, base_cum, label, start):
-        self.lo = tuple(row[0] for row in rows)
         self.rows = rows = tuple(rows)
         self.base = base
         self.base_cum = base_cum
         self.label = label
+        # per segment, None in the floor
+        self.deltas = deltas = [None] * len(rows)
+        self.edges = edges = [None] * len(rows)
+        entries, sums = [None] * len(rows), []
         top = len(base) - 1
-        sums, steps, entries = [], [], []  # per segment
         for s, row in enumerate(rows):
             _check_row(rows, s, start, top, label)
             lo, hi, _, _, first, _, inc_lo, inc_hi = row
             if hi <= top:
                 sums.append(base_cum[hi] - base_cum[lo - 1])
-                steps.append(None)
-                entries.append(None)
                 continue
             sums.append(sum(sums[first:first + 3]) + inc_hi - inc_lo + 1)
-            steps.append(_steps(row, sum(sums[first:s])))
-            entry = _segment_pieces(self, s, steps, entries)
+            deltas[s], edges[s] = sum(sums[first:s]), _edges(row)
+            entry = _segment_pieces(self, s, entries)
             _check_pieces(self, s, entry, entries)
-            entries.append(entry)
+            entries[s] = entry
         above = [entry for entry in entries if entry]
         self.pieces = tuple(entries)
         # every piece in position order, between the lower end piece of the
@@ -249,26 +253,56 @@ def _check_row(rows, s: int, start: int, top: int, label) -> None:
             f"child segments do not line up with the cuts of {label(s)}")
 
 
-def _steps(row, delta: int) -> list:
-    """One step of the copy recursion at a segment ``row`` whose ``delta``
-    is given (see ``_Segments``), cut where the child or the membership in
-    the unit-increment block changes: a list of (x, y, child, a, b), one
-    per interval [x, y] of the segment, where the step adds a * n + b to
-    the cumulative count at n (``a`` is 1 inside the increment block, else
-    0)."""
-    lo, hi, cut1, cut2, first, shift, inc_lo, inc_hi = row
-    edges = sorted({e for e in (cut1, cut2, inc_lo, inc_hi + 1)
-                    if lo < e <= hi})
-    steps = []
-    for x, end in zip([lo] + edges, edges + [hi + 1]):
-        child = first + (x >= cut1) + (x >= cut2)
-        if x < inc_lo:
-            steps.append((x, end - 1, child, 0, delta))
-        elif x <= inc_hi:
-            steps.append((x, end - 1, child, 1, delta + 1 - inc_lo))
-        else:
-            steps.append((x, end - 1, child, 0, delta + inc_hi - inc_lo + 1))
-    return steps
+def _step(row, delta: int, n: int) -> tuple:
+    """One step of the copy recursion from position n of the segment
+    ``row``, whose ``delta`` is given (see ``_Segments``): (child, a, b),
+    where n - shift lies in segment ``child`` and the step adds a * n + b
+    to the cumulative count there (``a`` is 1 inside the increment block,
+    else 0)."""
+    _, _, cut1, cut2, first, _, inc_lo, inc_hi = row
+    child = first + (n >= cut1) + (n >= cut2)
+    if n < inc_lo:
+        return child, 0, delta
+    if n <= inc_hi:
+        return child, 1, delta + 1 - inc_lo
+    return child, 0, delta + inc_hi - inc_lo + 1
+
+
+def _edges(row) -> tuple:
+    """The positions in (lo, hi] of the segment ``row`` where its step
+    (``_step``) changes: the cuts, the start of the increment block and
+    the position after it."""
+    lo, hi, cut1, cut2, _, _, inc_lo, inc_hi = row
+    return tuple(e for e in (cut1, cut2, inc_lo, inc_hi + 1) if lo < e <= hi)
+
+
+def _jump(seg: _Segments, entries, s: int, n: int) -> tuple:
+    """Two steps of the copy recursion from position n of segment s,
+    above the floor, as one piece (shift, next, a, b): the jump lands at
+    n - shift, in the segment whose entry in ``entries`` is ``next`` (None
+    for the floor), ``a`` increment blocks hold n and the two steps add
+    a * n + b to the cumulative count.  Where the first step reaches the
+    floor, it is the jump."""
+    rows, deltas = seg.rows, seg.deltas
+    shift = rows[s][5]
+    c, a, b = _step(rows[s], deltas[s], n)
+    if entries[c] is None:  # the first step reaches the floor
+        return shift, None, a, b
+    g, a2, b2 = _step(rows[c], deltas[c], n - shift)
+    return shift + rows[c][5], entries[g], a + a2, b + b2 - a2 * shift
+
+
+def _starts(seg: _Segments, s: int) -> list:
+    """The piece starts of segment s, above the floor, in order: its lo,
+    its edges and the edges of each child above the floor shifted up by
+    its shift, so that no step of a jump changes between two starts."""
+    rows, edges = seg.rows, seg.edges
+    lo, _, _, _, first, shift = rows[s][:6]
+    starts = {lo, *edges[s]}
+    for c in range(first, first + 3):
+        for e in edges[c] or ():  # None in the floor
+            starts.add(e + shift)
+    return sorted(starts)
 
 
 class _Outside:
@@ -288,88 +322,51 @@ class _Outside:
             "outside it")
 
 
-def _segment_pieces(seg: _Segments, s: int, steps, entries) -> tuple:
-    """Two steps of the copy recursion from segment s, above the floor,
-    composed into one jump and linked as the descents read it.
+def _segment_pieces(seg: _Segments, s: int, entries) -> tuple:
+    """The entry of segment s, above the floor: two steps of the copy
+    recursion composed into one jump, linked as the descents read it.
 
-    The segment is cut into pieces over which its child, its grandchild and
-    the membership in both unit-increment blocks stay constant.  The entry
-    is the pair (starts, cut): ``starts`` holds the start of every piece
-    and then hi + 1, and ``cut`` holds an end piece, the pieces and another
-    end piece, so that piece k covers [starts[k - 1], starts[k] - 1] and
-    ``cut[bisect_right(starts, n)]`` is the piece holding n, or an end
-    piece for n outside the segment.  A piece is (shift, next, a, b): a
-    jump from n lands at n - shift, in the segment whose entry is ``next``
-    (None for the floor), ``a`` increment blocks hold n and the two steps
-    add a * n + b to the cumulative count.  An end piece is
-    (0, ``_Outside``, 0, 0).  ``steps`` holds the ``_steps`` of s and of
-    each segment below it (None in the floor), and ``entries`` the entries
-    of the segments below s."""
-    rows = seg.rows
-    hi, _, _, first, shift = rows[s][1:6]
-    # per child above the floor, the shift of both steps: one int object
-    # for all its pieces
-    totals = {c: shift + rows[c][5]
-              for c in range(first, first + 3) if steps[c]}
+    The segment is cut into pieces at ``_starts``, so that each piece is
+    the ``_jump`` from its start, with ``entries`` the entries of the
+    segments below s.  The entry is the pair (starts, cut): ``starts``
+    holds the start of every piece and then hi + 1, and ``cut`` holds an
+    end piece, the pieces and another end piece, so that piece k covers
+    [starts[k - 1], starts[k] - 1] and ``cut[bisect_right(starts, n)]`` is
+    the piece holding n, or an end piece for n outside the segment.  An
+    end piece is (0, ``_Outside``, 0, 0)."""
+    starts = _starts(seg, s)
     end = (0, _Outside(seg.label(s)), 0, 0)
-    starts, cut = [], [end]
-    for x, y, c, a, b in steps[s]:
-        if c not in totals:  # one step reaches the floor
-            starts.append(x)
-            cut.append((shift, None, a, b))
-            continue
-        # the child's steps, clipped to [x, y] shifted into the child
-        total = totals[c]
-        for x2, y2, g, a2, b2 in steps[c]:
-            x2 = max(x2 + shift, x)
-            if x2 <= min(y2 + shift, y):
-                starts.append(x2)
-                cut.append((total, entries[g], a + a2, b + b2 - a2 * shift))
-    starts.append(hi + 1)
-    cut.append(end)
-    return tuple(starts), tuple(cut)
+    cut = (end, *[_jump(seg, entries, s, x) for x in starts], end)
+    starts.append(seg.rows[s][1] + 1)
+    return tuple(starts), cut
 
 
 def _check_pieces(seg: _Segments, s: int, entry, entries) -> None:
     """Raise RuntimeError, naming segment s, unless its entry has an end
-    piece naming it at each side, its starts rise from lo to hi + 1 with one
-    piece between each two, and each piece shifts first by the segment's
-    own shift into the child it was composed from and then by the child's,
-    lands inside one segment t, and links to ``entries[t]`` itself (None
-    for the floor): so that every jump of the descents searches the pieces
-    of the segment it lands in, and one from outside the segment raises."""
-    rows, top = seg.rows, len(seg.base) - 1
-    lo, hi, cut1, cut2, first, shift = rows[s][:6]
+    piece naming it at each side, its starts are ``_starts`` followed by
+    hi + 1 with one piece between each two, and each piece is the
+    ``_jump`` from its last position, with its link ``entries[t]`` itself
+    for the segment t it lands in (None for the floor).  No step of a jump
+    changes inside a piece, so it is then the jump from each of its
+    positions, its terms included: every jump of the descents adds the
+    terms of its two steps and searches the pieces of the segment it lands
+    in, and one from outside the segment raises."""
     name = seg.label(s)
     starts, cut = entry
     for end in cut[0], cut[-1]:
         if (type(end[1]) is not _Outside or end != (0, end[1], 0, 0)
                 or end[1].name != name):
             raise RuntimeError(f"pieces of {name} lack an end piece")
-    if (starts[0], starts[-1], len(cut)) != (lo, hi + 1, len(starts) + 1):
+    if (starts[-1], len(cut)) != (seg.rows[s][1] + 1, len(starts) + 1):
         raise RuntimeError(f"pieces of {name} do not tile it")
-    for p_lo, p_end, (p_shift, nxt, _, _) in zip(starts, starts[1:],
-                                                  cut[1:-1]):
-        p_hi = p_end - 1
-        if p_lo > p_hi:
-            raise RuntimeError(f"pieces of {name} do not tile it")
-        child = rows[first + (p_lo >= cut1) + (p_lo >= cut2)]
-        if not child[0] <= p_lo - shift <= p_hi - shift <= child[1]:
+    if list(starts[:-1]) != _starts(seg, s):
+        raise RuntimeError(
+            f"pieces of {name} do not start where its steps change")
+    for end, piece in zip(starts[1:], cut[1:-1]):
+        jump = _jump(seg, entries, s, end - 1)
+        if piece[1] is not jump[1] or piece != jump:
             raise RuntimeError(
-                f"a piece of {name} leaves the child it was composed from")
-        # two steps, unless the first one reaches the floor
-        if p_shift != shift + (child[5] if child[1] > top else 0):
-            raise RuntimeError(
-                f"a piece of {name} does not shift by its steps")
-        # the child, or its first child, starts past the tiling's start,
-        # so t >= 0
-        t = bisect_right(seg.lo, p_lo - p_shift) - 1
-        if p_hi - p_shift > rows[t][1]:
-            raise RuntimeError(
-                f"a piece of {name} does not land inside one segment")
-        if nxt is not entries[t]:
-            raise RuntimeError(f"a piece of {name} is not linked to "
-                               f"{seg.label(t)}, where it lands")
+                f"a piece of {name} is not the jump from {end - 1}")
 
 
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
@@ -470,7 +467,7 @@ def _point(seg: _Segments, n: int) -> int:
 def _cumulative(seg: _Segments, n: int) -> int:
     """Count ending at or before n: the terms a * n + b of the pieces met
     on the way down plus the floor's prefix sum reached (see ``_point`` and
-    ``_segment_pieces``)."""
+    ``_jump``)."""
     base_cum = seg.base_cum
     if n < len(base_cum):
         return base_cum[n]

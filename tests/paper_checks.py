@@ -8,14 +8,12 @@ maximal kernel word inside a factor (``kernel_of``), the square blocks
 around the p-th occurrence of a kernel word (``square_case_block``), Glen's
 route to the distinct-square count at block lengths
 (``glen_distinct_squares_at_t``) and the letter counts of a block
-(``block_letter_counts``).  They read the package's tables and its one
-argument check, ``core_word._arg``.
+(``block_letter_counts``), taken from the substitution itself.  They read
+the package's tables and its one argument check, ``core_word._arg``.
 """
 
 from tribcount import fast_count
 from tribcount.core_word import (
-    _BLOCK_COUNTS,
-    _OFF,
     MATERIALIZE_CAP,
     MAX_ORDER,
     N_CAP,
@@ -31,8 +29,17 @@ from tribcount.oracle import ORACLE_CAP
 
 
 def block_letter_counts(m: int) -> tuple[int, int, int]:
-    """(a, b, c) letter counts of the m-th block."""
-    return _BLOCK_COUNTS[_arg(m, -2, MAX_ORDER, "block order") + _OFF]
+    """(a, b, c) letter counts of the m-th block: T_{-2} is empty, T_{-1}
+    is c, and each later block is the image of the one before under
+    a -> ab, b -> ac, c -> a, which takes the counts (x, y, z) to
+    (x + y + z, x, y)."""
+    m = _arg(m, -2, MAX_ORDER, "block order")
+    if m == -2:
+        return (0, 0, 0)
+    x, y, z = 0, 0, 1
+    for _ in range(m + 1):
+        x, y, z = x + y + z, x, y
+    return (x, y, z)
 
 
 # ---------------------------------------------------------------------------

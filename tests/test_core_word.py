@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tribcount import core_word as cw
 
@@ -131,6 +132,37 @@ def test_letter_counts_matches_prefix():
 def test_letter_counts_sum_large():
     for n in (10**9, 10**12, 10**18):
         assert sum(cw.letter_counts(n)) == n
+
+
+def _image_holds_the_counts(k):
+    # a -> ab, b -> ac and c -> a each hold one a, so the image of the
+    # length-k prefix, the prefix of length 2k - c(k), holds k a's and one
+    # b (c) per a (b) of the length-k prefix
+    a, b, c = cw.letter_counts(k)
+    assert cw.letter_counts(2 * k - c) == (k, a, b), k
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(min_value=0, max_value=5 * 10**17))
+def test_letter_counts_of_the_image_of_a_prefix(k):
+    _image_holds_the_counts(k)
+
+
+def test_letter_counts_of_the_image_at_block_lengths():
+    t = cw.trib_number
+    for m in range(0, cw.MAX_ORDER + 1):
+        for k in (t(m) - 1, t(m) + 1):
+            if 2 * k <= cw.N_CAP:
+                _image_holds_the_counts(k)
+
+
+def test_letter_counts_at_block_lengths():
+    m = 0
+    while cw.trib_number(m) <= cw.N_CAP:
+        assert (cw.letter_counts(cw.trib_number(m))
+                == paper_checks.block_letter_counts(m)), m
+        m += 1
+    assert m == 68  # orders 0-67
 
 
 def test_position_letter_values():

@@ -306,13 +306,19 @@ ROW_FIELDS = ("lo", "hi", "cut1", "cut2", "first", "shift", "inc_lo",
               "inc_hi")
 
 
+def _segment_of(seg, n):
+    """The number of the segment of ``seg`` that holds position n."""
+    return bisect_right([row[0] for row in seg.rows], n) - 1
+
+
 def _with_wrong_entry(seg, s, field, value=None):
     """The tables built again, from the same floor and start, with one
     field of segment s moved by one, or set to ``value``."""
     rows = [list(row) for row in seg.rows]
     i = ROW_FIELDS.index(field)
     rows[s][i] = rows[s][i] + 1 if value is None else value
-    return fc._Segments(rows, seg.base, seg.base_cum, seg.label, seg.lo[0])
+    return fc._Segments(rows, seg.base, seg.base_cum, seg.label,
+                        seg.rows[0][0])
 
 
 @pytest.mark.parametrize("field, message", [
@@ -375,7 +381,7 @@ def test_a_lower_floor_gives_the_same_counts(tiling, s):
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
     top = seg.rows[s][1]
     low = fc._Segments(seg.rows, seg.base[:top + 1], seg.base_cum[:top + 1],
-                       seg.label, seg.lo[0])
+                       seg.label, seg.rows[0][0])
     assert len(low.jumps[1]) > len(seg.jumps[1])
     ends = {n for lo, hi in _bounds(low.jumps[0]) for n in (lo, hi)}
     for n in sorted(ends.union(range(1, FLOOR_TOP + 2))):
@@ -403,12 +409,12 @@ def test_self_check_wants_every_segment_to_hold_its_increments(
 def test_self_check_wants_the_floor_to_end_a_segment(tiling, ends_at):
     # the floor cut short inside its last segment [lo, hi]
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
-    lo, hi = seg.rows[bisect_right(seg.lo, FLOOR_TOP) - 1][:2]
+    lo, hi = seg.rows[_segment_of(seg, FLOOR_TOP)][:2]
     top = hi - 1 if ends_at == "hi - 1" else lo
     with pytest.raises(RuntimeError, match=f"the base table ends at "
                        f"{top}, inside a segment"):
         fc._Segments(seg.rows, seg.base[:top + 1], seg.base_cum[:top + 1],
-                     seg.label, seg.lo[0])
+                     seg.label, seg.rows[0][0])
 
 
 # square inc_hi + 1 leaves its segment, which the self-check names (above)
@@ -433,8 +439,8 @@ def test_closed_forms_name_the_segment_that_disagrees_with_the_floor(tiling):
     base[1000] += 1
     # the geometry is unchanged, so the build passes
     broken = fc._Segments(seg.rows, bytes(base), array("q", accumulate(base)),
-                          seg.label, seg.lo[0])
-    s = bisect_right(seg.lo, 1000) - 1
+                          seg.label, seg.rows[0][0])
+    s = _segment_of(seg, 1000)
     with pytest.raises(AssertionError, match="closed forms of "
                        + re.escape(seg.label(s)) + ": "):
         check_closed_forms(broken, tiling)
@@ -570,11 +576,16 @@ def _with_wrong_piece(seg, s, field, wrong):
 
 # the first piece of either segment lands above the floor
 WRONG_PIECES = [
-    ("start", lambda lo: lo + 1, "pieces of {} do not tile it"),
-    ("shift", lambda shift: shift + 1, "a piece of {} does not shift by its "
-                                       "steps"),
-    ("next", lambda entry: None, "a piece of {} is not linked to"),
-    ("next", _equal_copy, "a piece of {} is not linked to"),
+    ("start", lambda lo: lo + 1, "pieces of {} do not start where its steps "
+                                 "change"),
+    ("shift", lambda shift: shift + 1, "a piece of {} is not the jump from"),
+    ("next", lambda entry: None, "a piece of {} is not the jump from"),
+    ("next", _equal_copy, "a piece of {} is not the jump from"),
+    # the terms
+    ("a", lambda a: a + 1, "a piece of {} is not the jump from"),
+    ("a", lambda a: a - 1, "a piece of {} is not the jump from"),
+    ("b", lambda b: b + 1, "a piece of {} is not the jump from"),
+    ("b", lambda b: b - 1, "a piece of {} is not the jump from"),
 ]
 
 
@@ -591,7 +602,7 @@ def test_self_check_names_broken_square_piece(field, wrong, message):
 @pytest.mark.parametrize("field, wrong, message", WRONG_PIECES + [
     # an entry of the other tiling
     ("next", lambda entry: fc._square_segments().pieces[-1],
-     "a piece of {} is not linked to"),
+     "a piece of {} is not the jump from"),
 ])
 def test_self_check_names_broken_cube_piece(field, wrong, message):
     seg = fc._cube_segments()
@@ -610,23 +621,30 @@ def test_self_check_of_pieces_names_the_break():
     end, (shift, _, a, b) = cut[0], cut[1]
     # piece k is cut[k], from starts[k - 1] to starts[k] - 1
     i = starts.index(seg.rows[s][2]) + 1  # the first piece of the 2nd child
+    inc = seg.rows[s][6]  # the block is the segment's tail, from a start
     # the first two pieces of one child that land in different segments
     cuts = seg.rows[s][2:4]
     k = next(k for k in range(2, len(cut) - 1)
              if starts[k - 1] not in cuts and cut[k][1] is not cut[k - 1][1])
+    h = next(h for h in range(1, len(cut) - 2) if cut[h][2:] != cut[h + 1][2:])
     # the first segment past the floor: its jumps land in the floor
-    f = bisect_right(seg.lo, FLOOR_TOP)
+    f = _segment_of(seg, FLOOR_TOP) + 1
     f_starts, f_cut = seg.pieces[f]
     cases = [
-        # the first start moved by one: the tiling breaks
-        (s, (starts[0] + 1,) + starts[1:], cut, "do not tile it"),
+        # the first start moved by one
+        (s, (starts[0] + 1,) + starts[1:], cut,
+         "do not start where its steps change"),
+        # the start at the increment edge moved by one, inside its piece
+        (s, tuple(x + (x == inc) for x in starts), cut,
+         "do not start where its steps change"),
         # the last piece dropped: the last start is not hi + 1
         (s, starts[:-1], cut[:-2] + cut[-1:], "do not tile it"),
         # the last start other than hi + 1
         (s, starts[:-1] + (hi,), cut, "do not tile it"),
         (s, starts[:-1] + (hi + 2,), cut, "do not tile it"),
         # a start repeated, with a piece for it
-        (s, starts[:2] + starts[1:], cut[:2] + cut[1:], "do not tile it"),
+        (s, starts[:2] + starts[1:], cut[:2] + cut[1:],
+         "do not start where its steps change"),
         # one piece more than the starts bound
         (s, starts, cut[:2] + cut[1:], "do not tile it"),
         # an end piece missing
@@ -643,17 +661,20 @@ def test_self_check_of_pieces_names_the_break():
                                  0),), "lack an end piece"),
         # two pieces merged across the first child cut
         (s, starts[:i - 1] + starts[i:], cut[:i - 1] + cut[i:],
-         "leaves the child it was composed from"),
+         "do not start where its steps change"),
         # two pieces merged across a cut of the child they share
         (s, starts[:k - 1] + starts[k:], cut[:k - 1] + cut[k:],
-         "does not land inside one segment"),
+         "do not start where its steps change"),
         # linked to a segment while landing in the floor
         (f, f_starts, f_cut[:1] + (f_cut[1][:1] + (seg.pieces[s],)
                                    + f_cut[1][2:],) + f_cut[2:],
-         "is not linked to"),
+         "is not the jump from"),
         # linked to a segment of this tiling it does not land in
         (s, starts, (end, (shift, seg.pieces[-1], a, b)) + cut[2:],
-         "is not linked to"),
+         "is not the jump from"),
+        # a piece with the terms of the next one, whose terms differ
+        (s, starts, cut[:h] + (cut[h][:2] + cut[h + 1][2:],) + cut[h + 1:],
+         "is not the jump from"),
     ]
     for t, bad_starts, bad_cut, message in cases:
         with pytest.raises(RuntimeError,
@@ -695,15 +716,15 @@ def test_pieces_are_built_checked_and_linked_with_the_rows(monkeypatch,
     assert prev == seg.rows[-1][1] >= N_CAP
 
 
-def test_a_build_takes_each_segments_steps_once(monkeypatch):
-    # the steps of a segment are composed with its own and with its
-    # parents' pieces, from one list: 153 square and 51 cube segments
-    # lie above the floor
+def test_a_build_takes_each_segments_edges_once(monkeypatch):
+    # the edges of a segment start its own and its parents' pieces, for
+    # the build and the checks alike: 153 square and 51 cube segments lie
+    # above the floor
     monkeypatch.setattr(fc, "_SQUARES", None)
     monkeypatch.setattr(fc, "_CUBES", None)
-    calls, steps = [], fc._steps
-    monkeypatch.setattr(fc, "_steps", lambda row, delta: calls.append(row)
-                        or steps(row, delta))
+    calls, edges = [], fc._edges
+    monkeypatch.setattr(fc, "_edges", lambda row: calls.append(row)
+                        or edges(row))
     for build, above in ((fc._square_segments, 153), (fc._cube_segments, 51)):
         rows = [row for row in build().rows if row[1] > FLOOR_TOP]
         assert len(rows) == above
@@ -719,8 +740,8 @@ def test_a_piece_that_fails_its_check_fails_the_build(monkeypatch, tiling, s):
     # published
     compose = fc._segment_pieces
 
-    def without_the_last_piece(seg, t, steps, entries):
-        starts, cut = compose(seg, t, steps, entries)
+    def without_the_last_piece(seg, t, entries):
+        starts, cut = compose(seg, t, entries)
         if t == s:
             return starts[:-1], cut[:-2] + cut[-1:]
         return starts, cut
@@ -826,7 +847,7 @@ def _reference_walk(seg, n):
     closed-form cumulative counts, not off the build."""
     cums = SQUARE_CUMS if seg.label is fc._square_label else CUBE_CUMS
     top = len(seg.base) - 1
-    s = bisect_right(seg.lo, n) - 1
+    s = _segment_of(seg, n)
     point = cumulative = 0
     while n > top:
         lo, hi, cut1, cut2, c, shift, inc_lo, inc_hi = seg.rows[s]
