@@ -8,13 +8,18 @@ Exit codes: 0 success, 1 usage or range error, 2 verification failure.
 
 A process loads only what its command uses: ``count --stat A/C`` and
 ``positions`` import ``closed_forms``, ``count --stat B/D`` and ``positions
---repeated`` import ``fast_count``, ``kernel`` neither, ``table`` and
-``verify`` both; only ``verify`` imports the brute-force ``oracle``.  A
-stat's counting function is looked up among the package's names, which
+--repeated`` import ``tiling``, ``kernel`` none of them, ``table`` and
+``verify`` ``closed_forms`` and ``fast_count``, which imports ``tiling``;
+only ``verify`` imports the brute-force ``oracle``.  A process that prints
+one repeated count, or takes the row cap of ``positions --repeated`` from
+one, walks the rows of a fresh ``tiling._build`` one step at a time
+(``tiling._walk``) and builds none of ``fast_count``'s pieces, which pay off
+only over many calls.  The library counters and the sweeps keep the pieces:
+a stat's counting function is looked up among the package's names, which
 import its module on first use.  The commands hold no counting rule of
 their own: ``positions`` streams ``closed_forms.square_ends`` /
 ``cube_ends``, or with ``--repeated`` the per-position counts that
-``fast_count`` copies along its segment rows, and the options are
+``tiling._counts`` copies along the segment rows, and the options are
 range-checked by ``core_word._arg``, whose error names the option.
 
 The grammar is the running Python's argparse, built by ``_parser`` from one
@@ -34,7 +39,7 @@ from itertools import chain, islice, repeat
 from . import core_word
 
 ROW_CAP = 10**6  # most rows ``table`` or ``positions`` will print
-_CHUNK = 4096  # lines per write of a streamed listing
+_CHUNK = 1024  # lines per write of a streamed listing, all held at once
 
 
 def _chunks(items):
@@ -71,7 +76,13 @@ def _stat(name: str):
 
 def cmd_count(opts) -> int:
     n = core_word._arg(opts["n"], 0, core_word.N_CAP, "--n")
-    print(_stat(opts["stat"])(n))
+    stat = opts["stat"]
+    if stat in "AC":
+        print(_stat(stat)(n))
+    else:  # one repeated count: the walk, without fast_count's pieces
+        from . import tiling
+        built = tiling._build("square" if stat == "B" else "cube")
+        print(tiling._walk(built, n))
     return 0
 
 
@@ -144,8 +155,12 @@ def cmd_verify(opts) -> int:
 def cmd_positions(opts) -> int:
     kind, repeated = opts["kind"], opts["repeated"]
     n = core_word._arg(opts["n"], 0, core_word.N_CAP, "--n")
-    stat = ("BD" if repeated else "AC")[kind == "cube"]
-    rows = _stat(stat)(n)
+    if repeated:
+        from . import tiling
+        built = tiling._build(kind)
+        rows = tiling._walk(built, n)
+    else:
+        rows = _stat("A" if kind == "square" else "C")(n)
     if rows > ROW_CAP:
         print(f"error: {rows} {kind} positions up to n={n} exceed "
               f"the limit of 10^6 rows", file=sys.stderr)
@@ -153,9 +168,7 @@ def cmd_positions(opts) -> int:
     # streamed: each end once, or once per occurrence ending there, read
     # from the counts at 0..n, n + 1 bytes (the row cap bounds n)
     if repeated:
-        from . import fast_count
-        per = (fast_count._square_counts if kind == "square"
-               else fast_count._cube_counts)(n)
+        per = tiling._counts(built.rows, n)
         ends = chain.from_iterable(map(repeat, range(n + 1), per))
     else:
         from . import closed_forms

@@ -1,18 +1,13 @@
 """Fast repeated-square and repeated-cube counting at arbitrary positions.
 
-Positions from 8 on are tiled by square segments (three per order) and from
-52 on by cube segments (one per order).  Per-position counts obey a
-self-similar recursion: a segment is a copy of three lower-order segments
-shifted by the previous block length, plus one at each unit increment,
-where a square (cube) not seen before ends: b(n) = b(n - shift) + a(n),
-d(n) = d(n - shift) + c(n), with the increments clipped from the
-first-occurrence intervals of ``core_word``.  Each tiling is held as one
-row tuple per segment.  A step of the recursion goes from a segment of
-order m to a child of order m - j, j in {1, 2, 3}, and is stated once, as
-a rule at a point (``_step``): the child n lands in and the term it adds.
-Both single-point and cumulative queries walk down it two steps per jump:
-each segment above the floor is cut into pieces at the positions where
-either step changes, and a piece is the jump from any of its positions
+The tilings come from ``tiling``: one geometry row tuple per segment, the
+floor of per-position counts up to position 42761, each segment's ``delta``,
+and the copy step stated once as a rule at a point (``_step``), all built
+and checked there.  This module adds what makes warm calls fast, and caches
+it with the rows (``_SQUARES``, ``_CUBES``).  Both single-point and
+cumulative queries walk down the copy recursion two steps per jump: each
+segment above the floor is cut into pieces at the positions where either
+step changes, and a piece is the jump from any of its positions
 (``_jump``).  Its entry holds the pieces' starts followed by its hi + 1,
 and the pieces between two end pieces; a piece is (shift, next, a, b),
 linked to the entry of the segment it lands in.  A jump is one
@@ -23,25 +18,13 @@ one linked to.  A position outside the searched segment reads an end
 piece, whose link raises RuntimeError naming the segment on the next jump,
 under ``python -O`` too.  At n drawn log-uniformly from 10^3 to 10^18 a
 call takes about 7.4 jumps and about 2-4 microseconds warm (README,
-"Arithmetic and speed").  The walk stops at the floor, the one table of
-small positions: the per-position counts of the square orders 4-17 and the
-cube orders 7-17, which both end at position 42761, and their prefix sums
-in an ``array('I')``.  Every n up to 42761 is read from it before any
-lookup, with no jump.
+"Arithmetic and speed").  A descent stops at the floor, whose entries and
+prefix sums answer every n up to 42761 before any lookup, with no jump.
 
-The rows are the one statement of the copy recursion and hold only
-geometry.  The floor and ``positions --repeated`` are copied along them
-(``_counts``), each segment the counts one block length back plus one over
-its unit increments.  The counts before a tiling starts are zeros, so the
-segments without children copy zeros, or zeros and the segments below
-them, by the same rule.  A tiling is built on first use, in one pass over
-its rows in tiling order, where a segment comes after its children and
-after every segment its jumps land in (``_Segments``).  Each segment is
-checked first: it tiles on from the one before, the floor does not end
-inside it, it holds its unit increments, and it is the shifted copy of
-its children, as every segment past the floor must be.  It is then
-totalled, from the floor inside the floor and above it from its children
-plus its unit increments, and a segment above the floor is cut into its
+A tiling's tables are built on first use, from a checked ``tiling._build``
+(``_Segments``): the floor's prefix sums, then one pass over the rows in
+tiling order, where a segment comes after its children and after every
+segment its jumps land in, cutting each segment above the floor into its
 pieces (1 887 square and 645 cube pieces over 204 segments, with their end
 pieces and the first jump's table about 500 KB).  They are checked as
 they are composed: they tile the segment between its end pieces, start
@@ -49,36 +32,19 @@ exactly where a step changes, and each is the jump from its last
 position, its link and its terms included.  A mismatch reports the
 offending segment and aborts, and nothing is published.  So the first
 call of a tiling in a fresh process pays the whole build at any n
-(README, "Arithmetic and speed").  The paper's square tree, the
-unit-increment blocks shifted to later occurrences of a kernel word, is
-read off the same rows by the tests (``tests/paper_checks.py``); no
-command needs it.
+(README, "Arithmetic and speed"); a process that wants one cumulative
+count reads ``tiling._walk`` instead and builds no piece.  The paper's
+square tree, the unit-increment blocks shifted to later occurrences of a
+kernel word, is read off the same rows by the tests
+(``tests/paper_checks.py``); no command needs it.
 """
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate, chain
 
-from .core_word import (
-    _CUBE_FIRSTS,
-    _OFF,
-    _SQUARE_FIRSTS,
-    _T,
-    N_CAP,
-    _arg,
-    exact_div,
-)
-
-
-# ---------------------------------------------------------------------------
-# the floor order and the tiling starts
-
-# Highest order of the floor, the per-position table where descents stop:
-# both tilings end there at position 42761, within the oracle's cap.
-_FLOOR_ORDER = 17
-
-SQUARE_START = 8  # first position of the square tiling
-CUBE_START = 52   # first position of the cube tiling
+from .core_word import N_CAP, _arg
+from .tiling import _build, _step
 
 
 # ---------------------------------------------------------------------------
@@ -86,65 +52,45 @@ CUBE_START = 52   # first position of the cube tiling
 
 
 class _Segments:
-    """One tiling as flat tables, indexed by segment number in tiling order:
-    square segment (j, m) is 3(m - 4) + 3 - j, cube segment m is m - 7.
+    """One tiling's tables for the descents, from a built and checked
+    ``tiling._Tiling``, whose ``rows``, ``base`` (the floor), ``label`` and
+    ``deltas`` it keeps; segments are numbered in tiling order.
+    ``base_cum`` holds the floor's prefix sums as an ``array('I')``: the
+    largest, 175 512, needs 4 bytes, and one past the type's range raises
+    OverflowError.
 
-    ``rows`` holds one tuple per segment, (lo, hi, cut1, cut2, first,
-    shift, inc_lo, inc_hi), as ``_square_rows`` and ``_cube_rows`` return
-    them.  Segment s covers [lo, hi], and a new square or cube ends at each
-    of its unit increments [inc_lo, inc_hi].  Shifted down by ``shift``,
-    the previous block length, a position n of the segment lands in child
-    segment ``first + (n >= cut1) + (n >= cut2)``; ``first`` is -1 where
-    the copy recursion has no children.  ``base`` and ``base_cum`` are the
-    floor: the per-position counts and their prefix sums up to the end of
-    the floor orders, where descents stop.
-
-    The constructor builds the tiling in one pass over the rows, from the
-    tiling's ``start`` on: each segment is checked (``_check_row``), then
-    totalled, the floor's total over it inside the floor, above it its
-    three children's plus its unit increments.  For a segment above the
-    floor it then keeps what its step (``_step``) reads besides the row:
-    in ``deltas`` the count over [lo - shift, lo) that the copy leaves
-    out, the sum of the totals of the segments that cover that interval,
-    from its first child up to the segment before it, and in ``edges`` the
-    positions where the step changes (``_edges``).  The segment is then
-    cut into pieces (``_segment_pieces``), which ``_check_pieces`` checks.
-    Every segment the pass reads comes before the one it builds: the
-    children and the segments its jumps land in.  ``pieces`` holds, per
-    segment, its entry: the pair of its piece starts followed by hi + 1,
-    and its pieces between two end pieces, each piece linked to the entry
-    of the segment it lands in.  A segment in the floor has None in
-    ``deltas``, ``edges`` and ``pieces``.  ``jumps`` is the entry of the
-    first jump, laid out the same way over every piece of the tiling in
-    position order: the top segment's hi + 1 ends the starts, and the
-    lower end piece of the first segment above the floor and the upper one
-    of the top segment close the pieces.  A failed check raises
+    The constructor takes, for each segment above the floor, the positions
+    where its step changes (``_edges``) into ``edges``, then cuts it into
+    pieces (``_segment_pieces``), which ``_check_pieces`` checks, in one
+    pass over the rows in tiling order: every segment the pass reads comes
+    before the one it builds, the children and the segments its jumps land
+    in.  ``pieces`` holds, per segment, its entry: the pair of its piece
+    starts followed by hi + 1, and its pieces between two end pieces, each
+    piece linked to the entry of the segment it lands in.  A segment in the
+    floor has None in ``deltas``, ``edges`` and ``pieces``.  ``jumps`` is
+    the entry of the first jump, laid out the same way over every piece of
+    the tiling in position order: the top segment's hi + 1 ends the starts,
+    and the lower end piece of the first segment above the floor and the
+    upper one of the top segment close the pieces.  A failed check raises
     RuntimeError naming the segment."""
 
     __slots__ = ("rows", "base", "base_cum", "label", "deltas", "edges",
                  "pieces", "jumps")
 
-    def __init__(self, rows, base, base_cum, label, start):
-        self.rows = rows = tuple(rows)
-        self.base = base
-        self.base_cum = base_cum
-        self.label = label
-        # per segment, None in the floor
-        self.deltas = deltas = [None] * len(rows)
-        self.edges = edges = [None] * len(rows)
-        entries, sums = [None] * len(rows), []
-        top = len(base) - 1
-        for s, row in enumerate(rows):
-            _check_row(rows, s, start, top, label)
-            lo, hi, _, _, first, _, inc_lo, inc_hi = row
-            if hi <= top:
-                sums.append(base_cum[hi] - base_cum[lo - 1])
-                continue
-            sums.append(sum(sums[first:first + 3]) + inc_hi - inc_lo + 1)
-            deltas[s], edges[s] = sum(sums[first:s]), _edges(row)
-            entry = _segment_pieces(self, s, entries)
-            _check_pieces(self, s, entry, entries)
-            entries[s] = entry
+    def __init__(self, tiling):
+        self.rows = rows = tiling.rows
+        self.base = tiling.base
+        self.base_cum = array("I", accumulate(tiling.base))
+        self.label = tiling.label
+        self.deltas = deltas = tiling.deltas
+        self.edges = [None if d is None else _edges(row)
+                      for row, d in zip(rows, deltas)]
+        entries = [None] * len(rows)
+        for s, delta in enumerate(deltas):
+            if delta is not None:
+                entry = _segment_pieces(self, s, entries)
+                _check_pieces(self, s, entry, entries)
+                entries[s] = entry
         above = [entry for entry in entries if entry]
         self.pieces = tuple(entries)
         # every piece in position order, between the lower end piece of the
@@ -155,117 +101,6 @@ class _Segments:
             above[0][1][:1]
             + tuple(chain.from_iterable(e[1][1:-1] for e in above))
             + above[-1][1][-1:])
-
-
-def _square_label(s: int) -> str:
-    return f"square segment (j={3 - s % 3}, m={4 + s // 3})"
-
-
-def _cube_label(s: int) -> str:
-    return f"cube segment m={7 + s}"
-
-
-def _block(firsts, lo: int, hi: int, label: str) -> tuple:
-    """The one interval of ``firsts`` that meets the segment [lo, hi],
-    clipped to it; meeting none or two raises RuntimeError with ``label``."""
-    i = bisect_left(firsts, (hi + 1,))  # (x, y) < (hi + 1,) iff x <= hi
-    x, y = firsts[i - 1]
-    if i and y >= lo and (i == 1 or firsts[i - 2][1] < lo):
-        return max(x, lo), min(y, hi)
-    raise RuntimeError(f"{label} meets no first-occurrence interval, or two")
-
-
-def _square_rows(m: int) -> list:
-    """Table rows of square segments (3, m), (2, m) and (1, m), by direct
-    arithmetic on the block lengths and ``_block``; a row is lo, hi, cut1,
-    cut2, first, shift, inc_lo, inc_hi."""
-    o = m + _OFF  # t_i is _T[i + _OFF]
-    t0, t1, t2 = _T[o], _T[o - 1], _T[o - 2]
-    kinds = (  # per kind: j, lo, hi
-        (3, exact_div(t0 + t2 - 1, 2), exact_div(-t0 + 4 * t1 + t2 - 3, 2)),
-        (2, exact_div(-t0 + 4 * t1 + t2 - 1, 2),
-         exact_div(t0 + 2 * t1 - t2 - 3, 2)),
-        (1, exact_div(t0 + 2 * t1 - t2 - 1, 2),
-         exact_div(t0 + 2 * t1 + t2 - 3, 2)),
-    )
-    rows = []
-    for j, lo, hi in kinds:
-        inc_lo, inc_hi = _block(_SQUARE_FIRSTS, lo, hi,
-                                _square_label(3 * (m - 4) + 3 - j))
-        cm = m - j  # order of the three child segments
-        # child cuts exist once the copy recursion does (child order >= 4)
-        if cm >= 4:
-            cut1 = lo + _T[cm - 4 + _OFF]
-            cut2 = cut1 + _T[cm - 3 + _OFF]
-            # the block is the head [lo, e) for j = 3, else the tail [e, hi],
-            # with e in (cut1, cut2] for j = 2, else in (cut2, hi]
-            e = inc_hi + 1 if j == 3 else inc_lo
-            ok = (cut1 < e <= cut2) if j == 2 else (cut2 < e <= hi)
-            if not ok or lo < inc_lo and inc_hi < hi:  # neither head nor tail
-                raise AssertionError(
-                    f"threshold ordering broken in ({j}, {m})")
-            first = 3 * (cm - 4)
-        else:
-            cut1 = cut2 = lo
-            first = -1
-        rows.append((lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi))
-    return rows
-
-
-def _cube_rows(m: int) -> list:
-    """Table row of cube segment m, the one segment of its order (see
-    ``_square_rows``)."""
-    o = m + _OFF
-    t0, t1, t2 = _T[o], _T[o - 1], _T[o - 2]
-    lo = exact_div(t0 + t2 - 1, 2)
-    hi = exact_div(_T[o + 1] + t1 - 3, 2)
-    cut1 = lo + _T[o - 4]
-    cut2 = cut1 + _T[o - 3]
-    inc_lo, inc_hi = _block(_CUBE_FIRSTS, lo, hi, _cube_label(m - 7))
-    # the block lies in the first child's span, and ends where it does
-    if not lo < inc_lo <= inc_hi == cut1 - 1 < cut2 - 1 <= hi:
-        raise AssertionError(f"threshold ordering broken in cube segment {m}")
-    first = m - 10 if m >= 10 else -1  # children m-3, m-2, m-1 from order 10
-    return [(lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi)]
-
-
-def _check_row(rows, s: int, start: int, top: int, label) -> None:
-    """Raise RuntimeError, naming segment s, unless it starts right after
-    the segment before it (at ``start`` for the first), the floor, which
-    ends at ``top``, does not end inside it, it holds its unit increments,
-    and, where it has children, it is the shifted copy of them that the
-    floor is copied along and the totals, ``delta`` and the descents read,
-    as every segment past the floor must be."""
-    l, h, c1, c2, c, d, a, b = rows[s]
-    prev_hi = rows[s - 1][1] if s else start - 1
-    if l != prev_hi + 1:
-        raise RuntimeError(
-            f"tiling broken at {label(s)}: it starts at {l}, "
-            f"not {prev_hi + 1}")
-    if l <= top < h:
-        raise RuntimeError(f"the base table ends at {top}, inside a segment")
-    if not l <= a <= b <= h:
-        raise RuntimeError(f"unit increments of {label(s)} lie outside it")
-    if (c < 0 and h > top) or (c >= 0 and (
-            rows[c][0], rows[c + 1][0], rows[c + 2][0], rows[c + 2][1])
-            != (l - d, c1 - d, c2 - d, h - d)):
-        raise RuntimeError(
-            f"child segments do not line up with the cuts of {label(s)}")
-
-
-def _step(row, delta: int, n: int) -> tuple:
-    """One step of the copy recursion from position n of the segment
-    ``row``, whose ``delta`` is given (see ``_Segments``): (child, a, b),
-    where n - shift lies in segment ``child`` and the step adds a * n + b
-    to the cumulative count there (``a`` is 1 inside the increment block,
-    else 0)."""
-    _, _, cut1, cut2, first, _, inc_lo, inc_hi = row
-    child = first + (n >= cut1) + (n >= cut2)
-    if n < inc_lo:
-        return child, 0, delta
-    if n <= inc_hi:
-        return child, 1, delta + 1 - inc_lo
-    return child, 0, delta + inc_hi - inc_lo + 1
 
 
 def _edges(row) -> tuple:
@@ -369,48 +204,6 @@ def _check_pieces(seg: _Segments, s: int, entry, entries) -> None:
                 f"a piece of {name} is not the jump from {end - 1}")
 
 
-_PLUS_ONE = bytes(range(1, 256)) + b"\0"
-
-
-def _counts(rows, n: int) -> bytearray:
-    """The counts ending at positions 0 to n, copied along the ``rows`` of
-    one tiling in tiling order: every segment is the counts one ``shift``
-    back plus one over its unit increments [inc_lo, inc_hi].  The zeros
-    before the tiling starts are copied like any other counts, so a segment
-    without children copies zeros, or zeros and the segments below it.  A
-    count past 255 raises: ``_PLUS_ONE`` wraps it to 0."""
-    per = bytearray(rows[0][0])  # nothing ends before the first segment
-    for row in rows:
-        if len(per) > n:
-            break
-        lo, hi, _, _, _, shift, inc_lo, inc_hi = row
-        per += per[lo - shift:min(hi, n) + 1 - shift]
-        block = per[inc_lo:inc_hi + 1].translate(_PLUS_ONE)
-        if 0 in block:
-            raise RuntimeError(f"a count in [{inc_lo}, {inc_hi}] passes 255")
-        per[inc_lo:inc_hi + 1] = block
-    del per[n + 1:]
-    return per
-
-
-def _build_segments(rows_of, m, start, label) -> _Segments:
-    """One tiling's tables, built and self-checked by ``_Segments``: the
-    geometry rows ``rows_of(m)`` of every order from m up to the one whose
-    segments reach N_CAP, and the floor copied along them to the end of
-    order _FLOOR_ORDER (``_counts``), as ``bytes`` and an ``array('I')`` of
-    prefix sums (the largest, 175 512, needs 4 bytes, and one past the
-    type's range raises OverflowError)."""
-    rows = []
-    while not rows or rows[-1][1] < N_CAP:
-        rows += rows_of(m)
-        if m == _FLOOR_ORDER:
-            top = rows[-1][1]
-        m += 1
-    per = _counts(rows, top)
-    return _Segments(rows, bytes(per), array("I", accumulate(per)), label,
-                     start)
-
-
 _SQUARES = None  # the square tables, once built and checked
 _CUBES = None    # the cube tables, once built and checked
 
@@ -419,25 +212,15 @@ def _square_segments() -> _Segments:
     """Build the square tables and publish them.  Callers reach the tables
     as ``_SQUARES or _square_segments()``."""
     global _SQUARES
-    _SQUARES = _build_segments(_square_rows, 4, SQUARE_START, _square_label)
+    _SQUARES = _Segments(_build("square"))
     return _SQUARES
 
 
 def _cube_segments() -> _Segments:
     """The cube counterpart of ``_square_segments``."""
     global _CUBES
-    _CUBES = _build_segments(_cube_rows, 7, CUBE_START, _cube_label)
+    _CUBES = _Segments(_build("cube"))
     return _CUBES
-
-
-def _square_counts(n: int) -> bytearray:
-    """The square-end counts at positions 0 to n (see ``_counts``)."""
-    return _counts((_SQUARES or _square_segments()).rows, n)
-
-
-def _cube_counts(n: int) -> bytearray:
-    """The cube-end counts at positions 0 to n (see ``_counts``)."""
-    return _counts((_CUBES or _cube_segments()).rows, n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import time
 from tribcount import closed_forms as cf
 from tribcount import fast_count as fc
 from tribcount import oracle
+from tribcount import tiling as tl
 from tribcount.core_word import prefix, trib_number as t
 
 import invariant_checks
@@ -95,7 +96,7 @@ def test_criterion_6_structural_recursion(scan3000):
         for j in (1, 2, 3):
             s = square_index(j, m)
             lo, hi = seg.rows[s][:2]
-            vec = tuple(fc._square_counts(hi)[lo:])
+            vec = tuple(tl._counts(seg.rows, hi)[lo:])
             assert sums[s] == sum(vec)
             for i, v in enumerate(vec):
                 assert v == fc.b_at(lo + i)
@@ -106,7 +107,7 @@ def test_criterion_6_structural_recursion(scan3000):
     cube_sums, cube_cums = segment_closed_forms("cube")
     for m in range(7, 21):
         lo, hi = cubes.rows[m - 7][:2]
-        vec = tuple(fc._cube_counts(hi)[lo:])
+        vec = tuple(tl._counts(cubes.rows, hi)[lo:])
         assert cube_sums[m - 7] == sum(vec)
         for i, v in enumerate(vec):
             assert v == fc.d_at(lo + i)
@@ -116,12 +117,12 @@ def test_criterion_6_structural_recursion(scan3000):
     for m in range(4, 21):
         for j in (3, 2, 1):
             lo, hi = seg.rows[square_index(j, m)][:2]
-            running += sum(fc._square_counts(hi)[lo:])
+            running += sum(tl._counts(seg.rows, hi)[lo:])
             assert cums[square_index(j, m)] == running
     running = 0
     for m in range(7, 21):
         lo, hi = cubes.rows[m - 7][:2]
-        running += sum(fc._cube_counts(hi)[lo:])
+        running += sum(tl._counts(cubes.rows, hi)[lo:])
         assert cube_cums[m - 7] == running
     print("criterion 6 PASS: recursions, point counts and sums agree")
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from tribcount import core_word as cw
 from tribcount import fast_count as fc
+from tribcount import tiling as tl
 from tribcount.core_word import (N_CAP, exact_div, kernel_number as k, prefix,
                                  trib_number as t)
 
@@ -62,9 +63,9 @@ def test_segment_tiling():
 def test_segment_thresholds_construct():
     # ordering violations raise inside the row builders
     for m in range(4, 41):
-        fc._square_rows(m)
+        tl._square_rows(m)
     for m in range(7, 41):
-        fc._cube_rows(m)
+        tl._cube_rows(m)
 
 
 def test_square_segment_explicit_bounds():
@@ -99,7 +100,7 @@ def test_square_vectors_match_single_point():
     for m in range(4, 21):
         for j in (1, 2, 3):
             lo, hi = rows[square_index(j, m)][:2]
-            vec = tuple(fc._square_counts(hi)[lo:])
+            vec = tuple(tl._counts(rows, hi)[lo:])
             assert len(vec) == hi - lo + 1
             assert list(vec) == [fc.b_at(i) for i in range(lo, hi + 1)]
 
@@ -108,7 +109,7 @@ def test_cube_vectors_match_single_point():
     rows = fc._cube_segments().rows
     for m in range(7, 21):
         lo, hi = rows[m - 7][:2]
-        vec = tuple(fc._cube_counts(hi)[lo:])
+        vec = tuple(tl._counts(rows, hi)[lo:])
         assert len(vec) == hi - lo + 1
         assert list(vec) == [fc.d_at(i) for i in range(lo, hi + 1)]
 
@@ -118,7 +119,7 @@ def test_square_vectors_match_oracle(scan3000):
     for m in range(4, 13):
         for j in (1, 2, 3):
             lo, hi = rows[square_index(j, m)][:2]
-            for i, v in enumerate(fc._square_counts(hi)[lo:]):
+            for i, v in enumerate(tl._counts(rows, hi)[lo:]):
                 if lo + i > 3000:
                     break
                 assert v == scan3000.b[lo + i]
@@ -128,7 +129,7 @@ def test_cube_vectors_match_oracle(scan3000):
     rows = fc._cube_segments().rows
     for m in range(7, 14):
         lo, hi = rows[m - 7][:2]
-        for i, v in enumerate(fc._cube_counts(hi)[lo:]):
+        for i, v in enumerate(tl._counts(rows, hi)[lo:]):
             if lo + i > 3000:
                 break
             assert v == scan3000.d[lo + i]
@@ -137,25 +138,29 @@ def test_cube_vectors_match_oracle(scan3000):
 def test_sum_b_gamma_values():
     assert SQUARE_SUMS[square_index(3, 4)] == 1
     assert SQUARE_SUMS[square_index(1, 5)] == 5
-    lo, hi = fc._square_segments().rows[square_index(1, 5)][:2]
-    assert tuple(fc._square_counts(hi)[lo:]) == (1, 0, 1, 0, 0, 1, 2)
+    rows = fc._square_segments().rows
+    lo, hi = rows[square_index(1, 5)][:2]
+    assert tuple(tl._counts(rows, hi)[lo:]) == (1, 0, 1, 0, 0, 1, 2)
 
 
 def test_segment_sums_match_direct():
+    # the totals of every segment that a tiling build keeps
+    assert tuple(tl._build("square").totals) == SQUARE_SUMS
+    assert tuple(tl._build("cube").totals) == CUBE_SUMS
     # every order inside the floor
     seg = fc._square_segments()
     for m in range(4, 18):
         total = 0
         for j in (1, 2, 3):
             lo, hi = seg.rows[square_index(j, m)][:2]
-            direct = sum(fc._square_counts(hi)[lo:])
+            direct = sum(tl._counts(seg.rows, hi)[lo:])
             assert SQUARE_SUMS[square_index(j, m)] == direct
             total += direct
         assert phi(m) == total
     seg = fc._cube_segments()
     for m in range(7, 18):
         lo, hi = seg.rows[m - 7][:2]
-        assert CUBE_SUMS[m - 7] == sum(fc._cube_counts(hi)[lo:])
+        assert CUBE_SUMS[m - 7] == sum(tl._counts(seg.rows, hi)[lo:])
 
 
 def test_cumulative_at_segment_ends():
@@ -166,7 +171,7 @@ def test_cumulative_at_segment_ends():
     for m in range(4, 21):
         for j in (3, 2, 1):
             lo, hi = seg.rows[square_index(j, m)][:2]
-            cum = list(accumulate(fc._square_counts(hi)[lo:],
+            cum = list(accumulate(tl._counts(seg.rows, hi)[lo:],
                                   initial=running))[1:]
             assert [fc.algorithm_B(i) for i in range(lo, hi + 1)] == cum
             running = cum[-1]
@@ -175,7 +180,8 @@ def test_cumulative_at_segment_ends():
     running = 0
     for m in range(7, 21):
         lo, hi = seg.rows[m - 7][:2]
-        cum = list(accumulate(fc._cube_counts(hi)[lo:], initial=running))[1:]
+        cum = list(accumulate(tl._counts(seg.rows, hi)[lo:],
+                              initial=running))[1:]
         assert [fc.algorithm_D(i) for i in range(lo, hi + 1)] == cum
         running = cum[-1]
         assert CUBE_CUMS[m - 7] == running
@@ -223,8 +229,9 @@ def test_segment_sum_recurrences():
 def test_sum_d_gamma_values():
     assert CUBE_SUMS[7 - 7] == 1
     assert CUBE_SUMS[8 - 7] == 3
-    lo, hi = fc._cube_segments().rows[12 - 7][:2]
-    assert CUBE_SUMS[12 - 7] == sum(fc._cube_counts(hi)[lo:])
+    rows = fc._cube_segments().rows
+    lo, hi = rows[12 - 7][:2]
+    assert CUBE_SUMS[12 - 7] == sum(tl._counts(rows, hi)[lo:])
 
 
 def test_d_cum_values():
@@ -311,14 +318,24 @@ def _segment_of(seg, n):
     return bisect_right([row[0] for row in seg.rows], n) - 1
 
 
-def _with_wrong_entry(seg, s, field, value=None):
-    """The tables built again, from the same floor and start, with one
-    field of segment s moved by one, or set to ``value``."""
+def _wrong_tiling(seg, s, field, value=None):
+    """The tiling that ``tiling._walk`` reads, built again from the same
+    floor and start, with one field of segment s moved by one, or set to
+    ``value``."""
     rows = [list(row) for row in seg.rows]
     i = ROW_FIELDS.index(field)
     rows[s][i] = rows[s][i] + 1 if value is None else value
-    return fc._Segments(rows, seg.base, seg.base_cum, seg.label,
-                        seg.rows[0][0])
+    return tl._Tiling(rows, seg.base, seg.label, seg.rows[0][0])
+
+
+def _with_wrong_entry(seg, s, field, value=None):
+    """The tables of the library's counters, built on ``_wrong_tiling``."""
+    return fc._Segments(_wrong_tiling(seg, s, field, value))
+
+
+# a broken row fails both builds with the same message: neither the walk
+# nor the pieces can answer
+BROKEN_BUILDS = (_wrong_tiling, _with_wrong_entry)
 
 
 @pytest.mark.parametrize("field, message", [
@@ -331,8 +348,9 @@ def _with_wrong_entry(seg, s, field, value=None):
 ])
 def test_self_check_names_broken_square_segment(field, message):
     seg = fc._square_segments()
-    with pytest.raises(RuntimeError, match=message):
-        _with_wrong_entry(seg, 3 * (30 - 4) + 3 - 2, field)
+    for build in BROKEN_BUILDS:
+        with pytest.raises(RuntimeError, match=message):
+            build(seg, 3 * (30 - 4) + 3 - 2, field)
 
 
 @pytest.mark.parametrize("field, message", [
@@ -342,8 +360,9 @@ def test_self_check_names_broken_square_segment(field, message):
 ])
 def test_self_check_names_broken_cube_segment(field, message):
     seg = fc._cube_segments()
-    with pytest.raises(RuntimeError, match=message):
-        _with_wrong_entry(seg, 40 - 7, field)
+    for build in BROKEN_BUILDS:
+        with pytest.raises(RuntimeError, match=message):
+            build(seg, 40 - 7, field)
 
 
 @pytest.mark.parametrize("tiling, s, field", [
@@ -356,9 +375,10 @@ def test_self_check_lines_up_segments_inside_the_floor(tiling, s, field):
     # the floor is copied along the children of its segments too
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
     assert seg.rows[s][1] < FLOOR_TOP
-    with pytest.raises(RuntimeError, match="child segments do not line up "
-                       "with the cuts of " + re.escape(seg.label(s))):
-        _with_wrong_entry(seg, s, field)
+    for build in BROKEN_BUILDS:
+        with pytest.raises(RuntimeError, match="child segments do not line "
+                           "up with the cuts of " + re.escape(seg.label(s))):
+            build(seg, s, field)
 
 
 @pytest.mark.parametrize("tiling, s", [("square", 3 * (30 - 4) + 3 - 2),
@@ -367,9 +387,10 @@ def test_self_check_wants_children_past_the_floor(tiling, s):
     # a segment past the floor totals its children, so it must have them
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
     assert seg.rows[s][0] > FLOOR_TOP
-    with pytest.raises(RuntimeError, match="child segments do not line up "
-                       "with the cuts of " + re.escape(seg.label(s))):
-        _with_wrong_entry(seg, s, "first", -1)
+    for build in BROKEN_BUILDS:
+        with pytest.raises(RuntimeError, match="child segments do not line "
+                           "up with the cuts of " + re.escape(seg.label(s))):
+            build(seg, s, "first", -1)
 
 
 @pytest.mark.parametrize("tiling, s", [("square", square_index(1, 6)),
@@ -377,16 +398,19 @@ def test_self_check_wants_children_past_the_floor(tiling, s):
 def test_a_lower_floor_gives_the_same_counts(tiling, s):
     # the floor cut at the end of the segments without children: every
     # segment past it is totalled from its children and cut into pieces,
-    # and the descents walk on down to the lower floor
+    # and the descents and the one-step walk go on down to the lower floor
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
     top = seg.rows[s][1]
-    low = fc._Segments(seg.rows, seg.base[:top + 1], seg.base_cum[:top + 1],
-                       seg.label, seg.rows[0][0])
+    low_tiling = tl._Tiling(seg.rows, seg.base[:top + 1], seg.label,
+                            seg.rows[0][0])
+    low = fc._Segments(low_tiling)
     assert len(low.jumps[1]) > len(seg.jumps[1])
     ends = {n for lo, hi in _bounds(low.jumps[0]) for n in (lo, hi)}
     for n in sorted(ends.union(range(1, FLOOR_TOP + 2))):
         if n <= N_CAP:
-            assert _two_level_walk(low, n) == _two_level_walk(seg, n), n
+            point, cumulative = _two_level_walk(seg, n)
+            assert _two_level_walk(low, n) == (point, cumulative), n
+            assert tl._walk(low_tiling, n) == cumulative, n
 
 
 @pytest.mark.parametrize("j, m, field, moved_from, by", [
@@ -399,9 +423,10 @@ def test_self_check_wants_every_segment_to_hold_its_increments(
     seg = fc._square_segments()
     s = square_index(j, m)
     value = seg.rows[s][ROW_FIELDS.index(moved_from)] + by
-    with pytest.raises(RuntimeError, match=re.escape(
-            f"unit increments of {seg.label(s)} lie outside it")):
-        _with_wrong_entry(seg, s, field, value)
+    for build in BROKEN_BUILDS:
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"unit increments of {seg.label(s)} lie outside it")):
+            build(seg, s, field, value)
 
 
 @pytest.mark.parametrize("tiling", ["square", "cube"])
@@ -413,8 +438,7 @@ def test_self_check_wants_the_floor_to_end_a_segment(tiling, ends_at):
     top = hi - 1 if ends_at == "hi - 1" else lo
     with pytest.raises(RuntimeError, match=f"the base table ends at "
                        f"{top}, inside a segment"):
-        fc._Segments(seg.rows, seg.base[:top + 1], seg.base_cum[:top + 1],
-                     seg.label, seg.rows[0][0])
+        tl._Tiling(seg.rows, seg.base[:top + 1], seg.label, seg.rows[0][0])
 
 
 # square inc_hi + 1 leaves its segment, which the self-check names (above)
@@ -438,8 +462,8 @@ def test_closed_forms_name_the_segment_that_disagrees_with_the_floor(tiling):
     base = bytearray(seg.base)
     base[1000] += 1
     # the geometry is unchanged, so the build passes
-    broken = fc._Segments(seg.rows, bytes(base), array("q", accumulate(base)),
-                          seg.label, seg.rows[0][0])
+    broken = fc._Segments(tl._Tiling(seg.rows, bytes(base), seg.label,
+                                     seg.rows[0][0]))
     s = _segment_of(seg, 1000)
     with pytest.raises(AssertionError, match="closed forms of "
                        + re.escape(seg.label(s)) + ": "):
@@ -450,10 +474,10 @@ def test_copied_counts_never_wrap():
     # segment k covers [k, k], copies the count at k - 1 and adds one at k,
     # so the count at k is k: 255 at k = 255, past it at k = 256
     rows = [(k, k, k, k, -1, 1, k, k) for k in range(1, 257)]
-    assert fc._counts(rows[:255], 255)[-1] == 255
+    assert tl._counts(rows[:255], 255)[-1] == 255
     with pytest.raises(RuntimeError,
                        match=r"a count in \[256, 256\] passes 255"):
-        fc._counts(rows, 256)
+        tl._counts(rows, 256)
 
 
 def _union(intervals):
@@ -489,11 +513,12 @@ def test_unit_increments_are_the_first_occurrences():
 
 def _with_moved_breakpoint(monkeypatch, tiling, index, delta):
     """Move the end of first-occurrence interval ``index`` of a tiling by
-    ``delta`` for ``fast_count``, with neither table published."""
+    ``delta`` where ``tiling._block`` reads it, with neither table of
+    ``fast_count`` published."""
     name = "_SQUARE_FIRSTS" if tiling == "square" else "_CUBE_FIRSTS"
-    firsts = getattr(fc, name)
+    firsts = getattr(tl, name)
     x, y = firsts[index]
-    monkeypatch.setattr(fc, name, firsts[:index] + ((x, y + delta),)
+    monkeypatch.setattr(tl, name, firsts[:index] + ((x, y + delta),)
                         + firsts[index + 1:])
     monkeypatch.setattr(fc, "_SQUARES", None)
     monkeypatch.setattr(fc, "_CUBES", None)
@@ -518,6 +543,9 @@ def test_a_moved_breakpoint_fails_the_first_build(monkeypatch, tiling, index,
     with pytest.raises((RuntimeError, AssertionError), match=message):
         build()
     assert fc._SQUARES is None and fc._CUBES is None
+    # and so does the build that the one-step walk reads
+    with pytest.raises((RuntimeError, AssertionError), match=message):
+        tl._build(tiling)
 
 
 @pytest.mark.parametrize("index, delta, segment", [
@@ -542,10 +570,12 @@ def test_a_moved_breakpoint_fails_the_closed_forms(monkeypatch, index, delta,
 def test_vectors_at_the_materialization_cap_sum_to_the_closed_forms():
     # square segment (1, 28) and cube segment 27: the longest segments of
     # at most MATERIALIZE_CAP positions
-    lo, hi = fc._square_segments().rows[square_index(1, 28)][:2]
-    assert sum(fc._square_counts(hi)[lo:]) == SQUARE_SUMS[square_index(1, 28)]
-    lo, hi = fc._cube_segments().rows[27 - 7][:2]
-    assert sum(fc._cube_counts(hi)[lo:]) == CUBE_SUMS[27 - 7]
+    rows = fc._square_segments().rows
+    lo, hi = rows[square_index(1, 28)][:2]
+    assert sum(tl._counts(rows, hi)[lo:]) == SQUARE_SUMS[square_index(1, 28)]
+    rows = fc._cube_segments().rows
+    lo, hi = rows[27 - 7][:2]
+    assert sum(tl._counts(rows, hi)[lo:]) == CUBE_SUMS[27 - 7]
 
 
 FLOOR_TOP = 42761  # last position of square order 17 and of cube order 17
@@ -750,7 +780,7 @@ def test_a_piece_that_fails_its_check_fails_the_build(monkeypatch, tiling, s):
     monkeypatch.setattr(fc, "_SQUARES", None)
     monkeypatch.setattr(fc, "_CUBES", None)
     build = fc._square_segments if tiling == "square" else fc._cube_segments
-    label = fc._square_label(s) if tiling == "square" else fc._cube_label(s)
+    label = tl._square_label(s) if tiling == "square" else tl._cube_label(s)
     with pytest.raises(RuntimeError,
                        match=re.escape(label) + " do not tile it"):
         build()
@@ -842,10 +872,11 @@ def test_a_descent_outside_an_entry_names_its_segment(tiling):
 
 def _reference_walk(seg, n):
     """The copy recursion one step at a time over ``seg.rows``: the counts
-    ending at n and at or before n, for n past the floor.  The count over
-    [lo - shift, lo), which the copy leaves out, is read off the paper's
-    closed-form cumulative counts, not off the build."""
-    cums = SQUARE_CUMS if seg.label is fc._square_label else CUBE_CUMS
+    ending at n and at or before n; in the floor, its entry and prefix
+    sum.  The count over [lo - shift, lo), which the copy leaves out, is
+    read off the paper's closed-form cumulative counts, not off the
+    build."""
+    cums = SQUARE_CUMS if seg.label is tl._square_label else CUBE_CUMS
     top = len(seg.base) - 1
     s = _segment_of(seg, n)
     point = cumulative = 0
@@ -865,20 +896,37 @@ def _two_level_walk(seg, n):
     return fc._point(seg, n), fc._cumulative(seg, n)
 
 
+def _published(tiling):
+    """The published tables of a tiling, built if need be."""
+    if tiling == "square":
+        return fc._SQUARES or fc._square_segments()
+    return fc._CUBES or fc._cube_segments()
+
+
+def _check_walks(seg, n):
+    """The pieces' point and cumulative counts at n, and ``tiling._walk``'s
+    cumulative count, against ``_reference_walk``."""
+    point, cumulative = _reference_walk(seg, n)
+    assert _two_level_walk(seg, n) == (point, cumulative), n
+    assert tl._walk(seg, n) == cumulative, n
+
+
 @pytest.mark.parametrize("tiling", ["square", "cube"])
 def test_jumps_match_one_step_walk_at_every_piece_end(tiling):
-    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    seg = _published(tiling)
     for lo, hi in _bounds(seg.jumps[0]):
         for n in (lo - 1, lo, hi, hi + 1):
             if n <= N_CAP:
-                assert _two_level_walk(seg, n) == _reference_walk(seg, n), n
+                _check_walks(seg, n)
+    for n in (0, 1, FLOOR_TOP, FLOOR_TOP + 1, N_CAP - 1, N_CAP):
+        _check_walks(seg, n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.integers(min_value=FLOOR_TOP + 1, max_value=N_CAP))
 def test_jumps_match_one_step_walk(n):
-    for seg in (fc._square_segments(), fc._cube_segments()):
-        assert _two_level_walk(seg, n) == _reference_walk(seg, n)
+    for tiling in ("square", "cube"):
+        _check_walks(_published(tiling), n)
 
 
 def test_segment_tables_stop_at_the_cap():
@@ -922,9 +970,9 @@ def test_vectors_above_the_floor_are_not_kept():
     tracemalloc.start()
     try:
         lo, hi = squares.rows[square_index(1, 22)][:2]
-        square = tuple(fc._square_counts(hi)[lo:])
+        square = tuple(tl._counts(squares.rows, hi)[lo:])
         lo, hi = cubes.rows[21 - 7][:2]
-        cube = tuple(fc._cube_counts(hi)[lo:])
+        cube = tuple(tl._counts(cubes.rows, hi)[lo:])
         sums = sum(square), sum(cube)
         digests = (hashlib.sha256(bytes(square)).hexdigest(),
                    hashlib.sha256(bytes(cube)).hexdigest())

@@ -89,7 +89,8 @@ print("numpy" in sys.modules)
 
 
 WATCHED = ("argparse", "dataclasses", "numpy", "tribcount.oracle",
-           "tribcount.closed_forms", "tribcount.fast_count")
+           "tribcount.closed_forms", "tribcount.fast_count",
+           "tribcount.tiling")
 
 # ``python -m tribcount.cli ARGV`` through runpy, then the watched modules
 # loaded at exit
@@ -102,23 +103,28 @@ except SystemExit as exc:
 print(code, *(m for m in {WATCHED!r} if m in sys.modules))
 """
 
+# a one-answer B or D process walks the tiling's rows without the pieces
+# of fast_count, which imports tiling
 CF, FC = "tribcount.closed_forms", "tribcount.fast_count"
+TL = "tribcount.tiling"
 COMMANDS = [
     (["count", "--stat", "A", "--n", "65"], [CF]),
     (["count", "--stat", "C", "--n", str(10**18)], [CF]),
-    (["count", "--stat", "B", "--n", str(10**18)], [FC]),
-    (["count", "--stat", "D", "--n", "500"], [FC]),
+    (["count", "--stat", "B", "--n", str(10**18)], [TL]),
+    (["count", "--stat", "D", "--n", "500"], [TL]),
     (["kernel", "--m", "12"], []),
     (["positions", "--kind", "cube", "--n", "6000"], [CF]),
     (["positions", "--kind", "square", "--n", "65"], [CF]),
-    (["positions", "--kind", "cube", "--n", "500", "--repeated"], [FC]),
-    (["verify", "--max", "50"], ["tribcount.oracle", CF, FC]),
-    (["table", "--from", "1", "--to", "9"], [CF, FC]),
+    (["positions", "--kind", "cube", "--n", "500", "--repeated"], [TL]),
+    (["verify", "--max", "50"], ["tribcount.oracle", CF, FC, TL]),
+    (["table", "--from", "1", "--to", "9"], [CF, FC, TL]),
     # lines in full form skip argparse; help, prefixes and errors use it
     (["count", "--stat", "A", "--n=65"], [CF]),
     (["count", "--n", "65", "--stat", "A"], [CF]),
-    (["table", "--from", "1", "--to", "9", "--format", "json"], [CF, FC]),
-    (["verify", "--max", "50", "--exhaustive"], ["tribcount.oracle", CF, FC]),
+    (["table", "--from", "1", "--to", "9", "--format", "json"],
+     [CF, FC, TL]),
+    (["verify", "--max", "50", "--exhaustive"],
+     ["tribcount.oracle", CF, FC, TL]),
     (["count", "--st", "A", "--n", "65"], ["argparse", CF]),
     (["count", "--help"], ["argparse"]),
     (["count", "--stat", "X", "--n", "5"], ["argparse"]),
