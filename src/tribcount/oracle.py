@@ -3,8 +3,11 @@
 Enumerates every square and cube occurrence in a materialized prefix by
 direct block comparison, completely independent of the closed forms and the
 segment recursions it is used to validate.  The scan restricts candidate
-root lengths to the block-length families known to carry all repetitions;
-exhaustive mode drops the restriction (and is what validates it).
+root lengths to the paper's root families: every square root has length
+t_m or t_m + t_(m-1), every cube root length t_m.  ``_roots`` states them
+once, read off the block table, and the spot check of b and d far past
+the scan (``tests/spot_oracle.py``) reads them there too.  Exhaustive mode
+drops the restriction, and is what validates it.
 
 ``scan_repetitions`` keeps the occurrences as the scan finds them: runs
 (root length, first end, last end) of consecutive ends, not one object per
@@ -23,7 +26,7 @@ from collections import namedtuple
 from itertools import accumulate, chain, repeat
 
 from ._kernels import find_repetitions
-from .core_word import _arg, prefix, trib_number
+from .core_word import _OFF, _T, _arg, prefix
 
 # Longest prefix the oracle scans.  Its memory is linear in n, so the
 # caller's own n bounds the cost: ``verify --max 100000`` takes about 0.8 s
@@ -47,19 +50,15 @@ ascending.  ``square_runs``/``cube_runs`` are ``find_repetitions``'s runs.
 
 
 def _roots(n: int, power: int, exhaustive: bool):
-    """Root lengths to scan: every one, or the block lengths t_m and, for
-    squares, the sums t_m + t_(m-1)."""
+    """Root lengths to scan: every one, or the paper's root families read
+    off the block table, the block lengths t_m and, for squares, the sums
+    t_m + t_(m-1), each at most n // power."""
     limit = n // power
     if exhaustive:
         return range(1, limit + 1)
-    roots = set()
-    m = 0
-    while trib_number(m) <= limit:
-        roots.add(trib_number(m))
-        if power == 2 and trib_number(m) + trib_number(m - 1) <= limit:
-            roots.add(trib_number(m) + trib_number(m - 1))
-        m += 1
-    return sorted(roots)
+    pairs = zip(_T[_OFF:], _T[_OFF - 1:])  # t_m and t_(m-1), m >= 0
+    families = [(t, t + s) if power == 2 else (t,) for t, s in pairs]
+    return sorted({L for lengths in families for L in lengths if L <= limit})
 
 
 def _longest_previous(word: bytes) -> array:
@@ -167,7 +166,5 @@ def is_primitive(w: str) -> bool:
 def assert_no_fourth_powers(n: int) -> bool:
     """Exhaustively confirm the length-n prefix contains no fourth power."""
     n = _arg(n, 1, EXHAUSTIVE_CAP, "exhaustive scan length")
-    if n < 4:
-        return True
     return not find_repetitions(prefix(n).encode("ascii"),
                                 range(1, n // 4 + 1), 4)

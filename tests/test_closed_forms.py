@@ -133,6 +133,18 @@ def test_cube_boundary_ordering():
         assert alpha <= beta < t(m) + 2 * t(m - 3)
 
 
+def test_cube_breakpoint_at_the_end_of_its_range(monkeypatch):
+    # with t_7 = 32 in place of 81, beta = (3 t_6 - t_4 - 3) / 2 = 58 meets
+    # the end t_7 + 2 t_4 = 58 of its range.  It also equals the range's
+    # start t_6 + 2 t_3 and t_6 + k_8 - 2, so only ``beta < end`` rejects it
+    table = list(cw._T)
+    table[7 + cw._OFF] = 32
+    monkeypatch.setattr(cw, "_T", tuple(table))
+    with pytest.raises(AssertionError,
+                       match=r"cube boundary ordering broken at m=7$"):
+        cw._cube_breakpoints()
+
+
 def test_cube_piecewise_continuity():
     for m, (_, beta) in enumerate(cw._CUBE_FIRSTS, 7):
         alpha, nxt = t(m - 1) + 2 * t(m - 4), t(m) + 2 * t(m - 3)

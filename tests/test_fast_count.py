@@ -511,18 +511,25 @@ def test_unit_increments_are_the_first_occurrences():
     assert _union(blocks) == _union(new)
 
 
-def _with_moved_breakpoint(monkeypatch, tiling, index, delta):
-    """Move the end of first-occurrence interval ``index`` of a tiling by
-    ``delta`` where ``tiling._block`` reads it, with neither table of
-    ``fast_count`` published."""
+def _with_interval(monkeypatch, tiling, index, interval):
+    """Set first-occurrence interval ``index`` of a tiling to ``interval``
+    where ``tiling._block`` reads it, with neither table of ``fast_count``
+    published."""
     name = "_SQUARE_FIRSTS" if tiling == "square" else "_CUBE_FIRSTS"
     firsts = getattr(tl, name)
-    x, y = firsts[index]
-    monkeypatch.setattr(tl, name, firsts[:index] + ((x, y + delta),)
+    monkeypatch.setattr(tl, name, firsts[:index] + (interval,)
                         + firsts[index + 1:])
     monkeypatch.setattr(fc, "_SQUARES", None)
     monkeypatch.setattr(fc, "_CUBES", None)
     return fc._square_segments if tiling == "square" else fc._cube_segments
+
+
+def _with_moved_breakpoint(monkeypatch, tiling, index, delta):
+    """Move the end of first-occurrence interval ``index`` of a tiling by
+    ``delta`` (see ``_with_interval``)."""
+    firsts = tl._SQUARE_FIRSTS if tiling == "square" else tl._CUBE_FIRSTS
+    x, y = firsts[index]
+    return _with_interval(monkeypatch, tiling, index, (x, y + delta))
 
 
 @pytest.mark.parametrize("tiling, index, delta, message", [
@@ -544,6 +551,37 @@ def test_a_moved_breakpoint_fails_the_first_build(monkeypatch, tiling, index,
         build()
     assert fc._SQUARES is None and fc._CUBES is None
     # and so does the build that the one-step walk reads
+    with pytest.raises((RuntimeError, AssertionError), match=message):
+        tl._build(tiling)
+
+
+CUBE_27 = tl._cube_rows(27)[0]  # lo, hi, ... of cube segment 27
+HEAD_30 = tl._square_rows(30)[0]  # of square segment (3, 30)
+
+
+@pytest.mark.parametrize("tiling, index, interval, message", [
+    # [alpha, beta] of cube order 27 from its segment's lo, where the first
+    # child starts: only ``lo < inc_lo`` rejects it
+    ("cube", 27 - 7, (CUBE_27[0], cw._CUBE_FIRSTS[27 - 7][1]),
+     r"threshold ordering broken in cube segment 27$"),
+    # the same from past its segment's hi: the segment meets no interval,
+    # and the message names it
+    ("cube", 27 - 7, (CUBE_27[1] + 1, cw._CUBE_FIRSTS[27 - 7][1]),
+     r"cube segment m=27 meets no first-occurrence interval, or two"),
+    # [alpha, beta] of square order 29 on to the hi of segment (3, 30),
+    # whose head block it holds: only the block's end inc_hi + 1 <= hi
+    # rejects it
+    ("square", 2 + 2 * (29 - 4),
+     (cw._SQUARE_FIRSTS[2 + 2 * (29 - 4)][0], HEAD_30[1]),
+     r"threshold ordering broken in \(3, 30\)"),
+])
+def test_an_interval_that_one_clause_rejects(monkeypatch, tiling, index,
+                                             interval, message):
+    # a table that builds but for one clause of the row arithmetic, which
+    # names the segment
+    build = _with_interval(monkeypatch, tiling, index, interval)
+    with pytest.raises((RuntimeError, AssertionError), match=message):
+        build()
     with pytest.raises((RuntimeError, AssertionError), match=message):
         tl._build(tiling)
 
