@@ -7,8 +7,9 @@ directly) and frozen here; nothing below imports the code paths it checks
 except where the sweep's purpose is exactly that comparison.
 """
 
-from tribcount import core_word, fast_count
+from tribcount import _kernels, core_word, fast_count
 from tribcount.core_word import exact_div, trib_number as t
+from tribcount.oracle import EXHAUSTIVE_CAP
 
 import paper_checks
 
@@ -167,6 +168,16 @@ def run_occurrences(runs):
     summary, sorted by end and then by root length."""
     return sorted((e, L) for L, first, last in runs
                   for e in range(first, last + 1))
+
+
+def assert_no_fourth_powers(n: int) -> bool:
+    """True iff the length-n prefix holds no fourth power, by a scan of its
+    own at power 4 over every root length: the reference for the oracle,
+    which reads fourth powers off its square runs.  ``n`` is checked as an
+    exhaustive scan length."""
+    n = core_word._arg(n, 1, EXHAUSTIVE_CAP, "exhaustive scan length")
+    return not _kernels.find_repetitions(core_word.prefix(n).encode("ascii"),
+                                         range(1, n // 4 + 1), 4)
 
 
 def check_graph_embedding(summary, word):

@@ -5,7 +5,8 @@ by the gaps between them.  The package counts by the copy recursion
 instead, so these functions are used only to check it: the gap sequences
 and their coding (``occurrences``, ``gap_pattern``, ``gap_coding``), the
 maximal kernel word inside a factor (``kernel_of``), the square blocks
-around the p-th occurrence of a kernel word (``square_case_block``), Glen's
+around the p-th occurrence of a kernel word (``square_case_block``), the
+repeated counts b and d from those occurrences (``kernel_route``), Glen's
 route to the distinct-square count at block lengths
 (``glen_distinct_squares_at_t``) and the letter counts of a block
 (``block_letter_counts``), taken from the substitution itself.  They read
@@ -142,6 +143,41 @@ def square_case_block(j: int, m: int, p: int) -> range:
         raise ValueError(f"square block ({j}, {m}) at kernel occurrence {p} "
                          f"exceeds cap")
     return range(inc_lo + shift, inc_hi + 1 + shift)
+
+
+# ---------------------------------------------------------------------------
+# the repeated counts from kernel occurrences
+
+
+def kernel_route(kind: str, n: int, order_shift: int = 0) -> list[int]:
+    """b(i) (``kind`` "square") or d(i) ("cube") for i in 0..n, by the
+    paper's route: the squares (cubes) not seen before that end in the
+    unit-increment block of square segment (j, m) (cube segment m) recur at
+    every occurrence of the kernel word K_m, so b(i) (d(i)) counts the pairs
+    (e, p), e in such a block and p >= 1, with e + pos(m, p) - pos(m, 1) =
+    i, where pos(m, p) = position_kernel(m, p).  ``order_shift`` pairs each
+    block with the kernel order m + order_shift instead, to show that the
+    pairing is specific."""
+    n = _arg(n, 0, ORACLE_CAP, "oracle scan length")
+    if kind == "square":
+        rows = (fast_count._SQUARES or fast_count._square_segments()).rows
+        orders = [4 + s // 3 for s in range(len(rows))]  # (3, m), (2, m), ...
+    else:
+        rows = (fast_count._CUBES or fast_count._cube_segments()).rows
+        orders = [7 + s for s in range(len(rows))]
+    counts = [0] * (n + 1)
+    for row, m in zip(rows, orders):
+        inc_lo, inc_hi = row[6:8]
+        if inc_lo > n:
+            break  # the blocks ascend with the rows
+        first = position_kernel(m + order_shift, 1)
+        p, shift = 1, 0
+        while inc_lo + shift <= n:
+            for i in range(inc_lo + shift, min(inc_hi + shift, n) + 1):
+                counts[i] += 1
+            p += 1
+            shift = position_kernel(m + order_shift, p) - first
+    return counts
 
 
 # ---------------------------------------------------------------------------

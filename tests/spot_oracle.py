@@ -20,7 +20,8 @@ table, for which a square ends at n, and ``d(n)`` the cube roots t_m of
 families and nothing else of the package: no row, interval, piece, floor
 or closed form.  ``mismatches`` and ``edges`` compare them with the
 library's counters, and ``python tests/spot_oracle.py`` (with ``src`` on
-the path) does so at every edge of both tilings, exiting 1 on a mismatch.
+the path) does so at every edge of both tilings, the piece starts of
+``fast_count`` included, exiting 1 on a mismatch.
 
 BASE is drawn from ``random.Random(SEED)`` with SEED = 2016.  Two
 different words of length L share a fingerprint for at most L of the P
@@ -123,15 +124,19 @@ def mismatches(ns) -> list:
 
 
 def edges() -> list:
-    """Every first-occurrence interval end and segment bound of both
-    tilings, and the positions one either side of it, in [1, N_CAP]."""
-    from tribcount import tiling
+    """Every first-occurrence interval end, segment bound and piece start
+    of both tilings, and the positions one either side of it, in [1,
+    N_CAP]."""
+    from tribcount import fast_count as fc
     from tribcount.core_word import _CUBE_FIRSTS, _SQUARE_FIRSTS, N_CAP
+    segs = (fc._SQUARES or fc._square_segments(),
+            fc._CUBES or fc._cube_segments())
     ends = set()
-    for table in (_SQUARE_FIRSTS, _CUBE_FIRSTS, tiling._build("square").rows,
-                  tiling._build("cube").rows):
+    for table in (_SQUARE_FIRSTS, _CUBE_FIRSTS, *(seg.rows for seg in segs)):
         for x in table:
             ends.update(x[:2])
+    for seg in segs:
+        ends.update(seg.jumps[0])  # every piece start, then the top hi + 1
     return sorted(n + e for n in ends for e in (-1, 0, 1)
                   if 1 <= n + e <= N_CAP)
 

@@ -69,7 +69,10 @@ def test_criterion_4_exhaustive_validation(scan600_restricted, scan600_exhaustiv
         assert L in singles | doubles
     for L, _, _ in x.cube_runs:
         assert L in singles
-    assert oracle.assert_no_fourth_powers(600)
+    # the claims that verify --exhaustive reads off the scan, and the
+    # power-4 pass they replace
+    assert all(oracle._claims(x).values())
+    assert invariant_checks.assert_no_fourth_powers(600)
     for p, runs in ((2, x.square_runs), (3, x.cube_runs)):
         for e, L in invariant_checks.run_occurrences(runs):
             root = word[e - p * L:e - (p - 1) * L]

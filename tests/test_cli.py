@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from tribcount import cli, closed_forms, fast_count, oracle
-from tribcount.core_word import trib_number
+from tribcount.core_word import prefix, trib_number
 
 import invariant_checks
 
@@ -123,6 +123,57 @@ def test_verify_exhaustive(capsys):
     assert "restricted root lengths: ok" in out
     assert "fourth powers absent: ok" in out
     assert "repetition roots primitive: ok" in out
+
+
+EXHAUSTIVE_LINES = ("restricted root lengths", "fourth powers absent",
+                    "repetition roots primitive")
+
+
+def _verify_fails_at(capsys, line):
+    """verify --exhaustive at 600 prints the four counts ok, ``line`` FAIL
+    and the other claims ok, and exits 2."""
+    code, out, _ = run(capsys, "verify", "--max", "600", "--exhaustive")
+    assert code == 2
+    want = [f"{name}: ok over [1, 600]" for name in "ABCD"]
+    want += [f"{name}: {'FAIL' if name == line else 'ok'}"
+             for name in EXHAUSTIVE_LINES]
+    assert out.splitlines() == want
+
+
+def _scan_with(monkeypatch, change_runs):
+    """Make the oracle's scan hand verify its square runs through
+    ``change_runs``; the per-position columns stay as scanned."""
+    scan = oracle.scan_repetitions
+
+    def changed(n, exhaustive=False):
+        s = scan(n, exhaustive)
+        return s._replace(square_runs=change_runs(s.square_runs))
+    monkeypatch.setattr(oracle, "scan_repetitions", changed)
+
+
+def test_verify_fails_on_a_root_outside_the_families(capsys, monkeypatch):
+    # the families lose root length 1, at which the squares aa end
+    roots = oracle._roots
+    monkeypatch.setattr(oracle, "_roots", lambda n, power, exhaustive: [
+        L for L in roots(n, power, exhaustive) if exhaustive or L != 1])
+    _verify_fails_at(capsys, "restricted root lengths")
+
+
+def test_verify_fails_on_a_fourth_power(capsys, monkeypatch):
+    # the first square run, aa ending at 8, grown to span 4 letters: aaaa
+    def grown(runs):
+        (L, first, _), *rest = runs
+        return ((L, first, first + 2 * L), *rest)
+    _scan_with(monkeypatch, grown)
+    _verify_fails_at(capsys, "fourth powers absent")
+
+
+def test_verify_fails_on_a_non_primitive_root(capsys, monkeypatch):
+    # a run of root length 2 ending at 8, whose root, letters 7 and 8, is
+    # aa, a power of a
+    assert prefix(8)[6:] == "aa"
+    _scan_with(monkeypatch, lambda runs: runs + ((2, 8, 8),))
+    _verify_fails_at(capsys, "repetition roots primitive")
 
 
 def test_verify_cap(capsys):

@@ -6,6 +6,7 @@ results hold plain ints."""
 
 import re
 
+import invariant_checks
 import numpy as np
 import paper_checks as pc
 import pytest
@@ -108,7 +109,8 @@ def test_position_helpers_take_numpy_integers(fn, args):
 
 # every other public function with an integer argument: block, kernel,
 # segment and scan orders and lengths, with good arguments; the paper checks
-# in tests/paper_checks.py keep the same argument checks
+# in tests/paper_checks.py and the power-4 reference scan in
+# tests/invariant_checks.py keep the same argument checks
 ORDERS = [
     (cw.trib_number, (5,)), (pc.block_letter_counts, (5,)),
     (cw.last_letter, (5,)), (cw.kernel_number, (5,)), (cw.kernel_word, (7,)),
@@ -119,7 +121,8 @@ ORDERS = [
     (pc.square_case_block, (2, 10, 3)),
     (oracle.scan_repetitions, (100,)), (pc.occurrences, ("aba", 100)),
     (pc.gap_pattern, ("a", 100)), (pc.gap_coding, ("a", 100)),
-    (oracle.assert_no_fourth_powers, (100,)),
+    (invariant_checks.assert_no_fourth_powers, (100,)),
+    (pc.kernel_route, ("cube", 100)),
 ]
 
 
@@ -167,7 +170,7 @@ def test_orders_outside_range_name_the_value(fn, args, value):
     (pc.square_case_block, (4, 10, 3), "kind 4 outside [1, 3]"),
     (oracle.scan_repetitions, (oracle.ORACLE_CAP + 1,),
      f"{oracle.ORACLE_CAP + 1} outside [1, {oracle.ORACLE_CAP}]"),
-    (oracle.assert_no_fourth_powers, (oracle.EXHAUSTIVE_CAP + 1,),
+    (invariant_checks.assert_no_fourth_powers, (oracle.EXHAUSTIVE_CAP + 1,),
      f"{oracle.EXHAUSTIVE_CAP + 1} outside [1, {oracle.EXHAUSTIVE_CAP}]"),
 ], ids=_name)
 def test_order_ranges(fn, args, message):
@@ -210,8 +213,10 @@ RANGES = [
      0, oracle.ORACLE_CAP),
     (exhaustive_scan, (100,), 0, "exhaustive scan length",
      1, oracle.EXHAUSTIVE_CAP),
-    (oracle.assert_no_fourth_powers, (100,), 0, "exhaustive scan length",
-     1, oracle.EXHAUSTIVE_CAP),
+    (invariant_checks.assert_no_fourth_powers, (100,), 0,
+     "exhaustive scan length", 1, oracle.EXHAUSTIVE_CAP),
+    (pc.kernel_route, ("square", 100), 1, "oracle scan length",
+     0, oracle.ORACLE_CAP),
 ]
 RANGE_IDS = [f"{fn.__name__}-{i}" for fn, _, i, *_ in RANGES]
 

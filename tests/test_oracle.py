@@ -78,11 +78,25 @@ def test_repetition_lengths_restricted(scan600_exhaustive):
 
 
 def test_no_fourth_powers():
-    assert oracle.assert_no_fourth_powers(10)
-    assert oracle.assert_no_fourth_powers(100)
-    assert oracle.assert_no_fourth_powers(600)
+    assert invariant_checks.assert_no_fourth_powers(10)
+    assert invariant_checks.assert_no_fourth_powers(100)
+    assert invariant_checks.assert_no_fourth_powers(600)
     with pytest.raises(ValueError):
-        oracle.assert_no_fourth_powers(oracle.EXHAUSTIVE_CAP + 1)
+        invariant_checks.assert_no_fourth_powers(oracle.EXHAUSTIVE_CAP + 1)
+
+
+@pytest.mark.parametrize("n", [600, oracle.EXHAUSTIVE_CAP])
+def test_fourth_powers_read_off_the_square_runs(n, scan600_exhaustive):
+    # the runs check of verify --exhaustive against a power-4 pass of its
+    # own over every root length
+    s = (scan600_exhaustive if n == 600
+         else oracle.scan_repetitions(n, exhaustive=True))
+    roots = range(1, n // 4 + 1)
+    word = prefix(n).encode()
+    assert (oracle._power_runs(s.square_runs, 4, roots)
+            == tuple(_kernels.find_repetitions(word, roots, 4)) == ())
+    assert oracle._claims(s)["fourth powers absent"]
+    assert invariant_checks.assert_no_fourth_powers(n)
 
 
 def _occurrences(s):
@@ -225,12 +239,28 @@ def test_runs_on_binary_words(word, power):
     assert _separated(runs)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.text(alphabet="ab", max_size=60), st.sampled_from([3, 4]),
+       st.sets(st.integers(1, 20)))
+def test_power_runs_on_binary_words(word, power, roots):
+    # cubes and fourth powers read off the square runs are the runs that a
+    # scan at their own power finds, over every root length and over a
+    # drawn set of them
+    word = word.encode()
+    every = range(1, len(word) + 1)
+    squares = _kernels.find_repetitions(word, every, 2)
+    for lengths in (every, roots):
+        assert (list(oracle._power_runs(squares, power, lengths))
+                == _kernels.find_repetitions(word, lengths, power))
+
+
 def test_two_new_repetitions_at_one_end_raise():
     # with no earlier suffix known, the squares aa and aaaa both look new
     # at position 4
     lp = array("i", bytes(4 * 5))
+    runs = _kernels.find_repetitions(b"aaaa", [1, 2], 2)
     with pytest.raises(AssertionError, match="repetitions end at 4$"):
-        oracle._collect(b"aaaa", [1, 2], 2, lp)
+        oracle._collect(runs, 2, lp)
 
 
 def _longest_previous_reference(word: bytes) -> list[int]:
@@ -274,6 +304,23 @@ def _formulas_equal_running_sums(summary):
 def test_formulas_equal_running_sums_at_the_cap(scan_cap):
     assert scan_cap.n == oracle.ORACLE_CAP
     _formulas_equal_running_sums(scan_cap)
+
+
+def test_kernel_route_equals_the_scan(scan_cap):
+    # the paper's route to b and d, from the kernel words' occurrences, at
+    # every n up to the oracle's cap
+    assert paper_checks.kernel_route("square", scan_cap.n) == list(scan_cap.b)
+    assert paper_checks.kernel_route("cube", scan_cap.n) == list(scan_cap.d)
+
+
+@pytest.mark.parametrize("order_shift", [-1, 1])
+def test_kernel_route_pairs_each_block_with_its_order(scan_cap, order_shift):
+    # paired with the kernel word one order off, the route goes wrong at
+    # most positions of the square tiling and at thousands of the cube's
+    for kind, column, least in (("square", scan_cap.b, 50_000),
+                                ("cube", scan_cap.d, 5_000)):
+        got = paper_checks.kernel_route(kind, scan_cap.n, order_shift)
+        assert sum(x != y for x, y in zip(got, column)) > least, kind
 
 
 @pytest.mark.parametrize("m", [3, 4, 7, 10, 12])

@@ -22,8 +22,8 @@ def test_spot_check_matches_the_counters(n):
 
 
 def test_spot_check_matches_the_counters_at_edges():
-    # a seeded sample of the interval ends and segment bounds, each +-1,
-    # that the CI step checks in full
+    # a seeded sample of the interval ends, segment bounds and piece
+    # starts, each +-1, that the CI step checks in full
     ns = random.Random(33).sample(so.edges(), 80)
     assert so.mismatches(ns) == []
 
