@@ -43,12 +43,5 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MATERIALIZE_CAP", "N_CAP", "ExactDivisionError", "RepetitionSummary",
-    "a_indicator", "algorithm_B", "algorithm_D", "b_at", "c_indicator",
-    "d_at", "distinct_cubes", "distinct_cubes_at_t", "distinct_squares",
-    "distinct_squares_at_t", "kernel_number", "kernel_word", "letter_at",
-    "letter_counts", "position_kernel", "position_letter", "prefix",
-    "repeated_cubes_at_t", "repeated_squares_at_t", "scan_repetitions",
-    "trib_number",
-]
+# every public name, the module names aside
+__all__ = sorted(name for name, module in _HOMES.items() if name != module)

@@ -21,12 +21,13 @@ from itertools import accumulate, chain
 
 from .core_word import (
     _CUBE_FIRSTS,
+    _OFF,
     _SQUARE_FIRSTS,
+    _T,
     MAX_ORDER,
     N_CAP,
     _arg,
     exact_div,
-    trib_number as _t,
 )
 
 
@@ -77,7 +78,8 @@ def distinct_squares_at_t(m: int) -> int:
     m = _arg(m, 0, MAX_ORDER, "block order")
     if m <= 2:
         return 0
-    return exact_div(2 * _t(m - 2) + _t(m - 3) + 3 * _t(m - 4) - m - 5, 2)
+    o = m + _OFF  # t_i is _T[i + _OFF]
+    return exact_div(2 * _T[o - 2] + _T[o - 3] + 3 * _T[o - 4] - m - 5, 2)
 
 
 def distinct_cubes(n: int) -> int:
@@ -110,31 +112,32 @@ def distinct_cubes_at_t(m: int) -> int:
     m = _arg(m, 0, MAX_ORDER, "block order")
     if m <= 6:
         return 0
-    return exact_div(_t(m - 5) + _t(m - 6) - m + 3, 2)
+    o = m + _OFF
+    return exact_div(_T[o - 5] + _T[o - 6] - m + 3, 2)
 
 
 def repeated_squares_at_t(m: int) -> int:
     """Repeated-square count (all occurrences) at prefix length t_m."""
     m = _arg(m, 3, MAX_ORDER, "block order")
-    t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
+    o = m + _OFF
+    t0, t1, t2 = _T[o], _T[o - 1], _T[o - 2]
     num = (2 * m * (9 * t0 - t1 - 5 * t2)
            + (-81 * t0 + 26 * t1 + 13 * t2)
            + 44 * m + 11)
     return exact_div(num, 44)
 
 
+# the residue-class correction of ``repeated_cubes_at_t``, by m % 3
+_CUBE_CORRECTION = (-33, 11, 55)
+
+
 def repeated_cubes_at_t(m: int) -> int:
     """Repeated-cube count at prefix length t_m, with the residue-class
     correction terms."""
     m = _arg(m, 3, MAX_ORDER, "block order")
-    t0, t1, t2 = _t(m), _t(m - 1), _t(m - 2)
-    if m % 3 == 0:
-        corr = -33
-    elif m % 3 == 1:
-        corr = 11
-    else:
-        corr = 55
+    o = m + _OFF
+    t0, t1, t2 = _T[o], _T[o - 1], _T[o - 2]
     num = (6 * m * (-6 * t0 + 8 * t1 + 7 * t2)
            + 3 * (-23 * t0 + 34 * t1 - 5 * t2)
-           + 22 * m + corr)
+           + 22 * m + _CUBE_CORRECTION[m % 3])
     return exact_div(num, 132)

@@ -2,11 +2,13 @@
 recursion walked one step at a time.
 
 Positions from 8 on are tiled by square segments (three per order) and from
-52 on by cube segments (one per order).  Per-position counts obey a
-self-similar recursion: a segment is a copy of three lower-order segments
-shifted by the previous block length, plus one at each unit increment,
-where a square (cube) not seen before ends: b(n) = b(n - shift) + a(n),
-d(n) = d(n - shift) + c(n), with the increments clipped from the
+52 on by cube segments (one per order).  Both tilings share one geometry
+(``_bounds``): order m covers [b0, b3), its three square segments start at
+b0, b1 and b2, and cube segment m is the whole order.  Per-position counts
+obey a self-similar recursion: a segment is a copy of three lower-order
+segments shifted by the previous block length, plus one at each unit
+increment, where a square (cube) not seen before ends: b(n) = b(n - shift)
++ a(n), d(n) = d(n - shift) + c(n), with the increments clipped from the
 first-occurrence intervals of ``core_word``.  Each tiling is held as one
 row tuple per segment (``_square_rows``, ``_cube_rows``), and a step of the
 recursion goes from a segment of order m to a child of order m - j, j in
@@ -66,21 +68,27 @@ def _block(firsts, lo: int, hi: int, label: str) -> tuple:
     raise RuntimeError(f"{label} meets no first-occurrence interval, or two")
 
 
-def _square_rows(m: int) -> list:
-    """Table rows of square segments (3, m), (2, m) and (1, m), by direct
-    arithmetic on the block lengths and ``_block``; a row is lo, hi, cut1,
-    cut2, first, shift, inc_lo, inc_hi (see ``_Tiling``)."""
+def _bounds(m: int) -> tuple:
+    """(b0, b1, b2, b3), the geometry both tilings share: order m tiles
+    [b0, b3), square segments (3, m), (2, m) and (1, m) start at b0, b1 and
+    b2, and cube segment m is the whole order, cut at b1 and b2.  Part j
+    (3, 2, 1) is all of order m - j moved up by t_(m-1)."""
     o = m + _OFF  # t_i is _T[i + _OFF]
     t0, t1, t2 = _T[o], _T[o - 1], _T[o - 2]
-    kinds = (  # per kind: j, lo, hi
-        (3, exact_div(t0 + t2 - 1, 2), exact_div(-t0 + 4 * t1 + t2 - 3, 2)),
-        (2, exact_div(-t0 + 4 * t1 + t2 - 1, 2),
-         exact_div(t0 + 2 * t1 - t2 - 3, 2)),
-        (1, exact_div(t0 + 2 * t1 - t2 - 1, 2),
-         exact_div(t0 + 2 * t1 + t2 - 3, 2)),
-    )
+    return (exact_div(t0 + t2 - 1, 2), exact_div(-t0 + 4 * t1 + t2 - 1, 2),
+            exact_div(t0 + 2 * t1 - t2 - 1, 2),
+            exact_div(t0 + 2 * t1 + t2 - 1, 2))
+
+
+def _square_rows(m: int) -> list:
+    """Table rows of square segments (3, m), (2, m) and (1, m), the parts
+    of order m (``_bounds``), with their unit increments from ``_block``; a
+    row is lo, hi, cut1, cut2, first, shift, inc_lo, inc_hi (see
+    ``_Tiling``)."""
+    bounds, t1 = _bounds(m), _T[m - 1 + _OFF]
     rows = []
-    for j, lo, hi in kinds:
+    for j in (3, 2, 1):
+        lo, hi = bounds[3 - j], bounds[4 - j] - 1
         inc_lo, inc_hi = _block(_SQUARE_FIRSTS, lo, hi,
                                 _square_label(3 * (m - 4) + 3 - j))
         cm = m - j  # order of the three child segments
@@ -104,20 +112,16 @@ def _square_rows(m: int) -> list:
 
 
 def _cube_rows(m: int) -> list:
-    """Table row of cube segment m, the one segment of its order (see
-    ``_square_rows``)."""
-    o = m + _OFF
-    t0, t1, t2 = _T[o], _T[o - 1], _T[o - 2]
-    lo = exact_div(t0 + t2 - 1, 2)
-    hi = exact_div(_T[o + 1] + t1 - 3, 2)
-    cut1 = lo + _T[o - 4]
-    cut2 = cut1 + _T[o - 3]
+    """Table row of cube segment m, all of order m, cut where its square
+    parts meet (see ``_square_rows``)."""
+    lo, cut1, cut2, end = _bounds(m)
+    hi = end - 1
     inc_lo, inc_hi = _block(_CUBE_FIRSTS, lo, hi, _cube_label(m - 7))
     # the block lies in the first child's span, and ends where it does
     if not lo < inc_lo <= inc_hi == cut1 - 1 < cut2 - 1 <= hi:
         raise AssertionError(f"threshold ordering broken in cube segment {m}")
     first = m - 10 if m >= 10 else -1  # children m-3, m-2, m-1 from order 10
-    return [(lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi)]
+    return [(lo, hi, cut1, cut2, first, _T[m - 1 + _OFF], inc_lo, inc_hi)]
 
 
 def _check_row(rows, s: int, start: int, top: int, label) -> None:
@@ -240,9 +244,8 @@ def _build(kind: str) -> _Tiling:
     rows = []
     while not rows or rows[-1][1] < N_CAP:
         rows += rows_of(m)
-        if m == _FLOOR_ORDER:
-            top = rows[-1][1]
         m += 1
+    top = _bounds(_FLOOR_ORDER)[3] - 1
     return _Tiling(rows, bytes(_counts(rows, top)), label, start)
 
 

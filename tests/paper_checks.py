@@ -6,15 +6,21 @@ instead, so these functions are used only to check it: the gap sequences
 and their coding (``occurrences``, ``gap_pattern``, ``gap_coding``), the
 maximal kernel word inside a factor (``kernel_of``), the square blocks
 around the p-th occurrence of a kernel word (``square_case_block``), the
-repeated counts b and d from those occurrences (``kernel_route``), Glen's
+repeated counts b and d from those occurrences (``kernel_route``) and
+their running sums B and D in closed form (``kernel_closed``), Glen's
 route to the distinct-square count at block lengths
 (``glen_distinct_squares_at_t``) and the letter counts of a block
 (``block_letter_counts``), taken from the substitution itself.  They read
 the package's tables and its one argument check, ``core_word._arg``.
 """
 
+from bisect import bisect_right
+from functools import lru_cache
+
 from tribcount import fast_count
 from tribcount.core_word import (
+    _OFF,
+    _T,
     MATERIALIZE_CAP,
     MAX_ORDER,
     N_CAP,
@@ -149,6 +155,19 @@ def square_case_block(j: int, m: int, p: int) -> range:
 # the repeated counts from kernel occurrences
 
 
+def _unit_blocks(kind: str) -> list:
+    """(inc_lo, inc_hi, m) of every row of the "square" or "cube" tiling,
+    in tiling order: its unit-increment block and the order m of its
+    segment, (j, m) or m."""
+    if kind == "square":
+        rows = (fast_count._SQUARES or fast_count._square_segments()).rows
+        orders = [4 + s // 3 for s in range(len(rows))]  # (3, m), (2, m), ...
+    else:
+        rows = (fast_count._CUBES or fast_count._cube_segments()).rows
+        orders = [7 + s for s in range(len(rows))]
+    return [(*row[6:8], m) for row, m in zip(rows, orders)]
+
+
 def kernel_route(kind: str, n: int, order_shift: int = 0) -> list[int]:
     """b(i) (``kind`` "square") or d(i) ("cube") for i in 0..n, by the
     paper's route: the squares (cubes) not seen before that end in the
@@ -159,15 +178,8 @@ def kernel_route(kind: str, n: int, order_shift: int = 0) -> list[int]:
     block with the kernel order m + order_shift instead, to show that the
     pairing is specific."""
     n = _arg(n, 0, ORACLE_CAP, "oracle scan length")
-    if kind == "square":
-        rows = (fast_count._SQUARES or fast_count._square_segments()).rows
-        orders = [4 + s // 3 for s in range(len(rows))]  # (3, m), (2, m), ...
-    else:
-        rows = (fast_count._CUBES or fast_count._cube_segments()).rows
-        orders = [7 + s for s in range(len(rows))]
     counts = [0] * (n + 1)
-    for row, m in zip(rows, orders):
-        inc_lo, inc_hi = row[6:8]
+    for inc_lo, inc_hi, m in _unit_blocks(kind):
         if inc_lo > n:
             break  # the blocks ascend with the rows
         first = position_kernel(m + order_shift, 1)
@@ -178,6 +190,82 @@ def kernel_route(kind: str, n: int, order_shift: int = 0) -> list[int]:
             p += 1
             shift = position_kernel(m + order_shift, p) - first
     return counts
+
+
+@lru_cache(maxsize=None)
+def _kernel_sums(m: int) -> tuple:
+    """g_k, the sum of L_m(q) over q < t_k, at every block order k >= 0
+    with t_(k+m) in the block table (see ``kernel_closed``).  The block
+    T_k is T_(k-1) T_(k-2) T_(k-3), and L_m(t_k) = t_(k+m), so g_k =
+    g_(k-1) + t_(k-2) t_(k-1+m) + g_(k-2) + t_(k-3) (t_(k-1+m) + t_(k-2+m))
+    + g_(k-3), from g_(-2) = g_(-1) = g_0 = 0."""
+    def t(i):
+        return _T[i + _OFF]
+    g = [0, 0, 0]  # g_(-2), g_(-1), g_0
+    for k in range(1, len(_T) - _OFF - m):
+        g.append(g[-1] + t(k - 2) * t(k - 1 + m) + g[-2]
+                 + t(k - 3) * (t(k - 1 + m) + t(k - 2 + m)) + g[-3])
+    return tuple(g[2:])
+
+
+def _kernel_f(m: int, x: int) -> int:
+    """F_m(x), the sum of x - D_p + 1 over the p >= 1 with D_p = L_m(p - 1)
+    <= x, and 0 for x < 0.  The largest q with L_m(q) <= x is found
+    greedily: a prefix of the word is blocks T_k of descending order, and
+    the block T_k adds t_k to q and t_(k+m) to L_m(q)."""
+    if x < 0:
+        return 0
+    g = _kernel_sums(m)
+    q = length = below = 0  # q, L_m(q), and the sum of L_m over [0, q)
+    for k in range(bisect_right(_T, x) - 1 - _OFF - m, -1, -1):
+        if length + _T[k + m + _OFF] <= x:
+            below += _T[k + _OFF] * length + g[k]
+            q += _T[k + _OFF]
+            length += _T[k + m + _OFF]
+    # p - 1 runs over 0..q
+    return (q + 1) * (x + 1) - below - length
+
+
+def kernel_closed(kind: str, n: int, order_shift: int = 0) -> int:
+    """B(n) (``kind`` "square") or D(n) ("cube") in closed form, by the
+    route of ``kernel_route`` summed over the positions up to n, for n up
+    to N_CAP.  The p-th occurrence of K_m ends D_p = L_m(p - 1) past the
+    first, where L_m(q) is the length of the image under m substitutions
+    of the word's first q letters: each letter codes one gap between
+    occurrences of K_m, a as t_m, b as t_(m-1) + t_(m-2) and c as
+    t_(m-1).  So a row with unit increments [inc_lo, inc_hi] of order m
+    adds F_m(n - inc_lo) - F_m(n - inc_hi - 1) (``_kernel_f``).  It reads
+    the block table, the unit increments and the orders of the rows, and
+    nothing else of the package; ``order_shift`` pairs each block with
+    the kernel order m + order_shift instead, as in ``kernel_route``."""
+    n = _arg(n, 0, N_CAP, "prefix length")
+    total = 0
+    for inc_lo, inc_hi, m in _unit_blocks(kind):
+        if inc_lo > n:
+            break  # the blocks ascend with the rows
+        total += (_kernel_f(m + order_shift, n - inc_lo)
+                  - _kernel_f(m + order_shift, n - inc_hi - 1))
+    return total
+
+
+def kernel_mismatches(ns, order_shift: int = 0) -> list:
+    """One line per n in ``ns`` and stat B or D where ``kernel_closed``
+    and ``algorithm_B`` / ``algorithm_D`` differ, naming n, the stat and
+    the row of the segment that holds n."""
+    out = []
+    for n in ns:
+        for stat, kind, count, tables in (
+                ("B", "square", fast_count.algorithm_B, "_SQUARES"),
+                ("D", "cube", fast_count.algorithm_D, "_CUBES")):
+            want, got = count(n), kernel_closed(kind, n, order_shift)
+            if want != got:
+                # ``count`` has built and published its tables
+                seg = getattr(fast_count, tables)
+                s = bisect_right(seg.rows, (n + 1,)) - 1  # the last lo <= n
+                where = seg.label(s) if s >= 0 else "below the tiling"
+                out.append(f"{stat}({n}): kernel route {got}, "
+                           f"{count.__name__} {want}, in {where}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +288,19 @@ def glen_distinct_squares_at_t(m: int) -> int:
     h = _arg(m, 3, MAX_ORDER, "block order") - 1
     total = sum(_glen_d(i) + 1 for i in range(0, h - 1))
     return total + _glen_d(h - 4) + _glen_d(h - 5) + 1
+
+
+if __name__ == "__main__":
+    # ``python tests/paper_checks.py``, with ``src`` on the path: the
+    # kernel route to B and D at every edge of both tilings that the spot
+    # check of b and d reads, exiting 1 on a mismatch
+    import sys
+    import spot_oracle
+
+    ns = spot_oracle.edges()
+    bad = kernel_mismatches(ns)
+    for line in bad:
+        print(line)
+    print(f"kernel route to B and D at {len(ns)} edges of both tilings: "
+          f"{len(bad)} mismatches")
+    sys.exit(1 if bad else 0)

@@ -79,6 +79,43 @@ def test_square_segment_explicit_bounds():
     assert rows[9 - 7][:2] == (177, 325)
 
 
+def _order_span(m):
+    """[lo, hi] of all of order m, by the paper's cube segment formulas."""
+    return (exact_div(t(m) + t(m - 2) - 1, 2),
+            exact_div(t(m + 1) + t(m - 1) - 3, 2))
+
+
+def test_segment_geometry_matches_the_per_kind_formulas():
+    # the rows take every bound from ``tl._bounds``; the paper states them
+    # per kind: six square formulas, and the cube's span and cuts
+    m = 4
+    while _order_span(m - 1)[1] < N_CAP:  # every order up to the cap
+        t0, t1, t2 = t(m), t(m - 1), t(m - 2)
+        per_kind = {
+            3: (exact_div(t0 + t2 - 1, 2),
+                exact_div(-t0 + 4 * t1 + t2 - 3, 2)),
+            2: (exact_div(-t0 + 4 * t1 + t2 - 1, 2),
+                exact_div(t0 + 2 * t1 - t2 - 3, 2)),
+            1: (exact_div(t0 + 2 * t1 - t2 - 1, 2),
+                exact_div(t0 + 2 * t1 + t2 - 3, 2)),
+        }
+        squares = tl._square_rows(m)
+        for j, (lo, hi, _, _, _, shift, _, _) in zip((3, 2, 1), squares):
+            assert (lo, hi) == per_kind[j], (j, m)
+            # shifted down, part j of order m is all of order m - j
+            assert (lo - shift, hi - shift) == _order_span(m - j), (j, m)
+        if m >= 7:
+            (lo, hi, cut1, cut2, *_), = tl._cube_rows(m)
+            assert (lo, hi) == _order_span(m), m
+            assert (cut1, cut2) == (lo + t(m - 4),
+                                    lo + t(m - 4) + t(m - 3)), m
+            # cube segment m is square order m, cut where its parts meet
+            assert (lo, cut1, cut2, hi) == (squares[0][0], squares[1][0],
+                                            squares[2][0], squares[2][1]), m
+        m += 1
+    assert m - 1 == 4 + len(fc._square_segments().rows) // 3 - 1
+
+
 def test_b_at_values():
     assert fc.b_at(7) == 0
     assert fc.b_at(8) == 1

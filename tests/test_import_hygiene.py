@@ -66,6 +66,19 @@ def test_counting_paths_stay_light():
         assert heavy == [], command
 
 
+def test_public_names():
+    import tribcount
+    assert tribcount.__all__ == [
+        "ExactDivisionError", "MATERIALIZE_CAP", "N_CAP", "RepetitionSummary",
+        "a_indicator", "algorithm_B", "algorithm_D", "b_at", "c_indicator",
+        "d_at", "distinct_cubes", "distinct_cubes_at_t", "distinct_squares",
+        "distinct_squares_at_t", "kernel_number", "kernel_word", "letter_at",
+        "letter_counts", "position_kernel", "position_letter", "prefix",
+        "repeated_cubes_at_t", "repeated_squares_at_t", "scan_repetitions",
+        "trib_number",
+    ]
+
+
 def test_oracle_names_still_reachable():
     out = _run("""
 import io, contextlib, sys

@@ -122,7 +122,7 @@ ORDERS = [
     (oracle.scan_repetitions, (100,)), (pc.occurrences, ("aba", 100)),
     (pc.gap_pattern, ("a", 100)), (pc.gap_coding, ("a", 100)),
     (invariant_checks.assert_no_fourth_powers, (100,)),
-    (pc.kernel_route, ("cube", 100)),
+    (pc.kernel_route, ("cube", 100)), (pc.kernel_closed, ("cube", 100)),
 ]
 
 
@@ -217,6 +217,7 @@ RANGES = [
      "exhaustive scan length", 1, oracle.EXHAUSTIVE_CAP),
     (pc.kernel_route, ("square", 100), 1, "oracle scan length",
      0, oracle.ORACLE_CAP),
+    (pc.kernel_closed, ("square", 100), 1, "prefix length", 0, cw.N_CAP),
 ]
 RANGE_IDS = [f"{fn.__name__}-{i}" for fn, _, i, *_ in RANGES]
 

@@ -1,3 +1,5 @@
+import random
+import re
 from array import array
 from collections import Counter
 from itertools import accumulate
@@ -10,6 +12,7 @@ from tribcount.core_word import prefix, trib_number
 
 import invariant_checks
 import paper_checks
+import spot_oracle
 
 
 def test_distinct_square_ends_65():
@@ -321,6 +324,31 @@ def test_kernel_route_pairs_each_block_with_its_order(scan_cap, order_shift):
                                 ("cube", scan_cap.d, 5_000)):
         got = paper_checks.kernel_route(kind, scan_cap.n, order_shift)
         assert sum(x != y for x, y in zip(got, column)) > least, kind
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=10**18))
+def test_kernel_closed_matches_the_counters(n):
+    # the paper's route to B and D in closed form, far past the oracle
+    assert paper_checks.kernel_mismatches([n]) == []
+
+
+def test_kernel_closed_matches_the_counters_at_edges():
+    # a seeded sample of the tilings' edges, which the CI step checks in
+    # full, and 0
+    ns = [0] + random.Random(35).sample(spot_oracle.edges(), 150)
+    assert paper_checks.kernel_mismatches(ns) == []
+
+
+@pytest.mark.parametrize("order_shift", [-1, 1])
+def test_kernel_closed_pairs_each_block_with_its_order(order_shift):
+    # one kernel order off, the closed form is wrong for B and D alike
+    rng = random.Random(35)
+    ns = [int(10 ** rng.uniform(3, 18)) for _ in range(20)]
+    bad = paper_checks.kernel_mismatches(ns, order_shift)
+    assert len(bad) == 2 * len(ns)
+    assert re.fullmatch(rf"B\({ns[0]}\): kernel route \d+, algorithm_B \d+, "
+                        r"in square segment \(j=[123], m=\d+\)", bad[0])
 
 
 @pytest.mark.parametrize("m", [3, 4, 7, 10, 12])
