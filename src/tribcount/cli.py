@@ -17,10 +17,11 @@ A process loads only what its command uses: ``count --stat A/C`` and
 only ``verify`` imports the brute-force ``oracle``.  A process that prints
 one repeated count, or takes the row cap of ``positions --repeated`` from
 one, walks the rows of a fresh ``tiling._build`` one step at a time
-(``tiling._walk``) and builds none of ``fast_count``'s pieces, which pay off
-only over many calls.  The library counters and the sweeps keep the pieces:
-a stat's counting function is looked up among the package's names, which
-import its module on first use.  The commands hold no counting rule of
+(``tiling._walk``) and builds none of ``fast_count``'s pieces or its floor,
+which pay off only over many calls.  The library counters, from their
+second call on, and the sweeps keep the pieces: a stat's counting function
+is looked up among the package's names, which import its module on first
+use.  The commands hold no counting rule of
 their own: ``positions`` streams ``closed_forms.square_ends`` /
 ``cube_ends``, or with ``--repeated`` the per-position counts that
 ``tiling._counts`` copies along the segment rows, and the options are

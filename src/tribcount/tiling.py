@@ -15,26 +15,30 @@ recursion goes from a segment of order m to a child of order m - j, j in
 {1, 2, 3}.  It is stated once, as a rule at a point (``_step``): the child
 n lands in and the term it adds.
 
-The floor is the one table of small positions: the per-position counts of
-the square orders 4-17 and the cube orders 7-17, which both end at position
-42761, copied along the rows (``_counts``): each segment the counts one
-block length back plus one over its unit increments.  The counts before a
-tiling starts are zeros, so the segments without children copy zeros, or
-zeros and the segments below them, by the same rule.
+The per-position counts are copied along the rows (``_counts``): each
+segment the counts one block length back plus one over its unit
+increments.  The counts before a tiling starts are zeros, so the segments
+without children copy zeros, or zeros and the segments below them, by the
+same rule.  A build keeps them up to the end of order 9 (``_BASE_ORDER``),
+where the last segments without children end.  The floor, where the
+descents of ``fast_count`` stop, holds them for the square orders 4-20 and
+the cube orders 7-20, which both end at position 266078 (``_FLOOR_ORDER``).
 
 A tiling is built (``_build``) in one pass over its rows in tiling order,
 where a segment comes after its children.  Each segment is checked first:
-it tiles on from the one before, the floor does not end inside it, it holds
-its unit increments, and it is the shifted copy of its children, as every
-segment past the floor must be.  A mismatch raises RuntimeError naming the
-segment.  It is then totalled, from the floor if it has no children and
-else from its children plus its unit increments, and a segment above the
-floor keeps its ``delta``, the count one step leaves out.  The build holds no
-pieces and keeps no cache: ``fast_count`` caches the tables its counters
-read and adds the pieces, two steps per jump, to them.  A process that
+it tiles on from the one before, the counts kept do not end inside it, it
+holds its unit increments, and it is the shifted copy of its children, as
+every segment past them must be.  A mismatch raises RuntimeError naming the
+segment.  It is then totalled, from the counts if it has no children and
+else from its children plus its unit increments, and a segment with
+children keeps its ``delta``, the count one step leaves out.  The build
+holds no pieces and keeps no cache: ``fast_count`` caches the tables its
+counters read and adds the pieces, two steps per jump, to them.  A process that
 asks for one cumulative count (``count --stat B/D``, the row cap of
-``positions --repeated``) reads ``_walk`` of a fresh build instead: 32
-steps at 10^18, about 14 at n log-uniform in [10^3, 10^18], and no piece.
+``positions --repeated``) reads ``_walk`` of a fresh build instead, and so
+does the first call of each tiling in the library, or ``_walk_at`` for a
+count at one position: the descent (``_descend``) goes down to the segments
+without children, and builds no piece and no floor.
 """
 
 from bisect import bisect_left
@@ -42,9 +46,13 @@ from bisect import bisect_left
 from .core_word import _CUBE_FIRSTS, _OFF, _SQUARE_FIRSTS, _T, N_CAP, exact_div
 
 
-# Highest order of the floor, the per-position table where descents stop:
-# both tilings end there at position 42761, within the oracle's cap.
-_FLOOR_ORDER = 17
+# Highest order of the floor, the per-position table where the descents of
+# ``fast_count`` stop: both tilings end there at position 266078.  Chosen
+# on measurement (``fast_count._floor_sums``).
+_FLOOR_ORDER = 20
+# Highest order of the counts a build keeps: the segments without children
+# end there (cube segment 9, at position 325), and a walk reads no further.
+_BASE_ORDER = 9
 
 SQUARE_START = 8  # first position of the square tiling
 CUBE_START = 52   # first position of the cube tiling
@@ -126,11 +134,11 @@ def _cube_rows(m: int) -> list:
 
 def _check_row(rows, s: int, start: int, top: int, label) -> None:
     """Raise RuntimeError, naming segment s, unless it starts right after
-    the segment before it (at ``start`` for the first), the floor, which
-    ends at ``top``, does not end inside it, it holds its unit increments,
-    and, where it has children, it is the shifted copy of them that the
-    floor is copied along and the totals, ``delta`` and the descents read,
-    as every segment past the floor must be."""
+    the segment before it (at ``start`` for the first), the counts kept,
+    which end at ``top``, do not end inside it, it holds its unit
+    increments, and, where it has children, it is the shifted copy of them
+    that the counts are copied along and the totals, ``delta`` and the
+    descents read, as every segment past the counts must be."""
     l, h, c1, c2, c, d, a, b = rows[s]
     prev_hi = rows[s - 1][1] if s else start - 1
     if l != prev_hi + 1:
@@ -195,19 +203,19 @@ class _Tiling:
     each of its unit increments [inc_lo, inc_hi].  Shifted down by
     ``shift``, the previous block length, a position n of the segment lands
     in child segment ``first + (n >= cut1) + (n >= cut2)``; ``first`` is -1
-    where the copy recursion has no children.  ``base`` is the floor: the
-    per-position counts up to the end of the floor orders, where descents
-    stop.  ``label(s)`` names segment s in errors.
+    where the copy recursion has no children.  ``base`` holds the
+    per-position counts up to the end of an order, past every segment
+    without children.  ``label(s)`` names segment s in errors.
 
-    The constructor takes the rows and the floor and walks the rows once,
-    from the tiling's ``start`` on: each segment is checked
-    (``_check_row``), then its total goes to ``totals``: the floor's sum
-    over it for a segment without children, which lies in the floor, and
+    The constructor takes the rows and those counts and walks the rows
+    once, from the tiling's ``start`` on: each segment is checked
+    (``_check_row``), then its total goes to ``totals``: the sum of the
+    counts over it for a segment without children, which they cover, and
     for every other its three children's plus its unit increments, as the
-    floor is copied.  For a segment above the floor ``deltas`` holds the
+    counts are copied.  For a segment with children ``deltas`` holds the
     count over [lo - shift, lo) that its step leaves out: the sum of the
     totals of the segments that cover that interval, from its first child
-    up to the segment before it.  A segment in the floor has None in
+    up to the segment before it.  A segment without children has None in
     ``deltas``.
     """
 
@@ -227,16 +235,15 @@ class _Tiling:
                 total = sum(base[lo:hi + 1])
             else:
                 total = sum(totals[first:first + 3]) + inc_hi - inc_lo + 1
-            totals.append(total)
-            if hi > top:
                 deltas[s] = sum(totals[first:s])
+            totals.append(total)
 
 
 def _build(kind: str) -> _Tiling:
     """The "square" or the "cube" tiling, built and checked by ``_Tiling``:
     the geometry rows of every order from the lowest up to the one whose
-    segments reach N_CAP, and the floor copied along them to the end of
-    order _FLOOR_ORDER (``_counts``), as ``bytes``."""
+    segments reach N_CAP, and the counts copied along them to the end of
+    order _BASE_ORDER (``_counts``), as ``bytes``."""
     if kind == "square":
         rows_of, m, start, label = _square_rows, 4, SQUARE_START, _square_label
     else:
@@ -245,21 +252,37 @@ def _build(kind: str) -> _Tiling:
     while not rows or rows[-1][1] < N_CAP:
         rows += rows_of(m)
         m += 1
-    top = _bounds(_FLOOR_ORDER)[3] - 1
+    top = _bounds(_BASE_ORDER)[3] - 1
     return _Tiling(rows, bytes(_counts(rows, top)), label, start)
 
 
-def _walk(tiling: _Tiling, n: int) -> int:
-    """Count ending at or before n, for 0 <= n <= N_CAP: the terms a * n + b
-    of the copy recursion applied one step at a time (``_step``) from the
-    segment that holds n down to the floor, plus the floor's sum up to the
-    position reached."""
-    rows, base, deltas = tiling.rows, tiling.base, tiling.deltas
+def _descend(tiling: _Tiling, n: int) -> tuple:
+    """The copy recursion applied one step at a time (``_step``) from the
+    segment that holds n, 0 <= n <= N_CAP, down to a segment without
+    children or below the tiling, where the counts of the build are kept:
+    (ones, total, m), the unit increments it meets, the sum of its terms
+    a * n + b and the position m it reaches."""
+    rows, deltas = tiling.rows, tiling.deltas
     s = bisect_left(rows, (n + 1,)) - 1  # the last segment with lo <= n
-    total = 0
-    while n >= len(base):
+    ones = total = 0
+    while s >= 0 and deltas[s] is not None:
         row = rows[s]
         s, a, b = _step(row, deltas[s], n)
+        ones += a
         total += a * n + b
         n -= row[5]
-    return total + sum(base[:n + 1])
+    return ones, total, n
+
+
+def _walk(tiling: _Tiling, n: int) -> int:
+    """Count ending at or before n: the terms of the descent
+    (``_descend``) plus the sum of the counts up to the position reached."""
+    _, total, n = _descend(tiling, n)
+    return total + sum(tiling.base[:n + 1])
+
+
+def _walk_at(tiling: _Tiling, n: int) -> int:
+    """Count ending exactly at n: the unit increments the descent meets
+    plus the count at the position it reaches."""
+    ones, _, n = _descend(tiling, n)
+    return ones + tiling.base[n]

@@ -17,7 +17,7 @@ the package's tables and its one argument check, ``core_word._arg``.
 from bisect import bisect_right
 from functools import lru_cache
 
-from tribcount import fast_count
+from tribcount import fast_count, tiling
 from tribcount.core_word import (
     _OFF,
     _T,
@@ -254,15 +254,13 @@ def kernel_mismatches(ns, order_shift: int = 0) -> list:
     the row of the segment that holds n."""
     out = []
     for n in ns:
-        for stat, kind, count, tables in (
-                ("B", "square", fast_count.algorithm_B, "_SQUARES"),
-                ("D", "cube", fast_count.algorithm_D, "_CUBES")):
+        for stat, kind, count in (("B", "square", fast_count.algorithm_B),
+                                  ("D", "cube", fast_count.algorithm_D)):
             want, got = count(n), kernel_closed(kind, n, order_shift)
             if want != got:
-                # ``count`` has built and published its tables
-                seg = getattr(fast_count, tables)
-                s = bisect_right(seg.rows, (n + 1,)) - 1  # the last lo <= n
-                where = seg.label(s) if s >= 0 else "below the tiling"
+                built = tiling._build(kind)  # the rows ``count`` descends
+                s = bisect_right(built.rows, (n + 1,)) - 1  # last lo <= n
+                where = built.label(s) if s >= 0 else "below the tiling"
                 out.append(f"{stat}({n}): kernel route {got}, "
                            f"{count.__name__} {want}, in {where}")
     return out

@@ -108,16 +108,16 @@ def mismatches(ns) -> list:
     """One line per n in ``ns`` and stat b or d where the spot check and
     ``b_at`` / ``d_at`` differ, naming n, the stat and the segment."""
     from tribcount import fast_count as fc
+    from tribcount import tiling
     out = []
     for n in ns:
-        for stat, spot, at, tables in (("b", b, fc.b_at, "_SQUARES"),
-                                       ("d", d, fc.d_at, "_CUBES")):
+        for stat, spot, at, kind in (("b", b, fc.b_at, "square"),
+                                     ("d", d, fc.d_at, "cube")):
             want, got = at(n), spot(n)
             if want != got:
-                # ``at`` has built and published its tables
-                seg = getattr(fc, tables)
-                s = bisect_left(seg.rows, (n + 1,)) - 1  # the last lo <= n
-                where = seg.label(s) if s >= 0 else "below the tiling"
+                built = tiling._build(kind)  # the rows ``at`` descends
+                s = bisect_left(built.rows, (n + 1,)) - 1  # last lo <= n
+                where = built.label(s) if s >= 0 else "below the tiling"
                 out.append(f"{stat}({n}): spot check {got}, {at.__name__} "
                            f"{want}, in {where}")
     return out

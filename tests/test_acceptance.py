@@ -92,7 +92,7 @@ def test_criterion_5_cross_formula_consistency():
 
 
 def test_criterion_6_structural_recursion(scan3000):
-    # orders 18-20 lie above the descents' floor, which ends with order 17
+    # orders 4-20 make the descents' floor, read from its prefix sums
     seg = fc._square_segments()
     sums, cums = segment_closed_forms("square")
     for m in range(4, 21):

@@ -1,6 +1,8 @@
 import copy
+import functools
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -21,21 +23,42 @@ from tribcount.core_word import (N_CAP, exact_div, kernel_number as k, prefix,
                                  trib_number as t)
 
 import invariant_checks
+import spot_oracle
 from invariant_checks import (check_closed_forms, phi, segment_closed_forms,
                               square_bounds, square_index)
-from paper_checks import square_case_block
+from paper_checks import kernel_mismatches, square_case_block
 
 SQUARE_SUMS, SQUARE_CUMS = segment_closed_forms("square")
 CUBE_SUMS, CUBE_CUMS = segment_closed_forms("cube")
 
 
+@functools.lru_cache(maxsize=None)
+def _built(tiling):
+    """A checked ``tiling._build`` of "square" or "cube"."""
+    return tl._build(tiling)
+
+
+@functools.lru_cache(maxsize=None)
+def _floor(tiling):
+    """The floor of the library's tables for "square" or "cube", which
+    they keep only as prefix sums: its counts, copied along the rows, and
+    their prefix sums."""
+    counts = bytes(tl._counts(_built(tiling).rows, FLOOR_TOP))
+    return counts, tuple(accumulate(counts))
+
+
+def _kind(seg):
+    """The tiling, "square" or "cube", whose segments ``seg`` holds."""
+    return "square" if seg.label is tl._square_label else "cube"
+
+
 def test_base_square_table_matches_enumeration():
-    base = fc._square_segments().base
+    base = _built("square").base
     assert list(base[1:52]) == invariant_checks.B_SMALL_1_51
 
 
 def test_base_cube_table():
-    base = fc._cube_segments().base
+    base = _built("cube").base
     nonzero = {i: v for i, v in enumerate(base[:326]) if v}
     assert nonzero == {58: 1, 107: 1, 108: 1, 139: 1, 197: 1, 198: 1,
                        199: 1, 200: 1, 207: 1, 256: 1, 257: 1, 288: 1}
@@ -45,15 +68,61 @@ def test_base_cube_table():
                                   "algorithm_D(7)"])
 def test_first_call_below_the_tilings(call):
     # in a fresh process, before either table exists: positions below a
-    # tiling's start lie before its first segment and read the floor
+    # tiling's start lie before its first segment and read the floor.  The
+    # first call publishes no table and keeps one build; the second
+    # publishes the tables of that tiling
     script = ("from tribcount import fast_count as fc\n"
               "assert fc._SQUARES is None and fc._CUBES is None\n"
               f"print(fc.{call})\n"
-              "assert (fc._SQUARES or fc._CUBES) is not None")
+              "assert fc._SQUARES is None and fc._CUBES is None\n"
+              "assert len(fc._KEPT) == 1\n"
+              f"assert fc.{call} == 0\n"
+              "assert (fc._SQUARES or fc._CUBES) is not None\n"
+              "assert not fc._KEPT")
     env = dict(os.environ, PYTHONPATH=str(Path(fc.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+# the first and second call of a counter, for each n in a fresh copy of
+# the module: the first builds no piece and answers by the walk, and the
+# second builds the tables from the build the first one kept, checks every
+# piece and publishes them; both answers agree
+FIRST_CALLS = """\
+import importlib, sys
+from tribcount import fast_count as fc
+name, kind = sys.argv[1:]
+for n in (10**3, 266078, 10**18):
+    fc = importlib.reload(fc)
+    built, checked = [], []
+    pieces, check = fc._segment_pieces, fc._check_pieces
+    fc._segment_pieces = lambda *args: built.append(args[1]) or pieces(*args)
+    fc._check_pieces = lambda *args: checked.append(args[1]) or check(*args)
+    first = getattr(fc, name)(n)
+    assert (built, checked, fc._SQUARES, fc._CUBES) == ([], [], None, None)
+    kept = fc._KEPT[kind]
+    assert getattr(fc, name)(n) == first, n
+    seg = fc._SQUARES or fc._CUBES
+    above = [s for s, row in enumerate(kept.rows) if row[1] > 266078]
+    assert seg.rows is kept.rows and not fc._KEPT
+    assert built == checked == above == [
+        s for s, entry in enumerate(seg.pieces) if entry]
+    print(first)
+"""
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("algorithm_B", "square"), ("b_at", "square"), ("algorithm_D", "cube"),
+    ("d_at", "cube")])
+def test_first_call_walks_and_the_second_publishes(name, kind):
+    env = dict(os.environ, PYTHONPATH=str(Path(fc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", FIRST_CALLS, name, kind],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == [
+        str(getattr(fc, name)(n)) for n in (10**3, 266078, 10**18)]
 
 
 def test_segment_tiling():
@@ -130,8 +199,8 @@ def test_d_at_values():
     assert fc.d_at(365) == 1
 
 
-# orders 18-20 lie above the floor, which ends with order 17, so their
-# entries are reached by descents of one and two jumps
+# orders 4-20 make the floor, so their entries are read from its prefix
+# sums, the difference of two running sums
 def test_square_vectors_match_single_point():
     rows = fc._square_segments().rows
     for m in range(4, 21):
@@ -202,7 +271,7 @@ def test_segment_sums_match_direct():
 
 def test_cumulative_at_segment_ends():
     # and at every position: the running sums of the vectors, through
-    # orders 18-20 above the floor
+    # orders 4-20, the floor
     seg = fc._square_segments()
     running = 0
     for m in range(4, 21):
@@ -362,7 +431,8 @@ def _wrong_tiling(seg, s, field, value=None):
     rows = [list(row) for row in seg.rows]
     i = ROW_FIELDS.index(field)
     rows[s][i] = rows[s][i] + 1 if value is None else value
-    return tl._Tiling(rows, seg.base, seg.label, seg.rows[0][0])
+    return tl._Tiling(rows, _built(_kind(seg)).base, seg.label,
+                      seg.rows[0][0])
 
 
 def _with_wrong_entry(seg, s, field, value=None):
@@ -432,22 +502,29 @@ def test_self_check_wants_children_past_the_floor(tiling, s):
 
 @pytest.mark.parametrize("tiling, s", [("square", square_index(1, 6)),
                                        ("cube", 9 - 7)])
-def test_a_lower_floor_gives_the_same_counts(tiling, s):
-    # the floor cut at the end of the segments without children: every
-    # segment past it is totalled from its children and cut into pieces,
-    # and the descents and the one-step walk go on down to the lower floor
-    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
-    top = seg.rows[s][1]
-    low_tiling = tl._Tiling(seg.rows, seg.base[:top + 1], seg.label,
-                            seg.rows[0][0])
-    low = fc._Segments(low_tiling)
+def test_a_lower_floor_gives_the_same_counts(monkeypatch, tiling, s):
+    # the floor cut at the end of the segments without children, orders 6
+    # and 9: every segment past it is cut into pieces, and the descents go
+    # on down to the lower floor
+    seg = _published(tiling)
+    order = 4 + s // 3 if tiling == "square" else 7 + s
+    assert tl._bounds(order)[3] - 1 == seg.rows[s][1]
+    monkeypatch.setattr(fc, "_FLOOR_ORDER", order)
+    low = fc._Segments(_built(tiling))
+    assert len(low.cum_lo) == seg.rows[s][1] + 1
     assert len(low.jumps[1]) > len(seg.jumps[1])
     ends = {n for lo, hi in _bounds(low.jumps[0]) for n in (lo, hi)}
     for n in sorted(ends.union(range(1, FLOOR_TOP + 2))):
         if n <= N_CAP:
-            point, cumulative = _two_level_walk(seg, n)
-            assert _two_level_walk(low, n) == (point, cumulative), n
-            assert tl._walk(low_tiling, n) == cumulative, n
+            assert _two_level_walk(low, n) == _two_level_walk(seg, n), n
+
+
+def test_a_floor_below_the_segments_without_children_raises(monkeypatch):
+    # cube segment 9, which has no children, would lie past the floor
+    monkeypatch.setattr(fc, "_FLOOR_ORDER", 8)
+    with pytest.raises(RuntimeError, match="a segment past the floor's end "
+                       "176 has no children"):
+        fc._Segments(_built("cube"))
 
 
 @pytest.mark.parametrize("j, m, field, moved_from, by", [
@@ -475,7 +552,8 @@ def test_self_check_wants_the_floor_to_end_a_segment(tiling, ends_at):
     top = hi - 1 if ends_at == "hi - 1" else lo
     with pytest.raises(RuntimeError, match=f"the base table ends at "
                        f"{top}, inside a segment"):
-        tl._Tiling(seg.rows, seg.base[:top + 1], seg.label, seg.rows[0][0])
+        tl._Tiling(seg.rows, _floor(tiling)[0][:top + 1], seg.label,
+                   seg.rows[0][0])
 
 
 # square inc_hi + 1 leaves its segment, which the self-check names (above)
@@ -494,13 +572,20 @@ def test_closed_forms_name_a_segment_with_a_wrong_increment(tiling, s, field):
 
 
 @pytest.mark.parametrize("tiling", ["square", "cube"])
-def test_closed_forms_name_the_segment_that_disagrees_with_the_floor(tiling):
-    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
-    base = bytearray(seg.base)
-    base[1000] += 1
-    # the geometry is unchanged, so the build passes
-    broken = fc._Segments(tl._Tiling(seg.rows, bytes(base), seg.label,
-                                     seg.rows[0][0]))
+def test_closed_forms_name_the_segment_that_disagrees_with_the_floor(
+        monkeypatch, tiling):
+    # the floor copied with one count off: the geometry is unchanged, so
+    # the build passes
+    seg = _published(tiling)
+    counts = tl._counts
+
+    def one_off(rows, n):
+        floor = counts(rows, n)
+        floor[1000] += 1
+        return floor
+
+    monkeypatch.setattr(fc, "_counts", one_off)
+    broken = fc._Segments(_built(tiling))
     s = _segment_of(seg, 1000)
     with pytest.raises(AssertionError, match="closed forms of "
                        + re.escape(seg.label(s)) + ": "):
@@ -628,9 +713,12 @@ def test_an_interval_that_one_clause_rejects(monkeypatch, tiling, index,
     # segment (3, 15) lies inside the floor, which is copied along it
     (22, -1, (3, 15)),
     (22, 1, (3, 15)),
-    # square beta of order 17: segment (3, 18), the first past the floor
+    # square beta of order 17: segment (3, 18), in the floor too
     (28, -1, (3, 18)),
     (28, 1, (3, 18)),
+    # square beta of order 20: segment (3, 21), the first past the floor
+    (34, -1, (3, 21)),
+    (34, 1, (3, 21)),
 ])
 def test_a_moved_breakpoint_fails_the_closed_forms(monkeypatch, index, delta,
                                                    segment):
@@ -653,7 +741,7 @@ def test_vectors_at_the_materialization_cap_sum_to_the_closed_forms():
     assert sum(tl._counts(rows, hi)[lo:]) == CUBE_SUMS[27 - 7]
 
 
-FLOOR_TOP = 42761  # last position of square order 17 and of cube order 17
+FLOOR_TOP = 266078  # last position of square order 20 and of cube order 20
 
 PIECE_FIELDS = ("start", "shift", "next", "a", "b")
 
@@ -823,14 +911,14 @@ def test_pieces_are_built_checked_and_linked_with_the_rows(monkeypatch,
 
 def test_a_build_takes_each_segments_edges_once(monkeypatch):
     # the edges of a segment start its own and its parents' pieces, for
-    # the build and the checks alike: 153 square and 51 cube segments lie
+    # the build and the checks alike: 144 square and 48 cube segments lie
     # above the floor
     monkeypatch.setattr(fc, "_SQUARES", None)
     monkeypatch.setattr(fc, "_CUBES", None)
     calls, edges = [], fc._edges
     monkeypatch.setattr(fc, "_edges", lambda row: calls.append(row)
                         or edges(row))
-    for build, above in ((fc._square_segments, 153), (fc._cube_segments, 51)):
+    for build, above in ((fc._square_segments, 144), (fc._cube_segments, 48)):
         rows = [row for row in build().rows if row[1] > FLOOR_TOP]
         assert len(rows) == above
         assert sorted(calls) == rows
@@ -859,6 +947,15 @@ def test_a_piece_that_fails_its_check_fails_the_build(monkeypatch, tiling, s):
     with pytest.raises(RuntimeError,
                        match=re.escape(label) + " do not tile it"):
         build()
+    assert fc._SQUARES is None and fc._CUBES is None
+    # and so does the counters' second call, after a first that walked
+    monkeypatch.setattr(fc, "_KEPT", {})
+    count = fc.algorithm_B if tiling == "square" else fc.algorithm_D
+    assert count(10**18) == (20111627870358162968 if tiling == "square"
+                             else 1152906719182850790)
+    with pytest.raises(RuntimeError,
+                       match=re.escape(label) + " do not tile it"):
+        count(10**18)
     assert fc._SQUARES is None and fc._CUBES is None
 
 
@@ -929,7 +1026,7 @@ def test_a_descent_outside_an_entry_names_its_segment(tiling):
     # n = lo - 1 does not stop in it
     seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
     bare = copy.copy(seg)
-    bare.base, bare.base_cum = b"", array("I")
+    bare.cum_hi, bare.cum_lo = array("I"), bytearray()
     entries = 0
     for s, entry in enumerate(seg.pieces):
         if entry is None:
@@ -942,7 +1039,7 @@ def test_a_descent_outside_an_entry_names_its_segment(tiling):
                 with pytest.raises(RuntimeError,
                                    match=_outside(seg.label(s))):
                     descent(bare, n)
-    assert entries == (153 if tiling == "square" else 51)
+    assert entries == (144 if tiling == "square" else 48)
 
 
 def _reference_walk(seg, n):
@@ -952,7 +1049,8 @@ def _reference_walk(seg, n):
     read off the paper's closed-form cumulative counts, not off the
     build."""
     cums = SQUARE_CUMS if seg.label is tl._square_label else CUBE_CUMS
-    top = len(seg.base) - 1
+    base, base_cum = _floor(_kind(seg))
+    top = len(base) - 1
     s = _segment_of(seg, n)
     point = cumulative = 0
     while n > top:
@@ -964,7 +1062,7 @@ def _reference_walk(seg, n):
         cumulative += delta + max(0, min(n, inc_hi) - inc_lo + 1)
         s = c + (n >= cut1) + (n >= cut2)
         n -= shift
-    return point + seg.base[n], cumulative + seg.base_cum[n]
+    return point + base[n], cumulative + base_cum[n]
 
 
 def _two_level_walk(seg, n):
@@ -979,11 +1077,12 @@ def _published(tiling):
 
 
 def _check_walks(seg, n):
-    """The pieces' point and cumulative counts at n, and ``tiling._walk``'s
-    cumulative count, against ``_reference_walk``."""
-    point, cumulative = _reference_walk(seg, n)
-    assert _two_level_walk(seg, n) == (point, cumulative), n
-    assert tl._walk(seg, n) == cumulative, n
+    """The pieces' point and cumulative counts at n, and those of the
+    one-step walks, against ``_reference_walk``."""
+    want = _reference_walk(seg, n)
+    assert _two_level_walk(seg, n) == want, n
+    built = _built(_kind(seg))
+    assert (tl._walk_at(built, n), tl._walk(built, n)) == want, n
 
 
 @pytest.mark.parametrize("tiling", ["square", "cube"])
@@ -1016,21 +1115,84 @@ def test_segment_tables_stop_at_the_cap():
 
 
 def test_floors_end_together_with_their_prefix_sums():
-    for seg in (fc._square_segments(), fc._cube_segments()):
-        assert len(seg.base) == len(seg.base_cum) == FLOOR_TOP + 1
-        assert tuple(seg.base_cum) == tuple(accumulate(seg.base))
-    assert (fc._square_segments().rows[square_index(1, 17)][1]
-            == fc._cube_segments().rows[17 - 7][1] == FLOOR_TOP)
+    # the tables keep the floor as its sum before each block of 8
+    # positions and the running sums within each block, one byte each
+    for tiling in ("square", "cube"):
+        seg, (counts, base_cum) = _published(tiling), _floor(tiling)
+        assert len(seg.cum_lo) == FLOOR_TOP + 1
+        assert len(seg.cum_hi) == (FLOOR_TOP >> 3) + 1
+        assert seg.cum_hi.typecode == "I" and type(seg.cum_lo) is bytearray
+        assert tuple(seg.cum_hi) == (0,) + base_cum[7::8]
+        assert [seg.cum_hi[n >> 3] + seg.cum_lo[n]
+                for n in range(FLOOR_TOP + 1)] == list(base_cum)
+        assert bytes(map(fc._point, [seg] * (FLOOR_TOP + 1),
+                         range(FLOOR_TOP + 1))) == counts
+    assert (fc._square_segments().rows[square_index(1, 20)][1]
+            == fc._cube_segments().rows[20 - 7][1] == FLOOR_TOP)
+
+
+def test_builds_keep_the_counts_to_order_9():
+    # order 9 ends with cube segment 9, the last segment without children
+    # of either tiling, so counts that end one order lower leave it out
+    for tiling in ("square", "cube"):
+        assert len(_built(tiling).base) == tl._bounds(9)[3] == 326
+    built = _built("cube")
+    with pytest.raises(RuntimeError, match=re.escape(
+            "child segments do not line up with the cuts of cube segment "
+            "m=9")):
+        tl._Tiling(built.rows, built.base[:tl._bounds(8)[3]], built.label,
+                   built.rows[0][0])
+
+
+def test_floor_sums_refuse_a_count_past_31():
+    # a block's running sums are bytes of one integer sum, which carry past
+    # 255: 32 in each of 8 positions would
+    cum_hi, cum_lo = fc._floor_sums(bytearray([31]) * 20)
+    assert tuple(cum_hi) == (0, 248, 496)
+    assert list(cum_lo) == list(range(31, 249, 31)) * 2 + [31, 62, 93, 124]
+    with pytest.raises(RuntimeError, match="a floor count passes 31"):
+        fc._floor_sums(bytearray(19) + bytearray([32]))
 
 
 def test_floors_match_oracle(scan_cap):
-    floor = slice(FLOOR_TOP + 1)
-    assert tuple(fc._square_segments().base) == tuple(scan_cap.b[floor])
-    assert tuple(fc._cube_segments().base) == tuple(scan_cap.d[floor])
+    # the oracle's range, up to 10^5; the rest of the floor is checked
+    # against the spot checks below
+    floor = slice(len(scan_cap.b))
+    assert _floor("square")[0][floor] == bytes(scan_cap.b)
+    assert _floor("cube")[0][floor] == bytes(scan_cap.d)
+
+
+def _spot_mismatches(ns):
+    """Lines naming each n in ``ns`` where b_at / d_at disagree with the
+    fingerprint spot check, or algorithm_B / algorithm_D with the kernel
+    route in closed form."""
+    return spot_oracle.mismatches(ns) + kernel_mismatches(ns)
+
+
+def test_floors_past_the_oracle_match_the_spot_checks(monkeypatch):
+    # (10^5, FLOOR_TOP]: every first-occurrence interval end and segment
+    # bound there, and every piece start there of tables whose floor ends
+    # with order 17, each +-1, and a seeded sample
+    ends = set()
+    for tiling, firsts in (("square", cw._SQUARE_FIRSTS),
+                           ("cube", cw._CUBE_FIRSTS)):
+        seg = _published(tiling)
+        with monkeypatch.context() as patch:
+            patch.setattr(fc, "_FLOOR_ORDER", 17)
+            lower = fc._Segments(_built(tiling))
+        for x in (*firsts, *seg.rows):
+            ends.update(x[:2])
+        ends.update(lower.jumps[0])
+    ns = sorted({n + e for n in ends for e in (-1, 0, 1)
+                 if 10**5 < n + e <= FLOOR_TOP}
+                | set(random.Random(37).sample(range(10**5 + 1,
+                                                     FLOOR_TOP + 1), 200)))
+    assert _spot_mismatches(ns) == []
 
 
 def test_counts_above_the_floor_match_oracle(scan_cap):
-    # the first steps of the descents, from just below the floor's end
+    # the floor of order 17 ended at 42 761: the first steps of the
+    # descents from there, now floor reads
     acc_b = list(accumulate(scan_cap.b))
     acc_d = list(accumulate(scan_cap.d))
     for n in range(42_700, 44_001):
@@ -1038,6 +1200,11 @@ def test_counts_above_the_floor_match_oracle(scan_cap):
         assert fc.d_at(n) == scan_cap.d[n], n
         assert fc.algorithm_B(n) == acc_b[n], n
         assert fc.algorithm_D(n) == acc_d[n], n
+
+
+def test_counts_above_the_floor_match_the_spot_checks():
+    # the first steps of the descents, from just below the floor's end
+    assert _spot_mismatches(range(265_978, 266_401)) == []
 
 
 def test_vectors_above_the_floor_are_not_kept():

@@ -29,15 +29,28 @@ def test_spot_check_matches_the_counters_at_edges():
 
 
 def test_spot_check_names_a_moved_interval_end(monkeypatch):
-    # square beta of order 17, the first interval past the floor, one
-    # short: the tables build, and the spot check names where they err
+    # square beta of order 17, now inside the floor, one short: the
+    # tables build, and the spot check names where they err
     firsts = tl._SQUARE_FIRSTS
     x, y = firsts[28]
     monkeypatch.setattr(tl, "_SQUARE_FIRSTS",
                         firsts[:28] + ((x, y - 1),) + firsts[29:])
     monkeypatch.setattr(fc, "_SQUARES", None)
+    monkeypatch.setattr(fc, "_KEPT", {})
     assert so.mismatches(range(y - 2, y + 3)) == [
         f"b({y}): spot check 5, b_at 4, in square segment (j=3, m=18)"]
+
+
+def test_spot_check_names_a_moved_interval_end_past_the_floor(monkeypatch):
+    # square beta of order 20, the first interval past the floor
+    firsts = tl._SQUARE_FIRSTS
+    x, y = firsts[34]
+    monkeypatch.setattr(tl, "_SQUARE_FIRSTS",
+                        firsts[:34] + ((x, y - 1),) + firsts[35:])
+    monkeypatch.setattr(fc, "_SQUARES", None)
+    monkeypatch.setattr(fc, "_KEPT", {})
+    assert so.mismatches(range(y - 2, y + 3)) == [
+        f"b({y}): spot check 6, b_at 5, in square segment (j=3, m=21)"]
 
 
 def test_no_repetition_outside_the_root_families():
