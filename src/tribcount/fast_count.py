@@ -1,9 +1,10 @@
 """Fast repeated-square and repeated-cube counting at arbitrary positions.
 
-The tilings come from ``tiling``: one geometry row tuple per segment, each
+The tilings come from ``tiling``: one row tuple per segment, the same
+geometry for squares and cubes with the unit increments of one kind, each
 segment's ``delta``, and the copy step stated once as a rule at a point
 (``_step``), all built and checked there.  This module adds what makes
-warm calls fast, and caches it with the rows (``_SQUARES``, ``_CUBES``).
+warm calls fast, and caches it with the rows (``_tables``).
 Both single-point and cumulative queries walk down the copy recursion two
 steps per jump: each segment above the floor is cut into pieces at the
 positions where either step changes, and a piece is the jump from any of
@@ -28,15 +29,16 @@ at a time (``tiling._walk``, ``tiling._walk_at``).  The second call builds
 the tables from that build (``_Segments``): the floor's prefix sums, then
 one pass over the rows in tiling order, where a segment comes after its
 children and after every segment its jumps land in, cutting each segment
-above the floor into its pieces (1 773 square and 606 cube pieces over 192
-segments).  They are checked as they are composed: they tile the segment
-between its end pieces, start exactly where a step changes, and each is
-the jump from its last position, its link and its terms included.  A
-mismatch reports the offending segment and aborts, and nothing is
-published.  So the second call of a tiling pays the build (README,
-"Arithmetic and speed").  The paper's square tree, the unit-increment
-blocks shifted to later occurrences of a kernel word, is read off the same
-rows by the tests (``tests/paper_checks.py``); no command needs it.
+above the floor into its pieces (1 773 square and 1 446 cube pieces, over
+the same 144 segments).  They are checked as they are composed: they tile
+the segment between its end pieces, start exactly where a step changes,
+and each is the jump from its last position, its link and its terms
+included.  A mismatch reports the offending segment and aborts, and
+nothing is published.  So the second call of a tiling pays the build
+(README, "Arithmetic and speed").  The paper's square tree, the
+unit-increment blocks shifted to later occurrences of a kernel word, is
+read off the same rows by the tests (``tests/paper_checks.py``); no
+command needs it.
 """
 
 from array import array
@@ -232,20 +234,20 @@ _CUBES = None    # the cube tables, once built and checked
 _KEPT = {}       # "square" / "cube": the checked build a first call walked
 
 
-def _square_segments(built=None) -> _Segments:
-    """Build the square tables from ``built``, a checked
-    ``tiling._build("square")``, or from a fresh one, and publish them.
-    Callers reach the tables as ``_SQUARES or _square_segments()``."""
-    global _SQUARES
-    _SQUARES = _Segments(built or _build("square"))
-    return _SQUARES
-
-
-def _cube_segments(built=None) -> _Segments:
-    """The cube counterpart of ``_square_segments``."""
-    global _CUBES
-    _CUBES = _Segments(built or _build("cube"))
-    return _CUBES
+def _tables(kind: str, built=None) -> _Segments:
+    """The published tables of ``kind``, "square" or "cube".  Where there
+    are none, they are built from ``built``, a checked
+    ``tiling._build(kind)``, or from a fresh one, and published; if a check
+    fails it raises, and nothing is published."""
+    global _SQUARES, _CUBES
+    seg = _SQUARES if kind == "square" else _CUBES
+    if seg is None:
+        seg = _Segments(built or _build(kind))
+        if kind == "square":
+            _SQUARES = seg
+        else:
+            _CUBES = seg
+    return seg
 
 
 def _publish(kind: str) -> bool:
@@ -253,13 +255,12 @@ def _publish(kind: str) -> bool:
     after this call, which the counters make while they are not.  The
     first keeps a checked ``tiling._build`` in ``_KEPT`` and returns False:
     the counter answers by walking it.  The next builds the tables from
-    that build, checks and publishes them, and returns True; if a check
-    fails it raises, and nothing is published."""
+    that build and publishes them (``_tables``), and returns True."""
     built = _KEPT.pop(kind, None)
     if built is None:
         _KEPT[kind] = _build(kind)
         return False
-    (_square_segments if kind == "square" else _cube_segments)(built)
+    _tables(kind, built)
     return True
 
 

@@ -1,28 +1,30 @@
-"""The two tilings of the repeated counts, as geometry rows, and the copy
+"""The tiling of the repeated counts, as geometry rows, and the copy
 recursion walked one step at a time.
 
-Positions from 8 on are tiled by square segments (three per order) and from
-52 on by cube segments (one per order).  Both tilings share one geometry
-(``_bounds``): order m covers [b0, b3), its three square segments start at
-b0, b1 and b2, and cube segment m is the whole order.  Per-position counts
-obey a self-similar recursion: a segment is a copy of three lower-order
-segments shifted by the previous block length, plus one at each unit
-increment, where a square (cube) not seen before ends: b(n) = b(n - shift)
-+ a(n), d(n) = d(n - shift) + c(n), with the increments clipped from the
-first-occurrence intervals of ``core_word``.  Each tiling is held as one
-row tuple per segment (``_square_rows``, ``_cube_rows``), and a step of the
+Positions from 8 on are tiled by segments, three per order: order m covers
+[b0, b3) and its segments (3, m), (2, m) and (1, m) start at b0, b1 and b2
+(``_bounds``).  Squares and cubes share the tiling, and each kind has only
+its unit increments of its own, the positions where a square (cube) not
+seen before ends, clipped from the first-occurrence intervals of
+``core_word``: every segment holds one square block, and from order 7 on
+segment (3, m) holds the one cube block of order m, the other segments the
+empty block.  Per-position counts obey a self-similar recursion: a segment
+is a copy of the three segments of one lower order shifted by the previous
+block length, plus one at each unit increment: b(n) = b(n - shift) + a(n),
+d(n) = d(n - shift) + c(n).  A tiling is held as one row tuple per
+segment, with the increments of one kind (``_rows``), and a step of the
 recursion goes from a segment of order m to a child of order m - j, j in
 {1, 2, 3}.  It is stated once, as a rule at a point (``_step``): the child
 n lands in and the term it adds.
 
 The per-position counts are copied along the rows (``_counts``): each
 segment the counts one block length back plus one over its unit
-increments.  The counts before a tiling starts are zeros, so the segments
-without children copy zeros, or zeros and the segments below them, by the
-same rule.  A build keeps them up to the end of order 9 (``_BASE_ORDER``),
-where the last segments without children end.  The floor, where the
-descents of ``fast_count`` stop, holds them for the square orders 4-20 and
-the cube orders 7-20, which both end at position 266078 (``_FLOOR_ORDER``).
+increments.  The counts before the tiling starts are zeros, so the
+segments without children copy zeros, or zeros and the segments below
+them, by the same rule.  A build keeps them up to the end of order 6
+(``_BASE_ORDER``), where the last segments without children end.  The
+floor, where the descents of ``fast_count`` stop, holds them for the
+orders 4-20, which end at position 266078 (``_FLOOR_ORDER``).
 
 A tiling is built (``_build``) in one pass over its rows in tiling order,
 where a segment comes after its children.  Each segment is checked first:
@@ -47,40 +49,38 @@ from .core_word import _CUBE_FIRSTS, _OFF, _SQUARE_FIRSTS, _T, N_CAP, exact_div
 
 
 # Highest order of the floor, the per-position table where the descents of
-# ``fast_count`` stop: both tilings end there at position 266078.  Chosen
-# on measurement (``fast_count._floor_sums``).
+# ``fast_count`` stop: it ends at position 266078.  Chosen on measurement
+# (``fast_count._floor_sums``).
 _FLOOR_ORDER = 20
 # Highest order of the counts a build keeps: the segments without children
-# end there (cube segment 9, at position 325), and a walk reads no further.
-_BASE_ORDER = 9
+# end there (segment (1, 6), at position 51), and a walk reads no further.
+_BASE_ORDER = 6
 
-SQUARE_START = 8  # first position of the square tiling
-CUBE_START = 52   # first position of the cube tiling
-
-
-def _square_label(s: int) -> str:
-    return f"square segment (j={3 - s % 3}, m={4 + s // 3})"
+_START = 8  # first position of the tiling, segment (3, 4)
 
 
-def _cube_label(s: int) -> str:
-    return f"cube segment m={7 + s}"
+def _label(kind: str, s: int) -> str:
+    return f"{kind} segment (j={3 - s % 3}, m={4 + s // 3})"
 
 
 def _block(firsts, lo: int, hi: int, label: str) -> tuple:
-    """The one interval of ``firsts`` that meets the segment [lo, hi],
-    clipped to it; meeting none or two raises RuntimeError with ``label``."""
+    """The interval of ``firsts`` that meets the segment [lo, hi], clipped
+    to it, or the empty block (hi + 1, hi) if none does; meeting two
+    raises RuntimeError with ``label``."""
     i = bisect_left(firsts, (hi + 1,))  # (x, y) < (hi + 1,) iff x <= hi
+    if not i or firsts[i - 1][1] < lo:
+        return hi + 1, hi
+    if i > 1 and firsts[i - 2][1] >= lo:
+        raise RuntimeError(f"{label} meets two first-occurrence intervals")
     x, y = firsts[i - 1]
-    if i and y >= lo and (i == 1 or firsts[i - 2][1] < lo):
-        return max(x, lo), min(y, hi)
-    raise RuntimeError(f"{label} meets no first-occurrence interval, or two")
+    return max(x, lo), min(y, hi)
 
 
 def _bounds(m: int) -> tuple:
-    """(b0, b1, b2, b3), the geometry both tilings share: order m tiles
-    [b0, b3), square segments (3, m), (2, m) and (1, m) start at b0, b1 and
-    b2, and cube segment m is the whole order, cut at b1 and b2.  Part j
-    (3, 2, 1) is all of order m - j moved up by t_(m-1)."""
+    """(b0, b1, b2, b3), the geometry of the rows of both kinds: order m
+    tiles [b0, b3), and segments (3, m), (2, m) and (1, m) start at b0, b1
+    and b2.  Part j (3, 2, 1) is all of order m - j moved up by
+    t_(m-1)."""
     o = m + _OFF  # t_i is _T[i + _OFF]
     t0, t1, t2 = _T[o], _T[o - 1], _T[o - 2]
     return (exact_div(t0 + t2 - 1, 2), exact_div(-t0 + 4 * t1 + t2 - 1, 2),
@@ -88,66 +88,63 @@ def _bounds(m: int) -> tuple:
             exact_div(t0 + 2 * t1 + t2 - 1, 2))
 
 
-def _square_rows(m: int) -> list:
-    """Table rows of square segments (3, m), (2, m) and (1, m), the parts
-    of order m (``_bounds``), with their unit increments from ``_block``; a
-    row is lo, hi, cut1, cut2, first, shift, inc_lo, inc_hi (see
-    ``_Tiling``)."""
+def _rows(m: int, kind: str) -> list:
+    """Table rows of segments (3, m), (2, m) and (1, m), the parts of order
+    m (``_bounds``), with the unit increments of ``kind``, "square" or
+    "cube", from ``_block``; a row is lo, hi, cut1, cut2, first, shift,
+    inc_lo, inc_hi (see ``_Tiling``)."""
+    firsts = _SQUARE_FIRSTS if kind == "square" else _CUBE_FIRSTS
     bounds, t1 = _bounds(m), _T[m - 1 + _OFF]
     rows = []
     for j in (3, 2, 1):
         lo, hi = bounds[3 - j], bounds[4 - j] - 1
-        inc_lo, inc_hi = _block(_SQUARE_FIRSTS, lo, hi,
-                                _square_label(3 * (m - 4) + 3 - j))
+        label = _label(kind, 3 * (m - 4) + 3 - j)
+        inc_lo, inc_hi = _block(firsts, lo, hi, label)
         cm = m - j  # order of the three child segments
         # child cuts exist once the copy recursion does (child order >= 4)
         if cm >= 4:
             cut1 = lo + _T[cm - 4 + _OFF]
             cut2 = cut1 + _T[cm - 3 + _OFF]
-            # the block is the head [lo, e) for j = 3, else the tail [e, hi],
-            # with e in (cut1, cut2] for j = 2, else in (cut2, hi]
-            e = inc_hi + 1 if j == 3 else inc_lo
-            ok = (cut1 < e <= cut2) if j == 2 else (cut2 < e <= hi)
-            if not ok or lo < inc_lo and inc_hi < hi:  # neither head nor tail
-                raise AssertionError(
-                    f"threshold ordering broken in ({j}, {m})")
             first = 3 * (cm - 4)
         else:
             cut1 = cut2 = lo
             first = -1
+        if kind == "square":
+            # every part holds a block: where there are child cuts, the
+            # head [lo, e) for j = 3, else the tail [e, hi], with e in
+            # (cut1, cut2] for j = 2, else in (cut2, hi]
+            e = inc_hi + 1 if j == 3 else inc_lo
+            inside = (cut1 < e <= cut2) if j == 2 else (cut2 < e <= hi)
+            ok = inc_lo <= inc_hi and (
+                cm < 4 or inside and (inc_lo == lo or inc_hi == hi))
+        else:
+            # from order 7 on, part (3, m) ends with a block that starts
+            # past its lo; every other part holds none
+            ok = (lo < inc_lo <= inc_hi == hi) if j == 3 and m >= 7 else (
+                inc_lo > hi)
+        if not ok:
+            raise AssertionError(f"threshold ordering broken in {label}")
         rows.append((lo, hi, cut1, cut2, first, t1, inc_lo, inc_hi))
     return rows
 
 
-def _cube_rows(m: int) -> list:
-    """Table row of cube segment m, all of order m, cut where its square
-    parts meet (see ``_square_rows``)."""
-    lo, cut1, cut2, end = _bounds(m)
-    hi = end - 1
-    inc_lo, inc_hi = _block(_CUBE_FIRSTS, lo, hi, _cube_label(m - 7))
-    # the block lies in the first child's span, and ends where it does
-    if not lo < inc_lo <= inc_hi == cut1 - 1 < cut2 - 1 <= hi:
-        raise AssertionError(f"threshold ordering broken in cube segment {m}")
-    first = m - 10 if m >= 10 else -1  # children m-3, m-2, m-1 from order 10
-    return [(lo, hi, cut1, cut2, first, _T[m - 1 + _OFF], inc_lo, inc_hi)]
-
-
-def _check_row(rows, s: int, start: int, top: int, label) -> None:
-    """Raise RuntimeError, naming segment s, unless it starts right after
-    the segment before it (at ``start`` for the first), the counts kept,
-    which end at ``top``, do not end inside it, it holds its unit
-    increments, and, where it has children, it is the shifted copy of them
-    that the counts are copied along and the totals, ``delta`` and the
-    descents read, as every segment past the counts must be."""
+def _check_row(rows, s: int, top: int, label) -> None:
+    """Raise RuntimeError, naming segment s by ``label(s)``, unless it
+    starts right after the segment before it (at _START for the first), the
+    counts kept, which end at ``top``, do not end inside it, it holds its
+    unit increments or the empty block (hi + 1, hi), and, where it has
+    children, it is the shifted copy of them that the counts are copied
+    along and the totals, ``delta`` and the descents read, as every segment
+    past the counts must be."""
     l, h, c1, c2, c, d, a, b = rows[s]
-    prev_hi = rows[s - 1][1] if s else start - 1
+    prev_hi = rows[s - 1][1] if s else _START - 1
     if l != prev_hi + 1:
         raise RuntimeError(
             f"tiling broken at {label(s)}: it starts at {l}, "
             f"not {prev_hi + 1}")
     if l <= top < h:
         raise RuntimeError(f"the base table ends at {top}, inside a segment")
-    if not l <= a <= b <= h:
+    if not (l <= a <= b <= h or (a, b) == (h + 1, h)):
         raise RuntimeError(f"unit increments of {label(s)} lie outside it")
     if (c < 0 and h > top) or (c >= 0 and (
             rows[c][0], rows[c + 1][0], rows[c + 2][0], rows[c + 2][1])
@@ -198,38 +195,39 @@ def _counts(rows, n: int) -> bytearray:
 class _Tiling:
     """One tiling, built and checked: ``rows`` holds one tuple per segment
     in tiling order, (lo, hi, cut1, cut2, first, shift, inc_lo, inc_hi);
-    square segment (j, m) is number 3(m - 4) + 3 - j, cube segment m is
-    m - 7.  Segment s covers [lo, hi], and a new square or cube ends at
-    each of its unit increments [inc_lo, inc_hi].  Shifted down by
-    ``shift``, the previous block length, a position n of the segment lands
-    in child segment ``first + (n >= cut1) + (n >= cut2)``; ``first`` is -1
-    where the copy recursion has no children.  ``base`` holds the
-    per-position counts up to the end of an order, past every segment
-    without children.  ``label(s)`` names segment s in errors.
+    segment (j, m) is number 3(m - 4) + 3 - j.  Segment s covers [lo, hi],
+    and a new square or cube, as ``kind`` says, ends at each of its unit
+    increments [inc_lo, inc_hi], which is (hi + 1, hi) where none ends.
+    Shifted down by ``shift``, the previous block length, a position n of
+    the segment lands in child segment ``first + (n >= cut1) + (n >=
+    cut2)``; ``first`` is -1 where the copy recursion has no children.
+    ``base`` holds the per-position counts up to the end of an order, past
+    every segment without children.  ``label(s)`` names segment s in
+    errors.
 
     The constructor takes the rows and those counts and walks the rows
-    once, from the tiling's ``start`` on: each segment is checked
-    (``_check_row``), then its total goes to ``totals``: the sum of the
-    counts over it for a segment without children, which they cover, and
-    for every other its three children's plus its unit increments, as the
-    counts are copied.  For a segment with children ``deltas`` holds the
-    count over [lo - shift, lo) that its step leaves out: the sum of the
-    totals of the segments that cover that interval, from its first child
-    up to the segment before it.  A segment without children has None in
+    once, from _START on: each segment is checked (``_check_row``), then
+    its total goes to ``totals``: the sum of the counts over it for a
+    segment without children, which they cover, and for every other its
+    three children's plus its unit increments, as the counts are copied.
+    For a segment with children ``deltas`` holds the count over [lo -
+    shift, lo) that its step leaves out: the sum of the totals of the
+    segments that cover that interval, from its first child up to the
+    segment before it.  A segment without children has None in
     ``deltas``.
     """
 
-    __slots__ = ("rows", "base", "label", "totals", "deltas")
+    __slots__ = ("rows", "base", "kind", "totals", "deltas")
 
-    def __init__(self, rows, base, label, start):
+    def __init__(self, rows, base, kind):
         self.rows = rows = tuple(rows)
         self.base = base
-        self.label = label
+        self.kind = kind
         self.totals = totals = []
         self.deltas = deltas = [None] * len(rows)
         top = len(base) - 1
         for s, row in enumerate(rows):
-            _check_row(rows, s, start, top, label)
+            _check_row(rows, s, top, self.label)
             lo, hi, _, _, first, _, inc_lo, inc_hi = row
             if first < 0:
                 total = sum(base[lo:hi + 1])
@@ -238,22 +236,22 @@ class _Tiling:
                 deltas[s] = sum(totals[first:s])
             totals.append(total)
 
+    def label(self, s: int) -> str:
+        return _label(self.kind, s)
+
 
 def _build(kind: str) -> _Tiling:
     """The "square" or the "cube" tiling, built and checked by ``_Tiling``:
-    the geometry rows of every order from the lowest up to the one whose
-    segments reach N_CAP, and the counts copied along them to the end of
-    order _BASE_ORDER (``_counts``), as ``bytes``."""
-    if kind == "square":
-        rows_of, m, start, label = _square_rows, 4, SQUARE_START, _square_label
-    else:
-        rows_of, m, start, label = _cube_rows, 7, CUBE_START, _cube_label
-    rows = []
+    the rows of every order from 4 up to the one whose segments reach
+    N_CAP, with the unit increments of ``kind``, and the counts copied
+    along them to the end of order _BASE_ORDER (``_counts``), as
+    ``bytes``."""
+    rows, m = [], 4
     while not rows or rows[-1][1] < N_CAP:
-        rows += rows_of(m)
+        rows += _rows(m, kind)
         m += 1
     top = _bounds(_BASE_ORDER)[3] - 1
-    return _Tiling(rows, bytes(_counts(rows, top)), label, start)
+    return _Tiling(rows, bytes(_counts(rows, top)), kind)
 
 
 def _descend(tiling: _Tiling, n: int) -> tuple:

@@ -69,8 +69,7 @@ def check_kernel_gap_coding(m_max, n):
 
 
 def square_index(j, m):
-    """Index of square segment (j, m) in the square tables; cube segment m
-    is at m - 7."""
+    """Index of segment (j, m) in the square and the cube tables."""
     return 3 * (m - 4) + 3 - j
 
 
@@ -93,35 +92,53 @@ def phi(m):
     return exact_div(num, 44)
 
 
+def cube_order_closed_forms(m):
+    """The paper's closed forms of the cube counts over all of order m:
+    their total and the cumulative count at the order's end, both 0 below
+    order 7, where the first cube ends."""
+    if m < 7:
+        return 0, 0
+    t0, t1, t2 = t(m), t(m - 1), t(m - 2)
+    return (exact_div(2 * m * (7 * t0 - 13 * t1 + t2)
+                      + (-41 * t0 + 74 * t1 - 7 * t2) + 11, 44),
+            exact_div(m * (9 * t0 - 12 * t1 - 5 * t2)
+                      + 12 * (-2 * t0 + 2 * t1 + t2) + 11 * m, 44))
+
+
 def segment_closed_forms(tiling):
     """The paper's closed forms of every segment of the "square" or "cube"
-    tiling up to order 68, the last one the tables hold: the segment totals
-    and the cumulative counts at each segment's end, as two tuples indexed
-    like the segment rows.  The counters derive both from the floor and the
-    copy recursion instead; ``check_closed_forms`` compares the two."""
+    tables up to order 68, the last one they hold: the segment totals and
+    the cumulative counts at each segment's end, as two tuples indexed like
+    the segment rows.  Segment (j, m) of the cubes is all of order m - j
+    shifted up, and (3, m) adds the new cubes of order m, so its totals
+    follow from the cube forms of whole orders.  The counters derive both
+    from the floor and the copy recursion instead; ``check_closed_forms``
+    compares the two."""
     sums, cums = [], []
-    for m in range(4 if tiling == "square" else 7, 69):
-        t0, t1, t2 = t(m), t(m - 1), t(m - 2)
+    for m in range(4, 69):
         if tiling == "cube":
-            kinds = ((2 * m * (7 * t0 - 13 * t1 + t2)
-                      + (-41 * t0 + 74 * t1 - 7 * t2) + 11,
-                      m * (9 * t0 - 12 * t1 - 5 * t2)
-                      + 12 * (-2 * t0 + 2 * t1 + t2) + 11 * m),)
-        else:  # the numerators over 44 of segments (3, m), (2, m), (1, m)
-            kinds = (
-                (2 * m * (-19 * t0 + 29 * t1 + 13 * t2)
-                 + (237 * t0 - 358 * t1 - 157 * t2) + 33,
-                 m * (-25 * t0 + 48 * t1 + 31 * t2)
-                 + (173 * t0 - 294 * t1 - 213 * t2) + 11 * (m + 11)),
-                (2 * m * (10 * t0 - 6 * t1 - 19 * t2)
-                 + (-189 * t0 + 156 * t1 + 331 * t2) - 11,
-                 m * (-5 * t0 + 36 * t1 - 7 * t2)
-                 + 2 * (-8 * t0 - 69 * t1 + 59 * t2) + 11 * (m + 10)),
-                (2 * m * (4 * t0 - 9 * t1 + 10 * t2)
-                 + (19 * t0 + 36 * t1 - 169 * t2) - 11,
-                 m * (3 * t0 + 18 * t1 + 13 * t2)
-                 + (3 * t0 - 102 * t1 - 51 * t2) + 11 * (m + 9)),
-            )
+            (w0, c0), (w1, c1), (w2, _) = map(cube_order_closed_forms,
+                                              (m, m - 1, m - 2))
+            head = w0 - w1 - w2  # order m - 3 and the new cubes of order m
+            sums += [head, w2, w1]
+            cums += [c1 + head, c1 + head + w2, c0]
+            continue
+        # the numerators over 44 of segments (3, m), (2, m), (1, m)
+        t0, t1, t2 = t(m), t(m - 1), t(m - 2)
+        kinds = (
+            (2 * m * (-19 * t0 + 29 * t1 + 13 * t2)
+             + (237 * t0 - 358 * t1 - 157 * t2) + 33,
+             m * (-25 * t0 + 48 * t1 + 31 * t2)
+             + (173 * t0 - 294 * t1 - 213 * t2) + 11 * (m + 11)),
+            (2 * m * (10 * t0 - 6 * t1 - 19 * t2)
+             + (-189 * t0 + 156 * t1 + 331 * t2) - 11,
+             m * (-5 * t0 + 36 * t1 - 7 * t2)
+             + 2 * (-8 * t0 - 69 * t1 + 59 * t2) + 11 * (m + 10)),
+            (2 * m * (4 * t0 - 9 * t1 + 10 * t2)
+             + (19 * t0 + 36 * t1 - 169 * t2) - 11,
+             m * (3 * t0 + 18 * t1 + 13 * t2)
+             + (3 * t0 - 102 * t1 - 51 * t2) + 11 * (m + 9)),
+        )
         for total, cum in kinds:
             sums.append(exact_div(total, 44))
             cums.append(exact_div(cum, 44))
@@ -143,21 +160,23 @@ def check_closed_forms(seg, tiling):
 
 
 def check_segment_tiling(m_max):
-    """Square segments tile positions from 8 up, cube segments from 52 up,
-    with the advertised lengths and no gap or overlap."""
-    rows = fast_count._square_segments().rows
+    """Segments tile positions from 8 up, with the advertised lengths and
+    no gap or overlap, and the cube tables share the square geometry: cube
+    order m, its three segments, spans t_(m-1) positions from 52 on."""
+    squares = fast_count._tables("square").rows
+    cubes = fast_count._tables("cube").rows
+    assert [row[:6] for row in squares] == [row[:6] for row in cubes]
     expect = 8
     for m in range(4, m_max + 1):
         for j in (3, 2, 1):
-            lo, hi = rows[square_index(j, m)][:2]
+            lo, hi = squares[square_index(j, m)][:2]
             assert lo == expect, (j, m)
             length = {1: m - 2, 2: m - 3, 3: m - 4}[j]
             assert hi - lo + 1 == core_word.trib_number(length)
             expect = hi + 1
-    rows = fast_count._cube_segments().rows
     expect = 52
     for m in range(7, m_max + 1):
-        lo, hi = rows[m - 7][:2]
+        lo, hi = cubes[square_index(3, m)][0], cubes[square_index(1, m)][1]
         assert lo == expect, m
         assert hi - lo + 1 == core_word.trib_number(m - 1)
         expect = hi + 1

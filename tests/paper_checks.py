@@ -6,11 +6,13 @@ instead, so these functions are used only to check it: the gap sequences
 and their coding (``occurrences``, ``gap_pattern``, ``gap_coding``), the
 maximal kernel word inside a factor (``kernel_of``), the square blocks
 around the p-th occurrence of a kernel word (``square_case_block``), the
-repeated counts b and d from those occurrences (``kernel_route``) and
-their running sums B and D in closed form (``kernel_closed``), Glen's
-route to the distinct-square count at block lengths
-(``glen_distinct_squares_at_t``) and the letter counts of a block
-(``block_letter_counts``), taken from the substitution itself.  They read
+repeated counts b and d from those occurrences (``kernel_route``), the
+same from a scan and the kernel words alone, without the rows
+(``kernel_orders``, ``kernel_pairing``), and their running sums B and D
+in closed form (``kernel_closed``), Glen's route to the distinct-square
+count at block lengths (``glen_distinct_squares_at_t``) and the letter
+counts of a block (``block_letter_counts``), taken from the substitution
+itself.  They read
 the package's tables and its one argument check, ``core_word._arg``.
 """
 
@@ -143,7 +145,7 @@ def square_case_block(j: int, m: int, p: int) -> range:
     j = _arg(j, 1, 3, "square segment kind")
     m = _arg(m, 4, MAX_ORDER, "kernel order")
     shift = position_kernel(m, p) - position_kernel(m, 1)
-    rows = (fast_count._SQUARES or fast_count._square_segments()).rows
+    rows = fast_count._tables("square").rows
     inc_lo, inc_hi = rows[3 * (m - 4) + 3 - j][6:8]
     if inc_hi + shift > N_CAP:
         raise ValueError(f"square block ({j}, {m}) at kernel occurrence {p} "
@@ -156,27 +158,23 @@ def square_case_block(j: int, m: int, p: int) -> range:
 
 
 def _unit_blocks(kind: str) -> list:
-    """(inc_lo, inc_hi, m) of every row of the "square" or "cube" tiling,
-    in tiling order: its unit-increment block and the order m of its
-    segment, (j, m) or m."""
-    if kind == "square":
-        rows = (fast_count._SQUARES or fast_count._square_segments()).rows
-        orders = [4 + s // 3 for s in range(len(rows))]  # (3, m), (2, m), ...
-    else:
-        rows = (fast_count._CUBES or fast_count._cube_segments()).rows
-        orders = [7 + s for s in range(len(rows))]
-    return [(*row[6:8], m) for row, m in zip(rows, orders)]
+    """(inc_lo, inc_hi, m) of every row of the "square" or "cube" tables
+    that holds unit increments, in tiling order: its block and the order m
+    of its segment (j, m)."""
+    rows = fast_count._tables(kind).rows
+    return [(*row[6:8], 4 + s // 3) for s, row in enumerate(rows)
+            if row[6] <= row[7]]
 
 
 def kernel_route(kind: str, n: int, order_shift: int = 0) -> list[int]:
     """b(i) (``kind`` "square") or d(i) ("cube") for i in 0..n, by the
     paper's route: the squares (cubes) not seen before that end in the
-    unit-increment block of square segment (j, m) (cube segment m) recur at
-    every occurrence of the kernel word K_m, so b(i) (d(i)) counts the pairs
-    (e, p), e in such a block and p >= 1, with e + pos(m, p) - pos(m, 1) =
-    i, where pos(m, p) = position_kernel(m, p).  ``order_shift`` pairs each
-    block with the kernel order m + order_shift instead, to show that the
-    pairing is specific."""
+    unit-increment block of segment (j, m) recur at every occurrence of
+    the kernel word K_m, so b(i) (d(i)) counts the pairs (e, p), e in such
+    a block and p >= 1, with e + pos(m, p) - pos(m, 1) = i, where pos(m, p)
+    = position_kernel(m, p).  ``order_shift`` pairs each block with the
+    kernel order m + order_shift instead, to show that the pairing is
+    specific."""
     n = _arg(n, 0, ORACLE_CAP, "oracle scan length")
     counts = [0] * (n + 1)
     for inc_lo, inc_hi, m in _unit_blocks(kind):
@@ -264,6 +262,76 @@ def kernel_mismatches(ns, order_shift: int = 0) -> list:
                 out.append(f"{stat}({n}): kernel route {got}, "
                            f"{count.__name__} {want}, in {where}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the kernel pairing read off a scan, without the rows
+
+
+@lru_cache(maxsize=None)
+def _kernel_ends(n: int) -> dict:
+    """m -> the end position of every occurrence of the kernel word K_m
+    in the length-n prefix, ascending, for every m with k_m <= n."""
+    ends, m = {}, 1
+    while kernel_number(m) <= n:
+        ends[m] = occurrences(kernel_word(m), n)
+        m += 1
+    return ends
+
+
+def kernel_orders(summary, power: int) -> dict:
+    """e -> (L, m) at each position e where a new square (``power`` 2) or
+    cube (3) ends in the scan ``summary``: the root length L of that
+    repetition, which is the longest one ending at e (a longer one holds
+    the new one as a suffix, so it is new too, and only one new one ends
+    at e), and the order m of the maximal kernel word inside it.  That is
+    ``kernel_of`` of the factor, found from the end positions of the
+    kernel words instead of a search of each factor: the largest m for
+    which an occurrence of K_m lies inside the factor, which must hold
+    only one occurrence of it."""
+    runs, new = ((summary.square_runs, summary.a) if power == 2
+                 else (summary.cube_runs, summary.c))
+    longest = [0] * (summary.n + 1)
+    for L, first, last in sorted(runs):  # a longer root overwrites
+        longest[first:last + 1] = [L] * (last - first + 1)
+    ends = _kernel_ends(summary.n)
+    out = {}
+    for e, is_new in enumerate(new):
+        if not is_new:
+            continue
+        start = e - power * longest[e]  # the factor is word[start:e]
+        for m in reversed(ends):  # the orders, descending
+            k, q = kernel_number(m), ends[m]
+            i = bisect_right(q, e)  # the occurrences that end by e
+            if i and q[i - 1] - k >= start:
+                if i > 1 and q[i - 2] - k >= start:
+                    raise AssertionError(
+                        f"maximal kernel word of order {m} occurs more "
+                        f"than once in the repetition ending at {e}")
+                out[e] = longest[e], m
+                break
+        else:
+            raise ValueError(f"no kernel word inside the repetition at {e}")
+    return out
+
+
+def kernel_pairing(orders: dict, n: int, order_shift: int = 0) -> list:
+    """b(i) or d(i) for i in 0..n by the paper's route, from ``orders``,
+    the ``kernel_orders`` of a scan of the length-n prefix, and the kernel
+    words alone: the new square (cube) that ends at e, whose maximal kernel
+    word is K_m, recurs at every occurrence of K_m, so b(i) (d(i)) counts
+    the pairs (e, p) with e + D_p = i, where D_p is the distance from the
+    first occurrence of K_m to the p-th.  ``order_shift`` pairs each end
+    with the kernel order m + order_shift instead."""
+    ends = _kernel_ends(n)
+    counts = [0] * (n + 1)
+    for e, (_, m) in orders.items():
+        q = ends[m + order_shift]
+        for end in q:
+            if e + end - q[0] > n:
+                break
+            counts[e + end - q[0]] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,7 @@ def edges() -> list:
     N_CAP]."""
     from tribcount import fast_count as fc
     from tribcount.core_word import _CUBE_FIRSTS, _SQUARE_FIRSTS, N_CAP
-    segs = (fc._SQUARES or fc._square_segments(),
-            fc._CUBES or fc._cube_segments())
+    segs = (fc._tables("square"), fc._tables("cube"))
     ends = set()
     for table in (_SQUARE_FIRSTS, _CUBE_FIRSTS, *(seg.rows for seg in segs)):
         for x in table:

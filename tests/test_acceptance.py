@@ -30,7 +30,7 @@ def test_criterion_1_worked_examples():
     assert fc.algorithm_D(500) == 29
     assert segment_closed_forms("square")[1][square_index(3, 7)] == 45
     assert fc.algorithm_B(58) == 45
-    assert segment_closed_forms("cube")[1][9 - 7] == 12
+    assert segment_closed_forms("cube")[1][square_index(1, 9)] == 12
     assert fc.algorithm_D(325) == 12
     print("criterion 1 PASS: worked examples exact")
 
@@ -93,40 +93,26 @@ def test_criterion_5_cross_formula_consistency():
 
 def test_criterion_6_structural_recursion(scan3000):
     # orders 4-20 make the descents' floor, read from its prefix sums
-    seg = fc._square_segments()
-    sums, cums = segment_closed_forms("square")
+    for kind, at, column in (("square", fc.b_at, scan3000.b),
+                             ("cube", fc.d_at, scan3000.d)):
+        seg = fc._tables(kind)
+        sums, cums = segment_closed_forms(kind)
+        running = 0
+        for m in range(4, 21):
+            for j in (3, 2, 1):
+                s = square_index(j, m)
+                lo, hi = seg.rows[s][:2]
+                vec = tuple(tl._counts(seg.rows, hi)[lo:])
+                assert sums[s] == sum(vec)
+                running += sum(vec)
+                assert cums[s] == running
+                for i, v in enumerate(vec):
+                    assert v == at(lo + i)
+                    if lo + i <= 3000:
+                        assert v == column[lo + i]
+    sums = segment_closed_forms("square")[0]
     for m in range(4, 21):
-        for j in (1, 2, 3):
-            s = square_index(j, m)
-            lo, hi = seg.rows[s][:2]
-            vec = tuple(tl._counts(seg.rows, hi)[lo:])
-            assert sums[s] == sum(vec)
-            for i, v in enumerate(vec):
-                assert v == fc.b_at(lo + i)
-                if lo + i <= 3000:
-                    assert v == scan3000.b[lo + i]
         assert phi(m) == sum(sums[square_index(j, m)] for j in (1, 2, 3))
-    cubes = fc._cube_segments()
-    cube_sums, cube_cums = segment_closed_forms("cube")
-    for m in range(7, 21):
-        lo, hi = cubes.rows[m - 7][:2]
-        vec = tuple(tl._counts(cubes.rows, hi)[lo:])
-        assert cube_sums[m - 7] == sum(vec)
-        for i, v in enumerate(vec):
-            assert v == fc.d_at(lo + i)
-            if lo + i <= 3000:
-                assert v == scan3000.d[lo + i]
-    running = 0
-    for m in range(4, 21):
-        for j in (3, 2, 1):
-            lo, hi = seg.rows[square_index(j, m)][:2]
-            running += sum(tl._counts(seg.rows, hi)[lo:])
-            assert cums[square_index(j, m)] == running
-    running = 0
-    for m in range(7, 21):
-        lo, hi = cubes.rows[m - 7][:2]
-        running += sum(tl._counts(cubes.rows, hi)[lo:])
-        assert cube_cums[m - 7] == running
     print("criterion 6 PASS: recursions, point counts and sums agree")
 
 

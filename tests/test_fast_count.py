@@ -49,7 +49,12 @@ def _floor(tiling):
 
 def _kind(seg):
     """The tiling, "square" or "cube", whose segments ``seg`` holds."""
-    return "square" if seg.label is tl._square_label else "cube"
+    return seg.label.__self__.kind
+
+
+def _order_bounds(rows, m):
+    """[lo, hi] of all of order m: its segments (3, m) to (1, m)."""
+    return rows[square_index(3, m)][0], rows[square_index(1, m)][1]
 
 
 def test_base_square_table_matches_enumeration():
@@ -58,8 +63,11 @@ def test_base_square_table_matches_enumeration():
 
 
 def test_base_cube_table():
-    base = _built("cube").base
-    nonzero = {i: v for i, v in enumerate(base[:326]) if v}
+    # no cube ends in the counts a build keeps, up to position 51; the
+    # counts copied along the rows to the end of order 9
+    assert not any(_built("cube").base)
+    counts = tl._counts(_built("cube").rows, 325)
+    nonzero = {i: v for i, v in enumerate(counts) if v}
     assert nonzero == {58: 1, 107: 1, 108: 1, 139: 1, 197: 1, 198: 1,
                        199: 1, 200: 1, 207: 1, 256: 1, 257: 1, 288: 1}
 
@@ -130,22 +138,21 @@ def test_segment_tiling():
 
 
 def test_segment_thresholds_construct():
-    # ordering violations raise inside the row builders
-    for m in range(4, 41):
-        tl._square_rows(m)
-    for m in range(7, 41):
-        tl._cube_rows(m)
+    # ordering violations raise inside the row builder
+    for kind in ("square", "cube"):
+        for m in range(4, 41):
+            tl._rows(m, kind)
 
 
 def test_square_segment_explicit_bounds():
-    rows = fc._square_segments().rows
+    rows = fc._tables("square").rows
     assert rows[square_index(3, 4)][:2] == (8, 8)
     assert rows[square_index(2, 4)][:2] == (9, 10)
     assert rows[square_index(1, 4)][:2] == (11, 14)
     assert rows[square_index(1, 6)][:2] == (39, 51)
-    rows = fc._cube_segments().rows
-    assert rows[7 - 7][:2] == (52, 95)
-    assert rows[9 - 7][:2] == (177, 325)
+    rows = fc._tables("cube").rows
+    assert _order_bounds(rows, 7) == (52, 95)
+    assert _order_bounds(rows, 9) == (177, 325)
 
 
 def _order_span(m):
@@ -168,21 +175,23 @@ def test_segment_geometry_matches_the_per_kind_formulas():
             1: (exact_div(t0 + 2 * t1 - t2 - 1, 2),
                 exact_div(t0 + 2 * t1 + t2 - 3, 2)),
         }
-        squares = tl._square_rows(m)
+        squares = tl._rows(m, "square")
         for j, (lo, hi, _, _, _, shift, _, _) in zip((3, 2, 1), squares):
             assert (lo, hi) == per_kind[j], (j, m)
             # shifted down, part j of order m is all of order m - j
             assert (lo - shift, hi - shift) == _order_span(m - j), (j, m)
+        # the cubes copy along the same rows
+        assert ([row[:6] for row in tl._rows(m, "cube")]
+                == [row[:6] for row in squares]), m
         if m >= 7:
-            (lo, hi, cut1, cut2, *_), = tl._cube_rows(m)
+            # the paper's cube segment m is all of order m, cut where its
+            # parts meet
+            lo, hi = squares[0][0], squares[2][1]
             assert (lo, hi) == _order_span(m), m
-            assert (cut1, cut2) == (lo + t(m - 4),
-                                    lo + t(m - 4) + t(m - 3)), m
-            # cube segment m is square order m, cut where its parts meet
-            assert (lo, cut1, cut2, hi) == (squares[0][0], squares[1][0],
-                                            squares[2][0], squares[2][1]), m
+            assert (squares[1][0], squares[2][0]) == (
+                lo + t(m - 4), lo + t(m - 4) + t(m - 3)), m
         m += 1
-    assert m - 1 == 4 + len(fc._square_segments().rows) // 3 - 1
+    assert m - 1 == 4 + len(fc._tables("square").rows) // 3 - 1
 
 
 def test_b_at_values():
@@ -202,7 +211,7 @@ def test_d_at_values():
 # orders 4-20 make the floor, so their entries are read from its prefix
 # sums, the difference of two running sums
 def test_square_vectors_match_single_point():
-    rows = fc._square_segments().rows
+    rows = fc._tables("square").rows
     for m in range(4, 21):
         for j in (1, 2, 3):
             lo, hi = rows[square_index(j, m)][:2]
@@ -212,16 +221,17 @@ def test_square_vectors_match_single_point():
 
 
 def test_cube_vectors_match_single_point():
-    rows = fc._cube_segments().rows
-    for m in range(7, 21):
-        lo, hi = rows[m - 7][:2]
-        vec = tuple(tl._counts(rows, hi)[lo:])
-        assert len(vec) == hi - lo + 1
-        assert list(vec) == [fc.d_at(i) for i in range(lo, hi + 1)]
+    rows = fc._tables("cube").rows
+    for m in range(4, 21):
+        for j in (1, 2, 3):
+            lo, hi = rows[square_index(j, m)][:2]
+            vec = tuple(tl._counts(rows, hi)[lo:])
+            assert len(vec) == hi - lo + 1
+            assert list(vec) == [fc.d_at(i) for i in range(lo, hi + 1)]
 
 
 def test_square_vectors_match_oracle(scan3000):
-    rows = fc._square_segments().rows
+    rows = fc._tables("square").rows
     for m in range(4, 13):
         for j in (1, 2, 3):
             lo, hi = rows[square_index(j, m)][:2]
@@ -232,19 +242,20 @@ def test_square_vectors_match_oracle(scan3000):
 
 
 def test_cube_vectors_match_oracle(scan3000):
-    rows = fc._cube_segments().rows
-    for m in range(7, 14):
-        lo, hi = rows[m - 7][:2]
-        for i, v in enumerate(tl._counts(rows, hi)[lo:]):
-            if lo + i > 3000:
-                break
-            assert v == scan3000.d[lo + i]
+    rows = fc._tables("cube").rows
+    for m in range(4, 14):
+        for j in (1, 2, 3):
+            lo, hi = rows[square_index(j, m)][:2]
+            for i, v in enumerate(tl._counts(rows, hi)[lo:]):
+                if lo + i > 3000:
+                    break
+                assert v == scan3000.d[lo + i]
 
 
 def test_sum_b_gamma_values():
     assert SQUARE_SUMS[square_index(3, 4)] == 1
     assert SQUARE_SUMS[square_index(1, 5)] == 5
-    rows = fc._square_segments().rows
+    rows = fc._tables("square").rows
     lo, hi = rows[square_index(1, 5)][:2]
     assert tuple(tl._counts(rows, hi)[lo:]) == (1, 0, 1, 0, 0, 1, 2)
 
@@ -254,7 +265,7 @@ def test_segment_sums_match_direct():
     assert tuple(tl._build("square").totals) == SQUARE_SUMS
     assert tuple(tl._build("cube").totals) == CUBE_SUMS
     # every order inside the floor
-    seg = fc._square_segments()
+    seg = fc._tables("square")
     for m in range(4, 18):
         total = 0
         for j in (1, 2, 3):
@@ -263,34 +274,29 @@ def test_segment_sums_match_direct():
             assert SQUARE_SUMS[square_index(j, m)] == direct
             total += direct
         assert phi(m) == total
-    seg = fc._cube_segments()
-    for m in range(7, 18):
-        lo, hi = seg.rows[m - 7][:2]
-        assert CUBE_SUMS[m - 7] == sum(tl._counts(seg.rows, hi)[lo:])
+    seg = fc._tables("cube")
+    for m in range(4, 18):
+        for j in (1, 2, 3):
+            lo, hi = seg.rows[square_index(j, m)][:2]
+            direct = sum(tl._counts(seg.rows, hi)[lo:])
+            assert CUBE_SUMS[square_index(j, m)] == direct
 
 
 def test_cumulative_at_segment_ends():
     # and at every position: the running sums of the vectors, through
     # orders 4-20, the floor
-    seg = fc._square_segments()
-    running = 0
-    for m in range(4, 21):
-        for j in (3, 2, 1):
-            lo, hi = seg.rows[square_index(j, m)][:2]
-            cum = list(accumulate(tl._counts(seg.rows, hi)[lo:],
-                                  initial=running))[1:]
-            assert [fc.algorithm_B(i) for i in range(lo, hi + 1)] == cum
-            running = cum[-1]
-            assert SQUARE_CUMS[square_index(j, m)] == running
-    seg = fc._cube_segments()
-    running = 0
-    for m in range(7, 21):
-        lo, hi = seg.rows[m - 7][:2]
-        cum = list(accumulate(tl._counts(seg.rows, hi)[lo:],
-                              initial=running))[1:]
-        assert [fc.algorithm_D(i) for i in range(lo, hi + 1)] == cum
-        running = cum[-1]
-        assert CUBE_CUMS[m - 7] == running
+    for kind, count, cums in (("square", fc.algorithm_B, SQUARE_CUMS),
+                              ("cube", fc.algorithm_D, CUBE_CUMS)):
+        seg = fc._tables(kind)
+        running = 0
+        for m in range(4, 21):
+            for j in (3, 2, 1):
+                lo, hi = seg.rows[square_index(j, m)][:2]
+                cum = list(accumulate(tl._counts(seg.rows, hi)[lo:],
+                                      initial=running))[1:]
+                assert [count(i) for i in range(lo, hi + 1)] == cum
+                running = cum[-1]
+                assert cums[square_index(j, m)] == running
 
 
 def test_b_cum_values():
@@ -298,7 +304,7 @@ def test_b_cum_values():
 
 
 def test_b_cum_chaining():
-    seg = fc._square_segments()
+    seg = fc._tables("square")
     sums, cums = SQUARE_SUMS, SQUARE_CUMS
     for m in range(4, 31):
         one, two, three = (square_index(j, m) for j in (1, 2, 3))
@@ -326,33 +332,44 @@ def test_segment_sum_recurrences():
     for m in range(7, 21):
         assert (sums[square_index(3, m)]
                 == phi(m - 3) + t(m - 4) - k(m - 3) + 1)
-    sums = CUBE_SUMS  # cube segment m at m - 7
+    # cube segment (j, m) is all of order m - j, and (3, m) adds the new
+    # cubes of order m
     for m in range(10, 21):
-        assert sums[m - 7] == (sums[m - 8] + sums[m - 9] + sums[m - 10]
-                               + exact_div(t(m - 2) - 3 * t(m - 4) - 1, 2))
+        assert CUBE_SUMS[square_index(3, m)] == (
+            _cube_order_sum(m - 3)
+            + exact_div(t(m - 2) - 3 * t(m - 4) - 1, 2))
+        assert CUBE_SUMS[square_index(2, m)] == _cube_order_sum(m - 2)
+        assert CUBE_SUMS[square_index(1, m)] == _cube_order_sum(m - 1)
+
+
+def _cube_order_sum(m):
+    """The closed-form total of the cube counts over all of order m."""
+    return sum(CUBE_SUMS[square_index(j, m)] for j in (3, 2, 1))
 
 
 def test_sum_d_gamma_values():
-    assert CUBE_SUMS[7 - 7] == 1
-    assert CUBE_SUMS[8 - 7] == 3
-    rows = fc._cube_segments().rows
-    lo, hi = rows[12 - 7][:2]
-    assert CUBE_SUMS[12 - 7] == sum(tl._counts(rows, hi)[lo:])
+    assert _cube_order_sum(6) == 0
+    assert _cube_order_sum(7) == 1
+    assert _cube_order_sum(8) == 3
+    rows = fc._tables("cube").rows
+    lo, hi = _order_bounds(rows, 12)
+    assert _cube_order_sum(12) == sum(tl._counts(rows, hi)[lo:])
 
 
 def test_d_cum_values():
-    assert CUBE_CUMS[7 - 7] == 1
-    assert CUBE_CUMS[9 - 7] == 12
-    assert CUBE_CUMS[15 - 7] == sum(CUBE_SUMS[7 - 7:15 - 7 + 1])
+    assert CUBE_CUMS[square_index(1, 7)] == 1
+    assert CUBE_CUMS[square_index(1, 9)] == 12
+    assert (CUBE_CUMS[square_index(1, 15)]
+            == sum(CUBE_SUMS[:square_index(1, 15) + 1]))
 
 
 def test_d_cum_continuity_across_segments():
     # no cube ends at a segment's first position, so the cumulative count
     # carries over unchanged
-    seg = fc._cube_segments()
-    for m in range(7, 20):
-        nxt = seg.rows[m + 1 - 7][0]
-        assert fc.algorithm_D(nxt) == CUBE_CUMS[m - 7]
+    seg = fc._tables("cube")
+    for s in range(square_index(1, 20)):
+        nxt = seg.rows[s + 1][0]
+        assert fc.algorithm_D(nxt) == CUBE_CUMS[s]
         assert fc.d_at(nxt) == 0
 
 
@@ -431,8 +448,7 @@ def _wrong_tiling(seg, s, field, value=None):
     rows = [list(row) for row in seg.rows]
     i = ROW_FIELDS.index(field)
     rows[s][i] = rows[s][i] + 1 if value is None else value
-    return tl._Tiling(rows, _built(_kind(seg)).base, seg.label,
-                      seg.rows[0][0])
+    return tl._Tiling(rows, _built(_kind(seg)).base, _kind(seg))
 
 
 def _with_wrong_entry(seg, s, field, value=None):
@@ -454,33 +470,33 @@ BROKEN_BUILDS = (_wrong_tiling, _with_wrong_entry)
                r"outside it"),
 ])
 def test_self_check_names_broken_square_segment(field, message):
-    seg = fc._square_segments()
+    seg = fc._tables("square")
     for build in BROKEN_BUILDS:
         with pytest.raises(RuntimeError, match=message):
             build(seg, 3 * (30 - 4) + 3 - 2, field)
 
 
 @pytest.mark.parametrize("field, message", [
-    ("lo", r"tiling broken at cube segment m=40"),
+    ("lo", r"tiling broken at cube segment \(j=3, m=40\)"),
     ("shift", r"child segments do not line up with the cuts of "
-              r"cube segment m=40"),
+              r"cube segment \(j=3, m=40\)"),
 ])
 def test_self_check_names_broken_cube_segment(field, message):
-    seg = fc._cube_segments()
+    seg = fc._tables("cube")
     for build in BROKEN_BUILDS:
         with pytest.raises(RuntimeError, match=message):
-            build(seg, 40 - 7, field)
+            build(seg, square_index(3, 40), field)
 
 
 @pytest.mark.parametrize("tiling, s, field", [
     ("square", 3 * (10 - 4) + 3 - 2, "cut1"),
     ("square", 3 * (10 - 4) + 3 - 2, "shift"),
-    ("cube", 12 - 7, "cut1"),
-    ("cube", 12 - 7, "shift"),
+    ("cube", square_index(3, 12), "cut1"),
+    ("cube", square_index(3, 12), "shift"),
 ])
 def test_self_check_lines_up_segments_inside_the_floor(tiling, s, field):
     # the floor is copied along the children of its segments too
-    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    seg = fc._tables(tiling)
     assert seg.rows[s][1] < FLOOR_TOP
     for build in BROKEN_BUILDS:
         with pytest.raises(RuntimeError, match="child segments do not line "
@@ -489,10 +505,10 @@ def test_self_check_lines_up_segments_inside_the_floor(tiling, s, field):
 
 
 @pytest.mark.parametrize("tiling, s", [("square", 3 * (30 - 4) + 3 - 2),
-                                       ("cube", 40 - 7)])
+                                       ("cube", square_index(3, 40))])
 def test_self_check_wants_children_past_the_floor(tiling, s):
     # a segment past the floor totals its children, so it must have them
-    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    seg = fc._tables(tiling)
     assert seg.rows[s][0] > FLOOR_TOP
     for build in BROKEN_BUILDS:
         with pytest.raises(RuntimeError, match="child segments do not line "
@@ -500,14 +516,13 @@ def test_self_check_wants_children_past_the_floor(tiling, s):
             build(seg, s, "first", -1)
 
 
-@pytest.mark.parametrize("tiling, s", [("square", square_index(1, 6)),
-                                       ("cube", 9 - 7)])
-def test_a_lower_floor_gives_the_same_counts(monkeypatch, tiling, s):
-    # the floor cut at the end of the segments without children, orders 6
-    # and 9: every segment past it is cut into pieces, and the descents go
-    # on down to the lower floor
+@pytest.mark.parametrize("tiling", ["square", "cube"])
+def test_a_lower_floor_gives_the_same_counts(monkeypatch, tiling):
+    # the floor cut at the end of the segments without children, order 6:
+    # every segment past it is cut into pieces, and the descents go on down
+    # to the lower floor
     seg = _published(tiling)
-    order = 4 + s // 3 if tiling == "square" else 7 + s
+    s, order = square_index(1, 6), 6
     assert tl._bounds(order)[3] - 1 == seg.rows[s][1]
     monkeypatch.setattr(fc, "_FLOOR_ORDER", order)
     low = fc._Segments(_built(tiling))
@@ -520,11 +535,12 @@ def test_a_lower_floor_gives_the_same_counts(monkeypatch, tiling, s):
 
 
 def test_a_floor_below_the_segments_without_children_raises(monkeypatch):
-    # cube segment 9, which has no children, would lie past the floor
-    monkeypatch.setattr(fc, "_FLOOR_ORDER", 8)
-    with pytest.raises(RuntimeError, match="a segment past the floor's end "
-                       "176 has no children"):
-        fc._Segments(_built("cube"))
+    # segment (3, 6), which has no children, would lie past the floor
+    monkeypatch.setattr(fc, "_FLOOR_ORDER", 5)
+    for tiling in ("square", "cube"):
+        with pytest.raises(RuntimeError, match="a segment past the floor's "
+                           "end 27 has no children"):
+            fc._Segments(_built(tiling))
 
 
 @pytest.mark.parametrize("j, m, field, moved_from, by", [
@@ -534,7 +550,7 @@ def test_a_floor_below_the_segments_without_children_raises(monkeypatch):
 ])
 def test_self_check_wants_every_segment_to_hold_its_increments(
         j, m, field, moved_from, by):
-    seg = fc._square_segments()
+    seg = fc._tables("square")
     s = square_index(j, m)
     value = seg.rows[s][ROW_FIELDS.index(moved_from)] + by
     for build in BROKEN_BUILDS:
@@ -547,25 +563,27 @@ def test_self_check_wants_every_segment_to_hold_its_increments(
 @pytest.mark.parametrize("ends_at", ["hi - 1", "lo"])
 def test_self_check_wants_the_floor_to_end_a_segment(tiling, ends_at):
     # the floor cut short inside its last segment [lo, hi]
-    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    seg = fc._tables(tiling)
     lo, hi = seg.rows[_segment_of(seg, FLOOR_TOP)][:2]
     top = hi - 1 if ends_at == "hi - 1" else lo
     with pytest.raises(RuntimeError, match=f"the base table ends at "
                        f"{top}, inside a segment"):
-        tl._Tiling(seg.rows, _floor(tiling)[0][:top + 1], seg.label,
-                   seg.rows[0][0])
+        tl._Tiling(seg.rows, _floor(tiling)[0][:top + 1], tiling)
 
 
-# square inc_hi + 1 leaves its segment, which the self-check names (above)
-@pytest.mark.parametrize("tiling, s, field", [
-    ("square", 3 * (30 - 4) + 3 - 2, "inc_lo"),
-    ("cube", 40 - 7, "inc_lo"),
-    ("cube", 40 - 7, "inc_hi"),
+# a tail block's inc_hi + 1 leaves its segment, which the self-check names
+# (above)
+@pytest.mark.parametrize("tiling, s, field, by", [
+    ("square", 3 * (30 - 4) + 3 - 2, "inc_lo", 1),
+    ("cube", square_index(3, 40), "inc_lo", 1),
+    ("cube", square_index(3, 40), "inc_hi", -1),
 ])
-def test_closed_forms_name_a_segment_with_a_wrong_increment(tiling, s, field):
+def test_closed_forms_name_a_segment_with_a_wrong_increment(tiling, s, field,
+                                                            by):
     # the total derived from the copy moves by one, unlike the closed form
-    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
-    broken = _with_wrong_entry(seg, s, field)  # which passes the build
+    seg = fc._tables(tiling)
+    value = seg.rows[s][ROW_FIELDS.index(field)] + by
+    broken = _with_wrong_entry(seg, s, field, value)  # which passes the build
     with pytest.raises(AssertionError, match="closed forms of "
                        + re.escape(seg.label(s)) + ": "):
         check_closed_forms(broken, tiling)
@@ -622,12 +640,12 @@ def test_unit_increments_are_the_first_occurrences():
     # are the positions where a square or a cube not seen before ends: the
     # intervals of the closed forms, which the rows are clipped from, so no
     # first occurrence up to N_CAP falls outside a block.
-    blocks = [row[6:8] for row in fc._square_segments().rows]
+    blocks = [row[6:8] for row in fc._tables("square").rows]
     new = [(8, 8), (10, 10)]
     for m, (beta, gamma, theta) in enumerate(square_bounds(), 4):
         new += [(2 * t(m - 1), beta), (gamma, theta)]
     assert _union(blocks) == _union(new)
-    blocks = [row[6:8] for row in fc._cube_segments().rows]
+    blocks = [row[6:8] for row in fc._tables("cube").rows]
     new = [(t(m - 1) + 2 * t(m - 4), beta)
            for m, (_, beta) in enumerate(cw._CUBE_FIRSTS, 7)]
     assert _union(blocks) == _union(new)
@@ -643,7 +661,7 @@ def _with_interval(monkeypatch, tiling, index, interval):
                         + firsts[index + 1:])
     monkeypatch.setattr(fc, "_SQUARES", None)
     monkeypatch.setattr(fc, "_CUBES", None)
-    return fc._square_segments if tiling == "square" else fc._cube_segments
+    return functools.partial(fc._tables, tiling)
 
 
 def _with_moved_breakpoint(monkeypatch, tiling, index, delta):
@@ -656,12 +674,16 @@ def _with_moved_breakpoint(monkeypatch, tiling, index, delta):
 
 @pytest.mark.parametrize("tiling, index, delta, message", [
     # square theta of order 44: the second field of interval 2 + 2 (44 - 4) + 1
-    ("square", 83, -1, r"threshold ordering broken in \(2, 45\)"),
-    ("square", 83, 1, r"square segment \(j=1, m=45\) meets no "
-                      r"first-occurrence interval, or two"),
-    # cube beta of order 27
-    ("cube", 27 - 7, -1, "threshold ordering broken in cube segment 27"),
-    ("cube", 27 - 7, 1, "threshold ordering broken in cube segment 27"),
+    ("square", 83, -1, r"threshold ordering broken in square segment "
+                       r"\(j=2, m=45\)"),
+    ("square", 83, 1, r"square segment \(j=1, m=45\) meets two "
+                      r"first-occurrence intervals"),
+    # cube beta of order 27: its block ends at the hi of segment (3, 27),
+    # one short or into segment (2, 27), which holds no cube block
+    ("cube", 27 - 7, -1, r"threshold ordering broken in cube segment "
+                         r"\(j=3, m=27\)"),
+    ("cube", 27 - 7, 1, r"threshold ordering broken in cube segment "
+                        r"\(j=2, m=27\)"),
 ])
 def test_a_moved_breakpoint_fails_the_first_build(monkeypatch, tiling, index,
                                                   delta, message):
@@ -677,25 +699,24 @@ def test_a_moved_breakpoint_fails_the_first_build(monkeypatch, tiling, index,
         tl._build(tiling)
 
 
-CUBE_27 = tl._cube_rows(27)[0]  # lo, hi, ... of cube segment 27
-HEAD_30 = tl._square_rows(30)[0]  # of square segment (3, 30)
+ORDER_27 = tl._bounds(27)  # where segments (3, 27), (2, 27), (1, 27) start
+HEAD_30 = tl._rows(30, "square")[0]  # of square segment (3, 30)
 
 
 @pytest.mark.parametrize("tiling, index, interval, message", [
-    # [alpha, beta] of cube order 27 from its segment's lo, where the first
-    # child starts: only ``lo < inc_lo`` rejects it
-    ("cube", 27 - 7, (CUBE_27[0], cw._CUBE_FIRSTS[27 - 7][1]),
-     r"threshold ordering broken in cube segment 27$"),
-    # the same from past its segment's hi: the segment meets no interval,
-    # and the message names it
-    ("cube", 27 - 7, (CUBE_27[1] + 1, cw._CUBE_FIRSTS[27 - 7][1]),
-     r"cube segment m=27 meets no first-occurrence interval, or two"),
+    # [alpha, beta] of cube order 27 from the lo of segment (3, 27), where
+    # its first child starts: only ``lo < inc_lo`` rejects it
+    ("cube", 27 - 7, (ORDER_27[0], cw._CUBE_FIRSTS[27 - 7][1]),
+     r"threshold ordering broken in cube segment \(j=3, m=27\)$"),
+    # the same from past the order: segment (3, 27) holds no cube block
+    ("cube", 27 - 7, (ORDER_27[3], cw._CUBE_FIRSTS[27 - 7][1]),
+     r"threshold ordering broken in cube segment \(j=3, m=27\)$"),
     # [alpha, beta] of square order 29 on to the hi of segment (3, 30),
     # whose head block it holds: only the block's end inc_hi + 1 <= hi
     # rejects it
     ("square", 2 + 2 * (29 - 4),
      (cw._SQUARE_FIRSTS[2 + 2 * (29 - 4)][0], HEAD_30[1]),
-     r"threshold ordering broken in \(3, 30\)"),
+     r"threshold ordering broken in square segment \(j=3, m=30\)"),
 ])
 def test_an_interval_that_one_clause_rejects(monkeypatch, tiling, index,
                                              interval, message):
@@ -706,6 +727,49 @@ def test_an_interval_that_one_clause_rejects(monkeypatch, tiling, index,
         build()
     with pytest.raises((RuntimeError, AssertionError), match=message):
         tl._build(tiling)
+
+
+@pytest.mark.parametrize("j, m", [(2, 27), (1, 27), (3, 6), (1, 40)])
+def test_a_cube_interval_in_a_segment_without_cubes_fails_the_build(
+        monkeypatch, j, m):
+    # one more cube interval, one position long, inside a segment that
+    # holds no cube block: only (3, m) from order 7 on holds one
+    x = tl._bounds(m)[3 - j] + 1
+    monkeypatch.setattr(tl, "_CUBE_FIRSTS",
+                        tuple(sorted(tl._CUBE_FIRSTS + ((x, x),))))
+    monkeypatch.setattr(fc, "_CUBES", None)
+    message = re.escape(
+        f"threshold ordering broken in cube segment (j={j}, m={m})")
+    with pytest.raises(AssertionError, match=message):
+        fc._tables("cube")
+    assert fc._CUBES is None
+    with pytest.raises(AssertionError, match=message):
+        tl._build("cube")
+
+
+@pytest.mark.parametrize("block, accepted", [
+    (lambda lo, hi: (hi + 1, hi), True),  # the empty block
+    (lambda lo, hi: (lo + 1, lo), False),
+    (lambda lo, hi: (hi, hi - 1), False),
+    (lambda lo, hi: (hi + 2, hi + 1), False),
+    (lambda lo, hi: (hi + 1, hi - 1), False),
+])
+def test_the_row_check_takes_only_the_empty_block_reversed(block, accepted):
+    # the one reversed block a row may hold is (hi + 1, hi), where no
+    # square or cube ends; its total is then that of its children
+    built = _built("square")
+    s = square_index(2, 30)
+    rows = [list(row) for row in built.rows]
+    rows[s][6:8] = block(*rows[s][:2])
+    if accepted:
+        tiling = tl._Tiling(rows, built.base, "square")
+        first = rows[s][4]
+        assert tiling.totals[s] == sum(built.totals[first:first + 3])
+    else:
+        with pytest.raises(RuntimeError, match=re.escape(
+                "unit increments of square segment (j=2, m=30) lie "
+                "outside it")):
+            tl._Tiling(rows, built.base, "square")
 
 
 @pytest.mark.parametrize("index, delta, segment", [
@@ -731,14 +795,13 @@ def test_a_moved_breakpoint_fails_the_closed_forms(monkeypatch, index, delta,
 
 
 def test_vectors_at_the_materialization_cap_sum_to_the_closed_forms():
-    # square segment (1, 28) and cube segment 27: the longest segments of
-    # at most MATERIALIZE_CAP positions
-    rows = fc._square_segments().rows
-    lo, hi = rows[square_index(1, 28)][:2]
-    assert sum(tl._counts(rows, hi)[lo:]) == SQUARE_SUMS[square_index(1, 28)]
-    rows = fc._cube_segments().rows
-    lo, hi = rows[27 - 7][:2]
-    assert sum(tl._counts(rows, hi)[lo:]) == CUBE_SUMS[27 - 7]
+    # segment (1, 28): the longest segment of at most MATERIALIZE_CAP
+    # positions
+    s = square_index(1, 28)
+    for tiling, sums in (("square", SQUARE_SUMS), ("cube", CUBE_SUMS)):
+        rows = fc._tables(tiling).rows
+        lo, hi = rows[s][:2]
+        assert sum(tl._counts(rows, hi)[lo:]) == sums[s]
 
 
 FLOOR_TOP = 266078  # last position of square order 20 and of cube order 20
@@ -784,7 +847,7 @@ WRONG_PIECES = [
 
 @pytest.mark.parametrize("field, wrong, message", WRONG_PIECES)
 def test_self_check_names_broken_square_piece(field, wrong, message):
-    seg = fc._square_segments()
+    seg = fc._tables("square")
     s = 3 * (30 - 4) + 3 - 2
     with pytest.raises(RuntimeError,
                        match=re.escape(message.format(seg.label(s)))):
@@ -794,20 +857,20 @@ def test_self_check_names_broken_square_piece(field, wrong, message):
 
 @pytest.mark.parametrize("field, wrong, message", WRONG_PIECES + [
     # an entry of the other tiling
-    ("next", lambda entry: fc._square_segments().pieces[-1],
+    ("next", lambda entry: fc._tables("square").pieces[-1],
      "a piece of {} is not the jump from"),
 ])
 def test_self_check_names_broken_cube_piece(field, wrong, message):
-    seg = fc._cube_segments()
+    seg = fc._tables("cube")
+    s = square_index(3, 40)
     with pytest.raises(RuntimeError,
-                       match=re.escape(message.format(seg.label(40 - 7)))):
-        fc._check_pieces(seg, 40 - 7,
-                         _with_wrong_piece(seg, 40 - 7, field, wrong),
+                       match=re.escape(message.format(seg.label(s)))):
+        fc._check_pieces(seg, s, _with_wrong_piece(seg, s, field, wrong),
                          seg.pieces)
 
 
 def test_self_check_of_pieces_names_the_break():
-    seg = fc._square_segments()
+    seg = fc._tables("square")
     s = 3 * (30 - 4) + 3 - 2
     hi = seg.rows[s][1]
     starts, cut = seg.pieces[s]
@@ -883,7 +946,7 @@ def test_pieces_are_built_checked_and_linked_with_the_rows(monkeypatch,
     # and the first jump searches all of them in position order
     monkeypatch.setattr(fc, "_SQUARES", None)
     monkeypatch.setattr(fc, "_CUBES", None)
-    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    seg = fc._tables(tiling)
     assert len(seg.pieces) == len(seg.rows)
     starts, cut, above = [], [], []
     for s, row in enumerate(seg.rows):
@@ -911,22 +974,21 @@ def test_pieces_are_built_checked_and_linked_with_the_rows(monkeypatch,
 
 def test_a_build_takes_each_segments_edges_once(monkeypatch):
     # the edges of a segment start its own and its parents' pieces, for
-    # the build and the checks alike: 144 square and 48 cube segments lie
-    # above the floor
+    # the build and the checks alike: 144 segments lie above the floor
     monkeypatch.setattr(fc, "_SQUARES", None)
     monkeypatch.setattr(fc, "_CUBES", None)
     calls, edges = [], fc._edges
     monkeypatch.setattr(fc, "_edges", lambda row: calls.append(row)
                         or edges(row))
-    for build, above in ((fc._square_segments, 144), (fc._cube_segments, 48)):
-        rows = [row for row in build().rows if row[1] > FLOOR_TOP]
-        assert len(rows) == above
+    for tiling in ("square", "cube"):
+        rows = [row for row in fc._tables(tiling).rows if row[1] > FLOOR_TOP]
+        assert len(rows) == 144
         assert sorted(calls) == rows
         calls.clear()
 
 
 @pytest.mark.parametrize("tiling, s", [("square", 3 * (30 - 4) + 3 - 2),
-                                       ("cube", 40 - 7)])
+                                       ("cube", square_index(3, 40))])
 def test_a_piece_that_fails_its_check_fails_the_build(monkeypatch, tiling, s):
     # every segment's pieces are checked while the tiling is built, so a
     # broken one fails the build, naming the segment, and nothing is
@@ -942,11 +1004,10 @@ def test_a_piece_that_fails_its_check_fails_the_build(monkeypatch, tiling, s):
     monkeypatch.setattr(fc, "_segment_pieces", without_the_last_piece)
     monkeypatch.setattr(fc, "_SQUARES", None)
     monkeypatch.setattr(fc, "_CUBES", None)
-    build = fc._square_segments if tiling == "square" else fc._cube_segments
-    label = tl._square_label(s) if tiling == "square" else tl._cube_label(s)
+    label = tl._label(tiling, s)
     with pytest.raises(RuntimeError,
                        match=re.escape(label) + " do not tile it"):
-        build()
+        fc._tables(tiling)
     assert fc._SQUARES is None and fc._CUBES is None
     # and so does the counters' second call, after a first that walked
     monkeypatch.setattr(fc, "_KEPT", {})
@@ -984,7 +1045,7 @@ def _outside(label):
 def test_a_jump_into_the_wrong_pieces_names_their_segment(tiling):
     # the next jump searches the wrong segment's pieces, finds its lower
     # end piece, and both descents name that segment
-    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    seg = fc._tables(tiling)
     n = 10**15 + 7
     broken, label = _misdirected(seg, n)
     for descent in (fc._point, fc._cumulative):
@@ -1001,7 +1062,7 @@ def test_a_jump_into_the_wrong_pieces_names_their_segment_under_O(tiling):
     script = ("import sys\n"
               f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
               "from test_fast_count import _misdirected, fc\n"
-              f"seg = fc._{tiling}_segments()\n"
+              f"seg = fc._tables({tiling!r})\n"
               "broken, label = _misdirected(seg, 10**15 + 7)\n"
               "print(label)\n"
               "for descent in fc._point, fc._cumulative:\n"
@@ -1024,7 +1085,7 @@ def test_a_descent_outside_an_entry_names_its_segment(tiling):
     # a descent started at an entry, just outside its segment, reads an
     # end piece and names the segment; the copy has no floor, so that
     # n = lo - 1 does not stop in it
-    seg = fc._square_segments() if tiling == "square" else fc._cube_segments()
+    seg = fc._tables(tiling)
     bare = copy.copy(seg)
     bare.cum_hi, bare.cum_lo = array("I"), bytearray()
     entries = 0
@@ -1039,7 +1100,7 @@ def test_a_descent_outside_an_entry_names_its_segment(tiling):
                 with pytest.raises(RuntimeError,
                                    match=_outside(seg.label(s))):
                     descent(bare, n)
-    assert entries == (144 if tiling == "square" else 48)
+    assert entries == 144
 
 
 def _reference_walk(seg, n):
@@ -1048,7 +1109,7 @@ def _reference_walk(seg, n):
     sum.  The count over [lo - shift, lo), which the copy leaves out, is
     read off the paper's closed-form cumulative counts, not off the
     build."""
-    cums = SQUARE_CUMS if seg.label is tl._square_label else CUBE_CUMS
+    cums = SQUARE_CUMS if _kind(seg) == "square" else CUBE_CUMS
     base, base_cum = _floor(_kind(seg))
     top = len(base) - 1
     s = _segment_of(seg, n)
@@ -1071,9 +1132,7 @@ def _two_level_walk(seg, n):
 
 def _published(tiling):
     """The published tables of a tiling, built if need be."""
-    if tiling == "square":
-        return fc._SQUARES or fc._square_segments()
-    return fc._CUBES or fc._cube_segments()
+    return fc._tables(tiling)
 
 
 def _check_walks(seg, n):
@@ -1105,13 +1164,11 @@ def test_jumps_match_one_step_walk(n):
 
 def test_segment_tables_stop_at_the_cap():
     # the tables hold every order up to the one whose segments reach 10^18
-    rows = fc._square_segments().rows
-    assert len(rows) == square_index(1, 68) + 1
-    top, below = rows[square_index(1, 68)], rows[square_index(1, 67)]
-    assert top[1] >= 10**18 > below[1]
-    rows = fc._cube_segments().rows
-    assert len(rows) == 68 - 7 + 1
-    assert rows[68 - 7][1] >= 10**18 > rows[67 - 7][1]
+    for tiling in ("square", "cube"):
+        rows = fc._tables(tiling).rows
+        assert len(rows) == square_index(1, 68) + 1
+        top, below = rows[square_index(1, 68)], rows[square_index(1, 67)]
+        assert top[1] >= 10**18 > below[1]
 
 
 def test_floors_end_together_with_their_prefix_sums():
@@ -1127,21 +1184,20 @@ def test_floors_end_together_with_their_prefix_sums():
                 for n in range(FLOOR_TOP + 1)] == list(base_cum)
         assert bytes(map(fc._point, [seg] * (FLOOR_TOP + 1),
                          range(FLOOR_TOP + 1))) == counts
-    assert (fc._square_segments().rows[square_index(1, 20)][1]
-            == fc._cube_segments().rows[20 - 7][1] == FLOOR_TOP)
+    assert (fc._tables("square").rows[square_index(1, 20)][1]
+            == fc._tables("cube").rows[square_index(1, 20)][1] == FLOOR_TOP)
 
 
-def test_builds_keep_the_counts_to_order_9():
-    # order 9 ends with cube segment 9, the last segment without children
-    # of either tiling, so counts that end one order lower leave it out
+def test_builds_keep_the_counts_to_order_6():
+    # order 6 ends with segment (1, 6), the last segment without children,
+    # so counts that end one order lower leave out segment (3, 6)
     for tiling in ("square", "cube"):
-        assert len(_built(tiling).base) == tl._bounds(9)[3] == 326
-    built = _built("cube")
-    with pytest.raises(RuntimeError, match=re.escape(
-            "child segments do not line up with the cuts of cube segment "
-            "m=9")):
-        tl._Tiling(built.rows, built.base[:tl._bounds(8)[3]], built.label,
-                   built.rows[0][0])
+        assert len(_built(tiling).base) == tl._bounds(6)[3] == 52
+        built = _built(tiling)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "child segments do not line up with the cuts of "
+                f"{tiling} segment (j=3, m=6)")):
+            tl._Tiling(built.rows, built.base[:tl._bounds(5)[3]], tiling)
 
 
 def test_floor_sums_refuse_a_count_past_31():
@@ -1208,12 +1264,12 @@ def test_counts_above_the_floor_match_the_spot_checks():
 
 
 def test_vectors_above_the_floor_are_not_kept():
-    squares, cubes = fc._square_segments(), fc._cube_segments()
+    squares, cubes = fc._tables("square"), fc._tables("cube")
     tracemalloc.start()
     try:
         lo, hi = squares.rows[square_index(1, 22)][:2]
         square = tuple(tl._counts(squares.rows, hi)[lo:])
-        lo, hi = cubes.rows[21 - 7][:2]
+        lo, hi = _order_bounds(cubes.rows, 21)
         cube = tuple(tl._counts(cubes.rows, hi)[lo:])
         sums = sum(square), sum(cube)
         digests = (hashlib.sha256(bytes(square)).hexdigest(),
@@ -1223,7 +1279,7 @@ def test_vectors_above_the_floor_are_not_kept():
     finally:
         tracemalloc.stop()
     assert held < 2**20
-    assert sums == (SQUARE_SUMS[square_index(1, 22)], CUBE_SUMS[21 - 7])
+    assert sums == (SQUARE_SUMS[square_index(1, 22)], _cube_order_sum(21))
     # the vectors as the fully memoised recursion built them
     assert digests == (
         "3f01b10fbffe1a56a23fbb59b790558d9045fd16ae53e551d8fbf2706ecf4285",

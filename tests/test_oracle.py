@@ -326,6 +326,27 @@ def test_kernel_route_pairs_each_block_with_its_order(scan_cap, order_shift):
         assert sum(x != y for x, y in zip(got, column)) > least, kind
 
 
+def test_kernel_pairing_from_the_scan_alone(scan_cap):
+    # the paper's route to b and d at every n up to the oracle's cap, with
+    # the kernel order of each first-occurrence end taken from the new
+    # square or cube ending there, not from the rows; one order off, it
+    # goes wrong at most positions of b and at thousands of d
+    word = prefix(scan_cap.n)
+    for power, column, least in ((2, scan_cap.b, 50_000),
+                                 (3, scan_cap.d, 5_000)):
+        orders = paper_checks.kernel_orders(scan_cap, power)
+        assert len(orders) == sum(scan_cap.a if power == 2 else scan_cap.c)
+        # the maximum that kernel_of finds, at a seeded sample of the ends
+        for e, (L, m) in random.Random(38).sample(sorted(orders.items()),
+                                                  100):
+            assert paper_checks.kernel_of(word[e - power * L:e]) == m, e
+        n = scan_cap.n
+        assert paper_checks.kernel_pairing(orders, n) == list(column)
+        for shift in (-1, 1):
+            got = paper_checks.kernel_pairing(orders, n, shift)
+            assert sum(x != y for x, y in zip(got, column)) > least, shift
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.integers(min_value=0, max_value=10**18))
 def test_kernel_closed_matches_the_counters(n):

@@ -18,11 +18,12 @@ PAIRS = [(cf.distinct_squares, cf.a_indicator),
          (fc.algorithm_D, fc.d_at)]
 
 
-SQUARES = fc._square_segments()
-CUBES = fc._cube_segments()
-# every order up to the one whose segments reach N_CAP, where the tables stop
-SQUARE_ORDERS = range(4, 4 + len(SQUARES.rows) // 3)
-CUBE_ORDERS = range(7, 7 + len(CUBES.rows))
+SQUARES = fc._tables("square")
+CUBES = fc._tables("cube")
+# segment (j, m) of every order up to the one whose segments reach N_CAP,
+# where the tables stop
+SEGMENTS = [(j, m) for m in range(4, 4 + len(SQUARES.rows) // 3)
+            for j in (3, 2, 1)]
 
 
 def _check_increments(n):
@@ -37,13 +38,13 @@ def test_increments_over_full_range(n):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.sampled_from([(j, m) for m in SQUARE_ORDERS for j in (3, 2, 1)]),
-       st.sampled_from(CUBE_ORDERS), st.integers(min_value=-2, max_value=2))
+@given(st.sampled_from(SEGMENTS), st.sampled_from(SEGMENTS),
+       st.integers(min_value=-2, max_value=2))
 def test_increments_at_segment_breakpoints(square, cube, offset):
     # the places where a descent changes child or starts counting unit
     # increments, and their neighbours
     square_row = SQUARES.rows[square_index(*square)]
-    cube_row = CUBES.rows[cube - 7]
+    cube_row = CUBES.rows[square_index(*cube)]
     for lo, hi, cut1, cut2, _, _, inc_lo, inc_hi in (square_row, cube_row):
         for point in (lo, cut1, cut2, inc_lo, inc_hi + 1, hi):
             n = point + offset
