@@ -19,9 +19,9 @@ reads an end piece, whose link raises RuntimeError naming the segment on
 the next jump, under ``python -O`` too.  At n drawn log-uniformly from
 10^3 to 10^18 a call takes about 6.6 jumps and about 2-4 microseconds warm
 (README, "Arithmetic and speed").  A descent stops at the floor, the
-per-position counts up to position 266078 (``tiling._FLOOR_ORDER``), kept
-as prefix sums: every n up to there is answered before any lookup, with
-no jump, by two reads (``_floor_sums``).
+per-position counts up to position 266078 (``_FLOOR_ORDER``), kept as
+prefix sums: every n up to there is answered before any lookup, with no
+jump, by two reads (``_floor_sums``).
 
 The first call of a tiling in a process builds no piece and no floor: it
 keeps a checked ``tiling._build`` (``_KEPT``) and answers from it one step
@@ -46,8 +46,12 @@ from bisect import bisect_right
 from itertools import accumulate, chain
 
 from .core_word import N_CAP, _arg
-from .tiling import (_FLOOR_ORDER, _bounds, _build, _counts, _step, _walk,
-                     _walk_at)
+from .tiling import _bounds, _build, _counts, _step, _walk, _walk_at
+
+
+# Highest order of the floor, the per-position counts where the descents
+# stop: it ends at position 266078.  Chosen on measurement (``_floor_sums``).
+_FLOOR_ORDER = 20
 
 
 # ---------------------------------------------------------------------------

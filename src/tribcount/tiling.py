@@ -19,42 +19,35 @@ n lands in and the term it adds.
 
 The per-position counts are copied along the rows (``_counts``): each
 segment the counts one block length back plus one over its unit
-increments.  The counts before the tiling starts are zeros, so the
-segments without children copy zeros, or zeros and the segments below
-them, by the same rule.  A build keeps them up to the end of order 6
-(``_BASE_ORDER``), where the last segments without children end.  The
-floor, where the descents of ``fast_count`` stop, holds them for the
-orders 4-20, which end at position 266078 (``_FLOOR_ORDER``).
+increments.  The six segments without children, (3, 4), (2, 4), (1, 4),
+(3, 5), (2, 5) and (3, 6), whose children would be of order below 4, copy
+positions 1-7, before the tiling starts, where every count is 0.  So every
+count below the first unit increment of a tiling, its ``stop`` (8 for
+squares, 58 for cubes), is 0.  ``fast_count`` keeps the counts of the
+lower orders as its floor, where its descents stop.
 
 A tiling is built (``_build``) in one pass over its rows in tiling order,
 where a segment comes after its children.  Each segment is checked first:
-it tiles on from the one before, the counts kept do not end inside it, it
-holds its unit increments, and it is the shifted copy of its children, as
-every segment past them must be.  A mismatch raises RuntimeError naming the
-segment.  It is then totalled, from the counts if it has no children and
-else from its children plus its unit increments, and a segment with
-children keeps its ``delta``, the count one step leaves out.  The build
-holds no pieces and keeps no cache: ``fast_count`` caches the tables its
-counters read and adds the pieces, two steps per jump, to them.  A process that
-asks for one cumulative count (``count --stat B/D``, the row cap of
-``positions --repeated``) reads ``_walk`` of a fresh build instead, and so
-does the first call of each tiling in the library, or ``_walk_at`` for a
-count at one position: the descent (``_descend``) goes down to the segments
-without children, and builds no piece and no floor.
+it tiles on from the one before, it holds its unit increments, and it is
+the shifted copy of its children, or, without children, of positions
+before the tiling starts.  A mismatch raises RuntimeError naming the
+segment.  It is then totalled, from its children, if it has any, plus its
+unit increments, and keeps its ``delta``, the count one step leaves out.
+The build holds no counts and no pieces and keeps no cache:
+``fast_count`` caches the tables its counters read and adds the floor and
+the pieces, two steps per jump, to them.  A process that asks for one
+cumulative count (``count --stat B/D``, the row cap of ``positions
+--repeated``) reads ``_walk`` of a fresh build instead, and so does the
+first call of each tiling in the library, or ``_walk_at`` for a count at
+one position: the descent (``_descend``) applies the step to every
+segment it meets until it reaches a position below ``stop``, and builds no
+piece and no floor.
 """
 
 from bisect import bisect_left
 
 from .core_word import _CUBE_FIRSTS, _OFF, _SQUARE_FIRSTS, _T, N_CAP, exact_div
 
-
-# Highest order of the floor, the per-position table where the descents of
-# ``fast_count`` stop: it ends at position 266078.  Chosen on measurement
-# (``fast_count._floor_sums``).
-_FLOOR_ORDER = 20
-# Highest order of the counts a build keeps: the segments without children
-# end there (segment (1, 6), at position 51), and a walk reads no further.
-_BASE_ORDER = 6
 
 _START = 8  # first position of the tiling, segment (3, 4)
 
@@ -128,25 +121,22 @@ def _rows(m: int, kind: str) -> list:
     return rows
 
 
-def _check_row(rows, s: int, top: int, label) -> None:
+def _check_row(rows, s: int, label) -> None:
     """Raise RuntimeError, naming segment s by ``label(s)``, unless it
-    starts right after the segment before it (at _START for the first), the
-    counts kept, which end at ``top``, do not end inside it, it holds its
-    unit increments or the empty block (hi + 1, hi), and, where it has
-    children, it is the shifted copy of them that the counts are copied
-    along and the totals, ``delta`` and the descents read, as every segment
-    past the counts must be."""
+    starts right after the segment before it (at _START for the first), it
+    holds its unit increments or the empty block (hi + 1, hi), and it is
+    the shifted copy that the counts are copied along and the totals,
+    ``delta`` and the descents read: of its children where it has them,
+    else of positions 0 to _START - 1 only, where every count is 0."""
     l, h, c1, c2, c, d, a, b = rows[s]
     prev_hi = rows[s - 1][1] if s else _START - 1
     if l != prev_hi + 1:
         raise RuntimeError(
             f"tiling broken at {label(s)}: it starts at {l}, "
             f"not {prev_hi + 1}")
-    if l <= top < h:
-        raise RuntimeError(f"the base table ends at {top}, inside a segment")
     if not (l <= a <= b <= h or (a, b) == (h + 1, h)):
         raise RuntimeError(f"unit increments of {label(s)} lie outside it")
-    if (c < 0 and h > top) or (c >= 0 and (
+    if (c < 0 and not 0 <= l - d <= h - d < _START) or (c >= 0 and (
             rows[c][0], rows[c + 1][0], rows[c + 2][0], rows[c + 2][1])
             != (l - d, c1 - d, c2 - d, h - d)):
         raise RuntimeError(
@@ -176,8 +166,8 @@ def _counts(rows, n: int) -> bytearray:
     one tiling in tiling order: every segment is the counts one ``shift``
     back plus one over its unit increments [inc_lo, inc_hi].  The zeros
     before the tiling starts are copied like any other counts, so a segment
-    without children copies zeros, or zeros and the segments below it.  A
-    count past 255 raises: ``_PLUS_ONE`` wraps it to 0."""
+    without children copies zeros.  A count past 255 raises: ``_PLUS_ONE``
+    wraps it to 0."""
     per = bytearray(rows[0][0])  # nothing ends before the first segment
     for row in rows:
         if len(per) > n:
@@ -200,41 +190,34 @@ class _Tiling:
     increments [inc_lo, inc_hi], which is (hi + 1, hi) where none ends.
     Shifted down by ``shift``, the previous block length, a position n of
     the segment lands in child segment ``first + (n >= cut1) + (n >=
-    cut2)``; ``first`` is -1 where the copy recursion has no children.
-    ``base`` holds the per-position counts up to the end of an order, past
-    every segment without children.  ``label(s)`` names segment s in
-    errors.
+    cut2)``; ``first`` is -1 where the copy recursion has no children, and
+    n lands below _START.  ``label(s)`` names segment s in errors.
 
-    The constructor takes the rows and those counts and walks the rows
-    once, from _START on: each segment is checked (``_check_row``), then
-    its total goes to ``totals``: the sum of the counts over it for a
-    segment without children, which they cover, and for every other its
-    three children's plus its unit increments, as the counts are copied.
-    For a segment with children ``deltas`` holds the count over [lo -
-    shift, lo) that its step leaves out: the sum of the totals of the
-    segments that cover that interval, from its first child up to the
-    segment before it.  A segment without children has None in
-    ``deltas``.
+    The constructor takes the rows and walks them once, from _START on:
+    each segment is checked (``_check_row``), then its total goes to
+    ``totals``: its three children's, if it has any, plus its unit
+    increments, as the counts are copied.  ``deltas`` holds the count over
+    [lo - shift, lo) that its step leaves out: the sum of the totals of the
+    segments that cover that interval, from its first child, or from the
+    first segment where it has none, up to the segment before it.
+    ``stop`` is the first unit increment of the tiling, that of the first
+    segment that holds one: every count below it is 0.
     """
 
-    __slots__ = ("rows", "base", "kind", "totals", "deltas")
+    __slots__ = ("rows", "kind", "totals", "deltas", "stop")
 
-    def __init__(self, rows, base, kind):
+    def __init__(self, rows, kind):
         self.rows = rows = tuple(rows)
-        self.base = base
         self.kind = kind
         self.totals = totals = []
-        self.deltas = deltas = [None] * len(rows)
-        top = len(base) - 1
+        self.deltas = deltas = []
         for s, row in enumerate(rows):
-            _check_row(rows, s, top, self.label)
-            lo, hi, _, _, first, _, inc_lo, inc_hi = row
-            if first < 0:
-                total = sum(base[lo:hi + 1])
-            else:
-                total = sum(totals[first:first + 3]) + inc_hi - inc_lo + 1
-                deltas[s] = sum(totals[first:s])
-            totals.append(total)
+            _check_row(rows, s, self.label)
+            _, _, _, _, first, _, inc_lo, inc_hi = row
+            children = totals[first:first + 3] if first >= 0 else ()
+            deltas.append(sum(totals[first:] if first >= 0 else totals))
+            totals.append(sum(children) + inc_hi - inc_lo + 1)
+        self.stop = next(a for *_, a, b in rows if a <= b)
 
     def label(self, s: int) -> str:
         return _label(self.kind, s)
@@ -243,44 +226,37 @@ class _Tiling:
 def _build(kind: str) -> _Tiling:
     """The "square" or the "cube" tiling, built and checked by ``_Tiling``:
     the rows of every order from 4 up to the one whose segments reach
-    N_CAP, with the unit increments of ``kind``, and the counts copied
-    along them to the end of order _BASE_ORDER (``_counts``), as
-    ``bytes``."""
+    N_CAP, with the unit increments of ``kind``."""
     rows, m = [], 4
     while not rows or rows[-1][1] < N_CAP:
         rows += _rows(m, kind)
         m += 1
-    top = _bounds(_BASE_ORDER)[3] - 1
-    return _Tiling(rows, bytes(_counts(rows, top)), kind)
+    return _Tiling(rows, kind)
 
 
 def _descend(tiling: _Tiling, n: int) -> tuple:
     """The copy recursion applied one step at a time (``_step``) from the
-    segment that holds n, 0 <= n <= N_CAP, down to a segment without
-    children or below the tiling, where the counts of the build are kept:
-    (ones, total, m), the unit increments it meets, the sum of its terms
-    a * n + b and the position m it reaches."""
-    rows, deltas = tiling.rows, tiling.deltas
+    segment that holds n, 0 <= n <= N_CAP, until it reaches a position
+    below the tiling's ``stop``, where every count is 0: (ones, total),
+    the unit increments it meets and the sum of its terms a * n + b."""
+    rows, deltas, stop = tiling.rows, tiling.deltas, tiling.stop
     s = bisect_left(rows, (n + 1,)) - 1  # the last segment with lo <= n
     ones = total = 0
-    while s >= 0 and deltas[s] is not None:
+    while n >= stop:
         row = rows[s]
         s, a, b = _step(row, deltas[s], n)
         ones += a
         total += a * n + b
         n -= row[5]
-    return ones, total, n
+    return ones, total
 
 
 def _walk(tiling: _Tiling, n: int) -> int:
     """Count ending at or before n: the terms of the descent
-    (``_descend``) plus the sum of the counts up to the position reached."""
-    _, total, n = _descend(tiling, n)
-    return total + sum(tiling.base[:n + 1])
+    (``_descend``)."""
+    return _descend(tiling, n)[1]
 
 
 def _walk_at(tiling: _Tiling, n: int) -> int:
-    """Count ending exactly at n: the unit increments the descent meets
-    plus the count at the position it reaches."""
-    ones, _, n = _descend(tiling, n)
-    return ones + tiling.base[n]
+    """Count ending exactly at n: the unit increments the descent meets."""
+    return _descend(tiling, n)[0]

@@ -57,19 +57,54 @@ def _order_bounds(rows, m):
     return rows[square_index(3, m)][0], rows[square_index(1, m)][1]
 
 
-def test_base_square_table_matches_enumeration():
-    base = _built("square").base
-    assert list(base[1:52]) == invariant_checks.B_SMALL_1_51
+def test_copied_square_counts_match_enumeration():
+    counts = tl._counts(_built("square").rows, 51)
+    assert list(counts[1:52]) == invariant_checks.B_SMALL_1_51
 
 
-def test_base_cube_table():
-    # no cube ends in the counts a build keeps, up to position 51; the
-    # counts copied along the rows to the end of order 9
-    assert not any(_built("cube").base)
+def test_copied_cube_counts():
+    # the counts copied along the rows to the end of order 9
     counts = tl._counts(_built("cube").rows, 325)
     nonzero = {i: v for i, v in enumerate(counts) if v}
     assert nonzero == {58: 1, 107: 1, 108: 1, 139: 1, 197: 1, 198: 1,
                        199: 1, 200: 1, 207: 1, 256: 1, 257: 1, 288: 1}
+
+
+def test_walks_stop_below_the_first_unit_increment():
+    # a tiling's stop is its first unit increment: every count below it
+    # is 0
+    assert _built("square").stop == tl._START == 8
+    assert _built("cube").stop == cw._CUBE_FIRSTS[0][0] == 58
+
+
+@pytest.mark.parametrize("tiling", ["square", "cube"])
+def test_walks_match_the_copied_counts(tiling):
+    built = _built(tiling)
+    counts = tl._counts(built.rows, 400)
+    sums = list(accumulate(counts))
+    for n in range(401):
+        assert tl._walk_at(built, n) == counts[n], n
+        assert tl._walk(built, n) == sums[n], n
+
+
+@pytest.mark.parametrize("tiling", ["square", "cube"])
+@pytest.mark.parametrize("j, m, shift", [
+    (3, 6, 23),  # [28, 31] would copy positions 5-8, the tiling's first
+    (3, 4, 9),   # [8, 8] would copy position -1, before the counts
+])
+def test_a_segment_without_children_copies_below_the_tiling(tiling, j, m,
+                                                            shift):
+    # a segment without children copies only positions 0-7, where every
+    # count is 0
+    rows = [list(row) for row in _built(tiling).rows]
+    s = square_index(j, m)
+    assert rows[s][4] < 0 and 0 <= rows[s][0] - rows[s][5]
+    assert rows[s][1] - rows[s][5] < tl._START
+    rows[s][5] = shift
+    with pytest.raises(RuntimeError, match=re.escape(
+            "child segments do not line up with the cuts of "
+            f"{tiling} segment (j={j}, m={m})")):
+        tl._Tiling(rows, tiling)
 
 
 @pytest.mark.parametrize("call", ["b_at(1)", "d_at(51)", "algorithm_B(0)",
@@ -442,13 +477,12 @@ def _segment_of(seg, n):
 
 
 def _wrong_tiling(seg, s, field, value=None):
-    """The tiling that ``tiling._walk`` reads, built again from the same
-    floor and start, with one field of segment s moved by one, or set to
-    ``value``."""
+    """The tiling that ``tiling._walk`` reads, built again with one field
+    of segment s moved by one, or set to ``value``."""
     rows = [list(row) for row in seg.rows]
     i = ROW_FIELDS.index(field)
     rows[s][i] = rows[s][i] + 1 if value is None else value
-    return tl._Tiling(rows, _built(_kind(seg)).base, _kind(seg))
+    return tl._Tiling(rows, _kind(seg))
 
 
 def _with_wrong_entry(seg, s, field, value=None):
@@ -557,18 +591,6 @@ def test_self_check_wants_every_segment_to_hold_its_increments(
         with pytest.raises(RuntimeError, match=re.escape(
                 f"unit increments of {seg.label(s)} lie outside it")):
             build(seg, s, field, value)
-
-
-@pytest.mark.parametrize("tiling", ["square", "cube"])
-@pytest.mark.parametrize("ends_at", ["hi - 1", "lo"])
-def test_self_check_wants_the_floor_to_end_a_segment(tiling, ends_at):
-    # the floor cut short inside its last segment [lo, hi]
-    seg = fc._tables(tiling)
-    lo, hi = seg.rows[_segment_of(seg, FLOOR_TOP)][:2]
-    top = hi - 1 if ends_at == "hi - 1" else lo
-    with pytest.raises(RuntimeError, match=f"the base table ends at "
-                       f"{top}, inside a segment"):
-        tl._Tiling(seg.rows, _floor(tiling)[0][:top + 1], tiling)
 
 
 # a tail block's inc_hi + 1 leaves its segment, which the self-check names
@@ -762,14 +784,14 @@ def test_the_row_check_takes_only_the_empty_block_reversed(block, accepted):
     rows = [list(row) for row in built.rows]
     rows[s][6:8] = block(*rows[s][:2])
     if accepted:
-        tiling = tl._Tiling(rows, built.base, "square")
+        tiling = tl._Tiling(rows, "square")
         first = rows[s][4]
         assert tiling.totals[s] == sum(built.totals[first:first + 3])
     else:
         with pytest.raises(RuntimeError, match=re.escape(
                 "unit increments of square segment (j=2, m=30) lie "
                 "outside it")):
-            tl._Tiling(rows, built.base, "square")
+            tl._Tiling(rows, "square")
 
 
 @pytest.mark.parametrize("index, delta, segment", [
@@ -1186,18 +1208,6 @@ def test_floors_end_together_with_their_prefix_sums():
                          range(FLOOR_TOP + 1))) == counts
     assert (fc._tables("square").rows[square_index(1, 20)][1]
             == fc._tables("cube").rows[square_index(1, 20)][1] == FLOOR_TOP)
-
-
-def test_builds_keep_the_counts_to_order_6():
-    # order 6 ends with segment (1, 6), the last segment without children,
-    # so counts that end one order lower leave out segment (3, 6)
-    for tiling in ("square", "cube"):
-        assert len(_built(tiling).base) == tl._bounds(6)[3] == 52
-        built = _built(tiling)
-        with pytest.raises(RuntimeError, match=re.escape(
-                "child segments do not line up with the cuts of "
-                f"{tiling} segment (j=3, m=6)")):
-            tl._Tiling(built.rows, built.base[:tl._bounds(5)[3]], tiling)
 
 
 def test_floor_sums_refuse_a_count_past_31():
